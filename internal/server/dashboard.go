@@ -13,9 +13,9 @@ import (
 
 // GET /dashboard is the embedded live operator dashboard: one self-
 // contained HTML page (go:embed, zero external assets) that polls
-// GET /dashboard/data — a JSON aggregate of the same counters /stats and
-// /metrics serve, plus charts pre-rendered server-side as SVG via
-// internal/plot. The page ships no chart library; its only script is a
+// GET /dashboard/data — the telemetry Snapshot behind /stats and /metrics
+// (telemetry.go), plus a short sparkline history sampled from it and
+// charts pre-rendered server-side as SVG via internal/plot. The page ships no chart library; its only script is a
 // dozen lines of inline fetch-and-insert. Both routes sit behind the
 // readiness gate like every other data route.
 
@@ -32,14 +32,11 @@ const dashWindow = 180
 // history's time resolution.
 const dashSampleMin = time.Second
 
-// dashSample is one point of dashboard history.
+// dashSample is one point of dashboard history: the Snapshot one
+// /dashboard/data request rendered, and when.
 type dashSample struct {
-	at            time.Time
-	queued        int
-	running       int
-	cacheHitRate  float64 // percent of cache-backed answers served without compute
-	streamsActive int64
-	phases        map[string]PhaseView
+	at   time.Time
+	snap Snapshot
 }
 
 // dashHistory is a bounded ring of dashboard samples.
@@ -87,68 +84,39 @@ func (s *Server) handleDashboard(w http.ResponseWriter, _ *http.Request) {
 	w.Write(dashboardHTML)
 }
 
-// handleDashboardData aggregates the operator view. Every counter family
-// is snapshotted exactly once per request — the numbers in the tables and
-// the newest chart point come from the same reads, so the page is
-// internally consistent with itself (and with a concurrently scraped
-// /stats, modulo traffic in between).
+// dashboardData is the GET /dashboard/data document: the telemetry
+// Snapshot (the /stats fields) plus the page's own keys.
+type dashboardData struct {
+	Snapshot
+	GeneratedAt string            `json:"generated_at"`
+	Ready       bool              `json:"ready"`
+	QueueDepth  int               `json:"queue_depth"`
+	Slots       slotsView         `json:"slots"`
+	Charts      map[string]string `json:"charts"`
+}
+
+// handleDashboardData renders the operator view from one Snapshot: the
+// tables and the newest chart point come from the same read, so the page
+// agrees with itself and with a concurrently scraped /stats, modulo
+// traffic in between.
 func (s *Server) handleDashboardData(w http.ResponseWriter, _ *http.Request) {
 	now := time.Now()
-	counts := s.jobs.counts()
-	phaseViews, _ := s.phases.snapshotAll()
-	cs := s.cache.Stats()
-	rs := s.registry.Stats()
-	streaming := map[string]any{
-		"active":             s.streams.active.Load(),
-		"served":             s.streams.served.Load(),
-		"client_disconnects": s.streams.disconnects.Load(),
-	}
-
-	hitRate := 0.0
-	if total := cs.Hits + cs.Misses; total > 0 {
-		hitRate = float64(cs.Hits) / float64(total) * 100
-	}
-	s.dash.observe(dashSample{
-		at:            now,
-		queued:        counts[StatusQueued],
-		running:       counts[StatusRunning],
-		cacheHitRate:  hitRate,
-		streamsActive: s.streams.active.Load(),
-		phases:        phaseViews,
-	})
+	snap := s.snapshot()
+	s.dash.observe(dashSample{at: now, snap: snap})
 	hist := s.dash.series()
-
-	out := map[string]any{
-		"generated_at": now.UTC().Format(time.RFC3339Nano),
-		"ready":        s.ready.Load(),
-		"jobs":         counts,
-		"queue_depth":  counts[StatusQueued],
-		"slots": map[string]any{
-			"total":  cap(s.slots),
-			"in_use": len(s.slots),
-		},
-		"phases":    phaseViews,
-		"cache":     cs,
-		"registry":  rs,
-		"streaming": streaming,
-		"charts": map[string]string{
-			"jobs":   jobsChart(counts).SVG(440, 230),
+	writeJSON(w, http.StatusOK, dashboardData{
+		Snapshot:    snap,
+		GeneratedAt: now.UTC().Format(time.RFC3339Nano),
+		Ready:       snap.Ready,
+		QueueDepth:  snap.Jobs[StatusQueued],
+		Slots:       snap.Slots,
+		Charts: map[string]string{
+			"jobs":   jobsChart(snap.Jobs).SVG(440, 230),
 			"queue":  queueChart(hist).SVG(440, 230),
 			"phases": phasesChart(hist).SVG(440, 230),
 			"cache":  cacheChart(hist).SVG(440, 230),
 		},
-	}
-	if s.st != nil {
-		out["store"] = s.st.Stats()
-		out["degraded"] = s.degraded.view()
-	}
-	if s.tenants != nil {
-		out["tenants"] = s.tenants.views(s.jobs.countsByTenant())
-	}
-	if s.gc != nil {
-		out["gc"] = s.gc.view()
-	}
-	writeJSON(w, http.StatusOK, out)
+	})
 }
 
 // jobsChart renders the current job-table population by state.
@@ -183,8 +151,8 @@ func queueChart(hist []dashSample) *plot.Chart {
 	queued := make([]float64, len(hist))
 	running := make([]float64, len(hist))
 	for i, h := range hist {
-		queued[i] = float64(h.queued)
-		running[i] = float64(h.running)
+		queued[i] = float64(h.snap.Jobs[StatusQueued])
+		running[i] = float64(h.snap.Jobs[StatusRunning])
 	}
 	return plot.NewLine("Queue depth", "seconds ago", "jobs",
 		plot.Series{Label: "queued", Xs: xs, Ys: queued},
@@ -201,7 +169,7 @@ const dashMaxPhases = 6
 func phasesChart(hist []dashSample) *plot.Chart {
 	nameSet := make(map[string]bool)
 	for _, h := range hist {
-		for n := range h.phases {
+		for n := range h.snap.Phases {
 			nameSet[n] = true
 		}
 	}
@@ -219,7 +187,7 @@ func phasesChart(hist []dashSample) *plot.Chart {
 		ys := make([]float64, len(hist))
 		lo := make([]float64, len(hist))
 		for i, h := range hist {
-			pv := h.phases[n]
+			pv := h.snap.Phases[n]
 			ys[i] = pv.P95ms
 			lo[i] = pv.P50ms
 		}
@@ -228,14 +196,17 @@ func phasesChart(hist []dashSample) *plot.Chart {
 	return plot.NewLine("Phase latency p95 (band: p50..p95, ms)", "seconds ago", "ms", series...)
 }
 
-// cacheChart renders the result-cache hit rate over the history window.
+// cacheChart renders the result-cache hit rate (percent of cache-backed
+// answers served without compute) over the history window.
 func cacheChart(hist []dashSample) *plot.Chart {
 	xs := dashXs(hist)
 	rate := make([]float64, len(hist))
 	streamsActive := make([]float64, len(hist))
 	for i, h := range hist {
-		rate[i] = h.cacheHitRate
-		streamsActive[i] = float64(h.streamsActive)
+		if c := h.snap.Cache; c.Hits+c.Misses > 0 {
+			rate[i] = float64(c.Hits) / float64(c.Hits+c.Misses) * 100
+		}
+		streamsActive[i] = float64(h.snap.Streaming.Active)
 	}
 	return plot.NewLine("Cache hit rate (%) / active streams", "seconds ago", "",
 		plot.Series{Label: "hit %", Xs: xs, Ys: rate},

@@ -1,8 +1,10 @@
 package server
 
 import (
+	"io"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -36,9 +38,10 @@ func TestDashboardSelfContained(t *testing.T) {
 	}
 }
 
-// TestDashboardDataAgreesWithStats is the CI cross-check: the dashboard
-// aggregate and GET /stats read the same counter families, so with no
-// traffic between the two requests the numbers must agree exactly.
+// TestDashboardDataAgreesWithStats is the agreement smoke test: the
+// dashboard document embeds the same telemetry Snapshot GET /stats
+// encodes, so with no traffic between the two requests the numbers must
+// agree exactly.
 func TestDashboardDataAgreesWithStats(t *testing.T) {
 	ts := newTestServer(t)
 	dsJSON, _ := patientsJSON(t)
@@ -105,7 +108,7 @@ func TestDashHistorySampling(t *testing.T) {
 		t.Fatalf("series after sub-second sample: %d entries, want 1", got)
 	}
 	for i := 1; i <= dashWindow+10; i++ {
-		d.observe(dashSample{at: base.Add(time.Duration(i) * time.Second), queued: i})
+		d.observe(dashSample{at: base.Add(time.Duration(i) * time.Second), snap: Snapshot{Jobs: map[Status]int{StatusQueued: i}}})
 	}
 	hist := d.series()
 	if len(hist) != dashWindow {
@@ -117,7 +120,40 @@ func TestDashHistorySampling(t *testing.T) {
 			t.Fatalf("series out of order at %d", i)
 		}
 	}
-	if hist[len(hist)-1].queued != dashWindow+10 {
-		t.Fatalf("newest sample queued = %d, want %d", hist[len(hist)-1].queued, dashWindow+10)
+	if got := hist[len(hist)-1].snap.Jobs[StatusQueued]; got != dashWindow+10 {
+		t.Fatalf("newest sample queued = %d, want %d", got, dashWindow+10)
+	}
+}
+
+// TestTelemetryViewsConcurrent renders the three telemetry views from
+// several goroutines while a job runs. The dashboard history keeps the
+// snapshots it rendered and later requests chart them, so under -race
+// this checks that a Snapshot is never written after it is taken.
+func TestTelemetryViewsConcurrent(t *testing.T) {
+	ts := newTestServer(t)
+	dsJSON, _ := patientsJSON(t)
+	_, body := postJSON(t, ts.URL+"/anonymize", AnonymizeRequest{Dataset: dsJSON, Config: ConfigRequest{Algo: "cluster", K: 3}})
+	var wg sync.WaitGroup
+	for _, path := range []string{"/stats", "/metrics", "/dashboard/data", "/dashboard/data"} {
+		wg.Add(1)
+		go func(path string) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				resp, err := http.Get(ts.URL + path)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("GET %s: %d", path, resp.StatusCode)
+				}
+			}
+		}(path)
+	}
+	wg.Wait()
+	if st := pollDone(t, ts.URL, body["job"].(string)); st != StatusDone {
+		t.Fatalf("job ended %s", st)
 	}
 }

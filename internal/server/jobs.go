@@ -346,11 +346,11 @@ func (s *jobStore) journal(fn func(*store.Journal) error) {
 // job with ownership intact.
 func (s *jobStore) add(kind string, cancel context.CancelFunc, maxPending int, body []byte, datasetRef, tenant string, tenantPending int) (j *job, reject string) {
 	s.mu.Lock()
-	if maxPending > 0 && s.pendingLocked() >= maxPending {
+	if maxPending > 0 && s.pendingLocked("") >= maxPending {
 		s.mu.Unlock()
 		return nil, "server"
 	}
-	if tenant != "" && tenantPending > 0 && s.pendingTenantLocked(tenant) >= tenantPending {
+	if tenant != "" && tenantPending > 0 && s.pendingLocked(tenant) >= tenantPending {
 		s.mu.Unlock()
 		return nil, "tenant"
 	}
@@ -452,25 +452,13 @@ func (s *jobStore) dropDurable(ids []string) {
 	}
 }
 
-// evictLocked drops the oldest terminal jobs until the store fits max and
-// returns their IDs for durable cleanup (done by the caller, off-lock).
-// Queued and running jobs are never evicted.
+// evictLocked drops the oldest terminal jobs until the store fits max
+// and returns their IDs for durable cleanup (done by the caller, off-lock).
 func (s *jobStore) evictLocked() []string {
-	if s.max <= 0 || len(s.jobs) <= s.max {
+	if s.max <= 0 {
 		return nil
 	}
-	// Oldest first by numeric submission order — IDs are zero-padded for
-	// display and would misorder lexicographically past the padding width.
-	terminal := s.terminalOldestLocked()
-	var evicted []string
-	for _, j := range terminal {
-		if len(s.jobs) <= s.max {
-			break
-		}
-		delete(s.jobs, j.id)
-		evicted = append(evicted, j.id)
-	}
-	return evicted
+	return s.dropOldestTerminalLocked(len(s.jobs) - s.max)
 }
 
 // remove deletes a job record outright; it reports whether id existed.
@@ -555,26 +543,12 @@ func parseJobSeq(id string) (int, error) {
 	return seq, nil
 }
 
-// pendingLocked counts jobs that have not reached a terminal status; the
-// caller holds s.mu.
-func (s *jobStore) pendingLocked() int {
+// pendingLocked counts jobs that have not reached a terminal status,
+// only tenant's when tenant is set; the caller holds s.mu.
+func (s *jobStore) pendingLocked(tenant string) int {
 	n := 0
 	for _, j := range s.jobs {
-		j.mu.Lock()
-		if !j.status.Terminal() {
-			n++
-		}
-		j.mu.Unlock()
-	}
-	return n
-}
-
-// pendingTenantLocked counts one tenant's non-terminal jobs; the caller
-// holds s.mu.
-func (s *jobStore) pendingTenantLocked(tenant string) int {
-	n := 0
-	for _, j := range s.jobs {
-		if j.tenant != tenant {
+		if tenant != "" && j.tenant != tenant {
 			continue
 		}
 		j.mu.Lock()
@@ -586,43 +560,40 @@ func (s *jobStore) pendingTenantLocked(tenant string) int {
 	return n
 }
 
-func (s *jobStore) counts() map[Status]int {
+// counts reports job-state counts overall and per tenant from one pass
+// under the lock, so the telemetry snapshot's jobs block and its tenant
+// breakdown describe the same table. Jobs with no owner (single-tenant
+// era, or a tenant removed from the tenants file) land under "".
+func (s *jobStore) counts() (all map[Status]int, byTenant map[string]map[Status]int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make(map[Status]int)
+	all = make(map[Status]int)
+	byTenant = make(map[string]map[Status]int)
 	for _, j := range s.jobs {
 		j.mu.Lock()
-		out[j.status]++
+		st := j.status
 		j.mu.Unlock()
-	}
-	return out
-}
-
-// countsByTenant reports per-tenant job-state counts — the figure behind
-// the tenant-labelled job gauges on /metrics and the tenants block of
-// /stats. Jobs with no owner (single-tenant era, or a tenant removed
-// from the tenants file) land under "".
-func (s *jobStore) countsByTenant() map[string]map[Status]int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]map[Status]int)
-	for _, j := range s.jobs {
-		m := out[j.tenant]
+		all[st]++
+		m := byTenant[j.tenant]
 		if m == nil {
 			m = make(map[Status]int)
-			out[j.tenant] = m
+			byTenant[j.tenant] = m
 		}
-		j.mu.Lock()
-		m[j.status]++
-		j.mu.Unlock()
+		m[st]++
 	}
-	return out
+	return all, byTenant
 }
 
-// terminalOldestLocked lists terminal jobs oldest-first (by submission
-// sequence); the caller holds s.mu. The GC sweeper walks this order when
-// -data-max-bytes forces result eviction.
-func (s *jobStore) terminalOldestLocked() []*job {
+// dropOldestTerminalLocked removes up to n of the oldest terminal jobs
+// (by submission sequence; IDs are zero-padded for display and would
+// misorder lexicographically past the padding width) from the table and
+// returns their IDs for durable cleanup, which the caller does off-lock.
+// Queued and running jobs are never touched. Both retention levers use
+// it: the MaxJobs count cap and the GC sweeper's byte cap.
+func (s *jobStore) dropOldestTerminalLocked(n int) []string {
+	if n <= 0 {
+		return nil
+	}
 	var terminal []*job
 	for _, j := range s.jobs {
 		j.mu.Lock()
@@ -633,19 +604,6 @@ func (s *jobStore) terminalOldestLocked() []*job {
 		}
 	}
 	sort.Slice(terminal, func(a, b int) bool { return terminal[a].seq < terminal[b].seq })
-	return terminal
-}
-
-// evictOldestTerminal removes up to n of the oldest terminal jobs
-// (journal record, result and trace blobs included) and returns their
-// IDs. Queued and running jobs are never touched — the GC lever for
-// reclaiming result bytes without risking in-flight state.
-func (s *jobStore) evictOldestTerminal(n int) []string {
-	if n <= 0 {
-		return nil
-	}
-	s.mu.Lock()
-	terminal := s.terminalOldestLocked()
 	if len(terminal) > n {
 		terminal = terminal[:n]
 	}
@@ -654,6 +612,16 @@ func (s *jobStore) evictOldestTerminal(n int) []string {
 		delete(s.jobs, j.id)
 		ids = append(ids, j.id)
 	}
+	return ids
+}
+
+// evictOldestTerminal removes up to n of the oldest terminal jobs,
+// journal record, result and trace blobs included, and returns their
+// IDs — the GC lever for reclaiming result bytes without risking
+// in-flight state.
+func (s *jobStore) evictOldestTerminal(n int) []string {
+	s.mu.Lock()
+	ids := s.dropOldestTerminalLocked(n)
 	s.mu.Unlock()
 	s.dropDurable(ids)
 	return ids

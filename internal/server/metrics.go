@@ -2,18 +2,22 @@ package server
 
 import (
 	"bufio"
-	"fmt"
 	"net/http"
 	"sort"
 	"strconv"
 	"strings"
+
+	"secreta/internal/store"
 )
 
 // GET /metrics: the server's operational counters in Prometheus text
 // exposition format 0.0.4, hand-rendered (the repo takes no dependencies)
-// from the same aggregates GET /stats serves as JSON. Every family is
-// emitted with # HELP / # TYPE headers, label values are escaped, and
-// ordering is deterministic so diffs of two scrapes are meaningful.
+// from the same Snapshot GET /stats encodes as JSON. metricFamilies is the
+// whole exposition as data: one row per family — name, type, help, and an
+// accessor from *Snapshot to labelled samples — walked in order by
+// writeExposition. Every family is emitted with # HELP / # TYPE headers,
+// label values are escaped once, and ordering is deterministic so diffs
+// of two scrapes are meaningful.
 //
 // The handler sits behind the readiness gate like every data route: while
 // journal replay runs the server answers 503, which scrapers surface as a
@@ -22,46 +26,21 @@ import (
 // promContentType is the exposition format version Prometheus expects.
 const promContentType = "text/plain; version=0.0.4; charset=utf-8"
 
-// promWriter renders one exposition document. family() starts a metric
-// family; sample() emits one sample line for the current family.
-type promWriter struct {
-	w      *bufio.Writer
-	family string
+// promSample is one sample line: an optional name suffix (summary
+// _sum/_count), label name/value pairs in emission order, and the value.
+type promSample struct {
+	suffix string
+	labels []string // name, value, name, value, ...
+	value  float64
 }
 
-func (p *promWriter) start(name, typ, help string) {
-	p.family = name
-	fmt.Fprintf(p.w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-}
-
-// sample writes `name{labels} value`. suffix extends the family name
-// (summary _sum/_count); labels are emitted in the given order.
-func (p *promWriter) sample(suffix string, labels [][2]string, v float64) {
-	p.w.WriteString(p.family)
-	p.w.WriteString(suffix)
-	if len(labels) > 0 {
-		p.w.WriteByte('{')
-		for i, kv := range labels {
-			if i > 0 {
-				p.w.WriteByte(',')
-			}
-			fmt.Fprintf(p.w, "%s=%q", kv[0], escapeLabel(kv[1]))
-		}
-		p.w.WriteByte('}')
-	}
-	p.w.WriteByte(' ')
-	p.w.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
-	p.w.WriteByte('\n')
-}
-
-// escapeLabel applies the exposition-format label escapes: backslash,
-// double quote, and newline.
-func escapeLabel(s string) string {
-	if !strings.ContainsAny(s, "\\\"\n") {
-		return s
-	}
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(s)
+// metricFamily is one row of the /metrics table. present gates the
+// families of optional subsystems (nil: always emitted, headers included
+// even when samples returns none).
+type metricFamily struct {
+	name, typ, help string
+	present         func(*Snapshot) bool
+	samples         func(*Snapshot) []promSample
 }
 
 // jobStates fixes the order /metrics reports job-state gauges in; every
@@ -71,177 +50,217 @@ var jobStates = []Status{
 	StatusQueued, StatusRunning, StatusDone, StatusFailed, StatusCancelled, StatusTimedOut,
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", promContentType)
-	bw := bufio.NewWriterSize(w, 16<<10)
-	p := &promWriter{w: bw}
+func one[T int | int64 | uint64](v T) []promSample { return []promSample{{value: float64(v)}} }
 
-	counts := s.jobs.counts()
-	p.start("secreta_jobs", "gauge", "Jobs in the job table by state.")
-	for _, st := range jobStates {
-		p.sample("", [][2]string{{"state", string(st)}}, float64(counts[st]))
+func boolSample(b bool) []promSample {
+	if b {
+		return one(1)
 	}
+	return one(0)
+}
 
-	p.start("secreta_queue_depth", "gauge", "Jobs waiting for an admission slot.")
-	p.sample("", nil, float64(counts[StatusQueued]))
-	p.start("secreta_job_slots", "gauge", "Admission slots configured (max concurrent jobs).")
-	p.sample("", nil, float64(cap(s.slots)))
-	p.start("secreta_job_slots_in_use", "gauge", "Admission slots currently held by running jobs.")
-	p.sample("", nil, float64(len(s.slots)))
+func hasStore(s *Snapshot) bool   { return s.Store != nil }
+func hasTenants(s *Snapshot) bool { return s.Tenants != nil }
+func hasGC(s *Snapshot) bool      { return s.GC != nil }
 
-	phases := s.phases.quantiles()
-	names := make([]string, 0, len(phases))
-	for n := range phases {
+// perTenant samples one TenantView field, labelled by tenant.
+func perTenant[T int | int64 | uint64](f func(TenantView) T) func(*Snapshot) []promSample {
+	return func(s *Snapshot) []promSample {
+		out := make([]promSample, 0, len(s.Tenants))
+		for _, tv := range s.Tenants {
+			out = append(out, promSample{labels: []string{"tenant", tv.ID}, value: float64(f(tv))})
+		}
+		return out
+	}
+}
+
+// blobKinds labels the durable blob kinds, in store.Stats order.
+var blobKinds = []string{"datasets", "results", "result_streams", "traces", "result_cache"}
+
+// perBlobKind samples one BlobStats field for every durable blob kind.
+func perBlobKind(f func(store.BlobStats) int64) func(*Snapshot) []promSample {
+	return func(s *Snapshot) []promSample {
+		st := s.Store
+		out := make([]promSample, len(blobKinds))
+		for i, b := range []store.BlobStats{st.Datasets, st.Results, st.ResultStreams, st.Traces, st.ResultCache} {
+			out[i] = promSample{labels: []string{"kind", blobKinds[i]}, value: float64(f(b))}
+		}
+		return out
+	}
+}
+
+// phaseSummary renders every phase (alphabetical) as a summary: two window
+// quantiles plus the lifetime _sum and _count.
+func phaseSummary(s *Snapshot) []promSample {
+	names := make([]string, 0, len(s.Phases))
+	for n := range s.Phases {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	p.start("secreta_phase_latency_seconds", "summary",
-		"Per-phase execution latency (rolling-window quantiles, lifetime sum/count).")
+	out := make([]promSample, 0, 4*len(names))
 	for _, n := range names {
-		q := phases[n]
-		p.sample("", [][2]string{{"phase", n}, {"quantile", "0.5"}}, q.Q50)
-		p.sample("", [][2]string{{"phase", n}, {"quantile", "0.95"}}, q.Q95)
-		p.sample("_sum", [][2]string{{"phase", n}}, q.SumSec)
-		p.sample("_count", [][2]string{{"phase", n}}, float64(q.Count))
+		pv := s.Phases[n]
+		out = append(out,
+			promSample{labels: []string{"phase", n, "quantile", "0.5"}, value: pv.P50s},
+			promSample{labels: []string{"phase", n, "quantile", "0.95"}, value: pv.P95s},
+			promSample{suffix: "_sum", labels: []string{"phase", n}, value: pv.SumSec},
+			promSample{suffix: "_count", labels: []string{"phase", n}, value: float64(pv.Count)},
+		)
 	}
+	return out
+}
 
-	cs := s.cache.Stats()
-	p.start("secreta_cache_hits_total", "counter", "Result cache hits served from RAM.")
-	p.sample("", nil, float64(cs.Hits))
-	p.start("secreta_cache_misses_total", "counter", "Result cache misses (computed fresh).")
-	p.sample("", nil, float64(cs.Misses))
-	p.start("secreta_cache_disk_hits_total", "counter", "Cache hits rehydrated from the disk backing.")
-	p.sample("", nil, float64(cs.DiskHits))
-	p.start("secreta_cache_disk_errors_total", "counter", "Disk-backing failures (degraded to recompute).")
-	p.sample("", nil, float64(cs.DiskErrors))
-	p.start("secreta_cache_evictions_total", "counter", "Cache entries evicted by the size caps.")
-	p.sample("", nil, float64(cs.Evictions))
-	p.start("secreta_cache_rejected_total", "counter", "Cache puts refused for exceeding the byte cap.")
-	p.sample("", nil, float64(cs.Rejected))
-	p.start("secreta_cache_entries", "gauge", "Result cache entries resident in RAM.")
-	p.sample("", nil, float64(cs.Entries))
-	p.start("secreta_cache_bytes", "gauge", "Result cache bytes resident in RAM.")
-	p.sample("", nil, float64(cs.Bytes))
-
-	rs := s.registry.Stats()
-	p.start("secreta_registry_datasets", "gauge", "Datasets resident in the upload registry.")
-	p.sample("", nil, float64(rs.Entries))
-	p.start("secreta_registry_bytes", "gauge", "Bytes resident in the upload registry.")
-	p.sample("", nil, float64(rs.Bytes))
-	p.start("secreta_registry_pinned", "gauge", "Registry entries pinned by in-flight jobs.")
-	p.sample("", nil, float64(rs.Pinned))
-	p.start("secreta_registry_hits_total", "counter", "Registry lookups that found their dataset.")
-	p.sample("", nil, float64(rs.Hits))
-	p.start("secreta_registry_misses_total", "counter", "Registry lookups that missed.")
-	p.sample("", nil, float64(rs.Misses))
-	p.start("secreta_registry_evictions_total", "counter", "Registry entries evicted by the caps.")
-	p.sample("", nil, float64(rs.Evictions))
-
-	p.start("secreta_streaming_active", "gauge", "NDJSON result streams being served right now.")
-	p.sample("", nil, float64(s.streams.active.Load()))
-	p.start("secreta_streaming_served_total", "counter", "NDJSON result streams served to completion.")
-	p.sample("", nil, float64(s.streams.served.Load()))
-	p.start("secreta_streaming_client_disconnects_total", "counter", "NDJSON streams cut short by the client.")
-	p.sample("", nil, float64(s.streams.disconnects.Load()))
-
-	if s.st != nil {
-		ss := s.st.Stats()
-		kinds := []struct {
-			kind         string
-			count, bytes float64
-		}{
-			{"datasets", float64(ss.Datasets.Count), float64(ss.Datasets.Bytes)},
-			{"results", float64(ss.Results.Count), float64(ss.Results.Bytes)},
-			{"result_streams", float64(ss.ResultStreams.Count), float64(ss.ResultStreams.Bytes)},
-			{"traces", float64(ss.Traces.Count), float64(ss.Traces.Bytes)},
-			{"result_cache", float64(ss.ResultCache.Count), float64(ss.ResultCache.Bytes)},
+// metricFamilies is the /metrics exposition, in emission order.
+var metricFamilies = []metricFamily{
+	{"secreta_jobs", "gauge", "Jobs in the job table by state.", nil, func(s *Snapshot) []promSample {
+		out := make([]promSample, len(jobStates))
+		for i, st := range jobStates {
+			out[i] = promSample{labels: []string{"state", string(st)}, value: float64(s.Jobs[st])}
 		}
-		p.start("secreta_store_blob_count", "gauge", "Durable blobs on disk by kind.")
-		for _, k := range kinds {
-			p.sample("", [][2]string{{"kind", k.kind}}, k.count)
-		}
-		p.start("secreta_store_blob_bytes", "gauge", "Durable blob bytes on disk by kind.")
-		for _, k := range kinds {
-			p.sample("", [][2]string{{"kind", k.kind}}, k.bytes)
-		}
-		p.start("secreta_store_journal_jobs", "gauge", "Jobs tracked by the durable journal.")
-		p.sample("", nil, float64(ss.Journal.Jobs))
-		p.start("secreta_store_wal_records", "gauge", "WAL records appended since the last snapshot.")
-		p.sample("", nil, float64(ss.Journal.WALRecords))
-		p.start("secreta_store_wal_bytes", "gauge", "WAL bytes on disk since the last snapshot.")
-		p.sample("", nil, float64(ss.Journal.WALBytes))
-		p.start("secreta_store_trim_errors_total", "counter", "Failed deletions/listings across trim and GC passes.")
-		p.sample("", nil, float64(ss.TrimErrors))
-		p.start("secreta_store_io_retries_total", "counter", "Transient I/O errors absorbed by the store's retry layer.")
-		p.sample("", nil, float64(ss.IORetries))
+		return out
+	}},
+	{"secreta_queue_depth", "gauge", "Jobs waiting for an admission slot.", nil,
+		func(s *Snapshot) []promSample { return one(s.Jobs[StatusQueued]) }},
+	{"secreta_job_slots", "gauge", "Admission slots configured (max concurrent jobs).", nil,
+		func(s *Snapshot) []promSample { return one(s.Slots.Total) }},
+	{"secreta_job_slots_in_use", "gauge", "Admission slots currently held by running jobs.", nil,
+		func(s *Snapshot) []promSample { return one(s.Slots.InUse) }},
+	{"secreta_phase_latency_seconds", "summary",
+		"Per-phase execution latency (rolling-window quantiles, lifetime sum/count).", nil, phaseSummary},
 
-		d := s.degraded.view()
-		p.start("secreta_degraded", "gauge", "1 while the server is in degraded read-only mode after a permanent storage fault.")
-		degraded := 0.0
-		if d.Active {
-			degraded = 1
-		}
-		p.sample("", nil, degraded)
-		p.start("secreta_degraded_entered_total", "counter", "Healthy-to-degraded transitions since boot.")
-		p.sample("", nil, float64(d.Entered))
-		p.start("secreta_degraded_probes_total", "counter", "Storage recovery probes run while degraded.")
-		p.sample("", nil, float64(d.Probes))
-	}
+	{"secreta_cache_hits_total", "counter", "Result cache hits served from RAM.", nil,
+		func(s *Snapshot) []promSample { return one(s.Cache.Hits) }},
+	{"secreta_cache_misses_total", "counter", "Result cache misses (computed fresh).", nil,
+		func(s *Snapshot) []promSample { return one(s.Cache.Misses) }},
+	{"secreta_cache_disk_hits_total", "counter", "Cache hits rehydrated from the disk backing.", nil,
+		func(s *Snapshot) []promSample { return one(s.Cache.DiskHits) }},
+	{"secreta_cache_disk_errors_total", "counter", "Disk-backing failures (degraded to recompute).", nil,
+		func(s *Snapshot) []promSample { return one(s.Cache.DiskErrors) }},
+	{"secreta_cache_evictions_total", "counter", "Cache entries evicted by the size caps.", nil,
+		func(s *Snapshot) []promSample { return one(s.Cache.Evictions) }},
+	{"secreta_cache_rejected_total", "counter", "Cache puts refused for exceeding the byte cap.", nil,
+		func(s *Snapshot) []promSample { return one(s.Cache.Rejected) }},
+	{"secreta_cache_entries", "gauge", "Result cache entries resident in RAM.", nil,
+		func(s *Snapshot) []promSample { return one(s.Cache.Entries) }},
+	{"secreta_cache_bytes", "gauge", "Result cache bytes resident in RAM.", nil,
+		func(s *Snapshot) []promSample { return one(s.Cache.Bytes) }},
 
-	if s.tenants != nil {
-		views := s.tenants.views(s.jobs.countsByTenant())
-		p.start("secreta_tenant_jobs", "gauge", "Jobs in the job table by tenant and state.")
-		for _, tv := range views {
+	{"secreta_registry_datasets", "gauge", "Datasets resident in the upload registry.", nil,
+		func(s *Snapshot) []promSample { return one(s.Registry.Entries) }},
+	{"secreta_registry_bytes", "gauge", "Bytes resident in the upload registry.", nil,
+		func(s *Snapshot) []promSample { return one(s.Registry.Bytes) }},
+	{"secreta_registry_pinned", "gauge", "Registry entries pinned by in-flight jobs.", nil,
+		func(s *Snapshot) []promSample { return one(s.Registry.Pinned) }},
+	{"secreta_registry_hits_total", "counter", "Registry lookups that found their dataset.", nil,
+		func(s *Snapshot) []promSample { return one(s.Registry.Hits) }},
+	{"secreta_registry_misses_total", "counter", "Registry lookups that missed.", nil,
+		func(s *Snapshot) []promSample { return one(s.Registry.Misses) }},
+	{"secreta_registry_evictions_total", "counter", "Registry entries evicted by the caps.", nil,
+		func(s *Snapshot) []promSample { return one(s.Registry.Evictions) }},
+
+	{"secreta_streaming_active", "gauge", "NDJSON result streams being served right now.", nil,
+		func(s *Snapshot) []promSample { return one(s.Streaming.Active) }},
+	{"secreta_streaming_served_total", "counter", "NDJSON result streams served to completion.", nil,
+		func(s *Snapshot) []promSample { return one(s.Streaming.Served) }},
+	{"secreta_streaming_client_disconnects_total", "counter", "NDJSON streams cut short by the client.", nil,
+		func(s *Snapshot) []promSample { return one(s.Streaming.ClientDisconnects) }},
+
+	{"secreta_store_blob_count", "gauge", "Durable blobs on disk by kind.", hasStore,
+		perBlobKind(func(b store.BlobStats) int64 { return int64(b.Count) })},
+	{"secreta_store_blob_bytes", "gauge", "Durable blob bytes on disk by kind.", hasStore,
+		perBlobKind(func(b store.BlobStats) int64 { return b.Bytes })},
+	{"secreta_store_journal_jobs", "gauge", "Jobs tracked by the durable journal.", hasStore,
+		func(s *Snapshot) []promSample { return one(s.Store.Journal.Jobs) }},
+	{"secreta_store_wal_records", "gauge", "WAL records appended since the last snapshot.", hasStore,
+		func(s *Snapshot) []promSample { return one(s.Store.Journal.WALRecords) }},
+	{"secreta_store_wal_bytes", "gauge", "WAL bytes on disk since the last snapshot.", hasStore,
+		func(s *Snapshot) []promSample { return one(s.Store.Journal.WALBytes) }},
+	{"secreta_store_trim_errors_total", "counter", "Failed deletions/listings across trim and GC passes.", hasStore,
+		func(s *Snapshot) []promSample { return one(s.Store.TrimErrors) }},
+	{"secreta_store_io_retries_total", "counter", "Transient I/O errors absorbed by the store's retry layer.", hasStore,
+		func(s *Snapshot) []promSample { return one(s.Store.IORetries) }},
+	{"secreta_degraded", "gauge", "1 while the server is in degraded read-only mode after a permanent storage fault.", hasStore,
+		func(s *Snapshot) []promSample { return boolSample(s.Degraded.Active) }},
+	{"secreta_degraded_entered_total", "counter", "Healthy-to-degraded transitions since boot.", hasStore,
+		func(s *Snapshot) []promSample { return one(s.Degraded.Entered) }},
+	{"secreta_degraded_probes_total", "counter", "Storage recovery probes run while degraded.", hasStore,
+		func(s *Snapshot) []promSample { return one(s.Degraded.Probes) }},
+
+	{"secreta_tenant_jobs", "gauge", "Jobs in the job table by tenant and state.", hasTenants, func(s *Snapshot) []promSample {
+		out := make([]promSample, 0, len(s.Tenants)*len(jobStates))
+		for _, tv := range s.Tenants {
 			for _, st := range jobStates {
-				p.sample("", [][2]string{{"tenant", tv.ID}, {"state", string(st)}}, float64(tv.JobsByState[st]))
+				out = append(out, promSample{labels: []string{"tenant", tv.ID, "state", string(st)}, value: float64(tv.JobsByState[st])})
 			}
 		}
-		p.start("secreta_tenant_stored_bytes", "gauge", "Dataset bytes claimed by each tenant (the stored-bytes quota unit).")
-		for _, tv := range views {
-			p.sample("", [][2]string{{"tenant", tv.ID}}, float64(tv.StoredBytes))
-		}
-		p.start("secreta_tenant_weight", "gauge", "Weighted round-robin dispatch weight per tenant.")
-		for _, tv := range views {
-			p.sample("", [][2]string{{"tenant", tv.ID}}, float64(tv.Weight))
-		}
-		p.start("secreta_tenant_rate_limited_total", "counter", "POSTs answered 429 by the tenant's token bucket.")
-		for _, tv := range views {
-			p.sample("", [][2]string{{"tenant", tv.ID}}, float64(tv.RateLimitedTotal))
-		}
-		p.start("secreta_tenant_quota_rejects_total", "counter", "Requests rejected by a tenant quota (stored bytes or pending jobs).")
-		for _, tv := range views {
-			p.sample("", [][2]string{{"tenant", tv.ID}}, float64(tv.QuotaRejectsTotal))
-		}
-		p.start("secreta_tenant_dispatched_total", "counter", "Job slots granted to each tenant by the round-robin dispatcher.")
-		for _, tv := range views {
-			p.sample("", [][2]string{{"tenant", tv.ID}}, float64(tv.DispatchedTotal))
-		}
-	}
+		return out
+	}},
+	{"secreta_tenant_stored_bytes", "gauge", "Dataset bytes claimed by each tenant (the stored-bytes quota unit).", hasTenants,
+		perTenant(func(tv TenantView) int64 { return tv.StoredBytes })},
+	{"secreta_tenant_weight", "gauge", "Weighted round-robin dispatch weight per tenant.", hasTenants,
+		perTenant(func(tv TenantView) int { return tv.Weight })},
+	{"secreta_tenant_rate_limited_total", "counter", "POSTs answered 429 by the tenant's token bucket.", hasTenants,
+		perTenant(func(tv TenantView) uint64 { return tv.RateLimitedTotal })},
+	{"secreta_tenant_quota_rejects_total", "counter", "Requests rejected by a tenant quota (stored bytes or pending jobs).", hasTenants,
+		perTenant(func(tv TenantView) uint64 { return tv.QuotaRejectsTotal })},
+	{"secreta_tenant_dispatched_total", "counter", "Job slots granted to each tenant by the round-robin dispatcher.", hasTenants,
+		perTenant(func(tv TenantView) uint64 { return tv.DispatchedTotal })},
 
-	if s.gc != nil {
-		g := s.gc.view()
-		p.start("secreta_gc_max_bytes", "gauge", "Configured data-directory byte cap (-data-max-bytes).")
-		p.sample("", nil, float64(g.MaxBytes))
-		p.start("secreta_gc_usage_bytes", "gauge", "Data-directory bytes measured by the last retention sweep.")
-		p.sample("", nil, float64(g.UsageBytes))
-		p.start("secreta_gc_sweeps_total", "counter", "Retention sweeps run.")
-		p.sample("", nil, float64(g.Sweeps))
-		p.start("secreta_gc_evicted_jobs_total", "counter", "Terminal jobs evicted (with results and traces) by retention sweeps.")
-		p.sample("", nil, float64(g.EvictedJobs))
-		p.start("secreta_gc_evicted_datasets_total", "counter", "Unreferenced dataset blobs evicted by retention sweeps.")
-		p.sample("", nil, float64(g.EvictedDatasets))
-		p.start("secreta_gc_cache_trimmed_total", "counter", "Disk cache entries dropped by retention sweeps.")
-		p.sample("", nil, float64(g.CacheTrimmed))
-		p.start("secreta_gc_errors_total", "counter", "Evictions that failed (stuck files skipped, never wedging the sweep).")
-		p.sample("", nil, float64(g.Errors))
-	}
+	{"secreta_gc_max_bytes", "gauge", "Configured data-directory byte cap (-data-max-bytes).", hasGC,
+		func(s *Snapshot) []promSample { return one(s.GC.MaxBytes) }},
+	{"secreta_gc_usage_bytes", "gauge", "Data-directory bytes measured by the last retention sweep.", hasGC,
+		func(s *Snapshot) []promSample { return one(s.GC.UsageBytes) }},
+	{"secreta_gc_sweeps_total", "counter", "Retention sweeps run.", hasGC,
+		func(s *Snapshot) []promSample { return one(s.GC.Sweeps) }},
+	{"secreta_gc_evicted_jobs_total", "counter", "Terminal jobs evicted (with results and traces) by retention sweeps.", hasGC,
+		func(s *Snapshot) []promSample { return one(s.GC.EvictedJobs) }},
+	{"secreta_gc_evicted_datasets_total", "counter", "Unreferenced dataset blobs evicted by retention sweeps.", hasGC,
+		func(s *Snapshot) []promSample { return one(s.GC.EvictedDatasets) }},
+	{"secreta_gc_cache_trimmed_total", "counter", "Disk cache entries dropped by retention sweeps.", hasGC,
+		func(s *Snapshot) []promSample { return one(s.GC.CacheTrimmed) }},
+	{"secreta_gc_errors_total", "counter", "Evictions that failed (stuck files skipped, never wedging the sweep).", hasGC,
+		func(s *Snapshot) []promSample { return one(s.GC.Errors) }},
 
-	p.start("secreta_ready", "gauge", "1 once journal replay has completed and traffic is admitted.")
-	ready := 0.0
-	if s.ready.Load() {
-		ready = 1
-	}
-	p.sample("", nil, ready)
+	{"secreta_ready", "gauge", "1 once journal replay has completed and traffic is admitted.", nil,
+		func(s *Snapshot) []promSample { return boolSample(s.Ready) }},
+}
 
+func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
+	snap := s.snapshot()
+	w.Header().Set("Content-Type", promContentType)
+	bw := bufio.NewWriterSize(w, 16<<10)
+	writeExposition(bw, metricFamilies, &snap)
 	bw.Flush()
 }
+
+// writeExposition renders fams over snap: `name{labels} value` lines
+// under each present family's # HELP / # TYPE headers.
+func writeExposition(w *bufio.Writer, fams []metricFamily, snap *Snapshot) {
+	for _, f := range fams {
+		if f.present != nil && !f.present(snap) {
+			continue
+		}
+		w.WriteString("# HELP " + f.name + " " + f.help + "\n# TYPE " + f.name + " " + f.typ + "\n")
+		for _, smp := range f.samples(snap) {
+			w.WriteString(f.name + smp.suffix)
+			for i := 0; i < len(smp.labels); i += 2 {
+				if i == 0 {
+					w.WriteByte('{')
+				} else {
+					w.WriteByte(',')
+				}
+				w.WriteString(smp.labels[i] + `="` + labelEscaper.Replace(smp.labels[i+1]) + `"`)
+			}
+			if len(smp.labels) > 0 {
+				w.WriteByte('}')
+			}
+			w.WriteByte(' ')
+			w.WriteString(strconv.FormatFloat(smp.value, 'g', -1, 64))
+			w.WriteByte('\n')
+		}
+	}
+}
+
+// labelEscaper applies the exposition-format label-value escapes:
+// backslash, double quote, and newline.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)

@@ -1,10 +1,13 @@
 package server
 
 import (
+	"bufio"
 	"context"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -205,5 +208,40 @@ func TestMetricsReadinessGate(t *testing.T) {
 	s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("GET /metrics while not ready: status %d, want 503", rec.Code)
+	}
+}
+
+// TestExpositionLabelEscaping pins the label-value escapes of format
+// 0.0.4: backslash, double quote and newline are each escaped exactly
+// once, and the value is wrapped in literal quotes.
+func TestExpositionLabelEscaping(t *testing.T) {
+	fam := metricFamily{name: "x", typ: "gauge", help: "h", samples: func(*Snapshot) []promSample {
+		return []promSample{{labels: []string{"l", "a\"b\\c\nd", "m", "plain"}, value: 1}}
+	}}
+	var sb strings.Builder
+	w := bufio.NewWriter(&sb)
+	writeExposition(w, []metricFamily{fam}, &Snapshot{})
+	w.Flush()
+	want := "# HELP x h\n# TYPE x gauge\n" + `x{l="a\"b\\c\nd",m="plain"} 1` + "\n"
+	if sb.String() != want {
+		t.Fatalf("exposition:\n got %q\nwant %q", sb.String(), want)
+	}
+}
+
+// TestMetricFamiliesDocumented is the docs gate for /metrics: every
+// family in the table must be named in the operations runbook's
+// "Metrics & scraping" reference.
+func TestMetricFamiliesDocumented(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join("..", "..", "docs", "OPERATIONS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(metricFamilies) == 0 {
+		t.Fatal("metricFamilies is empty")
+	}
+	for _, f := range metricFamilies {
+		if !strings.Contains(string(doc), f.name) {
+			t.Errorf("metric family %s is exported but not mentioned in docs/OPERATIONS.md", f.name)
+		}
 	}
 }

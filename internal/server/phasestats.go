@@ -9,9 +9,9 @@ import (
 
 // phaseStats aggregates the per-phase timings job results carry
 // (timing.Phases: "relational", "merge", "transaction", "recode", ...)
-// into rolling p50/p95 per phase, surfaced on GET /stats so a phase-level
-// regression in a running server is observable without scraping job
-// payloads. Samples come from real executions only — cache hits replay a
+// into rolling p50/p95 per phase, surfaced by every telemetry view so a
+// phase-level regression in a running server is observable without
+// scraping job payloads. Samples come from real executions only — cache hits replay a
 // stored result and would drag the percentiles toward zero.
 type phaseStats struct {
 	mu      sync.Mutex
@@ -56,45 +56,27 @@ func (p *phaseStats) record(phases []timing.Phase) {
 	}
 }
 
-// PhaseView is the JSON shape of one phase's aggregate timing.
+// PhaseView is one phase's aggregate timing. /stats prints the JSON
+// fields; /metrics prints the seconds twins and the lifetime sum as a
+// Prometheus summary.
 type PhaseView struct {
 	Count int64   `json:"count"`
 	P50ms float64 `json:"p50_ms"`
 	P95ms float64 `json:"p95_ms"`
+	// P50s and P95s are the same window quantiles in seconds; SumSec is
+	// the lifetime total, so scrapers can derive rates across the window.
+	P50s, P95s, SumSec float64 `json:"-"`
 }
 
-// snapshot computes nearest-rank percentiles over each phase's window.
+// snapshot computes nearest-rank percentiles over each phase's window,
+// under one lock acquisition so the ms and seconds renderings of a phase
+// always describe the same samples. Both come from the sorted window;
+// seconds are never derived by dividing the ms value, which would change
+// the shortest float rendering /metrics prints.
 func (p *phaseStats) snapshot() map[string]PhaseView {
-	views, _ := p.snapshotAll()
-	return views
-}
-
-// phaseQuantiles is the Prometheus-summary view of one phase: windowed
-// quantiles in seconds plus lifetime sum/count for rate() math.
-type phaseQuantiles struct {
-	Q50, Q95 float64 // seconds, over the rolling window
-	SumSec   float64 // cumulative seconds ever recorded
-	Count    int64
-}
-
-// quantiles computes the GET /metrics summary per phase. Quantiles come
-// from the same rolling window snapshot() uses; sum and count are
-// lifetime counters so scrapers can derive rates across restarts of the
-// window.
-func (p *phaseStats) quantiles() map[string]phaseQuantiles {
-	_, qs := p.snapshotAll()
-	return qs
-}
-
-// snapshotAll computes both presentation views from one lock acquisition,
-// so a /stats response or a /metrics scrape is internally consistent —
-// two separate snapshots could straddle a record() and report a phase's
-// count under one family and not the other.
-func (p *phaseStats) snapshotAll() (map[string]PhaseView, map[string]phaseQuantiles) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	views := make(map[string]PhaseView, len(p.samples))
-	qs := make(map[string]phaseQuantiles, len(p.samples))
 	for name, ring := range p.samples {
 		if len(ring) == 0 {
 			continue
@@ -103,18 +85,15 @@ func (p *phaseStats) snapshotAll() (map[string]PhaseView, map[string]phaseQuanti
 		sort.Float64s(sorted)
 		q50, q95 := percentile(sorted, 50), percentile(sorted, 95)
 		views[name] = PhaseView{
-			Count: p.total[name],
-			P50ms: q50 * 1000,
-			P95ms: q95 * 1000,
-		}
-		qs[name] = phaseQuantiles{
-			Q50:    q50,
-			Q95:    q95,
-			SumSec: p.sumSec[name],
 			Count:  p.total[name],
+			P50ms:  q50 * 1000,
+			P95ms:  q95 * 1000,
+			P50s:   q50,
+			P95s:   q95,
+			SumSec: p.sumSec[name],
 		}
 	}
-	return views, qs
+	return views
 }
 
 // percentile is the nearest-rank percentile of an ascending sample.

@@ -1265,34 +1265,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	out := map[string]any{
-		"cache":    s.cache.Stats(),
-		"registry": s.registry.Stats(),
-		"jobs":     s.jobs.counts(),
-		"phases":   s.phases.snapshot(),
-		"streaming": map[string]any{
-			"active":             s.streams.active.Load(),
-			"served":             s.streams.served.Load(),
-			"client_disconnects": s.streams.disconnects.Load(),
-		},
-	}
-	if s.st != nil {
-		out["store"] = s.st.Stats()
-		out["degraded"] = s.degraded.view()
-		s.recMu.Lock()
-		out["recovery"] = s.recovery
-		s.recMu.Unlock()
-	}
-	if s.tenants != nil {
-		out["tenants"] = s.tenants.views(s.jobs.countsByTenant())
-	}
-	if s.gc != nil {
-		out["gc"] = s.gc.view()
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
 // ---- plumbing ----
 
 // submit registers a job, responds 202 with its ID, and runs it in the
