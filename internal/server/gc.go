@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -35,6 +36,9 @@ type gcState struct {
 	// grow the results dir; waiting a full interval would let a burst
 	// overshoot the cap for longer than necessary).
 	kick chan struct{}
+	// sweepMu serializes sweeps: an overlapping sweep would count files
+	// another is still deleting as unreclaimable and evict datasets.
+	sweepMu sync.Mutex
 
 	sweeps          atomic.Uint64
 	evictedJobs     atomic.Uint64
@@ -95,6 +99,8 @@ func (s *Server) gcLoop(ctx context.Context) {
 // It returns the disk usage after the sweep.
 func (s *Server) sweepOnce() int64 {
 	gc := s.gc
+	gc.sweepMu.Lock()
+	defer gc.sweepMu.Unlock()
 	if !s.ready.Load() {
 		// Journal replay is still re-pinning datasets for re-queued jobs;
 		// sweeping now could evict a blob a recovering job is about to

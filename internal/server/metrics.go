@@ -243,15 +243,12 @@ func writeExposition(w *bufio.Writer, fams []metricFamily, snap *Snapshot) {
 		w.WriteString("# HELP " + f.name + " " + f.help + "\n# TYPE " + f.name + " " + f.typ + "\n")
 		for _, smp := range f.samples(snap) {
 			w.WriteString(f.name + smp.suffix)
+			sep := "{"
 			for i := 0; i < len(smp.labels); i += 2 {
-				if i == 0 {
-					w.WriteByte('{')
-				} else {
-					w.WriteByte(',')
-				}
-				w.WriteString(smp.labels[i] + `="` + labelEscaper.Replace(smp.labels[i+1]) + `"`)
+				w.WriteString(sep + smp.labels[i] + `="` + labelEscaper.Replace(smp.labels[i+1]) + `"`)
+				sep = ","
 			}
-			if len(smp.labels) > 0 {
+			if sep == "," {
 				w.WriteByte('}')
 			}
 			w.WriteByte(' ')
