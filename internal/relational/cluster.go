@@ -53,128 +53,167 @@ type clusterState struct {
 	lca     []*hierarchy.Node
 }
 
-// recordNodes resolves every record's QI values to hierarchy nodes once,
-// so the O(n^2) absorption scans below run on pointers instead of map
-// lookups.
-func recordNodes(ds *dataset.Dataset, qis []int, hh []*hierarchy.Hierarchy) ([][]*hierarchy.Node, error) {
-	out := make([][]*hierarchy.Node, len(ds.Records))
-	memo := make([]map[string]*hierarchy.Node, len(qis))
-	for i := range memo {
-		memo[i] = make(map[string]*hierarchy.Node)
-	}
-	for r := range ds.Records {
-		nodes := make([]*hierarchy.Node, len(qis))
-		for i, q := range qis {
-			v := ds.Records[r].Values[q]
-			node, ok := memo[i][v]
-			if !ok {
-				node = hh[i].Node(v)
-				if node == nil {
-					return nil, fmt.Errorf("cluster: hierarchy %q misses value %q", ds.Attrs[q].Name, v)
-				}
-				memo[i][v] = node
-			}
-			nodes[i] = node
-		}
-		out[r] = nodes
-	}
-	return out, nil
+// absorbTables turns the absorption scan into table lookups. Every QI
+// value is a dense slot: QI i's value with column ID id sits at
+// off[i]+id, so one flat array per table serves all QIs. For the cluster
+// being grown, lca[slot] is the cluster's LCA on that QI once a record
+// holding the value joins, and cost[slot] the resulting NCP increase.
+// Both depend only on the cluster's current LCA of that QI, so a QI's
+// slice is rebuilt only when its LCA moves — at most the QI's domain size
+// in LCA walks — while costing a record is one addition per QI.
+type absorbTables struct {
+	hh    []*hierarchy.Hierarchy
+	off   []int
+	nodes []*hierarchy.Node // slot -> the value's own hierarchy node
+	lca   []*hierarchy.Node
+	cost  []float64
 }
 
-// costOfAdding computes the NCP increase of extending the cluster's LCAs to
-// cover record r, summed over attributes, writing the new LCA nodes into
-// lca (len(cl.lca), caller-owned scratch). The scan is pure node
-// arithmetic: LCA walks and O(1) NCP reads — the absorption loops run it
-// O(n^2) times, so it must not allocate.
-func costOfAdding(recNodes [][]*hierarchy.Node, hh []*hierarchy.Hierarchy, cl *clusterState, r int, lca []*hierarchy.Node) float64 {
+// rebuild refills QI i's slots for a cluster whose LCA on it is l. The
+// float terms are the ones costOfAdding sums, so table sums and walked
+// sums agree bit for bit.
+func (t *absorbTables) rebuild(i int, l *hierarchy.Node) {
+	base := t.hh[i].NCPNode(l)
+	for s := t.off[i]; s < t.off[i+1]; s++ {
+		a := hierarchy.LCANodes(l, t.nodes[s])
+		t.lca[s] = a
+		t.cost[s] = t.hh[i].NCPNode(a) - base
+	}
+}
+
+// costOfAdding computes the NCP increase of extending the cluster's LCAs
+// to cover the record whose slots are row, writing the new LCA nodes into
+// lca (caller-owned scratch). It walks the hierarchy; the leftover pass,
+// which compares one record against every cluster, uses it instead of
+// the per-cluster tables.
+func (t *absorbTables) costOfAdding(cl *clusterState, row []uint32, lca []*hierarchy.Node) float64 {
 	delta := 0.0
 	for i := range cl.lca {
-		node := hierarchy.LCANodes(cl.lca[i], recNodes[r][i])
+		node := hierarchy.LCANodes(cl.lca[i], t.nodes[row[i]])
 		lca[i] = node
-		delta += hh[i].NCPNode(node) - hh[i].NCPNode(cl.lca[i])
+		delta += t.hh[i].NCPNode(node) - t.hh[i].NCPNode(cl.lca[i])
 	}
 	return delta
+}
+
+// clusterSlots interns the QI columns to dense IDs — reusing the batch's
+// shared interning when it matches ds — and lays them out row-major as
+// absorbTables slots, so the scan reads one record's slots contiguously.
+func clusterSlots(ds *dataset.Dataset, qis []int, hh []*hierarchy.Hierarchy, opts Options) ([]uint32, *absorbTables, error) {
+	var cols [][]uint32
+	var dicts []*dataset.Interner
+	if ix := opts.interned(ds); ix != nil {
+		cols, dicts = make([][]uint32, len(qis)), make([]*dataset.Interner, len(qis))
+		for i, q := range qis {
+			cols[i], dicts[i] = ix.Cols[q], ix.Dicts[q]
+		}
+	} else {
+		cols, dicts = dataset.InternColumns(ds, qis)
+	}
+	t := &absorbTables{hh: hh, off: make([]int, len(qis)+1)}
+	for i, d := range dicts {
+		t.off[i+1] = t.off[i] + d.Len()
+		for _, v := range d.Values() {
+			node := hh[i].Node(v)
+			if node == nil {
+				return nil, nil, fmt.Errorf("cluster: hierarchy %q misses value %q", ds.Attrs[qis[i]].Name, v)
+			}
+			t.nodes = append(t.nodes, node)
+		}
+	}
+	t.lca = make([]*hierarchy.Node, len(t.nodes))
+	t.cost = make([]float64, len(t.nodes))
+	nq := len(qis)
+	rows := make([]uint32, len(ds.Records)*nq)
+	for i, col := range cols {
+		base := uint32(t.off[i])
+		for r, id := range col {
+			rows[r*nq+i] = base + id
+		}
+	}
+	return rows, t, nil
 }
 
 func buildClusters(ds *dataset.Dataset, qis []int, hh []*hierarchy.Hierarchy, opts Options) ([]*clusterState, error) {
 	k := opts.K
 	n := len(ds.Records)
-	recNodes, err := recordNodes(ds, qis, hh)
+	nq := len(qis)
+	rows, t, err := clusterSlots(ds, qis, hh, opts)
 	if err != nil {
 		return nil, err
 	}
-	unassigned := make([]bool, n)
-	remaining := n
-	for i := range unassigned {
-		unassigned[i] = true
-	}
+	row := func(r int) []uint32 { return rows[r*nq : r*nq+nq] }
 	newCluster := func(seed int) *clusterState {
-		return &clusterState{
-			members: []int{seed},
-			lca:     append([]*hierarchy.Node(nil), recNodes[seed]...),
+		cl := &clusterState{members: []int{seed}, lca: make([]*hierarchy.Node, nq)}
+		for i, s := range row(seed) {
+			cl.lca[i] = t.nodes[s]
 		}
+		return cl
 	}
-
-	// Two reusable LCA buffers serve every cost scan: cand receives each
-	// candidate's nodes, best keeps the running winner's. The winner is
-	// committed by copying into the cluster's own slice, so the O(n^2·k)
-	// scans allocate nothing.
-	cand := make([]*hierarchy.Node, len(qis))
-	best := make([]*hierarchy.Node, len(qis))
+	// pool lists the unassigned records in ascending order, so scanning
+	// it visits candidates in the same order as a scan over all records
+	// that skips the assigned ones — which keeps the tie-break (first
+	// strictly cheaper record wins) unchanged.
+	pool := make([]int, n)
+	for r := range pool {
+		pool[r] = r
+	}
 
 	var clusters []*clusterState
-	next := 0
-	for remaining >= k {
-		for !unassigned[next] {
-			next++
+	for len(pool) >= k {
+		cl := newCluster(pool[0])
+		pool = pool[1:]
+		for i, l := range cl.lca {
+			t.rebuild(i, l)
 		}
-		seed := next
-		cl := newCluster(seed)
-		unassigned[seed] = false
-		remaining--
 		for len(cl.members) < k {
 			// Each absorption scans every unassigned record; polling here
 			// bounds cancellation delay to one scan.
 			if err := opts.interrupted(); err != nil {
 				return nil, err
 			}
-			bestR := -1
+			bestP := -1
 			bestCost := 0.0
-			for r := 0; r < n; r++ {
-				if !unassigned[r] {
-					continue
+			for p, r := range pool {
+				cost := 0.0
+				for _, s := range rows[r*nq : r*nq+nq] {
+					cost += t.cost[s]
 				}
-				cost := costOfAdding(recNodes, hh, cl, r, cand)
-				if bestR < 0 || cost < bestCost {
-					bestR, bestCost = r, cost
-					best, cand = cand, best
+				if bestP < 0 || cost < bestCost {
+					bestP, bestCost = p, cost
 					if cost == 0 {
 						break // cannot do better than free
 					}
 				}
 			}
-			if bestR < 0 {
+			if bestP < 0 {
 				break
 			}
-			cl.members = append(cl.members, bestR)
-			copy(cl.lca, best)
-			unassigned[bestR] = false
-			remaining--
+			r := pool[bestP]
+			pool = append(pool[:bestP], pool[bestP+1:]...)
+			cl.members = append(cl.members, r)
+			for i, s := range row(r) {
+				if l := t.lca[s]; l != cl.lca[i] {
+					cl.lca[i] = l
+					t.rebuild(i, l)
+				}
+			}
 		}
 		clusters = append(clusters, cl)
 	}
 	// Leftovers: attach each to the cluster whose LCAs grow the least.
-	for r := 0; r < n; r++ {
-		if !unassigned[r] {
-			continue
-		}
+	// Two reusable LCA buffers serve the scan: cand receives each
+	// cluster's candidate nodes, best keeps the running winner's.
+	cand := make([]*hierarchy.Node, nq)
+	best := make([]*hierarchy.Node, nq)
+	for _, r := range pool {
 		if err := opts.interrupted(); err != nil {
 			return nil, err
 		}
 		bestC := -1
 		bestCost := 0.0
 		for ci, cl := range clusters {
-			cost := costOfAdding(recNodes, hh, cl, r, cand)
+			cost := t.costOfAdding(cl, row(r), cand)
 			if bestC < 0 || cost < bestCost {
 				bestC, bestCost = ci, cost
 				best, cand = cand, best
@@ -184,12 +223,10 @@ func buildClusters(ds *dataset.Dataset, qis []int, hh []*hierarchy.Hierarchy, op
 			// No cluster exists (n < k was rejected; n == 0 cannot reach
 			// here). Defensive: make a singleton cluster.
 			clusters = append(clusters, newCluster(r))
-			unassigned[r] = false
 			continue
 		}
 		clusters[bestC].members = append(clusters[bestC].members, r)
 		copy(clusters[bestC].lca, best)
-		unassigned[r] = false
 	}
 	return clusters, nil
 }

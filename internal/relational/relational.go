@@ -82,7 +82,7 @@ func (o *Options) validate(ds *dataset.Dataset) ([]int, []*hierarchy.Hierarchy, 
 	// interning the per-column domain is already materialized in the
 	// dictionaries; otherwise Domain scans the records.
 	domain := ds.Domain
-	if ix := o.Interned; ix != nil && ix.N == len(ds.Records) && len(ix.Dicts) == len(ds.Attrs) {
+	if ix := o.interned(ds); ix != nil {
 		domain = func(q int) []string { return ix.Dicts[q].Values() }
 	}
 	for i, q := range qis {
@@ -93,6 +93,15 @@ func (o *Options) validate(ds *dataset.Dataset) ([]int, []*hierarchy.Hierarchy, 
 		}
 	}
 	return qis, hh, nil
+}
+
+// interned returns the shared interning when it describes ds, nil
+// otherwise (a stale or foreign interning must not be read as ds's).
+func (o *Options) interned(ds *dataset.Dataset) *dataset.Indexed {
+	if ix := o.Interned; ix != nil && ix.N == len(ds.Records) && len(ix.Dicts) == len(ds.Attrs) {
+		return ix
+	}
+	return nil
 }
 
 // interrupted returns the options context's error, nil when no context
