@@ -3,7 +3,53 @@ package engine
 import (
 	"context"
 	"testing"
+
+	"secreta/internal/dataset"
 )
+
+// collect copies a record source into a string dataset.
+func collect(src dataset.RecordSource) *dataset.Dataset {
+	attrs, trans := src.SourceSchema()
+	ds := dataset.New(attrs, trans)
+	src.ScanRecords(func(_ int, rec dataset.Record) bool {
+		ds.Records = append(ds.Records, rec.Clone())
+		return true
+	})
+	return ds
+}
+
+// TestCacheKeepsOneCopyOfRecords pins what a cached result holds: the
+// leader, its single-flight waiters and later hits all share one interned
+// record source, and the entry drops the string dataset it came from.
+func TestCacheKeepsOneCopyOfRecords(t *testing.T) {
+	ds, hs, _, _ := fixture(t)
+	sched := NewScheduler(1, NewCacheSized(8, 0))
+	cfg := Config{Mode: Relational, Algorithm: "cluster", K: 4, Hierarchies: hs}
+	first, err := sched.RunAll(context.Background(), ds, []Config{cfg})
+	if err != nil || first[0].Err != nil {
+		t.Fatal(err, first[0].Err)
+	}
+	ix, ok := first[0].Records.(*dataset.Indexed)
+	if !ok {
+		t.Fatalf("leader's Records is %T, want *dataset.Indexed", first[0].Records)
+	}
+	if collect(ix).Fingerprint() != first[0].Anonymized.Fingerprint() {
+		t.Fatal("interned records differ from the anonymized dataset")
+	}
+	var hit *Result
+	for item := range sched.Stream(context.Background(), ds, []Config{cfg}) {
+		if !item.CacheHit {
+			t.Fatal("re-run missed the cache")
+		}
+		hit = item.Result
+	}
+	if hit.Anonymized != nil {
+		t.Error("cache hit still carries the string dataset")
+	}
+	if hit.Records != first[0].Records {
+		t.Error("cache hit does not share the leader's interned records")
+	}
+}
 
 // TestCacheByteCapUnderSustainedLoad pushes a stream of distinct
 // configurations through one shared cache and checks the invariant the old

@@ -71,8 +71,8 @@ func TestCachePersistsAcrossInstances(t *testing.T) {
 	if again.Err != nil {
 		t.Fatal(again.Err)
 	}
-	if again.Anonymized == nil || again.Anonymized.Fingerprint() != first[0].Anonymized.Fingerprint() {
-		t.Fatal("rehydrated anonymized dataset differs from the computed one")
+	if again.Records == nil || collect(again.Records).Fingerprint() != first[0].Anonymized.Fingerprint() {
+		t.Fatal("rehydrated anonymized records differ from the computed ones")
 	}
 	if again.Indicators != first[0].Indicators {
 		t.Fatalf("rehydrated indicators %+v != %+v", again.Indicators, first[0].Indicators)

@@ -169,12 +169,12 @@ func (s *Scheduler) runOne(ctx context.Context, ds *dataset.Dataset, cfg Config,
 				defer func() { releaseOnce(nil) }()
 				r := runShared(ctx, ds, cfg, sh)
 				if r.Err == nil {
-					s.cache.put(key, r)
+					entry := s.cache.put(key, r)
 					// Wake the waiters before the (fsync'd) disk spill:
 					// N-1 duplicates must not stall behind persistence.
 					// The leader alone pays the write — that is what
 					// durability costs one writer.
-					releaseOnce(r)
+					releaseOnce(entry)
 					s.cache.spill(key, r)
 				}
 				return r
@@ -327,7 +327,9 @@ const (
 // by many scheduler runs — secreta-serve shares one across all jobs — and
 // deduplicates in-flight computations: concurrent requests for the same
 // key run it once and share the result. Results handed out are shared, not
-// copied; callers must treat them as immutable.
+// copied; callers must treat them as immutable. A result served from the
+// cache carries its records only as Records, in interned form; its
+// Anonymized is nil.
 type Cache struct {
 	lru     *registry.LRU
 	mu      sync.Mutex // guards flights, backing and the counters
@@ -399,12 +401,12 @@ func (c *Cache) lookup(key string, cfg Config) (*Result, bool) {
 		c.countDiskError(err)
 		return nil, false
 	}
-	c.lru.Put(key, r, resultCost(r))
+	entry := c.put(key, r)
 	c.mu.Lock()
 	c.hits++
 	c.diskHits++
 	c.mu.Unlock()
-	return r, true
+	return entry, true
 }
 
 func (c *Cache) countDiskError(err error) {
@@ -452,9 +454,22 @@ func (c *Cache) release(key string, r *Result) {
 }
 
 // put inserts into the RAM LRU only; callers spill separately, after
-// releasing any single-flight waiters.
-func (c *Cache) put(key string, r *Result) {
-	c.lru.Put(key, r, resultCost(r))
+// releasing any single-flight waiters. The anonymized dataset is interned
+// once and r.Records points at that columnar copy; the entry put in the
+// LRU (and returned, for the waiters) is r without the string dataset.
+// Cache hits, the caller's job and the waiters then all share one compact
+// record source instead of the entry keeping the record-major strings
+// beside each job's own interning. The byte cost stays the string-form
+// estimate, so the cache admits the same entries as before.
+func (c *Cache) put(key string, r *Result) *Result {
+	cost := resultCost(r)
+	if r.Anonymized != nil {
+		r.Records = dataset.Intern(r.Anonymized)
+	}
+	entry := *r
+	entry.Anonymized = nil
+	c.lru.Put(key, &entry, cost)
+	return &entry
 }
 
 // spill writes the entry through to the durable backing. A failure here
@@ -477,8 +492,8 @@ func (c *Cache) spill(key string, r *Result) {
 }
 
 // resultCost approximates a cached Result's resident size for the byte
-// cap: the anonymized dataset dominates; config, indicators and phase
-// timings are a small constant.
+// cap from its string form: the anonymized dataset dominates; config,
+// indicators and phase timings are a small constant.
 func resultCost(r *Result) int64 {
 	var n int64 = 512
 	if r.Anonymized != nil {

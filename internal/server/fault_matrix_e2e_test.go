@@ -107,26 +107,6 @@ func waitNoTempFiles(t *testing.T, dir string) {
 	t.Fatalf("temp files never settled: %v", last)
 }
 
-// waitTraces polls until each job's trace blob is on disk. A job's trace
-// is persisted just after its status turns terminal, so a test that
-// inspects the data dir, or lets t.TempDir remove it, right after
-// observing the status would race that write.
-func waitTraces(t *testing.T, dir string, ids ...string) {
-	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for _, id := range ids {
-		for {
-			if _, err := os.Stat(filepath.Join(dir, "traces", id+".json")); err == nil {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("trace of job %s was never persisted", id)
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-	}
-}
-
 // waitAllTerminal polls until every job the server lists is terminal —
 // re-queued crash recovery work included.
 func waitAllTerminal(t *testing.T, base string) {
@@ -255,7 +235,6 @@ func TestFaultMatrix(t *testing.T) {
 			}
 			// Every atomic write settles: published or cleaned up, never
 			// leaked.
-			waitTraces(t, dir, id2)
 			waitNoTempFiles(t, dir)
 		})
 	}

@@ -80,12 +80,15 @@ type job struct {
 	// tenant owns the job in multi-tenant mode ("" single-tenant).
 	// Immutable after creation; journaled so ownership survives restart.
 	tenant string
-	// trace records the job's lifecycle span tree. Set at submission (and
-	// for re-queued recovered jobs); nil for terminal jobs rehydrated from
-	// the journal, whose trace is served from the store's trace blobs.
-	trace *obs.Trace
 
-	mu        sync.Mutex
+	mu sync.Mutex
+	// trace records the job's lifecycle span tree. Set at submission (and
+	// for re-queued recovered jobs). It is nil for terminal jobs whose
+	// trace is on disk — persisted at finish by a durable server, or
+	// rehydrated from the journal — and served from the store's trace
+	// blobs. The run goroutine reads it freely until finish; anyone else
+	// goes through liveTrace.
+	trace     *obs.Trace
 	status    Status
 	err       string
 	result    *jobResult // valid once status == StatusDone
@@ -150,37 +153,24 @@ func (j *job) start() {
 // error to StatusCancelled, so pollers can tell "stopped by budget" from
 // "stopped by request" from "failed". hasResult records that the payload
 // was durably persisted before this transition became observable.
-func (j *job) finish(payload *jobResult, err error, ctxErr error, hasResult bool) {
+//
+// The terminal status is published last. Before it, the journal's Finish
+// record is appended, the trace blob is written, and release (the job's
+// registry pin; nil when there is none) runs — so a client that sees the
+// terminal status can read the trace from disk, or delete the dataset,
+// at once. Only the job's own run goroutine (or recovery, for a job that
+// never ran) calls finish.
+func (j *job) finish(payload *jobResult, err error, ctxErr error, hasResult bool, release func()) {
 	j.mu.Lock()
 	if j.status.Terminal() {
 		j.mu.Unlock()
 		return
 	}
-	j.finished = time.Now()
-	switch {
-	case err == nil && payload != nil:
-		// A payload with no error is completed work, even if the context
-		// expired in the instant between fn returning and this check — a
-		// job that beat its deadline must not be reported timed_out.
-		j.status = StatusDone
-		j.result = payload
-	case errors.Is(ctxErr, context.DeadlineExceeded):
-		j.status = StatusTimedOut
-		j.err = fmt.Sprintf("job exceeded its deadline: %v", ctxErr)
-	case ctxErr != nil:
-		j.status = StatusCancelled
-		if err != nil {
-			j.err = err.Error()
-		}
-	case err != nil:
-		j.status = StatusFailed
-		j.err = err.Error()
-	default:
-		j.status = StatusDone
-		j.result = payload
-	}
-	status, errMsg, byClient := j.status, j.err, j.clientCancel
+	byClient := j.clientCancel
 	j.mu.Unlock()
+	finished := time.Now()
+	status, errMsg := outcomeStatus(payload, err, ctxErr)
+	tr := j.trace
 	// A cancellation caused by process shutdown is deliberately NOT
 	// journaled: the durable record stays in-flight, so the next boot
 	// re-queues the job — a graceful restart and a crash converge on the
@@ -191,20 +181,65 @@ func (j *job) finish(payload *jobResult, err error, ctxErr error, hasResult bool
 	// stopped. The trace follows the same rule: a re-queued job's next
 	// run records a fresh trace, so nothing is persisted here.
 	if status == StatusCancelled && !byClient && j.js.isShuttingDown() {
-		j.trace.Finish()
-		return
+		if tr != nil {
+			tr.Finish()
+		}
+	} else {
+		j.js.journal(func(jl *store.Journal) error {
+			return jl.Finish(j.id, string(status), errMsg, hasResult)
+		})
+		// Close the trace with the terminal status and persist the final
+		// snapshot beside the journal record, so GET /jobs/{id}/trace
+		// keeps answering after a restart. Once the blob is stored the
+		// route serves it from disk and the job drops its copy; a failed
+		// write keeps the trace in memory.
+		if tr != nil {
+			tr.Root().SetAttr("status", string(status))
+			tr.Finish()
+			if j.js.persistTrace(j.id, tr) {
+				tr = nil
+			}
+		}
 	}
-	j.js.journal(func(jl *store.Journal) error {
-		return jl.Finish(j.id, string(status), errMsg, hasResult)
-	})
-	// Close the trace with the terminal status and persist the final
-	// snapshot beside the journal record, so GET /jobs/{id}/trace keeps
-	// answering after a restart.
-	if j.trace != nil {
-		j.trace.Root().SetAttr("status", string(status))
-		j.trace.Finish()
-		j.js.persistTrace(j.id, j.trace)
+	if release != nil {
+		release()
 	}
+	j.mu.Lock()
+	j.status, j.err, j.finished, j.trace = status, errMsg, finished, tr
+	if status == StatusDone {
+		j.result = payload
+	}
+	j.mu.Unlock()
+}
+
+// outcomeStatus maps a run outcome to its terminal status and error text.
+func outcomeStatus(payload *jobResult, err error, ctxErr error) (Status, string) {
+	switch {
+	case err == nil && payload != nil:
+		// A payload with no error is completed work, even if the context
+		// expired in the instant between fn returning and this check — a
+		// job that beat its deadline must not be reported timed_out.
+		return StatusDone, ""
+	case errors.Is(ctxErr, context.DeadlineExceeded):
+		return StatusTimedOut, fmt.Sprintf("job exceeded its deadline: %v", ctxErr)
+	case ctxErr != nil:
+		if err != nil {
+			return StatusCancelled, err.Error()
+		}
+		return StatusCancelled, ""
+	case err != nil:
+		return StatusFailed, err.Error()
+	}
+	return StatusDone, ""
+}
+
+// liveTrace returns the job's in-memory trace: nil for a terminal job
+// whose trace a durable server has persisted (or rehydrated from the
+// journal), which GET /jobs/{id}/trace then serves from disk.
+func (j *job) liveTrace() *obs.Trace {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.trace
 }
 
 // snapshot returns the job's terminal view, lazily rehydrating a result
@@ -305,11 +340,11 @@ func (s *jobStore) attachStore(jl *store.Journal, results *store.BlobDir, chunks
 }
 
 // persistTrace serializes a finished job's trace snapshot into the trace
-// blob dir. Failures degrade the trace to memory-only (lost on restart),
-// never the job itself.
-func (s *jobStore) persistTrace(id string, tr *obs.Trace) {
-	if s.traces == nil || tr == nil {
-		return
+// blob dir and reports whether it is stored. Failures degrade the trace
+// to memory-only (lost on restart), never the job itself.
+func (s *jobStore) persistTrace(id string, tr *obs.Trace) bool {
+	if s.traces == nil {
+		return false
 	}
 	data, err := json.Marshal(tr.View())
 	if err == nil {
@@ -317,7 +352,9 @@ func (s *jobStore) persistTrace(id string, tr *obs.Trace) {
 	}
 	if err != nil {
 		s.log().Warn("persisting job trace failed", "job_id", id, "err", err)
+		return false
 	}
+	return true
 }
 
 // journal runs fn against the attached journal. Journal failures are

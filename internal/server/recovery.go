@@ -131,7 +131,7 @@ func (s *Server) recover() {
 		p, err := s.prepareJob(rec.Kind, rec.Body, "")
 		if err != nil {
 			cancel()
-			j.finish(nil, fmt.Errorf("re-queueing after restart: %w", err), nil, false)
+			j.finish(nil, fmt.Errorf("re-queueing after restart: %w", err), nil, false, nil)
 			info.FailedRequeues++
 			continue
 		}

@@ -1034,11 +1034,12 @@ func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, j.view())
 }
 
-// handleJobTrace serves a job's lifecycle span tree. A job with a live
-// trace (queued, running, or finished this process lifetime) answers from
-// the in-memory recorder — mid-flight snapshots show open spans with
-// durations up to now. A terminal job recovered from the journal answers
-// from its persisted trace snapshot, so traces survive restart.
+// handleJobTrace serves a job's lifecycle span tree. A queued or running
+// job answers from the in-memory recorder — mid-flight snapshots show
+// open spans with durations up to now — and so does a finished job on a
+// memory-only server. On a durable server a finished job answers from
+// its persisted trace snapshot, whether it finished in this process or
+// was recovered from the journal, so traces survive restart.
 func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	j := s.jobFor(r, id)
@@ -1046,8 +1047,8 @@ func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 		s.notFound(w, id)
 		return
 	}
-	if j.trace != nil {
-		writeJSON(w, http.StatusOK, j.trace.View())
+	if tr := j.liveTrace(); tr != nil {
+		writeJSON(w, http.StatusOK, tr.View())
 		return
 	}
 	if s.st != nil {
@@ -1180,9 +1181,12 @@ func (s *Server) handleJobResultStream(w http.ResponseWriter, r *http.Request) {
 		panic(http.ErrAbortHandler)
 	}
 	s.streams.served.Add(1)
-	// Visible in the live trace of a job still in memory; the persisted
-	// snapshot (written at job finish) predates delivery by construction.
-	j.trace.Root().Event("stream_served")
+	// Recorded only while the trace is still in memory (a memory-only
+	// server, or a failed trace write): a durable server serves the
+	// snapshot it persisted at finish, which predates delivery.
+	if tr := j.liveTrace(); tr != nil {
+		tr.Root().Event("stream_served")
+	}
 }
 
 // writeUnfinished answers a result request for a job that is not done.
@@ -1304,10 +1308,11 @@ func (s *Server) submit(w http.ResponseWriter, kind string, body []byte, p *prep
 }
 
 // runJob drives one job through admission, execution and completion.
-// p.release (the registry pin) is guaranteed to run exactly once on every
-// path: cancellation while queued, timeout, and normal completion. p.fn
-// itself may never run (a job cancelled while queued), which is why
-// release cannot live inside it.
+// p.release (the registry pin, idempotent) runs on every path:
+// cancellation while queued, timeout, and normal completion. job.finish
+// calls it before publishing the terminal status; the deferred call only
+// covers a panic on the way there. p.fn itself may never run (a job
+// cancelled while queued), which is why release cannot live inside it.
 func (s *Server) runJob(ctx context.Context, cancel context.CancelFunc, j *job, p *preparedJob) {
 	defer p.release()
 	defer cancel()
@@ -1316,7 +1321,7 @@ func (s *Server) runJob(ctx context.Context, cancel context.CancelFunc, j *job, 
 	// weighted round-robin dispatcher's per-tenant queue (multi-tenant).
 	if err := s.admit(ctx, j.tenant); err != nil {
 		queueSpan.End()
-		j.finish(nil, err, err, false)
+		j.finish(nil, err, err, false, p.release)
 		return
 	}
 	defer s.releaseSlot(j.tenant)
@@ -1324,7 +1329,7 @@ func (s *Server) runJob(ctx context.Context, cancel context.CancelFunc, j *job, 
 	// The slot race can admit a job whose context was cancelled while
 	// it queued; don't burn the slot on dataset decoding for it.
 	if err := ctx.Err(); err != nil {
-		j.finish(nil, err, err, false)
+		j.finish(nil, err, err, false, p.release)
 		return
 	}
 	// The execution deadline starts now — queue wait is the server's
@@ -1342,7 +1347,7 @@ func (s *Server) runJob(ctx context.Context, cancel context.CancelFunc, j *job, 
 	runCtx = obs.With(runCtx, execSpan)
 	outcome, err := p.fn(runCtx)
 	execSpan.End()
-	s.finishJob(j, outcome, err, runCtx.Err())
+	s.finishJob(j, outcome, err, runCtx.Err(), p.release)
 }
 
 // finishJob persists a successful outcome (durability first: the result
@@ -1354,9 +1359,10 @@ func (s *Server) runJob(ctx context.Context, cancel context.CancelFunc, j *job, 
 // records are written once as a framed chunk file and the job retains
 // only the meta plus a reopenable disk stream — resident memory per
 // terminal job is O(1), and every later request serves O(chunk); without
-// a store, the job retains the records in interned columnar form, the
+// a store, the job retains the result's record source — the interned
+// columnar copy the result cache built and shares with its entry, the
 // most compact replayable in-RAM shape.
-func (s *Server) finishJob(j *job, outcome *jobOutcome, err error, ctxErr error) {
+func (s *Server) finishJob(j *job, outcome *jobOutcome, err error, ctxErr error, release func()) {
 	var res *jobResult
 	hasResult := false
 	// Persist whenever the work completed — matching finish()'s rule that
@@ -1393,27 +1399,15 @@ func (s *Server) finishJob(j *job, outcome *jobOutcome, err error, ctxErr error)
 			if hasResult {
 				res.recs = diskRecords{chunks: s.st.ResultChunks, id: j.id}
 			} else {
-				res.recs = memRecords{src: retainSource(outcome.records)}
+				res.recs = memRecords{src: outcome.records}
 			}
 		}
 		persistSpan.End()
 	}
-	j.finish(res, err, ctxErr, hasResult)
+	j.finish(res, err, ctxErr, hasResult, release)
 	// Results just landed on disk; let the retention sweeper re-check the
 	// cap without waiting out its ticker.
 	s.gcKick()
-}
-
-// retainSource picks the in-RAM shape a terminal job keeps for replay:
-// a string dataset is interned into its columnar form (values dedup to
-// one string per distinct value — for anonymized outputs, whose point is
-// that values repeat, far smaller than the record-major original); any
-// other source is already compact enough to keep as-is.
-func retainSource(src dataset.RecordSource) dataset.RecordSource {
-	if ds, ok := src.(*dataset.Dataset); ok {
-		return dataset.Intern(ds)
-	}
-	return src
 }
 
 // writeChunkedResult persists an anonymize result as a framed chunk

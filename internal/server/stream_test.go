@@ -77,7 +77,7 @@ func TestBufferedDocMatchesLegacyBytes(t *testing.T) {
 		}
 
 		var fromMem bytes.Buffer
-		mem := memRecords{src: retainSource(outcome.records)}
+		mem := memRecords{src: dataset.Intern(res.Anonymized)}
 		if err := writeBufferedAnonymize(&fromMem, outcome.meta, mem); err != nil {
 			t.Fatal(err)
 		}

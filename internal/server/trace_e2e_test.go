@@ -1,12 +1,18 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
+	"io"
 	"math"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
+	"secreta/internal/gen"
 	"secreta/internal/obs"
 )
 
@@ -198,5 +204,77 @@ func TestTraceSurvivesRestart(t *testing.T) {
 	// blob verbatim, so the tree shape is identical too.
 	if got, want := spanNames(after.Trace), spanNames(before.Trace); strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Errorf("rehydrated children %v, want %v", got, want)
+	}
+}
+
+// TestDurableFinishOrder pins what a durable server has done by the time
+// a poller sees a job done: the trace blob is on disk, the dataset pin is
+// released (an immediate DELETE of the dataset succeeds), and the
+// finished trace is served from the blob, not from memory — streaming the
+// result afterwards leaves the served trace byte-identical. Trace readers
+// race the job's finish from several goroutines.
+func TestDurableFinishOrder(t *testing.T) {
+	dir := t.TempDir()
+	ts, _ := durableServer(t, dir, Options{Workers: 2})
+	var raw bytes.Buffer
+	if err := gen.Census(gen.Config{Records: 2000, Seed: 5}).WriteJSON(&raw); err != nil {
+		t.Fatal(err)
+	}
+	code, body := uploadDataset(t, ts.URL, raw.Bytes())
+	if code != http.StatusCreated {
+		t.Fatalf("upload: %d %v", code, body)
+	}
+	ref := body["dataset_ref"].(string)
+	_, sub := postJSON(t, ts.URL+"/anonymize", map[string]any{
+		"dataset_ref": ref, "config": map[string]any{"algo": "cluster", "k": 2},
+	})
+	id := sub["job"].(string)
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				resp, err := http.Get(ts.URL + "/jobs/" + id + "/trace")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("GET trace while the job finishes: %d", resp.StatusCode)
+					return
+				}
+			}
+		}()
+	}
+	st := pollDone(t, ts.URL, id)
+	if _, err := os.Stat(filepath.Join(dir, "traces", id+".json")); err != nil {
+		t.Errorf("trace blob missing when done became visible: %v", err)
+	}
+	if code, body := httpDelete(t, ts.URL+"/datasets/"+ref); code != http.StatusOK {
+		t.Errorf("dataset delete right after done: %d %v", code, body)
+	}
+	close(stop)
+	wg.Wait()
+	if st != StatusDone {
+		t.Fatalf("job ended %s", st)
+	}
+
+	_, before := getRaw(t, ts.URL+"/jobs/"+id+"/trace")
+	if code, _ := getRaw(t, ts.URL+"/jobs/"+id+"/result/stream"); code != http.StatusOK {
+		t.Fatalf("stream: %d", code)
+	}
+	_, after := getRaw(t, ts.URL+"/jobs/"+id+"/trace")
+	if !bytes.Equal(before, after) {
+		t.Errorf("finished trace changed after a stream; it is still served from memory")
 	}
 }
