@@ -170,8 +170,10 @@ func runShared(ctx context.Context, ds *dataset.Dataset, cfg Config, sh *batchSh
 	res.Phases = phases
 	// Stopwatch phases are contiguous from the run's start; replay them as
 	// child spans so the trace shows the algorithm's internal cost split
-	// without re-timing anything.
-	at := start
+	// without re-timing anything. They are anchored at the span's own
+	// start, so a preemption between opening the span and reading the
+	// clock above cannot open a gap before the first phase.
+	at := sp.StartTime()
 	for _, ph := range phases {
 		next := at.Add(ph.Duration)
 		sp.Interval(ph.Name, at, next)

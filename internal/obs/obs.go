@@ -201,6 +201,17 @@ func (s Span) Interval(name string, start, end time.Time, attrs ...Attr) {
 	t.spans = append(t.spans, span{name: name, parent: s.idx, start: start, end: end, attrs: clampAttrs(attrs)})
 }
 
+// StartTime returns when the span opened: the zero time on the zero and
+// dropped Span.
+func (s Span) StartTime() time.Time {
+	if s.t == nil || s.idx < 0 {
+		return time.Time{}
+	}
+	s.t.mu.Lock()
+	defer s.t.mu.Unlock()
+	return s.t.spans[s.idx].start
+}
+
 // End closes the span (idempotent; no-op on the zero and dropped Span).
 func (s Span) End() {
 	if s.t == nil || s.idx < 0 {
