@@ -36,9 +36,11 @@ func TxViewOf(ix *dataset.Indexed) *TxView {
 
 // KMCounter counts k^m-anonymity violations over ID-interned transaction
 // groups without materializing them: no violation structs, no itemset
-// strings, and the counting arenas are reused across calls. One counter
-// serves one goroutine; concurrent runs each build their own over a
-// shared TxView.
+// strings, and the counting arenas are reused across calls. Every call
+// rescans the groups; a caller that scores many merges of the same
+// groups keeps KMTable support tables instead, whose counts equal this
+// counter's. One counter serves one goroutine; concurrent runs each
+// build their own over a shared TxView.
 type KMCounter struct {
 	numItems int
 	sc       kmScratch
@@ -58,7 +60,7 @@ func NewKMCounter(v *TxView) *KMCounter {
 // 0, "how many"). Empty baskets contribute nothing, so callers pass their
 // groups unfiltered.
 func (c *KMCounter) Count(k, m, limit int, groups ...[][]uint32) int {
-	if k <= 1 || m <= 0 {
+	if kmVacuous(k, m) {
 		return 0
 	}
 	count := 0
@@ -70,6 +72,11 @@ func (c *KMCounter) Count(k, m, limit int, groups ...[][]uint32) int {
 	}
 	return count
 }
+
+// kmVacuous reports whether k^m-anonymity holds for any transactions:
+// with k <= 1 every occurring itemset has enough support, and with m <= 0
+// there is no itemset to check.
+func kmVacuous(k, m int) bool { return k <= 1 || m <= 0 }
 
 // Anonymous reports whether the groups' transactions, taken together, are
 // k^m-anonymous.
@@ -90,7 +97,7 @@ func (c *KMCounter) countSize(size, k int, groups [][][]uint32) int {
 		}
 		// Reset by touched-ID list, not by clearing the whole domain
 		// array: per-class groups are tiny against the global domain and
-		// the counter runs O(classes^2) times inside merge scoring.
+		// one counter serves many of them.
 		for _, id := range c.touched {
 			sc.single[id] = 0
 		}

@@ -295,7 +295,7 @@ type kmScratch struct {
 // are k^m-anonymous. vals is the rank-interned item domain the IDs in txs
 // index; sc's buffers are cleared and reused across calls.
 func firstKMViolation(vals []string, txs [][]uint32, k, m int, sc *kmScratch) *Violation {
-	if k <= 1 || m <= 0 {
+	if kmVacuous(k, m) {
 		return nil
 	}
 	for size := 1; size <= m; size++ {

@@ -109,10 +109,11 @@ type Options struct {
 	// Policy drives COAT/PCTA.
 	Policy *policy.Policy
 	// Interned, when non-nil, is the columnar interning of the input
-	// dataset (dataset.Intern(ds)). The merge traversal's k^m gating runs
-	// on its transaction IDs instead of re-interning the item domain, and
-	// batch callers (engine.Scheduler) share one interning across every
-	// configuration of a batch. Nil makes Anonymize intern once itself.
+	// dataset (dataset.Intern(ds)). The merge traversal's k^m support
+	// tables are built from its transaction IDs instead of re-interning
+	// the item domain, and batch callers (engine.Scheduler) share one
+	// interning across every configuration of a batch. Nil makes
+	// Anonymize intern once itself.
 	Interned *dataset.Indexed
 	// RelAlgo and TransAlgo pick the combination (see RelationalAlgos,
 	// TransactionAlgos).
@@ -156,14 +157,15 @@ type cluster struct {
 	// lookup error).
 	relNodes []*hierarchy.Node
 	items    [][]string
-	// itemIDs mirrors items as dense IDs into the run's shared TxView —
-	// the representation every k^m gating check during the merge phase
-	// counts on. The inner slices alias the view (read-only); merging
-	// only appends to the outer list. Stale after a transaction-phase
-	// repair rewrites items, but no check runs after that point.
-	itemIDs [][]uint32
-	clean   bool // no further merge processing needed
-	merges  int  // merge-chain length, bounded by maxMergeChain
+	// km is the itemset support table of the cluster's original
+	// transactions, the state every k^m check of the merge traversal
+	// reads. Dropped once the transaction phase has read which clusters
+	// need a repair.
+	km privacy.KMTable
+	// nItems is the total item count of the cluster's transactions.
+	nItems int
+	clean  bool // no further merge processing needed
+	merges int  // merge-chain length, bounded by maxMergeChain
 }
 
 // resolveNodes caches the cluster signature's hierarchy nodes.
@@ -226,14 +228,16 @@ func Anonymize(ds *dataset.Dataset, opts Options) (*Result, error) {
 	sw.Mark("relational")
 
 	// The item domain is interned once for the whole run (or inherited
-	// from the caller's batch-shared interning) and every merge-phase k^m
-	// check counts violations over the resulting IDs with one reusable
-	// counter — the seed re-interned each cluster's transactions and
-	// materialized full violation lists on every check just to take their
-	// length, which dominated the traversal's allocations.
+	// from the caller's batch-shared interning), and every cluster gets
+	// an itemset support table over the resulting IDs once. Every k^m
+	// check after that reads the tables: a cluster's own violation count
+	// is stored, a candidate merge is scored by one merge-join of two
+	// tables, and a merge folds them. No check rescans transactions:
+	// Tmerger scores every candidate at every step, and its absorbing
+	// cluster can grow to the whole dataset.
 	view := txView(ds, opts)
-	counter := privacy.NewKMCounter(view)
-	clusters := clustersFromClasses(ds, relRes.Anonymized, qis, hh, view)
+	tables := privacy.NewKMTableArena(view, opts.K, opts.M)
+	clusters := clustersFromClasses(ds, relRes.Anonymized, qis, hh, view, tables)
 	merges := 0
 	for {
 		// One traversal iteration scans clusters and scores merge
@@ -247,7 +251,7 @@ func Anonymize(ds *dataset.Dataset, opts Options) (*Result, error) {
 			if c == nil || c.clean {
 				continue
 			}
-			if counter.Anonymous(opts.K, opts.M, c.itemIDs) {
+			if c.km.Violations() == 0 {
 				c.clean = true
 				continue
 			}
@@ -258,7 +262,7 @@ func Anonymize(ds *dataset.Dataset, opts Options) (*Result, error) {
 			break
 		}
 		c := clusters[dirtyIdx]
-		partner, delta := pickPartner(clusters, dirtyIdx, hh, opts, counter)
+		partner, delta := pickPartner(clusters, dirtyIdx, hh, opts, tables)
 		if partner >= 0 && delta <= opts.Delta && (opts.UngatedMerges || c.merges < maxMergeChain) {
 			// Merge only when it actually helps the transaction side:
 			// the merged multiset must have strictly fewer violations
@@ -266,13 +270,11 @@ func Anonymize(ds *dataset.Dataset, opts Options) (*Result, error) {
 			// combine support and clear k).
 			helps := opts.UngatedMerges
 			if !helps {
-				before := counter.Count(opts.K, opts.M, 0, c.itemIDs) +
-					counter.Count(opts.K, opts.M, 0, clusters[partner].itemIDs)
-				after := counter.Count(opts.K, opts.M, 0, c.itemIDs, clusters[partner].itemIDs)
-				helps = after < before
+				p := clusters[partner]
+				helps = tables.MergedViolations(&c.km, &p.km) < c.km.Violations()+p.km.Violations()
 			}
 			if helps {
-				mergeClusters(clusters, dirtyIdx, partner, hh)
+				mergeClusters(clusters, dirtyIdx, partner, tables)
 				merges++
 				continue
 			}
@@ -288,17 +290,22 @@ func Anonymize(ds *dataset.Dataset, opts Options) (*Result, error) {
 	transRepairs := 0
 	suppressed := 0
 	live := clusters[:0]
+	var repair []bool
 	for _, c := range clusters {
 		if c != nil {
 			live = append(live, c)
+			repair = append(repair, c.km.Violations() > 0)
+			// No check reads the tables after this point: drop them so
+			// their arrays are garbage before the repairs allocate.
+			c.km = privacy.KMTable{}
 		}
 	}
 	clusters = live
-	for _, c := range clusters {
+	for i, c := range clusters {
 		if err := ctxErr(opts.Ctx); err != nil {
 			return nil, err
 		}
-		if counter.Anonymous(opts.K, opts.M, c.itemIDs) {
+		if !repair[i] {
 			continue
 		}
 		repaired, err := repairCluster(ds, c, transRun, opts)
@@ -312,12 +319,10 @@ func Anonymize(ds *dataset.Dataset, opts Options) (*Result, error) {
 			for i := range c.items {
 				c.items[i] = nil
 			}
-			c.itemIDs = nil
 			suppressed++
 			continue
 		}
 		c.items = repaired
-		c.itemIDs = nil // repaired items are generalized; IDs are stale
 		transRepairs++
 	}
 	sw.Mark("transaction")
@@ -396,18 +401,22 @@ func txView(ds *dataset.Dataset, opts Options) *privacy.TxView {
 }
 
 // clustersFromClasses rebuilds cluster state from the relational phase's
-// equivalence classes.
-func clustersFromClasses(orig, anon *dataset.Dataset, qis []int, hh []*hierarchy.Hierarchy, view *privacy.TxView) []*cluster {
+// equivalence classes, building each cluster's support table from its
+// records' baskets in view.
+func clustersFromClasses(orig, anon *dataset.Dataset, qis []int, hh []*hierarchy.Hierarchy, view *privacy.TxView, tables *privacy.KMTableArena) []*cluster {
 	classes := privacy.Partition(anon, qis)
 	out := make([]*cluster, len(classes))
+	var txs [][]uint32
 	for i, cl := range classes {
 		c := &cluster{records: append([]int(nil), cl.Records...), relVals: cl.Signature}
 		c.resolveNodes(hh)
 		c.items = itemsOf(orig, c.records)
-		c.itemIDs = make([][]uint32, len(c.records))
-		for j, r := range c.records {
-			c.itemIDs[j] = view.Txs[r]
+		txs = txs[:0]
+		for _, r := range c.records {
+			txs = append(txs, view.Txs[r])
+			c.nItems += len(view.Txs[r])
 		}
+		c.km = tables.Build(txs)
 		out[i] = c
 	}
 	return out
@@ -421,34 +430,10 @@ func itemsOf(ds *dataset.Dataset, records []int) [][]string {
 	return out
 }
 
-// relDelta computes the average per-attribute NCP increase of merging two
-// clusters: NCP(LCA of both signatures) minus the size-weighted current
-// NCP. Runs on the clusters' cached signature nodes — LCA walks and O(1)
-// NCP reads, no value lookups.
-func relDelta(a, b *cluster, hh []*hierarchy.Hierarchy) (float64, []*hierarchy.Node, error) {
-	if a.relNodes == nil || b.relNodes == nil {
-		return 0, nil, fmt.Errorf("rt: cluster signature unknown to hierarchy")
-	}
-	newNodes := make([]*hierarchy.Node, len(a.relNodes))
-	delta := 0.0
-	na, nb := float64(len(a.records)), float64(len(b.records))
-	for i, h := range hh {
-		lca := hierarchy.LCANodes(a.relNodes[i], b.relNodes[i])
-		newNodes[i] = lca
-		newNCP := h.NCPNode(lca)
-		aNCP := h.NCPNode(a.relNodes[i])
-		bNCP := h.NCPNode(b.relNodes[i])
-		cur := (aNCP*na + bNCP*nb) / (na + nb)
-		delta += newNCP - cur
-	}
-	return delta / float64(len(hh)), newNodes, nil
-}
-
-// relDeltaCost is relDelta without materializing the merged signature
-// nodes — the candidate-scoring scan only needs the cost, and runs
-// O(clusters) times per traversal step. The float operations are the
-// same sequence as relDelta's, so the scores (and the partner choice)
-// are bit-identical.
+// relDeltaCost computes the average per-attribute NCP increase of merging
+// two clusters: NCP(LCA of both signatures) minus the size-weighted
+// current NCP. Runs on the clusters' cached signature nodes — LCA walks
+// and O(1) NCP reads, no value lookups.
 func relDeltaCost(a, b *cluster, hh []*hierarchy.Hierarchy) (float64, error) {
 	if a.relNodes == nil || b.relNodes == nil {
 		return 0, fmt.Errorf("rt: cluster signature unknown to hierarchy")
@@ -468,21 +453,14 @@ func relDeltaCost(a, b *cluster, hh []*hierarchy.Hierarchy) (float64, error) {
 
 // transCost estimates the transaction-side repair work remaining after
 // merging: the number of k^m violations in the merged multiset, normalized
-// by the merged item count. Counting runs on the clusters' shared item
-// IDs — no merged copy, no violation list.
-func transCost(a, b *cluster, k, m int, counter *privacy.KMCounter) float64 {
-	total := 0
-	for _, tr := range a.itemIDs {
-		total += len(tr)
-	}
-	for _, tr := range b.itemIDs {
-		total += len(tr)
-	}
+// by the merged item count. The count is one merge-join of the two
+// clusters' support tables — no merged copy, no transaction scan.
+func transCost(a, b *cluster, tables *privacy.KMTableArena) float64 {
+	total := a.nItems + b.nItems
 	if total == 0 {
 		return 0
 	}
-	vs := counter.Count(k, m, 0, a.itemIDs, b.itemIDs)
-	return float64(vs) / float64(total)
+	return float64(tables.MergedViolations(&a.km, &b.km)) / float64(total)
 }
 
 // ctxErr returns ctx's error, treating a nil context as never cancelled.
@@ -498,7 +476,7 @@ func ctxErr(ctx context.Context) error {
 // delta. Scoring every candidate pair is the traversal's hot path, so the
 // scan polls the options context and bails out with -1 when cancelled; the
 // caller's own poll then surfaces the context error.
-func pickPartner(clusters []*cluster, i int, hh []*hierarchy.Hierarchy, opts Options, counter *privacy.KMCounter) (int, float64) {
+func pickPartner(clusters []*cluster, i int, hh []*hierarchy.Hierarchy, opts Options, tables *privacy.KMTableArena) (int, float64) {
 	type cand struct {
 		j        int
 		rd       float64
@@ -519,7 +497,7 @@ func pickPartner(clusters []*cluster, i int, hh []*hierarchy.Hierarchy, opts Opt
 		}
 		c := cand{j: j, rd: rd}
 		if opts.Flavor != RMerge {
-			c.tc = transCost(clusters[i], other, opts.K, opts.M, counter)
+			c.tc = transCost(clusters[i], other, tables)
 		}
 		cands = append(cands, c)
 	}
@@ -557,22 +535,23 @@ func pickPartner(clusters []*cluster, i int, hh []*hierarchy.Hierarchy, opts Opt
 }
 
 // mergeClusters folds cluster j into cluster i, updating signatures to the
-// per-attribute LCA. Cluster j's slot becomes nil.
-func mergeClusters(clusters []*cluster, i, j int, hh []*hierarchy.Hierarchy) {
+// per-attribute LCA and folding the support tables. Cluster j's slot
+// becomes nil. Both clusters' signature nodes are known: pickPartner
+// returns only partners whose relDeltaCost succeeded.
+func mergeClusters(clusters []*cluster, i, j int, tables *privacy.KMTableArena) {
 	a, b := clusters[i], clusters[j]
-	_, newNodes, err := relDelta(a, b, hh)
-	if err != nil {
-		return
-	}
-	newVals := make([]string, len(newNodes))
-	for i, n := range newNodes {
-		newVals[i] = n.Value
+	newNodes := make([]*hierarchy.Node, len(a.relNodes))
+	newVals := make([]string, len(a.relNodes))
+	for q := range a.relNodes {
+		newNodes[q] = hierarchy.LCANodes(a.relNodes[q], b.relNodes[q])
+		newVals[q] = newNodes[q].Value
 	}
 	a.relVals = newVals
 	a.relNodes = newNodes
 	a.records = append(a.records, b.records...)
 	a.items = append(a.items, b.items...)
-	a.itemIDs = append(a.itemIDs, b.itemIDs...)
+	tables.Fold(&a.km, &b.km)
+	a.nItems += b.nItems
 	a.clean = false
 	a.merges += b.merges + 1
 	clusters[j] = nil
