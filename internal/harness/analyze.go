@@ -111,9 +111,9 @@ func WriteBaseline(w io.Writer, b *Baseline) error {
 // LoadBaseline reads either format a tracked baseline comes in:
 //
 //   - a harness baseline.json (object form, full statistics), or
-//   - a flat BENCH_n.json (array form, the historical scripts/bench.sh
-//     output): each entry becomes a single-repeat summary with zero
-//     spread, which is exactly what those recordings were.
+//   - a flat BENCH_n.json (array form, `secreta-bench parse` output):
+//     each entry becomes a single-repeat summary with zero spread, which
+//     is exactly what those recordings were.
 func LoadBaseline(path string) (*Baseline, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

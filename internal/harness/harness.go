@@ -1,5 +1,5 @@
 // Package harness is the paper-grade experiment harness: it turns the
-// ad-hoc bench workflow (scripts/bench.sh, hand-committed BENCH_n.json,
+// ad-hoc bench workflow (a shell script, hand-committed BENCH_n.json,
 // reviewer-eyeball comparisons) into tested Go code. It has four parts:
 //
 //   - a parser for `go test -bench` output (parse.go) — the replacement

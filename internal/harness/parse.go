@@ -138,10 +138,10 @@ func parseBenchLine(pkg, line string) (Result, bool, error) {
 	return res, true, nil
 }
 
-// WriteFlatJSON writes results in the flat BENCH_n.json format the old
-// awk parser emitted (and that the jq comparison recipes in
-// scripts/bench.sh consume): a JSON array of {name, ns_op, b_op,
-// allocs_op} records, two-space indented, null for missing memory stats.
+// WriteFlatJSON writes results in the flat BENCH_n.json format the
+// tracked baselines use (`secreta-bench parse` emits it): a JSON array of
+// {name, ns_op, b_op, allocs_op} records, two-space indented, null for
+// missing memory stats.
 func WriteFlatJSON(w io.Writer, results []Result) error {
 	bw := bufio.NewWriter(w)
 	bw.WriteString("[\n")

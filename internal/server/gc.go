@@ -12,8 +12,9 @@ import (
 
 // Disk GC / retention: with -data-max-bytes set on a durable server, a
 // background sweeper keeps the data directory under the cap. Retention
-// is pinned-and-recent-first — eviction takes, in order, (1) the disk
-// result cache (always reconstructible), (2) the oldest unpinned
+// is pinned-and-recent-first — eviction takes, in order, (1) the oldest
+// disk result-cache entries (always reconstructible), just enough to
+// cover the overage, (2) the oldest unpinned
 // terminal jobs' results and traces, (3) the oldest dataset blobs that
 // no tenant claims and no job pins. In-flight state is never touched:
 // queued/running jobs are not evictable, and a dataset referenced by any
@@ -112,8 +113,9 @@ func (s *Server) sweepOnce() int64 {
 	usage := s.st.DiskUsage()
 	if usage > gc.maxBytes {
 		// Lever 1: the disk result cache. Every entry is a recomputable
-		// cache hit, so under cap pressure it is the first thing to go.
-		if removed := s.st.Cache.TrimTo(0, 0); removed > 0 {
+		// cache hit, so under cap pressure it goes first — oldest entries,
+		// just enough of them to cover the overage.
+		if removed := s.st.Cache.Free(usage - gc.maxBytes); removed > 0 {
 			gc.cacheTrimmed.Add(uint64(removed))
 			usage = s.st.DiskUsage()
 		}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"syscall"
@@ -113,7 +114,7 @@ func TestGCKeepsDataDirUnderCapAndSparesInFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st2.Cache.TrimTo(0, 0)
+	st2.Cache.Free(math.MaxInt64)
 	capBytes := st2.DiskUsage() - 3*perJob
 	if capBytes <= 0 {
 		t.Fatalf("cap computed as %d", capBytes)
@@ -205,6 +206,71 @@ func TestGCKeepsDataDirUnderCapAndSparesInFlight(t *testing.T) {
 	}
 }
 
+// TestGCTrimsDiskCacheBeforeJobs pins lever 1: a data dir just over its
+// cap is brought back under by trimming the oldest disk-cache entries —
+// only as many as the overage needs — before any finished job is
+// evicted.
+func TestGCTrimsDiskCacheBeforeJobs(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx1, cancel1 := context.WithCancel(context.Background())
+	srv1 := mustNew(t, ctx1, Options{Workers: 1, MaxConcurrentJobs: 1, Store: st})
+	ts1 := httptest.NewServer(srv1.Handler())
+	waitReady(t, ts1.URL)
+	code, body := uploadDataset(t, ts1.URL, smallDatasetJSON(t, "lever1"))
+	if code != http.StatusCreated {
+		t.Fatalf("upload: code=%d", code)
+	}
+	ref := body["dataset_ref"].(string)
+	for k := 2; k < 8; k++ {
+		gcSubmit(t, ts1.URL, ref, k, 1)
+	}
+	ts1.Close()
+	cancel1()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Reboot one byte over the cap.
+	st2, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := st2.Cache.Stats().Count; n != 6 {
+		t.Fatalf("disk cache holds %d entries, want one per seeded job (6)", n)
+	}
+	capBytes := st2.DiskUsage() - 1
+	ctx2, cancel2 := context.WithCancel(context.Background())
+	srv2 := mustNew(t, ctx2, Options{
+		Workers: 1, MaxConcurrentJobs: 1, Store: st2,
+		DataMaxBytes: capBytes, GCInterval: time.Hour,
+	})
+	ts2 := httptest.NewServer(srv2.Handler())
+	t.Cleanup(func() {
+		ts2.Close()
+		cancel2()
+		st2.Close()
+	})
+	waitReady(t, ts2.URL)
+
+	usage := srv2.sweepOnce()
+	if got := srv2.gc.evictedJobs.Load(); got != 0 {
+		t.Fatalf("evicted %d jobs, want 0 (the disk cache covers a one-byte overage)", got)
+	}
+	if got := srv2.gc.cacheTrimmed.Load(); got == 0 {
+		t.Fatal("cache_trimmed = 0, want the oldest cache entries trimmed")
+	}
+	if n := st2.Cache.Stats().Count; n == 0 {
+		t.Fatal("lever 1 emptied the disk cache, want a budgeted trim")
+	}
+	if usage > capBytes {
+		t.Fatalf("sweep left usage %d over cap %d", usage, capBytes)
+	}
+}
+
 // TestGCStuckDatasetSkippedNotWedged pins the stuck-file contract on the
 // dataset lever: an ENOSPC on one blob's unlink increments gc errors and
 // the store's trim_errors, leaves that dataset intact and indexed, and
@@ -293,24 +359,36 @@ func TestGCCrashMidSweepRecoversClean(t *testing.T) {
 		t.Fatalf("upload: code=%d", code)
 	}
 	ref := body["dataset_ref"].(string)
+	// An anonymize job (result stream) and an evaluate job (result
+	// payload), so every job-blob kind has something to orphan.
 	id1 := gcSubmit(t, ts1.URL, ref, 2, 1)
-	id2 := gcSubmit(t, ts1.URL, ref, 3, 1)
+	_, sub := postJSON(t, ts1.URL+"/evaluate", map[string]any{
+		"dataset_ref": ref,
+		"config":      map[string]any{"algo": "apriori", "k": 3, "m": 1},
+	})
+	id2 := sub["job"].(string)
+	if st := pollDone(t, ts1.URL, id2); st != StatusDone {
+		t.Fatalf("evaluate job %s ended %s, want done", id2, st)
+	}
 
-	countBlobs := func(s *store.Store) int {
+	// Per job-blob kind: results, result streams, traces.
+	countBlobs := func(s *store.Store) (total int, perKind []int) {
 		t.Helper()
-		n := 0
-		for _, dirNames := range []func() ([]string, error){s.Results.Names, s.ResultChunks.Names, s.Traces.Names} {
-			names, err := dirNames()
+		for _, b := range s.JobBlobs() {
+			names, err := b.Names()
 			if err != nil {
 				t.Fatal(err)
 			}
-			n += len(names)
+			total += len(names)
+			perKind = append(perKind, len(names))
 		}
-		return n
+		return total, perKind
 	}
-	blobsBefore := countBlobs(st)
-	if blobsBefore == 0 {
-		t.Fatal("finished jobs left no persisted blobs to orphan")
+	blobsBefore, perKind := countBlobs(st)
+	for i, n := range perKind {
+		if n == 0 {
+			t.Fatalf("finished jobs left no blobs of kind %d (%v) to orphan", i, perKind)
+		}
 	}
 
 	// Every blob unlink now fails: the eviction's journal deletes land,
@@ -325,7 +403,7 @@ func TestGCCrashMidSweepRecoversClean(t *testing.T) {
 			t.Fatalf("evicted job %s: code=%d, want 404", id, code)
 		}
 	}
-	if got := countBlobs(st); got != blobsBefore {
+	if got, _ := countBlobs(st); got != blobsBefore {
 		t.Fatalf("blobs after failed unlinks: %d, want all %d still on disk", got, blobsBefore)
 	}
 
@@ -355,7 +433,7 @@ func TestGCCrashMidSweepRecoversClean(t *testing.T) {
 	if got := int(rec["orphan_blobs_swept"].(float64)); got != blobsBefore {
 		t.Fatalf("orphan_blobs_swept=%d, want %d", got, blobsBefore)
 	}
-	if got := countBlobs(st2); got != 0 {
+	if got, _ := countBlobs(st2); got != 0 {
 		t.Fatalf("blobs after recovery: %d, want 0", got)
 	}
 	// The evicted jobs stay gone; the dataset and new work are unharmed.

@@ -290,11 +290,8 @@ type jobStore struct {
 	max  int
 	jobs map[string]*job
 
-	jl      *store.Journal    // nil: memory-only
-	results *store.BlobDir    // nil: memory-only
-	chunks  *store.ChunkedDir // nil: memory-only
-	traces  *store.BlobDir    // nil: traces are memory-only
-	logger  *slog.Logger
+	st     *store.Store // nil: memory-only
+	logger *slog.Logger
 	// shuttingDown reports whether the server's base context is done —
 	// shutdown-driven cancellations are left un-finalized in the journal
 	// so the next boot re-queues them (see job.finish).
@@ -323,18 +320,15 @@ func newJobStore(max int) *jobStore {
 	return &jobStore{max: max, jobs: make(map[string]*job)}
 }
 
-// attachStore wires the journal, result-blob and trace-blob directories
-// in and aligns the ID sequence past everything the journal has seen, so
-// recovered and new jobs never collide. Must be called before the store
-// takes traffic.
-func (s *jobStore) attachStore(jl *store.Journal, results *store.BlobDir, chunks *store.ChunkedDir, traces *store.BlobDir) {
+// attachStore wires the data directory in — the journal and the per-job
+// blob directories — and aligns the ID sequence past everything the
+// journal has seen, so recovered and new jobs never collide. Must be
+// called before the store takes traffic.
+func (s *jobStore) attachStore(st *store.Store) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.jl = jl
-	s.results = results
-	s.chunks = chunks
-	s.traces = traces
-	if seq := jl.Seq(); seq > s.seq {
+	s.st = st
+	if seq := st.Journal.Seq(); seq > s.seq {
 		s.seq = seq
 	}
 }
@@ -343,12 +337,12 @@ func (s *jobStore) attachStore(jl *store.Journal, results *store.BlobDir, chunks
 // blob dir and reports whether it is stored. Failures degrade the trace
 // to memory-only (lost on restart), never the job itself.
 func (s *jobStore) persistTrace(id string, tr *obs.Trace) bool {
-	if s.traces == nil {
+	if s.st == nil {
 		return false
 	}
 	data, err := json.Marshal(tr.View())
 	if err == nil {
-		err = s.traces.Put(id, data)
+		err = s.st.Traces.Put(id, data)
 	}
 	if err != nil {
 		s.log().Warn("persisting job trace failed", "job_id", id, "err", err)
@@ -363,10 +357,10 @@ func (s *jobStore) persistTrace(id string, tr *obs.Trace) bool {
 // bug into an availability one. (The record is then simply absent on
 // replay — the same outcome as crashing a moment earlier.)
 func (s *jobStore) journal(fn func(*store.Journal) error) {
-	if s.jl == nil {
+	if s.st == nil {
 		return
 	}
-	if err := fn(s.jl); err != nil {
+	if err := fn(s.st.Journal); err != nil {
 		s.log().Error("journal append failed", "err", err)
 		if s.onJournalError != nil {
 			s.onJournalError(err)
@@ -466,24 +460,17 @@ func (s *jobStore) restore(rec store.JobRecord, load func() (*jobResult, error),
 	return j
 }
 
-// dropDurable erases journal records and persisted results. Callers
-// invoke it outside s.mu — it fsyncs.
+// dropDurable erases journal records and every per-job blob (result,
+// result stream, trace). Callers invoke it outside s.mu — it fsyncs.
 func (s *jobStore) dropDurable(ids []string) {
+	if s.st == nil {
+		return
+	}
 	for _, id := range ids {
 		s.journal(func(jl *store.Journal) error { return jl.Delete(id) })
-		if s.results != nil {
-			if err := s.results.Delete(id); err != nil {
-				s.log().Warn("deleting result blob failed", "job_id", id, "err", err)
-			}
-		}
-		if s.chunks != nil {
-			if err := s.chunks.Delete(id); err != nil {
-				s.log().Warn("deleting result stream failed", "job_id", id, "err", err)
-			}
-		}
-		if s.traces != nil {
-			if err := s.traces.Delete(id); err != nil {
-				s.log().Warn("deleting trace blob failed", "job_id", id, "err", err)
+		for _, b := range s.st.JobBlobs() {
+			if err := b.Delete(id); err != nil {
+				s.log().Warn("deleting job blob failed", "job_id", id, "dir", b.Dir(), "err", err)
 			}
 		}
 	}

@@ -192,26 +192,21 @@ func (s *Server) restoreClaims() int {
 // record (kept) or none (deleted once, here).
 func (s *Server) sweepOrphanBlobs() int {
 	swept := 0
-	sweepNames := func(names []string, del func(string) error, kind string) {
+	for _, b := range s.st.JobBlobs() {
+		names, err := b.Names()
+		if err != nil {
+			continue
+		}
 		for _, id := range names {
 			if s.jobs.get(id) != nil {
 				continue
 			}
-			if err := del(id); err != nil {
-				s.log().Warn("sweeping orphan blob failed", "kind", kind, "job_id", id, "err", err)
+			if err := b.Delete(id); err != nil {
+				s.log().Warn("sweeping orphan blob failed", "dir", b.Dir(), "job_id", id, "err", err)
 				continue
 			}
 			swept++
 		}
-	}
-	if names, err := s.st.Results.Names(); err == nil {
-		sweepNames(names, s.st.Results.Delete, "result")
-	}
-	if names, err := s.st.ResultChunks.Names(); err == nil {
-		sweepNames(names, s.st.ResultChunks.Delete, "result_stream")
-	}
-	if names, err := s.st.Traces.Names(); err == nil {
-		sweepNames(names, s.st.Traces.Delete, "trace")
 	}
 	return swept
 }

@@ -269,7 +269,7 @@ func New(ctx context.Context, opts Options) (*Server, error) {
 	if s.st == nil {
 		s.ready.Store(true)
 	} else {
-		s.jobs.attachStore(s.st.Journal, s.st.Results, s.st.ResultChunks, s.st.Traces)
+		s.jobs.attachStore(s.st)
 		s.jobs.shuttingDown = func() bool { return ctx.Err() != nil }
 		// A failed journal append is a durable-write fault like any other:
 		// classify it and, when permanent, latch degraded mode.

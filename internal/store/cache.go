@@ -31,14 +31,8 @@ type CacheStore struct {
 // entries between passes.
 const trimEvery = 64
 
-// NewCacheStore creates dir if needed; caps <= 0 pick the package
+// newCacheStore creates dir if needed; caps <= 0 pick the package
 // defaults.
-func NewCacheStore(dir string, maxEntries int, maxBytes int64) (*CacheStore, error) {
-	return newCacheStore(faultfs.OS, newDiag(nil), dir, maxEntries, maxBytes)
-}
-
-// newCacheStore is NewCacheStore over an explicit filesystem seam and
-// shared diagnostics — the constructor Store.Open wires.
 func newCacheStore(fsys faultfs.FS, d *diag, dir string, maxEntries int, maxBytes int64) (*CacheStore, error) {
 	blobs, err := newBlobDir(fsys, d, dir, ".json")
 	if err != nil {
@@ -90,6 +84,14 @@ func (c *CacheStore) LoadResult(key string) ([]byte, error) {
 		return nil, nil
 	}
 	return data, err
+}
+
+// Free deletes the oldest entries until at least need bytes are gone —
+// the GC sweeper's first lever, since cache entries are always
+// reconstructible. It reports how many entries were removed.
+func (c *CacheStore) Free(need int64) int {
+	removed, _ := c.blobs.Free(need)
+	return removed
 }
 
 // Stats reports the cache directory's occupancy.

@@ -8,8 +8,6 @@ import (
 	"hash/crc32"
 	"io"
 	"io/fs"
-	"path/filepath"
-	"strings"
 
 	"secreta/internal/faultfs"
 )
@@ -41,34 +39,10 @@ const chunkHeaderSize = 8
 // a reader allocate gigabytes. Writers chunk well below this.
 const maxChunkFrame = 16 << 20
 
-// ChunkedDir stores framed chunk files in one directory, parallel to a
-// BlobDir (same naming rules, its own extension).
-type ChunkedDir struct {
-	fsys faultfs.FS
-	dir  string
-	ext  string
-}
-
-// NewChunkedDir creates dir if needed and returns a ChunkedDir whose
-// files all carry ext (e.g. ".ndr").
-func NewChunkedDir(dir, ext string) (*ChunkedDir, error) {
-	return newChunkedDir(faultfs.OS, dir, ext)
-}
-
-// newChunkedDir is NewChunkedDir over an explicit filesystem seam.
-func newChunkedDir(fsys faultfs.FS, dir, ext string) (*ChunkedDir, error) {
-	if err := fsys.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("store: creating chunk dir: %w", err)
-	}
-	return &ChunkedDir{fsys: fsys, dir: dir, ext: ext}, nil
-}
-
-func (c *ChunkedDir) path(name string) (string, error) {
-	if err := validBlobName(name); err != nil {
-		return "", err
-	}
-	return filepath.Join(c.dir, name+c.ext), nil
-}
+// ChunkedDir stores framed chunk files in one directory: a BlobDir (same
+// naming rules, listing, stats and deletion) whose files are written and
+// read frame by frame instead of whole.
+type ChunkedDir struct{ *BlobDir }
 
 // Create opens a writer for the named chunk file. Nothing is visible
 // under name until Commit; Abort (or a crash) leaves any previous file
@@ -86,7 +60,6 @@ func (c *ChunkedDir) Create(name string) (*ChunkWriter, error) {
 		fsys: c.fsys,
 		f:    tmp,
 		bw:   bufio.NewWriterSize(tmp, 256<<10),
-		dir:  c.dir,
 		dest: p,
 	}, nil
 }
@@ -96,7 +69,6 @@ type ChunkWriter struct {
 	fsys faultfs.FS
 	f    faultfs.File
 	bw   *bufio.Writer
-	dir  string
 	dest string
 	hdr  [chunkHeaderSize]byte
 	done bool
@@ -128,27 +100,11 @@ func (w *ChunkWriter) Commit() error {
 		return fmt.Errorf("store: chunk writer already finished")
 	}
 	w.done = true
-	tmpName := w.f.Name()
-	fail := func(err error) error {
-		w.f.Close()
-		w.fsys.Remove(tmpName)
-		return err
-	}
 	if err := w.bw.Flush(); err != nil {
-		return fail(err)
-	}
-	if err := w.f.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := w.f.Close(); err != nil {
-		w.fsys.Remove(tmpName)
+		discardTemp(w.fsys, w.f)
 		return err
 	}
-	if err := w.fsys.Rename(tmpName, w.dest); err != nil {
-		w.fsys.Remove(tmpName)
-		return err
-	}
-	return w.fsys.SyncDir(w.dir)
+	return commitTemp(w.fsys, w.f, w.dest)
 }
 
 // Abort discards the pending file. Safe to call after Commit (no-op).
@@ -157,9 +113,7 @@ func (w *ChunkWriter) Abort() {
 		return
 	}
 	w.done = true
-	name := w.f.Name()
-	w.f.Close()
-	w.fsys.Remove(name)
+	discardTemp(w.fsys, w.f)
 }
 
 // Open positions a reader at the named file's first frame; a missing file
@@ -230,47 +184,4 @@ func (r *ChunkReader) Close() error {
 		return nil
 	}
 	return r.c.Close()
-}
-
-// Has reports whether a chunk file named name exists.
-func (c *ChunkedDir) Has(name string) bool {
-	p, err := c.path(name)
-	if err != nil {
-		return false
-	}
-	_, err = c.fsys.Stat(p)
-	return err == nil
-}
-
-// Delete removes the chunk file under name; missing files are a no-op.
-func (c *ChunkedDir) Delete(name string) error {
-	p, err := c.path(name)
-	if err != nil {
-		return err
-	}
-	if err := c.fsys.Remove(p); err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return err
-	}
-	return nil
-}
-
-// Stats sums chunk file count and bytes (advisory, like BlobDir.Stats).
-func (c *ChunkedDir) Stats() BlobStats {
-	var s BlobStats
-	entries, err := c.fsys.ReadDir(c.dir)
-	if err != nil {
-		return s
-	}
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), c.ext) || strings.HasPrefix(e.Name(), ".tmp-") {
-			continue
-		}
-		info, err := e.Info()
-		if err != nil {
-			continue
-		}
-		s.Count++
-		s.Bytes += info.Size()
-	}
-	return s
 }

@@ -8,15 +8,17 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"secreta/internal/faultfs"
 )
 
 func newTestChunkedDir(t *testing.T) *ChunkedDir {
 	t.Helper()
-	c, err := NewChunkedDir(t.TempDir(), ".ndr")
+	b, err := newBlobDir(faultfs.OS, newDiag(nil), t.TempDir(), ".ndr")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c
+	return &ChunkedDir{b}
 }
 
 func writeChunks(t *testing.T, c *ChunkedDir, name string, frames [][]byte) {

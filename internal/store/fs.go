@@ -18,31 +18,41 @@ import (
 // one, never a torn mix. Every byte flows through fsys, so tests can
 // inject a fault at any step.
 func writeFileAtomic(fsys faultfs.FS, path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := fsys.CreateTemp(dir, ".tmp-*")
+	tmp, err := fsys.CreateTemp(filepath.Dir(path), ".tmp-*")
 	if err != nil {
 		return err
 	}
-	tmpName := tmp.Name()
 	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		fsys.Remove(tmpName)
+		discardTemp(fsys, tmp)
 		return err
 	}
+	return commitTemp(fsys, tmp, path)
+}
+
+// commitTemp publishes a fully written temp file at dest, which must be
+// in the same directory: fsync the file, close it, rename it over dest,
+// then fsync the directory entry. If any step up to the rename fails, the
+// temp file is removed and dest keeps its previous content.
+func commitTemp(fsys faultfs.FS, tmp faultfs.File, dest string) error {
 	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		fsys.Remove(tmpName)
+		discardTemp(fsys, tmp)
 		return err
 	}
 	if err := tmp.Close(); err != nil {
-		fsys.Remove(tmpName)
+		fsys.Remove(tmp.Name())
 		return err
 	}
-	if err := fsys.Rename(tmpName, path); err != nil {
-		fsys.Remove(tmpName)
+	if err := fsys.Rename(tmp.Name(), dest); err != nil {
+		fsys.Remove(tmp.Name())
 		return err
 	}
-	return fsys.SyncDir(dir)
+	return fsys.SyncDir(filepath.Dir(dest))
+}
+
+// discardTemp closes and removes an unpublished temp file.
+func discardTemp(fsys faultfs.FS, tmp faultfs.File) {
+	tmp.Close()
+	fsys.Remove(tmp.Name())
 }
 
 // sweepTempFiles removes orphaned ".tmp-*" files from dir — the debris a

@@ -129,7 +129,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	chunks, err := newChunkedDir(fsys, filepath.Join(dir, "results"), ".ndr")
+	chunks, err := newBlobDir(fsys, d, filepath.Join(dir, "results"), ".ndr")
 	if err != nil {
 		return nil, err
 	}
@@ -146,7 +146,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	// mid-writeFileAtomic. The journal dir is swept too (snapshots go
 	// through the same temp-file dance).
 	swept := 0
-	for _, sub := range []string{dir, filepath.Join(dir, "datasets"), filepath.Join(dir, "results"), filepath.Join(dir, "traces"), filepath.Join(dir, "cache"), filepath.Join(dir, "journal")} {
+	for _, sub := range layoutDirs(dir) {
 		swept += sweepTempFiles(fsys, d.logger, sub)
 	}
 	journal, err := openJournal(fsys, filepath.Join(dir, "journal"), opts.SnapshotEvery)
@@ -157,7 +157,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		Dir:          dir,
 		Datasets:     datasets,
 		Results:      results,
-		ResultChunks: chunks,
+		ResultChunks: &ChunkedDir{chunks},
 		Traces:       traces,
 		Cache:        cache,
 		Journal:      journal,
@@ -165,6 +165,13 @@ func Open(dir string, opts Options) (*Store, error) {
 		diag:         d,
 		orphansSwept: swept,
 	}, nil
+}
+
+// JobBlobs lists the blob directories that hold per-job state — result
+// payloads, result streams and trace snapshots, all named by job ID. A
+// job's blobs are dropped, and swept as orphans, together.
+func (s *Store) JobBlobs() []*BlobDir {
+	return []*BlobDir{s.Results, s.ResultChunks.BlobDir, s.Traces}
 }
 
 // OrphansSwept reports how many orphaned ".tmp-*" files Open removed —

@@ -10,10 +10,11 @@ import (
 	"time"
 
 	"secreta/internal/dataset"
+	"secreta/internal/faultfs"
 )
 
 func TestBlobDirRoundTrip(t *testing.T) {
-	b, err := NewBlobDir(filepath.Join(t.TempDir(), "blobs"), ".json")
+	b, err := newBlobDir(faultfs.OS, newDiag(nil), filepath.Join(t.TempDir(), "blobs"), ".json")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func TestBlobDirRoundTrip(t *testing.T) {
 }
 
 func TestBlobDirRejectsTraversal(t *testing.T) {
-	b, err := NewBlobDir(t.TempDir(), ".json")
+	b, err := newBlobDir(faultfs.OS, newDiag(nil), t.TempDir(), ".json")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,34 +62,88 @@ func TestBlobDirRejectsTraversal(t *testing.T) {
 	}
 }
 
+// TestBlobDirTrim pins the oldest-first drops on a directory two blob
+// kinds share, the way results/ holds .json payloads next to .ndr
+// streams, with temp-file debris in it: each kind lists, counts, orders
+// and drops only its own committed blobs.
 func TestBlobDirTrim(t *testing.T) {
-	b, err := NewBlobDir(t.TempDir(), ".json")
+	dir := t.TempDir()
+	d := newDiag(nil)
+	b, err := newBlobDir(faultfs.OS, d, dir, ".json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, name := range []string{"old", "mid", "new"} {
-		if err := b.Put(name, bytes.Repeat([]byte("x"), 10)); err != nil {
+	ndr, err := newBlobDir(faultfs.OS, d, dir, ".ndr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Distinct mtimes without sleeping; "a" and "b" tie, so name order
+	// breaks it. The sibling stream and the debris are older than all.
+	now := time.Now()
+	setAge := func(file string, hours int) {
+		t.Helper()
+		mt := now.Add(-time.Duration(hours) * time.Hour)
+		if err := os.Chtimes(filepath.Join(dir, file), mt, mt); err != nil {
 			t.Fatal(err)
 		}
-		// Distinct mtimes without sleeping.
-		mt := time.Now().Add(time.Duration(i-3) * time.Hour)
-		if err := os.Chtimes(filepath.Join(b.Dir(), name+".json"), mt, mt); err != nil {
+	}
+	for _, blob := range []struct {
+		name string
+		age  int
+	}{{"e", 5}, {"d", 4}, {"c", 3}, {"b", 2}, {"a", 2}} {
+		if err := b.Put(blob.name, bytes.Repeat([]byte("x"), 10)); err != nil {
 			t.Fatal(err)
 		}
+		setAge(blob.name+".json", blob.age)
 	}
-	removed, err := b.Trim(2, 0)
-	if err != nil || removed != 1 {
-		t.Fatalf("Trim entries: removed=%d err=%v", removed, err)
+	if err := ndr.Put("e", []byte("stream")); err != nil {
+		t.Fatal(err)
 	}
-	if b.Has("old") {
-		t.Fatal("entry-cap trim removed the wrong blob")
+	setAge("e.ndr", 9)
+	debris := filepath.Join(dir, ".tmp-x.json")
+	if err := os.WriteFile(debris, bytes.Repeat([]byte("t"), 100), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	removed, err = b.Trim(0, 10)
-	if err != nil || removed != 1 {
-		t.Fatalf("Trim bytes: removed=%d err=%v", removed, err)
+	setAge(".tmp-x.json", 9)
+
+	if got := (&DatasetStore{blobs: b}).IDsByAge(); strings.Join(got, ",") != "e,d,c,a,b" {
+		t.Fatalf("IDsByAge = %v, want oldest first, ties by name", got)
 	}
-	if !b.Has("new") {
-		t.Fatal("byte-cap trim removed the newest blob")
+	if names, err := b.Names(); err != nil || strings.Join(names, ",") != "a,b,c,d,e" {
+		t.Fatalf("json Names = %v, %v", names, err)
+	}
+	if names, err := ndr.Names(); err != nil || strings.Join(names, ",") != "e" {
+		t.Fatalf("ndr Names = %v, %v", names, err)
+	}
+	if st := b.Stats(); st != (BlobStats{Count: 5, Bytes: 50}) {
+		t.Fatalf("json Stats = %+v", st)
+	}
+	if st := ndr.Stats(); st != (BlobStats{Count: 1, Bytes: int64(len("stream"))}) {
+		t.Fatalf("ndr Stats = %+v", st)
+	}
+
+	removed, err := b.Trim(4, 0)
+	if err != nil || removed != 1 || b.Has("e") {
+		t.Fatalf("Trim entries: removed=%d err=%v, want the oldest blob gone", removed, err)
+	}
+	removed, err = b.Trim(0, 30)
+	if err != nil || removed != 1 || b.Has("d") {
+		t.Fatalf("Trim bytes: removed=%d err=%v, want the oldest blob gone", removed, err)
+	}
+	// Free is a budget, not a purge: 11 bytes take two 10-byte blobs.
+	removed, err = b.Free(11)
+	if err != nil || removed != 2 || b.Has("c") || b.Has("a") || !b.Has("b") {
+		t.Fatalf("Free: removed=%d err=%v, want c and a gone, b kept", removed, err)
+	}
+	if !ndr.Has("e") {
+		t.Fatal("a .json drop deleted the sibling .ndr stream")
+	}
+	removed, err = ndr.Free(1 << 40)
+	if err != nil || removed != 1 || !b.Has("b") {
+		t.Fatalf("ndr Free: removed=%d err=%v, want only the stream gone", removed, err)
+	}
+	if _, err := os.Stat(debris); err != nil {
+		t.Fatalf("temp debris touched by a drop: %v", err)
 	}
 }
 
@@ -181,7 +236,7 @@ func TestDatasetStoreRoundTripAndVerify(t *testing.T) {
 }
 
 func TestCacheStoreRoundTrip(t *testing.T) {
-	c, err := NewCacheStore(t.TempDir(), 0, 0)
+	c, err := newCacheStore(faultfs.OS, newDiag(nil), t.TempDir(), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

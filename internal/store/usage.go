@@ -1,15 +1,25 @@
 package store
 
-import (
-	"path/filepath"
-	"sort"
-	"strings"
-)
+import "path/filepath"
 
 // Disk-usage accounting and eviction-ordering helpers for the retention
 // sweeper (the server's GC): the sweeper needs a fresh byte total for the
 // whole data directory (the cached Stats walk is deliberately stale) and
 // an oldest-first ordering over the evictable blob populations.
+
+// layoutDirs lists every directory of the data-dir layout rooted at dir:
+// the root (probe and temp debris) plus each sub-store. Open sweeps temp
+// debris from each; DiskUsage sums them.
+func layoutDirs(dir string) []string {
+	return []string{
+		dir,
+		filepath.Join(dir, "datasets"),
+		filepath.Join(dir, "results"),
+		filepath.Join(dir, "traces"),
+		filepath.Join(dir, "cache"),
+		filepath.Join(dir, "journal"),
+	}
+}
 
 // DiskUsage walks the data directory and returns the total bytes of
 // every regular file in it — blobs, sidecars, chunk files, the WAL and
@@ -19,7 +29,7 @@ import (
 // are skipped, matching the advisory Stats convention.
 func (s *Store) DiskUsage() int64 {
 	var total int64
-	for _, dir := range s.usageDirs() {
+	for _, dir := range layoutDirs(s.Dir) {
 		entries, err := s.fsys.ReadDir(dir)
 		if err != nil {
 			continue
@@ -38,84 +48,19 @@ func (s *Store) DiskUsage() int64 {
 	return total
 }
 
-// usageDirs lists every directory DiskUsage sums — the root (probe and
-// temp debris) plus each sub-store.
-func (s *Store) usageDirs() []string {
-	return []string{
-		s.Dir,
-		filepath.Join(s.Dir, "datasets"),
-		filepath.Join(s.Dir, "results"),
-		filepath.Join(s.Dir, "traces"),
-		filepath.Join(s.Dir, "cache"),
-		filepath.Join(s.Dir, "journal"),
-	}
-}
-
 // IDsByAge lists the stored dataset IDs oldest-first by blob modification
-// time — the eviction order the GC sweeper walks when unreferenced
-// dataset blobs must go. Listing failures are counted as trim errors and
-// answer an empty slice rather than wedging the sweep.
+// time, ties broken by ID — the eviction order the GC sweeper walks when
+// unreferenced dataset blobs must go. Listing failures are counted as
+// trim errors and answer an empty slice rather than wedging the sweep.
 func (d *DatasetStore) IDsByAge() []string {
-	entries, err := d.blobs.fsys.ReadDir(d.blobs.dir)
+	files, err := d.blobs.scan()
 	if err != nil {
 		d.blobs.diag.trimError(d.blobs.dir, err)
 		return nil
 	}
-	type aged struct {
-		id    string
-		mtime int64
-	}
-	var files []aged
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), d.blobs.ext) || strings.HasPrefix(e.Name(), ".tmp-") {
-			continue
-		}
-		info, err := e.Info()
-		if err != nil {
-			continue
-		}
-		files = append(files, aged{strings.TrimSuffix(e.Name(), d.blobs.ext), info.ModTime().UnixNano()})
-	}
-	sort.Slice(files, func(i, j int) bool {
-		if files[i].mtime != files[j].mtime {
-			return files[i].mtime < files[j].mtime
-		}
-		return files[i].id < files[j].id
-	})
 	out := make([]string, len(files))
 	for i, f := range files {
-		out[i] = f.id
+		out[i] = f.name
 	}
 	return out
-}
-
-// TrimTo shrinks the disk result cache under explicit caps now — the GC
-// sweeper's first lever, since cache entries are always reconstructible.
-// It reports how many entries were removed.
-func (c *CacheStore) TrimTo(maxEntries int, maxBytes int64) int {
-	removed, _ := c.blobs.Trim(maxEntries, maxBytes)
-	return removed
-}
-
-// Names lists the committed chunk files' names (job IDs), sorted —
-// recovery uses this to sweep orphaned result streams whose job record
-// is gone.
-func (c *ChunkedDir) Names() ([]string, error) {
-	entries, err := c.fsys.ReadDir(c.dir)
-	if err != nil {
-		return nil, err
-	}
-	var out []string
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), c.ext) {
-			continue
-		}
-		name := strings.TrimSuffix(e.Name(), c.ext)
-		if strings.HasPrefix(name, ".tmp-") || name == "" {
-			continue
-		}
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out, nil
 }

@@ -9,7 +9,7 @@ import (
 
 // BenchmarkApriori measures full Apriori repair runs — the level-wise
 // violation scan plus the per-round cut updates — on a Zipf-skewed basket
-// set, the workload scripts/bench.sh tracks as "Apriori round".
+// set, the workload the experiment grid gates as "apriori".
 func BenchmarkApriori(b *testing.B) {
 	ds := gen.Census(gen.Config{Records: 1500, Items: 48, MaxBasket: 6, Seed: 7})
 	ih, err := gen.ItemHierarchy(ds, 2)

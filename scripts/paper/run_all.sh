@@ -15,8 +15,8 @@
 #   bash scripts/paper/run_all.sh -gate-only -label pr7-candidate
 #
 # Promote a run's analysis/baseline.json (or a flat BENCH_n.json from
-# scripts/bench.sh) to the tracked baseline, and gate future changes with
-# `secreta-bench compare -baseline <file>` (see docs/PERFORMANCE.md).
+# `secreta-bench parse`) to the tracked baseline, and gate future changes
+# with `secreta-bench compare -baseline <file>` (see docs/PERFORMANCE.md).
 set -euo pipefail
 cd "$(dirname "$0")/../.."
 exec go run ./cmd/secreta-bench run -grid scripts/paper/experiments.json "$@"
