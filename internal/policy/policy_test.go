@@ -2,11 +2,13 @@ package policy
 
 import (
 	"bytes"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 
 	"secreta/internal/dataset"
+	"secreta/internal/gen"
 	"secreta/internal/hierarchy"
 )
 
@@ -186,6 +188,44 @@ func TestUtilityIO(t *testing.T) {
 	for _, bad := range []string{"", "no colon here\n", ": items\n", "label:\n"} {
 		if _, err := ReadUtility(strings.NewReader(bad)); err == nil {
 			t.Errorf("ReadUtility(%q) accepted", bad)
+		}
+	}
+}
+
+// TestPrivacyFrequentMatchesReference pins PrivacyFrequent to the
+// preserved map-of-joined-names implementation on generated data,
+// including item names that are prefixes of one another, where joined
+// keys and itemset order could disagree.
+func TestPrivacyFrequentMatchesReference(t *testing.T) {
+	var sets []*dataset.Dataset
+	for _, seed := range []int64{1, 5} {
+		sets = append(sets, gen.Census(gen.Config{Records: 300, Items: 25, MaxBasket: 6, Seed: seed}))
+	}
+	vocab := []string{"a", "a1", "a10", "ab", "a b", "b", "b1", "ba", "c"}
+	for _, seed := range []int64{2, 3, 4} {
+		rng := rand.New(rand.NewSource(seed))
+		ds := dataset.New([]dataset.Attribute{{Name: "A"}}, "T")
+		for r := 0; r < 60; r++ {
+			items := make([]string, rng.Intn(6))
+			for i := range items {
+				items[i] = vocab[rng.Intn(len(vocab))]
+			}
+			if err := ds.AddRecord(dataset.Record{Values: []string{"x"}, Items: items}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sets = append(sets, ds)
+	}
+	for i, ds := range sets {
+		for _, minSup := range []int{0, 1, 2, 4, 9} {
+			for _, maxSize := range []int{0, 1, 2, 3, 4} {
+				got := PrivacyFrequent(ds, minSup, maxSize)
+				want := referencePrivacyFrequent(ds, minSup, maxSize)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("dataset %d minSupport=%d maxSize=%d: %d constraints, want %d (or order diverged)",
+						i, minSup, maxSize, len(got), len(want))
+				}
+			}
 		}
 	}
 }
