@@ -229,3 +229,20 @@ func TestPrivacyFrequentMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// TestPrivacyFrequentNULItem pins that an item name containing NUL stays
+// one item: keying supports on joined names split "a\x00b" into a size-2
+// constraint on two items the dataset does not contain.
+func TestPrivacyFrequentNULItem(t *testing.T) {
+	ds := dataset.New([]dataset.Attribute{{Name: "A"}}, "T")
+	for _, items := range [][]string{{"a\x00b"}, {"a\x00b"}, {"c"}} {
+		if err := ds.AddRecord(dataset.Record{Values: []string{"x"}, Items: items}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := PrivacyFrequent(ds, 1, 1)
+	want := []PrivacyConstraint{{Items: []string{"a\x00b"}}, {Items: []string{"c"}}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("PrivacyFrequent = %q, want %q", got, want)
+	}
+}

@@ -48,6 +48,18 @@ func BenchmarkKMViolationsM2(b *testing.B) {
 	}
 }
 
+// BenchmarkKMViolationsLarge is the m=2 scan at a size kmWorkers shards
+// on a multi-core machine (BenchmarkKMViolationsM2 runs serially), so
+// losing the sharded path shows up as a regression.
+func BenchmarkKMViolationsLarge(b *testing.B) {
+	ds := gen.Census(gen.Config{Records: 20000, Items: 40, Seed: 1})
+	trs := Transactions(ds, nil)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = KMViolations(trs, 5, 2, 0)
+	}
+}
+
 func BenchmarkCheckRT(b *testing.B) {
 	ds := gen.Census(gen.Config{Records: 2000, Items: 30, Seed: 2})
 	qis, err := ds.QIIndices(nil)
@@ -95,8 +107,8 @@ func checkRTPerClassIntern(ds *dataset.Dataset, qis []int, k, m int) RTReport {
 // regression fix: verifying (k,k^m)-anonymity with one dataset-wide item
 // interner and a reused per-class scratch must allocate a small fraction
 // of what per-class re-interning costs (measured on this fixture: ~34.6k
-// allocs/run before, ~10.1k after — the residue is Partition itself),
-// while reporting the identical verdict.
+// allocs/run before, ~6.2k after — mostly Partition and the item
+// interning), while reporting the identical verdict.
 func TestCheckRTSharedInternerAllocs(t *testing.T) {
 	ds := gen.Census(gen.Config{Records: 2000, Items: 30, Seed: 2})
 	qis, err := ds.QIIndices(nil)

@@ -1,7 +1,6 @@
 package privacy
 
 import (
-	"context"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -71,10 +70,7 @@ func TestKMViolationsParallelDeterministic(t *testing.T) {
 	if len(trs) < kmParallelMin {
 		t.Fatalf("fixture too small to engage sharding: %d transactions", len(trs))
 	}
-	got, err := KMViolationsCtx(context.Background(), trs, 5, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := KMViolations(trs, 5, 2, 0)
 	want := referenceKMViolations(trs, 5, 2, 0)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("parallel scan diverged: %d violations, want %d", len(got), len(want))
@@ -89,19 +85,11 @@ func TestCountSupportsEveryWidth(t *testing.T) {
 	ds := gen.Census(gen.Config{Records: 1200, Items: 40, MaxBasket: 6, Seed: 11})
 	trs := Transactions(ds, nil)
 	vals, txs := internTransactions(trs)
-	const k = 5
+	below := func(s int32) bool { return belowK(s, 5) }
 	for size := 1; size <= 3; size++ {
-		serial, err := countSupportsWidth(context.Background(), txs, len(vals), size, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := serial.violations(k, vals)
+		want := countSupports(make([]supportCounts, 1), txs, len(vals), size).selected(vals, below)
 		for width := 2; width <= 8; width++ {
-			sharded, err := countSupportsWidth(context.Background(), txs, len(vals), size, width)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := sharded.violations(k, vals); !reflect.DeepEqual(got, want) {
+			if got := countSupports(make([]supportCounts, width), txs, len(vals), size).selected(vals, below); !reflect.DeepEqual(got, want) {
 				t.Fatalf("size=%d width=%d: sharded scan diverged (%d violations, want %d, or order differs)",
 					size, width, len(got), len(want))
 			}
@@ -146,15 +134,5 @@ func TestKMWorkersGating(t *testing.T) {
 	}
 	if w := kmWorkers(dense); w > 8 {
 		t.Fatalf("worker count exceeds GOMAXPROCS: %d", w)
-	}
-}
-
-func TestKMViolationsCtxCancelled(t *testing.T) {
-	ds := gen.Census(gen.Config{Records: 2000, Items: 40, Seed: 3})
-	trs := Transactions(ds, nil)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := KMViolationsCtx(ctx, trs, 5, 3, 0); err == nil {
-		t.Fatal("cancelled scan returned no error")
 	}
 }

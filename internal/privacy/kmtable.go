@@ -161,7 +161,7 @@ func (a *KMTableArena) appendPacked(keys []uint64, tx []uint32, s int) []uint64 
 			}
 		}
 	default:
-		forEachSubsetIDs(tx, s, func(sub []uint32) {
+		ForEachSubset(tx, s, func(sub []uint32) {
 			var key uint64
 			for _, id := range sub {
 				key = key<<a.width | uint64(id)
@@ -208,7 +208,7 @@ func runLengths[K comparable](keys []K, counts []int32) ([]K, []int32) {
 func wideRunLengths(txs [][]uint32, s int) ([]string, []int32) {
 	var buf []byte
 	for _, tx := range txs {
-		forEachSubsetIDs(tx, s, func(sub []uint32) {
+		ForEachSubset(tx, s, func(sub []uint32) {
 			for _, id := range sub {
 				buf = append(buf, 0, 0, 0, 0)
 				putID(buf[len(buf)-4:], id)

@@ -14,16 +14,12 @@
 package privacy
 
 import (
-	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 
 	"secreta/internal/dataset"
 	"secreta/internal/generalize"
-	"secreta/internal/obs"
 )
 
 // Class is one equivalence class: the indices of records sharing a QI
@@ -227,155 +223,40 @@ func (v Violation) String() string {
 // Apriori-style algorithms fix violations level by level, so the cap keeps
 // incremental runs cheap.
 func KMViolations(transactions [][]string, k, m, limit int) []Violation {
-	out, _ := KMViolationsCtx(nil, transactions, k, m, limit)
-	return out
-}
-
-// cancelCheckStride is how many transactions a support scan processes
-// between context polls. The subset enumeration per transaction is the
-// expensive part (O(C(|t|, size))), so a small stride keeps the
-// cancellation delay well under the service's promptness budget without
-// measurable overhead.
-const cancelCheckStride = 256
-
-// kmParallelMin is the per-shard transaction count below which sharding
-// costs more than it saves; kmParallelMinWork is the same floor expressed
-// in item occurrences, so dense baskets (where the per-transaction subset
-// enumeration is the real cost) shard even when the transaction count
-// alone looks small. The pool width itself is bounded only by
-// runtime.GOMAXPROCS — there is no fixed cap hiding cores.
-const (
-	kmParallelMin     = 1024
-	kmParallelMinWork = 4096
-)
-
-// KMViolationsCtx is KMViolations with cooperative cancellation: ctx (nil
-// to disable) is polled every few hundred transactions during the support
-// scan — the hot path of Apriori-style repair loops — so a cancelled run
-// aborts mid-scan instead of finishing the level. Large scans shard the
-// transactions across a bounded worker pool; the merged counts (and
-// therefore the reported violations and their order) are identical for
-// every worker count.
-func KMViolationsCtx(ctx context.Context, transactions [][]string, k, m, limit int) ([]Violation, error) {
-	if k <= 1 || m <= 0 {
-		return nil, nil
-	}
-	vals, txs := internTransactions(transactions)
-	obs.FromCtx(ctx).Event("km_scan",
-		obs.Int("transactions", len(txs)), obs.Int("m", m))
-	var out []Violation
-	for size := 1; size <= m; size++ {
-		counts, err := countSupports(ctx, txs, len(vals), size)
-		if err != nil {
-			return nil, err
-		}
-		for _, v := range counts.violations(k, vals) {
-			out = append(out, v)
-			if limit > 0 && len(out) >= limit {
-				return out, nil
-			}
-		}
-	}
-	return out, nil
-}
-
-// kmScratch is reusable support-count state for repeated small scans over
-// one shared item domain — CheckRT threads a single instance through its
-// per-class checks so verification allocates per dataset, not per class.
-type kmScratch struct {
-	single []int32
-	pairs  map[uint64]int32
-	packed map[string]int32
-	buf    []byte
-}
-
-// firstKMViolation returns the first k^m violation among txs — smallest
-// itemset size first, then item-rank (= item-name) order, exactly the
-// first element KMViolations would report — or nil when the transactions
-// are k^m-anonymous. vals is the rank-interned item domain the IDs in txs
-// index; sc's buffers are cleared and reused across calls.
-func firstKMViolation(vals []string, txs [][]uint32, k, m int, sc *kmScratch) *Violation {
 	if kmVacuous(k, m) {
 		return nil
 	}
+	return supported(transactions, m, limit, func(s int32) bool { return belowK(s, k) })
+}
+
+// FrequentItemsets returns every itemset of size 1..maxSize that at least
+// minSupport of the transactions (sorted, deduplicated item slices)
+// contain, smaller itemsets first and then in item order.
+func FrequentItemsets(transactions [][]string, minSupport, maxSize int) [][]string {
+	vs := supported(transactions, maxSize, 0, func(s int32) bool { return s >= int32(minSupport) })
+	out := make([][]string, len(vs))
+	for i, v := range vs {
+		out[i] = v.Itemset
+	}
+	return out
+}
+
+// supported lists the itemsets of size 1..m whose support passes keep,
+// smallest size first and then in item order, and stops once a level
+// brings the list to limit (> 0) entries. Large scans shard the
+// transactions across a bounded worker pool; the merged counts (and
+// therefore the list and its order) are identical for every worker count.
+func supported(transactions [][]string, m, limit int, keep func(support int32) bool) []Violation {
+	vals, txs := internTransactions(transactions)
+	shards := make([]supportCounts, kmWorkers(txs))
+	var out []Violation
 	for size := 1; size <= m; size++ {
-		switch {
-		case size == 1:
-			if sc.single == nil {
-				sc.single = make([]int32, len(vals))
-			} else {
-				clear(sc.single)
-			}
-			for _, tx := range txs {
-				for _, id := range tx {
-					sc.single[id]++
-				}
-			}
-			for id, s := range sc.single {
-				if s > 0 && s < int32(k) {
-					return &Violation{Itemset: []string{vals[id]}, Support: int(s)}
-				}
-			}
-		case size == 2:
-			if sc.pairs == nil {
-				sc.pairs = make(map[uint64]int32)
-			} else {
-				clear(sc.pairs)
-			}
-			for _, tx := range txs {
-				for i := 0; i < len(tx); i++ {
-					hi := uint64(tx[i]) << 32
-					for j := i + 1; j < len(tx); j++ {
-						sc.pairs[hi|uint64(tx[j])]++
-					}
-				}
-			}
-			best, bestSup, found := uint64(0), int32(0), false
-			for key, s := range sc.pairs {
-				if s < int32(k) && (!found || key < best) {
-					best, bestSup, found = key, s, true
-				}
-			}
-			if found {
-				return &Violation{
-					Itemset: []string{vals[uint32(best>>32)], vals[uint32(best)]},
-					Support: int(bestSup),
-				}
-			}
-		default:
-			if sc.packed == nil {
-				sc.packed = make(map[string]int32)
-			} else {
-				clear(sc.packed)
-			}
-			if len(sc.buf) < 4*size {
-				sc.buf = make([]byte, 4*size)
-			}
-			key := sc.buf[:4*size]
-			for _, tx := range txs {
-				forEachSubsetIDs(tx, size, func(sub []uint32) {
-					for i, id := range sub {
-						putID(key[4*i:], id)
-					}
-					sc.packed[string(key)]++
-				})
-			}
-			best, bestSup, found := "", int32(0), false
-			for k2, s := range sc.packed {
-				if s < int32(k) && (!found || k2 < best) {
-					best, bestSup, found = k2, s, true
-				}
-			}
-			if found {
-				items := make([]string, size)
-				for i := range items {
-					items[i] = vals[getID(best[4*i:])]
-				}
-				return &Violation{Itemset: items, Support: int(bestSup)}
-			}
+		out = append(out, countSupports(shards, txs, len(vals), size).selected(vals, keep)...)
+		if limit > 0 && len(out) >= limit {
+			return out[:limit]
 		}
 	}
-	return nil
+	return out
 }
 
 // internTransactions rank-interns the item domain (ID = rank among the
@@ -412,256 +293,6 @@ func internTransactions(transactions [][]string) ([]string, [][]uint32) {
 		txs[t] = tx
 	}
 	return vals, txs
-}
-
-// supportCounts holds the per-itemset supports of one subset size in the
-// densest representation the size allows.
-type supportCounts struct {
-	size   int
-	single []int32           // size 1: support per item ID
-	pairs  map[uint64]int32  // size 2: (hi<<32|lo) packed ID pairs
-	packed map[string]*int32 // size >= 3: big-endian packed ID tuples
-}
-
-func newSupportCounts(size, numItems int) *supportCounts {
-	c := &supportCounts{size: size}
-	switch {
-	case size == 1:
-		c.single = make([]int32, numItems)
-	case size == 2:
-		c.pairs = make(map[uint64]int32)
-	default:
-		c.packed = make(map[string]*int32)
-	}
-	return c
-}
-
-// add counts every size-subset of one transaction. buf is a scratch key
-// buffer of at least 4*size bytes (unused for sizes 1 and 2).
-// internal/transaction's aprioriState.count is this structure's
-// incremental twin (adjustable counts over node IDs); see the comment
-// there before changing key packing or enumeration order.
-func (c *supportCounts) add(tx []uint32, buf []byte) {
-	if len(tx) < c.size {
-		return
-	}
-	switch c.size {
-	case 1:
-		for _, id := range tx {
-			c.single[id]++
-		}
-	case 2:
-		for i := 0; i < len(tx); i++ {
-			hi := uint64(tx[i]) << 32
-			for j := i + 1; j < len(tx); j++ {
-				c.pairs[hi|uint64(tx[j])]++
-			}
-		}
-	default:
-		forEachSubsetIDs(tx, c.size, func(sub []uint32) {
-			for i, id := range sub {
-				putID(buf[4*i:], id)
-			}
-			key := buf[:4*c.size]
-			p := c.packed[string(key)] // read: no key allocation
-			if p == nil {
-				p = new(int32)
-				c.packed[string(key)] = p
-			}
-			*p++
-		})
-	}
-}
-
-// merge folds other into c. Addition commutes, so the merged counts do not
-// depend on shard boundaries or completion order.
-func (c *supportCounts) merge(other *supportCounts) {
-	switch c.size {
-	case 1:
-		for i, v := range other.single {
-			c.single[i] += v
-		}
-	case 2:
-		for k, v := range other.pairs {
-			c.pairs[k] += v
-		}
-	default:
-		for k, p := range other.packed {
-			if q := c.packed[k]; q != nil {
-				*q += *p
-			} else {
-				c.packed[k] = p
-			}
-		}
-	}
-}
-
-// violations lists the itemsets with support in (0, k), sorted by packed
-// key — which, by rank interning, is the item-name order the seed
-// implementation reported.
-func (c *supportCounts) violations(k int, vals []string) []Violation {
-	var out []Violation
-	switch c.size {
-	case 1:
-		for id, s := range c.single {
-			if s > 0 && s < int32(k) {
-				out = append(out, Violation{Itemset: []string{vals[id]}, Support: int(s)})
-			}
-		}
-	case 2:
-		var keys []uint64
-		for key, s := range c.pairs {
-			if s < int32(k) {
-				keys = append(keys, key)
-			}
-		}
-		sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
-		for _, key := range keys {
-			out = append(out, Violation{
-				Itemset: []string{vals[uint32(key>>32)], vals[uint32(key)]},
-				Support: int(c.pairs[key]),
-			})
-		}
-	default:
-		var keys []string
-		for key, p := range c.packed {
-			if *p < int32(k) {
-				keys = append(keys, key)
-			}
-		}
-		sort.Strings(keys)
-		for _, key := range keys {
-			items := make([]string, c.size)
-			for i := range items {
-				items[i] = vals[getID(key[4*i:])]
-			}
-			out = append(out, Violation{Itemset: items, Support: int(*c.packed[key])})
-		}
-	}
-	return out
-}
-
-// countSupports scans all transactions for one subset size. Scans big
-// enough to amortize goroutine startup shard across up to GOMAXPROCS
-// workers; each shard polls ctx on the usual stride, so cancellation stays
-// as prompt as the serial scan.
-func countSupports(ctx context.Context, txs [][]uint32, numItems, size int) (*supportCounts, error) {
-	return countSupportsWidth(ctx, txs, numItems, size, kmWorkers(txs))
-}
-
-// countSupportsWidth is countSupports at an explicit shard width — split
-// out so the deterministic-merge property can be tested at every width,
-// not just the one kmWorkers happens to pick on the test machine.
-func countSupportsWidth(ctx context.Context, txs [][]uint32, numItems, size, workers int) (*supportCounts, error) {
-	if workers <= 1 {
-		c := newSupportCounts(size, numItems)
-		buf := make([]byte, 4*size)
-		for ti, tx := range txs {
-			if ctx != nil && ti%cancelCheckStride == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			c.add(tx, buf)
-		}
-		return c, nil
-	}
-	shards := make([]*supportCounts, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			c := newSupportCounts(size, numItems)
-			buf := make([]byte, 4*size)
-			lo, hi := w*len(txs)/workers, (w+1)*len(txs)/workers
-			for ti := lo; ti < hi; ti++ {
-				if ctx != nil && (ti-lo)%cancelCheckStride == 0 {
-					if err := ctx.Err(); err != nil {
-						errs[w] = err
-						return
-					}
-				}
-				c.add(txs[ti], buf)
-			}
-			shards[w] = c
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	total := shards[0]
-	for _, c := range shards[1:] {
-		total.merge(c)
-	}
-	return total, nil
-}
-
-// kmWorkers derives the support-scan shard count from the total work on
-// offer, not from the transaction count alone: a scan shards when either
-// enough transactions (kmParallelMin per shard) or enough item
-// occurrences (kmParallelMinWork per shard — dense baskets make the
-// subset enumeration expensive even for few transactions) are available,
-// and is capped by GOMAXPROCS. The old derivation floored
-// len(txs)/kmParallelMin to 0–1 and silently serialized every dataset
-// under ~2*kmParallelMin transactions regardless of how much work each
-// transaction carried.
-func kmWorkers(txs [][]uint32) int {
-	workers := runtime.GOMAXPROCS(0)
-	if workers <= 1 {
-		return 1
-	}
-	work := 0
-	for _, tx := range txs {
-		work += len(tx)
-	}
-	shards := work / kmParallelMinWork
-	if byTx := len(txs) / kmParallelMin; byTx > shards {
-		shards = byTx
-	}
-	if shards < 2 {
-		return 1
-	}
-	if workers > shards {
-		workers = shards
-	}
-	return workers
-}
-
-// forEachSubsetIDs enumerates all size-k subsets of the ascending slice
-// items in lexicographic order.
-func forEachSubsetIDs(items []uint32, k int, fn func([]uint32)) {
-	n := len(items)
-	if k > n || k <= 0 {
-		return
-	}
-	idx := make([]int, k)
-	for i := range idx {
-		idx[i] = i
-	}
-	sub := make([]uint32, k)
-	for {
-		for i, j := range idx {
-			sub[i] = items[j]
-		}
-		fn(sub)
-		// Advance combination.
-		i := k - 1
-		for i >= 0 && idx[i] == n-k+i {
-			i--
-		}
-		if i < 0 {
-			return
-		}
-		idx[i]++
-		for j := i + 1; j < k; j++ {
-			idx[j] = idx[j-1] + 1
-		}
-	}
 }
 
 // IsKMAnonymous reports whether the transactions satisfy k^m-anonymity.
@@ -736,7 +367,7 @@ func CheckRTClasses(ds *dataset.Dataset, classes []Class, k, m int) RTReport {
 		vals, txs = internTransactions(items)
 	}
 	var classTx [][]uint32
-	var sc kmScratch
+	counter := KMCounter{numItems: len(vals)}
 	rep.MinClass = len(ds.Records)
 	for _, c := range classes {
 		if len(c.Records) < rep.MinClass {
@@ -752,10 +383,14 @@ func CheckRTClasses(ds *dataset.Dataset, classes []Class, k, m int) RTReport {
 					classTx = append(classTx, txs[r])
 				}
 			}
-			if v := firstKMViolation(vals, classTx, k, m, &sc); v != nil {
+			if ids, support := counter.first(classTx, k, m); ids != nil {
 				rep.BadClasses++
 				if rep.FirstKMFail == nil {
-					rep.FirstKMFail = v
+					items := make([]string, len(ids))
+					for i, id := range ids {
+						items[i] = vals[id]
+					}
+					rep.FirstKMFail = &Violation{Itemset: items, Support: int(support)}
 				}
 			}
 		}

@@ -9,6 +9,7 @@ import (
 	"secreta/internal/generalize"
 	"secreta/internal/hierarchy"
 	"secreta/internal/obs"
+	"secreta/internal/privacy"
 	"secreta/internal/timing"
 )
 
@@ -230,7 +231,9 @@ func (st *aprioriState) subtreeAllowed(id int32) bool {
 	return st.allowedPrefix[hi]-st.allowedPrefix[lo] == hi-lo
 }
 
-// cancelStride matches the privacy package's scan-poll cadence.
+// cancelStride is how many transactions a support scan processes between
+// context polls: the per-transaction subset enumeration is the expensive
+// part, so a small stride keeps cancellation prompt at no measurable cost.
 const cancelStride = 256
 
 // buildCounts scans every transaction once and counts its size-subsets —
@@ -261,14 +264,15 @@ func (st *aprioriState) buildCounts(ctx context.Context, size int) error {
 
 // count adds d (+1 or -1) to the support of every size-subset of tx.
 //
-// This mirrors internal/privacy's supportCounts.add, with two deliberate
-// differences that keep them separate implementations: counts here are
-// adjustable (removal must delete zeroed entries so violation scans stay
-// tight) and IDs are hierarchy node IDs (int32), not item ranks. Both
-// copies encode the same invariants — big-endian packing so byte order
-// equals ID order, lexicographic subset enumeration over ascending IDs —
-// and the equivalence tests in equiv_test.go / privacy's equiv_test.go
-// pin each against the seed behavior, so drift in either is caught.
+// This mirrors supportCounts.add, internal/privacy's scan-only itemset
+// counter, with two deliberate differences that keep them separate
+// implementations: counts here are adjustable (removal must delete zeroed
+// entries so violation scans stay tight) and IDs are hierarchy node IDs
+// (int32), not item ranks. Both encode the same invariants — big-endian
+// packing so byte order equals ID order, lexicographic subset enumeration
+// (privacy.ForEachSubset) over ascending IDs — and the equivalence tests
+// in equiv_test.go / privacy's equiv_test.go pin each against the seed
+// behavior, so drift in either is caught.
 func (st *aprioriState) count(tx []int32, d int32) {
 	if len(tx) < st.size {
 		return
@@ -292,7 +296,7 @@ func (st *aprioriState) count(tx []int32, d int32) {
 		}
 	default:
 		buf := st.buf
-		forEachSubset32(tx, st.size, func(sub []int32) {
+		privacy.ForEachSubset(tx, st.size, func(sub []int32) {
 			for i, id := range sub {
 				v := uint32(id)
 				buf[4*i] = byte(v >> 24)
@@ -455,37 +459,6 @@ func (st *aprioriState) repair(ctx context.Context, id int32) error {
 	}
 	st.postings[p] = affected
 	return nil
-}
-
-// forEachSubset32 enumerates all size-k subsets of the ascending slice in
-// lexicographic order.
-func forEachSubset32(items []int32, k int, fn func([]int32)) {
-	n := len(items)
-	if k > n || k <= 0 {
-		return
-	}
-	idx := make([]int, k)
-	for i := range idx {
-		idx[i] = i
-	}
-	sub := make([]int32, k)
-	for {
-		for i, j := range idx {
-			sub[i] = items[j]
-		}
-		fn(sub)
-		i := k - 1
-		for i >= 0 && idx[i] == n-k+i {
-			i--
-		}
-		if i < 0 {
-			return
-		}
-		idx[i]++
-		for j := i + 1; j < k; j++ {
-			idx[j] = idx[j-1] + 1
-		}
-	}
 }
 
 // ctxErr returns ctx's error, treating nil as never cancelled.

@@ -32,10 +32,7 @@ func referenceAprioriOnCut(ctx context.Context, ds *dataset.Dataset, idx []int, 
 			if err != nil {
 				return gens, err
 			}
-			viol, err := refFirstViolationOfSize(ctx, mapped, k, size)
-			if err != nil {
-				return gens, err
-			}
+			viol := refFirstViolationOfSize(mapped, k, size)
 			if viol == nil {
 				break
 			}
@@ -121,18 +118,13 @@ func refMappedTransactions(ds *dataset.Dataset, idx []int, cut *hierarchy.Cut, a
 	return out, nil
 }
 
-func refFirstViolationOfSize(ctx context.Context, transactions [][]string, k, size int) (*privacy.Violation, error) {
-	vs, err := privacy.KMViolationsCtx(ctx, transactions, k, size, 0)
-	if err != nil {
-		return nil, err
-	}
-	for _, v := range vs {
+func refFirstViolationOfSize(transactions [][]string, k, size int) *privacy.Violation {
+	for _, v := range privacy.KMViolations(transactions, k, size, 0) {
 		if len(v.Itemset) == size {
-			v := v
-			return &v, nil
+			return &v
 		}
 	}
-	return nil, nil
+	return nil
 }
 
 // runBoth drives the production and reference repair loops from the same

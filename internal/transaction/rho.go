@@ -7,6 +7,7 @@ import (
 
 	"secreta/internal/dataset"
 	"secreta/internal/generalize"
+	"secreta/internal/privacy"
 	"secreta/internal/timing"
 )
 
@@ -141,7 +142,7 @@ func rhoViolations(ds *dataset.Dataset, sensitive, suppressed map[string]bool, r
 				}
 				continue
 			}
-			forEachSubsetTr(pub, size, func(q []string) {
+			privacy.ForEachSubset(pub, size, func(q []string) {
 				key := strings.Join(q, "\x00")
 				supPub[key]++
 				for _, s := range sens {
@@ -192,36 +193,6 @@ func itemSupport(ds *dataset.Dataset, suppressed map[string]bool) map[string]int
 		}
 	}
 	return out
-}
-
-// forEachSubsetTr enumerates size-k subsets of a sorted slice.
-func forEachSubsetTr(items []string, k int, fn func([]string)) {
-	n := len(items)
-	if k > n || k <= 0 {
-		return
-	}
-	idx := make([]int, k)
-	for i := range idx {
-		idx[i] = i
-	}
-	sub := make([]string, k)
-	for {
-		for i, j := range idx {
-			sub[i] = items[j]
-		}
-		fn(sub)
-		i := k - 1
-		for i >= 0 && idx[i] == n-k+i {
-			i--
-		}
-		if i < 0 {
-			return
-		}
-		idx[i]++
-		for j := i + 1; j < k; j++ {
-			idx[j] = idx[j-1] + 1
-		}
-	}
 }
 
 // IsRhoUncertain verifies the rho-uncertainty guarantee on a dataset.
