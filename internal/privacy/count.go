@@ -119,7 +119,7 @@ func kmVacuous(k, m int) bool { return k <= 1 || m <= 0 }
 
 // belowK reports whether an itemset that occurs, with the given support,
 // violates k^m-anonymity at k.
-func belowK(support int32, k int) bool { return support < int32(k) }
+func belowK(support int32, k int) bool { return int(support) < k }
 
 // supportCounts is the scan-based itemset counter behind KMViolations,
 // FrequentItemsets, CheckRT and KMCounter: the supports of every
@@ -366,9 +366,9 @@ func kmWorkers(txs [][]uint32) int {
 	return workers
 }
 
-// ForEachSubset calls fn with every size-k subset of items in
-// lexicographic order of positions, so ascending items give ascending
-// subsets in lexicographic order. fn's slice is reused between calls.
+// ForEachSubset calls fn with every size-k subset of items, in
+// lexicographic order of their positions (for ascending items, in
+// lexicographic order). fn's slice is reused between calls.
 func ForEachSubset[T any](items []T, k int, fn func([]T)) {
 	n := len(items)
 	if k > n || k <= 0 {

@@ -233,7 +233,7 @@ func KMViolations(transactions [][]string, k, m, limit int) []Violation {
 // minSupport of the transactions (sorted, deduplicated item slices)
 // contain, smaller itemsets first and then in item order.
 func FrequentItemsets(transactions [][]string, minSupport, maxSize int) [][]string {
-	vs := supported(transactions, maxSize, 0, func(s int32) bool { return s >= int32(minSupport) })
+	vs := supported(transactions, maxSize, 0, func(s int32) bool { return int(s) >= minSupport })
 	out := make([][]string, len(vs))
 	for i, v := range vs {
 		out[i] = v.Itemset

@@ -2,6 +2,7 @@ package privacy
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -103,11 +104,15 @@ func TestKMViolations(t *testing.T) {
 	if !IsKMAnonymous([][]string{{"a"}, {"a"}}, 2, 2) {
 		t.Error("2-anonymous singleton transactions rejected")
 	}
+	// A k beyond int32 must not wrap (math.MaxInt as int32 is -1).
+	if IsKMAnonymous([][]string{{"a"}, {"a"}}, math.MaxInt, 1) {
+		t.Error("huge k accepted two transactions")
+	}
 }
 
 func TestForEachSubset(t *testing.T) {
 	var got [][]string
-	refForEachSubset([]string{"a", "b", "c"}, 2, func(s []string) {
+	ForEachSubset([]string{"a", "b", "c"}, 2, func(s []string) {
 		got = append(got, append([]string(nil), s...))
 	})
 	want := [][]string{{"a", "b"}, {"a", "c"}, {"b", "c"}}
@@ -115,11 +120,11 @@ func TestForEachSubset(t *testing.T) {
 		t.Errorf("subsets = %v", got)
 	}
 	count := 0
-	refForEachSubset([]string{"a"}, 2, func([]string) { count++ })
+	ForEachSubset([]string{"a"}, 2, func([]string) { count++ })
 	if count != 0 {
 		t.Error("oversize subset enumerated")
 	}
-	refForEachSubset([]string{"a", "b"}, 0, func([]string) { count++ })
+	ForEachSubset([]string{"a", "b"}, 0, func([]string) { count++ })
 	if count != 0 {
 		t.Error("zero-size subset enumerated")
 	}
@@ -145,7 +150,7 @@ func TestForEachSubsetCounts(t *testing.T) {
 		for k := 1; k <= n; k++ {
 			count := 0
 			seen := make(map[string]bool)
-			refForEachSubset(items, k, func(s []string) {
+			ForEachSubset(items, k, func(s []string) {
 				count++
 				key := fmt.Sprint(s)
 				if seen[key] {
