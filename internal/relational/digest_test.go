@@ -1,0 +1,89 @@
+package relational
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"hash"
+	"testing"
+
+	"secreta/internal/dataset"
+	"secreta/internal/gen"
+)
+
+// outputDigest is the SHA-256 of every BottomUp, TopDown and Incognito
+// output over digestGrid, recorded before the algorithms moved their
+// class counting onto the interned QI view. A change that alters any
+// published record, Levels or NodesChecked value — or an error — changes
+// the digest.
+const outputDigest = "8cd9746f7272b329899564d89d0b3a0c27892d086db4cb55e22c55f79eb2fd8c"
+
+// digestGrid runs fn once per grid point: generated census data at three
+// sizes and three seeds, hierarchy fanouts 2 and 4, k 2/5/10, three QI
+// selections, Incognito's suppression budget off and on, and the shared
+// interning off and on. The 1,000-record size runs one seed and all QIs
+// only, which keeps the test to a few seconds.
+func digestGrid(t *testing.T, fn func(name string, ds *dataset.Dataset, opts Options)) {
+	t.Helper()
+	qiSets := [][]string{nil, {"Age", "Zip"}, {"Gender", "Education", "Marital"}}
+	for _, size := range []struct {
+		records int
+		seeds   []int64
+		qiSets  [][]string
+	}{
+		{20, []int64{1, 2, 3}, qiSets},
+		{150, []int64{1, 2, 3}, qiSets},
+		{1000, []int64{1}, qiSets[:1]},
+	} {
+		for _, seed := range size.seeds {
+			ds := gen.Census(gen.Config{Records: size.records, Items: 0, Seed: seed})
+			shared := dataset.Intern(ds)
+			for _, fanout := range []int{2, 4} {
+				hs, err := gen.Hierarchies(ds, fanout)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, qis := range size.qiSets {
+					for _, k := range []int{2, 5, 10} {
+						for _, supp := range []float64{0, 0.05} {
+							for _, ix := range []*dataset.Indexed{nil, shared} {
+								name := fmt.Sprintf("n%d/seed%d/f%d/qis%v/k%d/supp%v/shared%v",
+									size.records, seed, fanout, qis, k, supp, ix != nil)
+								fn(name, ds, Options{K: k, QIs: qis, Hierarchies: hs, MaxSuppression: supp, Interned: ix})
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// writeOutput feeds one run's observable result into h.
+func writeOutput(h hash.Hash, name string, res *Result, err error) {
+	fmt.Fprintf(h, "%s\n", name)
+	if err != nil {
+		fmt.Fprintf(h, "error %v\n", err)
+		return
+	}
+	for _, rec := range res.Anonymized.Records {
+		fmt.Fprintf(h, "%q\n", rec.Values)
+	}
+	fmt.Fprintf(h, "levels %v nodes %d\n", res.Levels, res.NodesChecked)
+}
+
+// TestOutputDigest requires BottomUp, TopDown and Incognito to publish
+// exactly the outputs they published before their class counting moved
+// onto the interned QI view.
+func TestOutputDigest(t *testing.T) {
+	h := sha256.New()
+	digestGrid(t, func(name string, ds *dataset.Dataset, opts Options) {
+		for _, a := range []algo{{"BottomUp", BottomUp}, {"TopDown", TopDown}, {"Incognito", Incognito}} {
+			res, err := a.run(ds, opts)
+			writeOutput(h, a.name+"/"+name, res, err)
+		}
+	})
+	if got := hex.EncodeToString(h.Sum(nil)); got != outputDigest {
+		t.Errorf("output digest %s, want %s", got, outputDigest)
+	}
+}
