@@ -320,9 +320,9 @@ func Evaluate(orig, anon *dataset.Dataset, cfg Config) (Indicators, error) {
 		ind.Discernibility = metrics.DiscernibilityClasses(len(anon.Records), classes)
 		ind.CAVG = metrics.CAVGClasses(classes, cfg.K)
 		ind.SuppressionRatio = metrics.SuppressionRatio(anon, qis)
-		ind.MinClassSize = minClassLen(anon, classes)
+		ind.MinClassSize = privacy.MinClassLen(classes)
 		ind.Classes = len(classes)
-		ind.KAnonymous = classesKAnonymous(classes, cfg.K)
+		ind.KAnonymous = privacy.ClassesKAnonymous(classes, cfg.K)
 	}
 	if transSide {
 		if cfg.ItemHierarchy != nil {
@@ -347,35 +347,6 @@ func Evaluate(orig, anon *dataset.Dataset, cfg Config) (Indicators, error) {
 		ind.ARE = are
 	}
 	return ind, nil
-}
-
-// minClassLen mirrors privacy.MinClassSize over a precomputed partition:
-// the smallest class size, 0 when no unsuppressed records exist.
-func minClassLen(ds *dataset.Dataset, classes []privacy.Class) int {
-	if len(classes) == 0 {
-		return 0
-	}
-	min := len(ds.Records)
-	for _, c := range classes {
-		if len(c.Records) < min {
-			min = len(c.Records)
-		}
-	}
-	return min
-}
-
-// classesKAnonymous mirrors privacy.IsKAnonymous over a precomputed
-// partition.
-func classesKAnonymous(classes []privacy.Class, k int) bool {
-	if k <= 1 {
-		return true
-	}
-	for _, c := range classes {
-		if len(c.Records) < k {
-			return false
-		}
-	}
-	return true
 }
 
 // RunAll executes many configurations over the dataset using `workers`

@@ -4,17 +4,20 @@
 // (Terrovitis et al.), and their combination (k,k^m)-anonymity for
 // RT-datasets (Poulis et al.).
 //
-// The hot paths run on the interned columnar core: Partition keys
-// equivalence classes by packed big-endian uint32 signature tuples over
-// rank-interned columns (so byte order equals value order), and the k^m
-// support scan counts itemsets of dense item IDs — a counts array for
+// The hot paths run on the interned columnar core: one class counter
+// numbers equivalence classes by mixed-radix packed ID tuples — behind
+// Partition, over rank-interned columns, and behind ClassSizes, which the
+// relational algorithms' k-checks call over hierarchy node IDs — and the
+// k^m support scan counts itemsets of dense item IDs — a counts array for
 // single items, a uint64-keyed map for pairs, packed byte keys beyond —
 // sharded across a bounded worker pool and merged additively, which keeps
 // the output deterministic for any worker count.
 package privacy
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -31,134 +34,153 @@ type Class struct {
 
 // Partition groups records by their QI signature, skipping suppressed
 // records, and returns classes sorted by signature for determinism. The
-// columns are rank-interned once and the signature key is packed from the
-// per-column value ranks — a single mixed-radix uint64 when the
-// cardinality product fits (the overwhelmingly common case on the
-// generalized candidates the algorithms partition in their loops), a
-// big-endian byte tuple otherwise. Either way grouping allocates per
-// class, not per record, and key order equals signature order.
+// columns are rank-interned once and numberClasses groups the records by
+// their rank tuples, so grouping allocates per class, not per record;
+// rank order is value order, so the counter's key order is signature
+// order.
 func Partition(ds *dataset.Dataset, qis []int) []Class {
-	n := len(ds.Records)
-	if len(qis) == 0 {
-		// No signature columns: nothing is suppressed and every record
-		// shares the empty signature.
-		if n == 0 {
-			return []Class{}
-		}
-		recs := make([]int, n)
-		for i := range recs {
-			recs[i] = i
-		}
-		return []Class{{Signature: []string{}, Records: recs}}
+	var cols [][]uint32
+	var dicts []*dataset.Interner
+	if len(qis) > 0 {
+		cols, dicts = dataset.InternColumns(ds, qis)
 	}
-	cols, dicts := dataset.InternColumns(ds, qis)
 	// Suppression becomes an ID comparison: a record is suppressed when
-	// every QI cell carries the marker's rank. If any column never holds
-	// the marker, no record is suppressed.
-	supIDs := make([]uint32, len(qis))
-	haveSup := true
+	// every QI cell carries the marker's rank. With no QIs, or when any
+	// column never holds the marker, no record is suppressed.
+	cards := make([]int, len(dicts))
+	supIDs := make([]uint32, len(dicts))
+	var skip func(r int) bool
+	haveSup := len(dicts) > 0
 	for i, d := range dicts {
+		cards[i] = d.Len()
 		id, ok := d.ID(generalize.Suppressed)
-		if !ok {
-			haveSup = false
-			break
-		}
-		supIDs[i] = id
+		supIDs[i], haveSup = id, haveSup && ok
 	}
-	suppressed := func(r int) bool {
-		if !haveSup {
-			return false
-		}
-		for i := range cols {
-			if cols[i][r] != supIDs[i] {
-				return false
+	if haveSup {
+		skip = func(r int) bool {
+			for i := range cols {
+				if cols[i][r] != supIDs[i] {
+					return false
+				}
 			}
+			return true
 		}
-		return true
 	}
-	// Mixed-radix packing: key = ((id0*card1)+id1)*card2 + ... preserves
-	// tuple order, and tuple order over ranks is signature order.
-	radix := uint64(1)
-	packable := true
-	for _, d := range dicts {
-		card := uint64(d.Len())
-		if card == 0 {
-			card = 1
+	var recs [][]int
+	var reps []int
+	order := numberClasses(len(ds.Records), cols, nil, cards, skip, func(r, c int) {
+		if c == len(recs) {
+			recs, reps = append(recs, nil), append(reps, r)
 		}
-		if radix > (1<<63)/card {
+		recs[c] = append(recs[c], r)
+	}).order()
+	out := make([]Class, len(order))
+	for oc, c := range order {
+		sig := make([]string, len(qis))
+		for i := range sig {
+			sig[i] = dicts[i].Value(cols[i][reps[c]])
+		}
+		out[oc] = Class{Signature: sig, Records: recs[c]}
+	}
+	return out
+}
+
+// ClassSizes returns the sizes of the equivalence classes of n records in
+// first-seen order, where record r's signature on column i is cols[i][r]
+// read through the translation table trans[i] (trans nil: the column IDs
+// themselves), an ID below cards[i].
+func ClassSizes(n int, cols, trans [][]uint32, cards []int) []int {
+	var sizes []int
+	numberClasses(n, cols, trans, cards, nil, func(_, c int) {
+		if c == len(sizes) {
+			sizes = append(sizes, 0)
+		}
+		sizes[c]++
+	})
+	return sizes
+}
+
+// numberClasses is the one equivalence-class counter behind Partition,
+// ClassSizes and every relational k-check. It reports each record r in
+// 0..n-1 that skip (nil: none) does not exclude to class, with the number
+// of r's class; classes are numbered 0, 1, ... in first-seen order.
+// Record r's signature is the tuple over columns i of cols[i][r], read
+// through trans[i] when trans is non-nil, each ID below cards[i]. The
+// tuple packs mixed-radix into a uint64 key, ((id0*card1)+id1)*card2 +
+// ..., when the cardinality product fits, and into a big-endian byte
+// string otherwise; either way the per-record path allocates nothing,
+// and key order is tuple order.
+func numberClasses(n int, cols, trans [][]uint32, cards []int, skip func(r int) bool, class func(r, c int)) classIndex {
+	radix, packable := uint64(1), true
+	for _, card := range cards {
+		c := uint64(max(card, 1))
+		if radix > (1<<63)/c {
 			packable = false
 			break
 		}
-		radix *= card
+		radix *= c
 	}
-	var reps, order []int
-	var recs [][]int
-	if packable {
-		cards := make([]uint64, len(dicts))
-		for i, d := range dicts {
-			cards[i] = uint64(d.Len())
-		}
-		index := make(map[uint64]int)
-		var keys []uint64
-		for r := 0; r < n; r++ {
-			if suppressed(r) {
-				continue
-			}
-			key := uint64(0)
-			for i := range cols {
-				key = key*cards[i] + uint64(cols[i][r])
-			}
-			gi, ok := index[key]
-			if !ok {
-				gi = len(recs)
-				index[key] = gi
-				keys = append(keys, key)
-				recs = append(recs, nil)
-				reps = append(reps, r)
-			}
-			recs[gi] = append(recs[gi], r)
-		}
-		order = make([]int, len(keys))
-		for i := range order {
-			order[i] = i
-		}
-		sort.Slice(order, func(a, b int) bool { return keys[order[a]] < keys[order[b]] })
-	} else {
-		index := make(map[string]int)
-		var keys []string
-		buf := make([]byte, 4*len(qis))
-		for r := 0; r < n; r++ {
-			if suppressed(r) {
-				continue
-			}
-			for i := range cols {
-				putID(buf[4*i:], cols[i][r])
-			}
-			gi, ok := index[string(buf)]
-			if !ok {
-				gi = len(recs)
-				index[string(buf)] = gi
-				keys = append(keys, string(buf))
-				recs = append(recs, nil)
-				reps = append(reps, r)
-			}
-			recs[gi] = append(recs[gi], r)
-		}
-		order = make([]int, len(keys))
-		for i := range order {
-			order[i] = i
-		}
-		sort.Slice(order, func(a, b int) bool { return keys[order[a]] < keys[order[b]] })
+	x := classIndex{packed: make(map[uint64]int)}
+	var buf []byte
+	if !packable {
+		x.wide, buf = make(map[string]int), make([]byte, 4*len(cols))
 	}
-	out := make([]Class, len(order))
-	for oi, gi := range order {
-		sig := make([]string, len(qis))
-		for i := range sig {
-			sig[i] = dicts[i].Value(cols[i][reps[gi]])
+	for r := 0; r < n; r++ {
+		if skip != nil && skip(r) {
+			continue
 		}
-		out[oi] = Class{Signature: sig, Records: recs[gi]}
+		key := uint64(0)
+		for i, col := range cols {
+			id := col[r]
+			if trans != nil {
+				id = trans[i][id]
+			}
+			if packable {
+				key = key*uint64(cards[i]) + uint64(id)
+			} else {
+				putID(buf[4*i:], id)
+			}
+		}
+		var c int
+		var ok bool
+		if packable {
+			if c, ok = x.packed[key]; !ok {
+				c = len(x.packed)
+				x.packed[key] = c
+			}
+		} else if c, ok = x.wide[string(buf)]; !ok {
+			c = len(x.wide)
+			x.wide[string(buf)] = c
+		}
+		class(r, c)
 	}
-	return out
+	return x
+}
+
+// classIndex maps numberClasses' signature keys to class numbers: packed
+// keys, or byte-string keys when the tuples do not pack (wide non-nil).
+type classIndex struct {
+	packed map[uint64]int
+	wide   map[string]int
+}
+
+// order returns the class numbers sorted by signature tuple.
+func (x classIndex) order() []int {
+	if x.wide != nil {
+		return keyOrder(x.wide)
+	}
+	return keyOrder(x.packed)
+}
+
+// keyOrder returns index's values sorted by their keys.
+func keyOrder[K cmp.Ordered](index map[K]int) []int {
+	keys := make([]K, len(index))
+	order := make([]int, len(index))
+	for key, c := range index {
+		keys[c], order[c] = key, c
+	}
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(keys[a], keys[b]) })
+	return order
 }
 
 // putID writes a big-endian uint32 (big-endian so byte comparison of
@@ -177,27 +199,30 @@ func getID(s string) uint32 {
 
 // MinClassSize returns the size of the smallest equivalence class, or 0
 // when no unsuppressed records exist.
-func MinClassSize(ds *dataset.Dataset, qis []int) int {
-	classes := Partition(ds, qis)
-	if len(classes) == 0 {
-		return 0
-	}
-	min := len(ds.Records)
-	for _, c := range classes {
-		if len(c.Records) < min {
+func MinClassSize(ds *dataset.Dataset, qis []int) int { return MinClassLen(Partition(ds, qis)) }
+
+// IsKAnonymous reports whether every equivalence class (suppressed records
+// excluded) has at least k members.
+func IsKAnonymous(ds *dataset.Dataset, qis []int, k int) bool {
+	return k <= 1 || ClassesKAnonymous(Partition(ds, qis), k)
+}
+
+// MinClassLen returns the size of the smallest of the classes, 0 when
+// there are none.
+func MinClassLen(classes []Class) int {
+	min := 0
+	for i, c := range classes {
+		if i == 0 || len(c.Records) < min {
 			min = len(c.Records)
 		}
 	}
 	return min
 }
 
-// IsKAnonymous reports whether every equivalence class (suppressed records
-// excluded) has at least k members.
-func IsKAnonymous(ds *dataset.Dataset, qis []int, k int) bool {
-	if k <= 1 {
-		return true
-	}
-	for _, c := range Partition(ds, qis) {
+// ClassesKAnonymous reports whether every one of the classes has at least
+// k members.
+func ClassesKAnonymous(classes []Class, k int) bool {
+	for _, c := range classes {
 		if len(c.Records) < k {
 			return false
 		}

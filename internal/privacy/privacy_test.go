@@ -273,3 +273,46 @@ func TestKMViolationsProperty(t *testing.T) {
 		}
 	}
 }
+
+// TestNumberClassesWideKeys forces the byte-string fallback with
+// cardinalities whose product overflows a uint64 and requires the same
+// classes, numbered alike, as the packed keys — and an order that sorts
+// the classes by signature tuple.
+func TestNumberClassesWideKeys(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	const n = 500
+	cols := make([][]uint32, 3)
+	for i := range cols {
+		cols[i] = make([]uint32, n)
+		for r := range cols[i] {
+			cols[i][r] = uint32(rng.Intn(4))
+		}
+	}
+	// Column 1 reads through a table that merges two of its IDs.
+	trans := [][]uint32{{0, 1, 2, 3}, {0, 0, 2, 3}, {0, 1, 2, 3}}
+	packed := ClassSizes(n, cols, trans, []int{4, 4, 4})
+	wide := []int{1 << 31, 1 << 31, 1 << 31}
+	if got := ClassSizes(n, cols, trans, wide); !reflect.DeepEqual(got, packed) {
+		t.Fatalf("wide keys gave class sizes %v, packed %v", got, packed)
+	}
+	tuple := func(r int) [3]uint32 {
+		return [3]uint32{trans[0][cols[0][r]], trans[1][cols[1][r]], trans[2][cols[2][r]]}
+	}
+	var reps [][3]uint32
+	order := numberClasses(n, cols, trans, wide, nil, func(r, c int) {
+		if c == len(reps) {
+			reps = append(reps, tuple(r))
+		} else if reps[c] != tuple(r) {
+			t.Fatalf("record %d joins class %d of %v with %v", r, c, reps[c], tuple(r))
+		}
+	}).order()
+	if len(order) != len(packed) {
+		t.Fatalf("order lists %d classes, want %d", len(order), len(packed))
+	}
+	for i := 1; i < len(order); i++ {
+		a, b := reps[order[i-1]], reps[order[i]]
+		if fmt.Sprint(a) >= fmt.Sprint(b) {
+			t.Fatalf("order puts %v before %v", a, b)
+		}
+	}
+}

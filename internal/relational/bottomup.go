@@ -17,10 +17,11 @@ import (
 // generalizing rare, low-impact values first.
 func BottomUp(ds *dataset.Dataset, opts Options) (*Result, error) {
 	sw := timing.Start()
-	qis, hh, err := opts.validate(ds)
+	view, err := opts.validate(ds)
 	if err != nil {
 		return nil, err
 	}
+	qis, hh := view.qis, view.hh
 	n := len(ds.Records)
 	if n > 0 && n < opts.K {
 		return nil, fmt.Errorf("bottomup: dataset has %d records, fewer than k=%d", n, opts.K)
@@ -39,7 +40,7 @@ func BottomUp(ds *dataset.Dataset, opts Options) (*Result, error) {
 	}
 	sw.Mark("setup")
 
-	for minClassSize(n, cutProjector(ds, qis, cuts)) < opts.K {
+	for minClassSize(view.cutSizes(cuts)) < opts.K {
 		if err := opts.interrupted(); err != nil {
 			return nil, err
 		}

@@ -49,17 +49,17 @@ func sameSizes(t *testing.T, got, want []int, what string) {
 	}
 }
 
-// checkClassSizes compares the class sizes the algorithms count with the
+// checkClassSizes compares the class sizes the QI view counts with the
 // reference projectors' on rounds random QI subsets, each under a random
 // level vector (levels past the hierarchy height included) and a random
 // cut.
 func checkClassSizes(t *testing.T, ds *dataset.Dataset, opts Options, rng *rand.Rand, rounds int) {
 	t.Helper()
-	qis, hh, err := opts.validate(ds)
+	view, err := opts.validate(ds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := ds.Len()
+	qis, hh, n := view.qis, view.hh, ds.Len()
 	for round := 0; round < rounds; round++ {
 		var sub []int
 		for len(sub) == 0 {
@@ -78,14 +78,11 @@ func checkClassSizes(t *testing.T, ds *dataset.Dataset, opts Options, rng *rand.
 			levels[i] = rng.Intn(hh[a].Height() + 2)
 			cuts[i] = randomCut(t, rng, hh[a])
 		}
-		proj, err := levelProjector(ds, subQIs, subHH, levels)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameSizes(t, classCounts(n, proj),
+		subView := view.sub(sub)
+		sameSizes(t, subView.levelSizes(levels),
 			refClassCounts(n, refLevelProjector(ds, subQIs, subHH, levels)),
 			fmt.Sprintf("levels %v over QIs %v", levels, sub))
-		sameSizes(t, classCounts(n, cutProjector(ds, subQIs, cuts)),
+		sameSizes(t, subView.cutSizes(cuts),
 			refClassCounts(n, refCutProjector(ds, subQIs, cuts)),
 			fmt.Sprintf("cuts over QIs %v", sub))
 	}

@@ -18,17 +18,18 @@ import (
 // which typically preserves far more utility than full-domain schemes.
 func Cluster(ds *dataset.Dataset, opts Options) (*Result, error) {
 	sw := timing.Start()
-	qis, hh, err := opts.validate(ds)
+	view, err := opts.validate(ds)
 	if err != nil {
 		return nil, err
 	}
+	qis := view.qis
 	n := len(ds.Records)
 	if n > 0 && n < opts.K {
 		return nil, fmt.Errorf("cluster: dataset has %d records, fewer than k=%d", n, opts.K)
 	}
 	sw.Mark("setup")
 
-	clusters, err := buildClusters(ds, qis, hh, opts)
+	clusters, err := buildClusters(view, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -96,52 +97,34 @@ func (t *absorbTables) costOfAdding(cl *clusterState, row []uint32, lca []*hiera
 	return delta
 }
 
-// clusterSlots interns the QI columns to dense IDs — reusing the batch's
-// shared interning when it matches ds — and lays them out row-major as
-// absorbTables slots, so the scan reads one record's slots contiguously.
-func clusterSlots(ds *dataset.Dataset, qis []int, hh []*hierarchy.Hierarchy, opts Options) ([]uint32, *absorbTables, error) {
-	var cols [][]uint32
-	var dicts []*dataset.Interner
-	if ix := opts.interned(ds); ix != nil {
-		cols, dicts = make([][]uint32, len(qis)), make([]*dataset.Interner, len(qis))
-		for i, q := range qis {
-			cols[i], dicts[i] = ix.Cols[q], ix.Dicts[q]
-		}
-	} else {
-		cols, dicts = dataset.InternColumns(ds, qis)
-	}
-	t := &absorbTables{hh: hh, off: make([]int, len(qis)+1)}
-	for i, d := range dicts {
-		t.off[i+1] = t.off[i] + d.Len()
-		for _, v := range d.Values() {
-			node := hh[i].Node(v)
-			if node == nil {
-				return nil, nil, fmt.Errorf("cluster: hierarchy %q misses value %q", ds.Attrs[qis[i]].Name, v)
-			}
-			t.nodes = append(t.nodes, node)
+// clusterSlots lays the view's QI columns out row-major as absorbTables
+// slots, so the scan reads one record's slots contiguously.
+func clusterSlots(v *qiView) ([]uint32, *absorbTables) {
+	t := &absorbTables{hh: v.hh, off: make([]int, len(v.qis)+1)}
+	for i, nodes := range v.nodes {
+		t.off[i+1] = t.off[i] + len(nodes)
+		ix := v.hh[i].Index()
+		for _, node := range nodes {
+			t.nodes = append(t.nodes, ix.Node(node))
 		}
 	}
 	t.lca = make([]*hierarchy.Node, len(t.nodes))
 	t.cost = make([]float64, len(t.nodes))
-	nq := len(qis)
-	rows := make([]uint32, len(ds.Records)*nq)
-	for i, col := range cols {
+	nq := len(v.qis)
+	rows := make([]uint32, v.n*nq)
+	for i, col := range v.cols {
 		base := uint32(t.off[i])
 		for r, id := range col {
 			rows[r*nq+i] = base + id
 		}
 	}
-	return rows, t, nil
+	return rows, t
 }
 
-func buildClusters(ds *dataset.Dataset, qis []int, hh []*hierarchy.Hierarchy, opts Options) ([]*clusterState, error) {
+func buildClusters(v *qiView, opts Options) ([]*clusterState, error) {
 	k := opts.K
-	n := len(ds.Records)
-	nq := len(qis)
-	rows, t, err := clusterSlots(ds, qis, hh, opts)
-	if err != nil {
-		return nil, err
-	}
+	n, nq := v.n, len(v.qis)
+	rows, t := clusterSlots(v)
 	row := func(r int) []uint32 { return rows[r*nq : r*nq+nq] }
 	newCluster := func(seed int) *clusterState {
 		cl := &clusterState{members: []int{seed}, lca: make([]*hierarchy.Node, nq)}

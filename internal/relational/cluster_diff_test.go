@@ -35,26 +35,24 @@ func sameClusters(t *testing.T, got, want []*clusterState) {
 // clusters from all three.
 func checkClusterMatchesReference(t *testing.T, ds *dataset.Dataset, opts Options) {
 	t.Helper()
-	qis, hh, err := opts.validate(ds)
-	if err != nil {
-		t.Fatal(err)
+	var want []*clusterState
+	for _, ix := range []*dataset.Indexed{nil, dataset.Intern(ds)} {
+		opts.Interned = ix
+		view, err := opts.validate(ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			if want, err = refBuildClusters(ds, view.qis, view.hh, opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, err := buildClusters(view, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameClusters(t, got, want)
 	}
-	want, err := refBuildClusters(ds, qis, hh, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.Interned = nil
-	got, err := buildClusters(ds, qis, hh, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameClusters(t, got, want)
-	opts.Interned = dataset.Intern(ds)
-	got, err = buildClusters(ds, qis, hh, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameClusters(t, got, want)
 }
 
 // TestClusterMatchesReference pins the table-driven absorption scan to the

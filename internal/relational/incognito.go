@@ -6,7 +6,6 @@ import (
 
 	"secreta/internal/dataset"
 	"secreta/internal/generalize"
-	"secreta/internal/hierarchy"
 	"secreta/internal/lattice"
 	"secreta/internal/metrics"
 	"secreta/internal/privacy"
@@ -34,12 +33,13 @@ func metricsGCP(ds *dataset.Dataset, hs generalize.Set, qis []int) (float64, err
 // with the lowest GCP.
 func Incognito(ds *dataset.Dataset, opts Options) (*Result, error) {
 	sw := timing.Start()
-	qis, hh, err := opts.validate(ds)
+	view, err := opts.validate(ds)
 	if err != nil {
 		return nil, err
 	}
+	qis := view.qis
 	heights := make([]int, len(qis))
-	for i, h := range hh {
+	for i, h := range view.hh {
 		heights[i] = h.Height()
 	}
 	sw.Mark("setup")
@@ -55,13 +55,10 @@ func Incognito(ds *dataset.Dataset, opts Options) (*Result, error) {
 	for _, sub := range subsets {
 		subKey := subsetKey(sub)
 		anon[subKey] = make(map[string]bool)
+		subView := view.sub(sub)
 		subHeights := make([]int, len(sub))
-		subQIs := make([]int, len(sub))
-		subHH := make([]*hierarchy.Hierarchy, len(sub))
 		for i, a := range sub {
 			subHeights[i] = heights[a]
-			subQIs[i] = qis[a]
-			subHH[i] = hh[a]
 		}
 		lat, err := lattice.New(subHeights)
 		if err != nil {
@@ -84,12 +81,8 @@ func Incognito(ds *dataset.Dataset, opts Options) (*Result, error) {
 			if !subsetProjectionsAnonymous(anon, sub, node) {
 				return true
 			}
-			proj, err := levelProjector(ds, subQIs, subHH, node)
-			if err != nil {
-				return true
-			}
 			checked++
-			if suppressionNeeded(n, opts.K, proj) <= budget {
+			if suppressionNeeded(subView.levelSizes(node), opts.K) <= budget {
 				anon[subKey][key] = true
 			}
 			return true

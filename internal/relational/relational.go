@@ -13,6 +13,7 @@ import (
 	"secreta/internal/dataset"
 	"secreta/internal/generalize"
 	"secreta/internal/hierarchy"
+	"secreta/internal/privacy"
 	"secreta/internal/timing"
 )
 
@@ -37,9 +38,10 @@ type Options struct {
 	// plain k-anonymity. Other algorithms currently ignore it.
 	MaxSuppression float64
 	// Interned, when non-nil, is the columnar interning of the input
-	// dataset (dataset.Intern(ds)). Validation reads per-column domains
-	// from its dictionaries instead of re-scanning every record, and batch
-	// callers share one interning across all configurations of a batch.
+	// dataset (dataset.Intern(ds)). Validation reads the QI columns and
+	// their dictionaries from it instead of interning them again, and
+	// batch callers share one interning across all configurations of a
+	// batch.
 	Interned *dataset.Indexed
 }
 
@@ -60,48 +62,111 @@ type Result struct {
 	NodesChecked int
 }
 
-func (o *Options) validate(ds *dataset.Dataset) ([]int, []*hierarchy.Hierarchy, error) {
+// qiView is one run's quasi-identifiers on the interned core: the QI
+// columns as dictionary IDs, with every dictionary value resolved to its
+// hierarchy.Index node. BottomUp, TopDown and Incognito count every
+// k-check's classes through it; Cluster reads its absorption slots from it.
+type qiView struct {
+	qis []int                  // QI attribute indices
+	hh  []*hierarchy.Hierarchy // hierarchy per QI
+	n   int                    // number of records
+	// cols[i][r] is the dictionary ID of record r's value of QI i, and
+	// nodes[i][id] the hierarchy.Index node of that dictionary value.
+	cols  [][]uint32
+	nodes [][]int32
+}
+
+// validate checks the options against ds and builds the run's QI view,
+// reading the shared interning when it describes ds and interning the QI
+// columns once otherwise.
+func (o *Options) validate(ds *dataset.Dataset) (*qiView, error) {
 	if o.K < 1 {
-		return nil, nil, fmt.Errorf("relational: k must be >= 1, got %d", o.K)
+		return nil, fmt.Errorf("relational: k must be >= 1, got %d", o.K)
 	}
 	if o.MaxSuppression < 0 || o.MaxSuppression >= 1 {
-		return nil, nil, fmt.Errorf("relational: max suppression must be in [0,1), got %v", o.MaxSuppression)
+		return nil, fmt.Errorf("relational: max suppression must be in [0,1), got %v", o.MaxSuppression)
 	}
 	qis, err := ds.QIIndices(o.QIs)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if len(qis) == 0 {
-		return nil, nil, fmt.Errorf("relational: no quasi-identifier attributes")
+		return nil, fmt.Errorf("relational: no quasi-identifier attributes")
 	}
 	hh, err := o.Hierarchies.ForQIs(ds, qis)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	// Every data value must be known to its hierarchy. With a shared
-	// interning the per-column domain is already materialized in the
-	// dictionaries; otherwise Domain scans the records.
-	domain := ds.Domain
-	if ix := o.interned(ds); ix != nil {
-		domain = func(q int) []string { return ix.Dicts[q].Values() }
+	v := &qiView{qis: qis, hh: hh, n: len(ds.Records), nodes: make([][]int32, len(qis))}
+	var dicts []*dataset.Interner
+	// A stale or foreign interning must not be read as ds's.
+	if ix := o.Interned; ix != nil && ix.N == len(ds.Records) && len(ix.Dicts) == len(ds.Attrs) {
+		v.cols, dicts = make([][]uint32, len(qis)), make([]*dataset.Interner, len(qis))
+		for i, q := range qis {
+			v.cols[i], dicts[i] = ix.Cols[q], ix.Dicts[q]
+		}
+	} else {
+		v.cols, dicts = dataset.InternColumns(ds, qis)
 	}
-	for i, q := range qis {
-		for _, v := range domain(q) {
-			if !hh[i].Contains(v) {
-				return nil, nil, fmt.Errorf("relational: hierarchy %q misses value %q", ds.Attrs[q].Name, v)
+	// Every data value must be known to its hierarchy.
+	for i, d := range dicts {
+		hix := hh[i].Index()
+		v.nodes[i] = make([]int32, d.Len())
+		for id, val := range d.Values() {
+			node, ok := hix.ID(val)
+			if !ok {
+				return nil, fmt.Errorf("relational: hierarchy %q misses value %q", ds.Attrs[qis[i]].Name, val)
 			}
+			v.nodes[i][id] = node
 		}
 	}
-	return qis, hh, nil
+	return v, nil
 }
 
-// interned returns the shared interning when it describes ds, nil
-// otherwise (a stale or foreign interning must not be read as ds's).
-func (o *Options) interned(ds *dataset.Dataset) *dataset.Indexed {
-	if ix := o.Interned; ix != nil && ix.N == len(ds.Records) && len(ix.Dicts) == len(ds.Attrs) {
-		return ix
+// sub returns the view of the QIs at the given positions.
+func (v *qiView) sub(pos []int) *qiView {
+	s := &qiView{n: v.n}
+	for _, p := range pos {
+		s.qis = append(s.qis, v.qis[p])
+		s.hh = append(s.hh, v.hh[p])
+		s.cols = append(s.cols, v.cols[p])
+		s.nodes = append(s.nodes, v.nodes[p])
 	}
-	return nil
+	return s
+}
+
+// classSizes counts the equivalence classes when QI i publishes each
+// value's node as publish(i, node). The counter reads the columns through
+// one node translation table per QI, so a check allocates per distinct
+// value, not per record.
+func (v *qiView) classSizes(publish func(i int, node int32) int32) []int {
+	trans := make([][]uint32, len(v.nodes))
+	cards := make([]int, len(v.nodes))
+	for i, nodes := range v.nodes {
+		trans[i] = make([]uint32, len(nodes))
+		for id, node := range nodes {
+			trans[i][id] = uint32(publish(i, node))
+		}
+		cards[i] = v.hh[i].Index().Len()
+	}
+	return privacy.ClassSizes(v.n, v.cols, trans, cards)
+}
+
+// cutSizes counts the classes when every QI is published through its cut.
+func (v *qiView) cutSizes(cuts []*hierarchy.Cut) []int {
+	ic := make([]*hierarchy.IndexedCut, len(cuts))
+	for i, c := range cuts {
+		ic[i] = hierarchy.NewIndexedCut(v.hh[i].Index(), c)
+	}
+	return v.classSizes(func(i int, node int32) int32 { return ic[i].Map(node) })
+}
+
+// levelSizes counts the classes when QI i is generalized levels[i] steps
+// up its hierarchy.
+func (v *qiView) levelSizes(levels []int) []int {
+	return v.classSizes(func(i int, node int32) int32 {
+		return v.hh[i].Index().GeneralizeLevels(node, levels[i])
+	})
 }
 
 // interrupted returns the options context's error, nil when no context
@@ -114,121 +179,14 @@ func (o *Options) interrupted() error {
 	return o.Ctx.Err()
 }
 
-// projector maps a record index to a packed, injective key of its
-// (generalized) QI signature. The returned slice is reused across calls:
-// callers must consume it (hash it, compare it) before the next call.
-// Keys are tuples of dense per-column IDs interned as generalized values
-// are first seen — no per-record string building, no per-record
-// allocation.
-type projector func(r int) []byte
-
-// columnMemo interns one column's value -> generalized-value translations
-// to dense IDs: the translation runs once per distinct original value,
-// and records carry 4-byte IDs from then on.
-type columnMemo struct {
-	ids  map[string]uint32 // original value -> dense generalized ID
-	gids map[string]uint32 // generalized value -> dense ID (dedup across originals)
-}
-
-func newColumnMemo() *columnMemo {
-	return &columnMemo{ids: make(map[string]uint32), gids: make(map[string]uint32)}
-}
-
-// id resolves an original value through translate, memoized.
-func (m *columnMemo) id(v string, translate func(string) string) uint32 {
-	if id, ok := m.ids[v]; ok {
-		return id
-	}
-	g := translate(v)
-	id, ok := m.gids[g]
-	if !ok {
-		id = uint32(len(m.gids))
-		m.gids[g] = id
-	}
-	m.ids[v] = id
-	return id
-}
-
-// keyProjector assembles a projector from per-column translators.
-func keyProjector(ds *dataset.Dataset, qis []int, translate []func(string) string) projector {
-	memos := make([]*columnMemo, len(qis))
-	for i := range memos {
-		memos[i] = newColumnMemo()
-	}
-	buf := make([]byte, 4*len(qis))
-	return func(r int) []byte {
-		for i, q := range qis {
-			id := memos[i].id(ds.Records[r].Values[q], translate[i])
-			buf[4*i] = byte(id >> 24)
-			buf[4*i+1] = byte(id >> 16)
-			buf[4*i+2] = byte(id >> 8)
-			buf[4*i+3] = byte(id)
-		}
-		return buf
-	}
-}
-
-// levelProjector builds a projector that generalizes each QI to the given
-// level, memoizing value translations.
-func levelProjector(ds *dataset.Dataset, qis []int, hh []*hierarchy.Hierarchy, levels []int) (projector, error) {
-	translate := make([]func(string) string, len(qis))
-	for i := range qis {
-		h, lvl := hh[i], levels[i]
-		translate[i] = func(v string) string {
-			g, err := h.GeneralizeLevels(v, lvl)
-			if err != nil {
-				// validate() guarantees all values are known.
-				return v
-			}
-			return g
-		}
-	}
-	return keyProjector(ds, qis, translate), nil
-}
-
-// cutProjector builds a projector that maps each QI through its cut.
-func cutProjector(ds *dataset.Dataset, qis []int, cuts []*hierarchy.Cut) projector {
-	translate := make([]func(string) string, len(qis))
-	for i := range qis {
-		c := cuts[i]
-		translate[i] = func(v string) string {
-			g, err := c.Map(v)
-			if err != nil {
-				return v
-			}
-			return g
-		}
-	}
-	return keyProjector(ds, qis, translate)
-}
-
-// classCounts tallies equivalence-class sizes under the projector: a
-// two-step map lookup keeps the per-record path allocation-free (keys are
-// copied only when a new class appears).
-func classCounts(n int, proj projector) []int {
-	index := make(map[string]int)
-	var counts []int
-	for r := 0; r < n; r++ {
-		key := proj(r)
-		if i, ok := index[string(key)]; ok {
-			counts[i]++
-		} else {
-			index[string(key)] = len(counts)
-			counts = append(counts, 1)
-		}
-	}
-	return counts
-}
-
-// suppressionNeeded counts the records falling in equivalence classes
-// smaller than k under the projector — the records that would have to be
-// suppressed to make the node k-anonymous. Refining the projection (less
-// generalization) can only split classes, so the count is monotone under
-// specialization, which keeps Incognito's prunings valid with a
-// suppression budget.
-func suppressionNeeded(n, k int, proj projector) int {
+// suppressionNeeded counts the records falling in classes smaller than k
+// — the records that would have to be suppressed to make the node
+// k-anonymous. Refining the publication (less generalization) can only
+// split classes, so the count is monotone under specialization, which
+// keeps Incognito's prunings valid with a suppression budget.
+func suppressionNeeded(sizes []int, k int) int {
 	needed := 0
-	for _, c := range classCounts(n, proj) {
+	for _, c := range sizes {
 		if c < k {
 			needed += c
 		}
@@ -236,15 +194,12 @@ func suppressionNeeded(n, k int, proj projector) int {
 	return needed
 }
 
-// minClassSize computes the smallest equivalence class size under the
-// projector over n records. Returns 0 for empty data.
-func minClassSize(n int, proj projector) int {
-	if n == 0 {
-		return 0
-	}
-	min := n
-	for _, c := range classCounts(n, proj) {
-		if c < min {
+// minClassSize returns the smallest of the class sizes, 0 when there are
+// none (no records).
+func minClassSize(sizes []int) int {
+	min := 0
+	for i, c := range sizes {
+		if i == 0 || c < min {
 			min = c
 		}
 	}

@@ -74,23 +74,18 @@ func TestIncognitoZeroBudgetMatchesPlain(t *testing.T) {
 
 func TestSuppressionNeededMonotone(t *testing.T) {
 	ds, hs := smallData(t)
-	qis, _ := ds.QIIndices(nil)
-	hh, err := hs.ForQIs(ds, qis)
+	view, err := (&Options{K: 2, Hierarchies: hs}).validate(ds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := ds.Len()
+	hh := view.hh
 	k := 8
 	// Along any chain bottom -> top, suppressionNeeded must be
 	// non-increasing (the monotonicity Incognito's prunings rely on).
-	levels := make([]int, len(qis))
+	levels := make([]int, len(hh))
 	prev := -1
 	for step := 0; ; step++ {
-		proj, err := levelProjector(ds, qis, hh, levels)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cur := suppressionNeeded(n, k, proj)
+		cur := suppressionNeeded(view.levelSizes(levels), k)
 		if prev >= 0 && cur > prev {
 			t.Fatalf("suppressionNeeded grew along generalization chain: %d -> %d at %v", prev, cur, levels)
 		}

@@ -18,10 +18,11 @@ import (
 // InfoGain/AnonyLoss trade-off.
 func TopDown(ds *dataset.Dataset, opts Options) (*Result, error) {
 	sw := timing.Start()
-	qis, hh, err := opts.validate(ds)
+	view, err := opts.validate(ds)
 	if err != nil {
 		return nil, err
 	}
+	qis, hh := view.qis, view.hh
 	n := len(ds.Records)
 
 	cuts := make([]*hierarchy.Cut, len(qis))
@@ -57,6 +58,9 @@ func TopDown(ds *dataset.Dataset, opts Options) (*Result, error) {
 			value string
 			score float64
 		}
+		// The cut holds still within a round, and so does its smallest
+		// class: the baseline every candidate's AnonyLoss is measured from.
+		cur := minClassSize(view.cutSizes(cuts))
 		best := candidate{attr: -1}
 		for i := range cuts {
 			for _, node := range cuts[i].Nodes() {
@@ -103,12 +107,11 @@ func TopDown(ds *dataset.Dataset, opts Options) (*Result, error) {
 				}
 				trialCuts := append([]*hierarchy.Cut(nil), cuts...)
 				trialCuts[i] = trial
-				mcs := minClassSize(n, cutProjector(ds, qis, trialCuts))
+				mcs := minClassSize(view.cutSizes(trialCuts))
 				if mcs < opts.K {
 					continue
 				}
 				// AnonyLoss: headroom consumed relative to current.
-				cur := minClassSize(n, cutProjector(ds, qis, cuts))
 				loss := float64(cur - mcs)
 				if loss < 1 {
 					loss = 1
