@@ -1,6 +1,7 @@
 package transaction
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"strings"
@@ -104,49 +105,48 @@ type rhoViolation struct {
 }
 
 // rhoViolations enumerates all violated sensitive rules with antecedents
-// of size 0..m over the live (unsuppressed) items.
+// of size 0..m over the live (unsuppressed) items. Supports are keyed on
+// item IDs — an antecedent packs its IDs four bytes each — so no item
+// name can be mistaken for a separator.
 func rhoViolations(ds *dataset.Dataset, sensitive, suppressed map[string]bool, rho float64, m int) []rhoViolation {
-	var out []rhoViolation
-	live := func(items []string) []string {
-		var kept []string
-		for _, it := range items {
-			if !suppressed[it] {
-				kept = append(kept, it)
+	if m < 0 {
+		return nil // no antecedent sizes to check
+	}
+	type ruleKey struct {
+		q string // antecedent item IDs, four big-endian bytes each
+		s uint32 // sensitive item ID
+	}
+	dict := dataset.NewInterner()
+	n := 0
+	supAll := make(map[ruleKey]int) // rule q -> s -> support of q ∪ {s}
+	supPub := make(map[string]int)  // public antecedent -> support
+	var pub, sens []uint32
+	for r := range ds.Records {
+		// Baskets are name-sorted, so one item set always packs to the
+		// same key.
+		pub, sens = pub[:0], sens[:0]
+		for _, it := range ds.Records[r].Items {
+			switch {
+			case suppressed[it]:
+			case sensitive[it]:
+				sens = append(sens, dict.Intern(it))
+			default:
+				pub = append(pub, dict.Intern(it))
 			}
 		}
-		return kept
-	}
-	n := 0
-	supAll := make(map[string]int) // itemset-key (with sensitive) -> support
-	supPub := make(map[string]int) // public antecedent key -> support
-	for r := range ds.Records {
-		items := live(ds.Records[r].Items)
-		if len(items) == 0 {
+		if len(pub)+len(sens) == 0 {
 			continue
 		}
 		n++
-		var pub, sens []string
-		for _, it := range items {
-			if sensitive[it] {
-				sens = append(sens, it)
-			} else {
-				pub = append(pub, it)
-			}
+		for _, s := range sens {
+			supAll[ruleKey{s: s}]++
 		}
-		// Antecedents of size 0..m.
-		for size := 0; size <= m && size <= len(pub); size++ {
-			if size == 0 {
-				supPub[""]++
-				for _, s := range sens {
-					supAll[s]++
-				}
-				continue
-			}
-			privacy.ForEachSubset(pub, size, func(q []string) {
-				key := strings.Join(q, "\x00")
+		for size := 1; size <= m; size++ {
+			privacy.ForEachSubset(pub, size, func(q []uint32) {
+				key := packIDs(q)
 				supPub[key]++
 				for _, s := range sens {
-					supAll[key+"\x01"+s]++
+					supAll[ruleKey{key, s}]++
 				}
 			})
 		}
@@ -155,22 +155,19 @@ func rhoViolations(ds *dataset.Dataset, sensitive, suppressed map[string]bool, r
 		return nil
 	}
 	supPub[""] = n
+	var out []rhoViolation
 	for key, supQS := range supAll {
-		qKey, s, found := strings.Cut(key, "\x01")
-		if !found {
-			qKey, s = "", key
-		}
-		supQ := supPub[qKey]
+		supQ := supPub[key.q]
 		if supQ == 0 {
 			continue
 		}
 		conf := float64(supQS) / float64(supQ)
 		if conf > rho {
 			var items []string
-			if qKey != "" {
-				items = strings.Split(qKey, "\x00")
+			for i := 0; i < len(key.q); i += 4 {
+				items = append(items, dict.Value(binary.BigEndian.Uint32([]byte(key.q[i:]))))
 			}
-			items = append(items, s)
+			items = append(items, dict.Value(key.s))
 			out = append(out, rhoViolation{items: items, confidence: conf})
 		}
 	}
@@ -181,6 +178,15 @@ func rhoViolations(ds *dataset.Dataset, sensitive, suppressed map[string]bool, r
 		return strings.Join(out[i].items, ",") < strings.Join(out[j].items, ",")
 	})
 	return out
+}
+
+// packIDs packs item IDs four big-endian bytes each.
+func packIDs(ids []uint32) string {
+	buf := make([]byte, 0, 4*len(ids))
+	for _, id := range ids {
+		buf = binary.BigEndian.AppendUint32(buf, id)
+	}
+	return string(buf)
 }
 
 func itemSupport(ds *dataset.Dataset, suppressed map[string]bool) map[string]int {

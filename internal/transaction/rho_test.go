@@ -176,3 +176,49 @@ func TestRhoViaEngineDataShapes(t *testing.T) {
 		t.Errorf("phases = %v", res.Phases)
 	}
 }
+
+// rhoData builds a one-attribute dataset whose records carry the given
+// baskets.
+func rhoData(t *testing.T, baskets ...[]string) *dataset.Dataset {
+	t.Helper()
+	ds := dataset.New([]dataset.Attribute{{Name: "A"}}, "T")
+	for _, items := range baskets {
+		if err := ds.AddRecord(dataset.Record{Values: []string{"x"}, Items: items}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ds
+}
+
+// An item name holding NUL is one public item, not two: the rule
+// {"a\x00b"} -> s (confidence 1) is fixed by suppressing it.
+func TestRhoUncertaintyNULInItemName(t *testing.T) {
+	ds := rhoData(t, []string{"a\x00b", "s"}, []string{"c"}, []string{"c"}, []string{"c"})
+	res, err := RhoUncertainty(ds, Options{Rho: 0.5, M: 1, Sensitive: []string{"s"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Suppressed) != 1 || res.Suppressed[0] != "a\x00b" {
+		t.Errorf("suppressed = %q, want [\"a\\x00b\"]", res.Suppressed)
+	}
+	if !IsRhoUncertain(res.Anonymized, []string{"s"}, 0.5, 1) {
+		t.Error("bound still violated")
+	}
+}
+
+// A sensitive item name holding \x01 is still one item: conf(∅ -> s) is
+// 3/4 > rho, so the data is not rho-uncertain until s is suppressed.
+func TestRhoUncertaintySOHInItemName(t *testing.T) {
+	s := "x\x01y"
+	ds := rhoData(t, []string{s}, []string{s}, []string{s}, []string{"c"})
+	if IsRhoUncertain(ds, []string{s}, 0.5, 1) {
+		t.Error("conf(∅ -> s) = 0.75 > 0.5 reported rho-uncertain")
+	}
+	res, err := RhoUncertainty(ds, Options{Rho: 0.5, M: 1, Sensitive: []string{s}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Suppressed) != 1 || res.Suppressed[0] != s {
+		t.Errorf("suppressed = %q, want [%q]", res.Suppressed, s)
+	}
+}
