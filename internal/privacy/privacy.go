@@ -6,7 +6,7 @@
 //
 // The hot paths run on the interned columnar core: one class counter
 // numbers equivalence classes by mixed-radix packed ID tuples — behind
-// Partition, over rank-interned columns, and behind ClassSizes, which the
+// Partition, over rank-interned columns, and behind ClassCounter, which the
 // relational algorithms' k-checks call over hierarchy node IDs — and the
 // k^m support scan counts itemsets of dense item IDs — a counts array for
 // single items, a uint64-keyed map for pairs, packed byte keys beyond —
@@ -68,12 +68,14 @@ func Partition(ds *dataset.Dataset, qis []int) []Class {
 	}
 	var recs [][]int
 	var reps []int
-	order := numberClasses(len(ds.Records), cols, nil, cards, skip, func(r, c int) {
+	var index classIndex
+	numberClasses(&index, len(ds.Records), cols, nil, cards, skip, func(r, c int) {
 		if c == len(recs) {
 			recs, reps = append(recs, nil), append(reps, r)
 		}
 		recs[c] = append(recs[c], r)
-	}).order()
+	})
+	order := index.order()
 	out := make([]Class, len(order))
 	for oc, c := range order {
 		sig := make([]string, len(qis))
@@ -85,32 +87,41 @@ func Partition(ds *dataset.Dataset, qis []int) []Class {
 	return out
 }
 
+// ClassCounter counts equivalence-class sizes, reusing its class table
+// and size slice from one call to the next, so a loop of k-checks does
+// not rebuild them per check. One counter serves one goroutine.
+type ClassCounter struct {
+	index classIndex
+	sizes []int
+}
+
 // ClassSizes returns the sizes of the equivalence classes of n records in
 // first-seen order, where record r's signature on column i is cols[i][r]
 // read through the translation table trans[i] (trans nil: the column IDs
-// themselves), an ID below cards[i].
-func ClassSizes(n int, cols, trans [][]uint32, cards []int) []int {
-	var sizes []int
-	numberClasses(n, cols, trans, cards, nil, func(_, c int) {
-		if c == len(sizes) {
-			sizes = append(sizes, 0)
+// themselves), an ID below cards[i]. The slice is valid until the
+// counter's next call.
+func (cc *ClassCounter) ClassSizes(n int, cols, trans [][]uint32, cards []int) []int {
+	cc.sizes = cc.sizes[:0]
+	numberClasses(&cc.index, n, cols, trans, cards, nil, func(_, c int) {
+		if c == len(cc.sizes) {
+			cc.sizes = append(cc.sizes, 0)
 		}
-		sizes[c]++
+		cc.sizes[c]++
 	})
-	return sizes
+	return cc.sizes
 }
 
 // numberClasses is the one equivalence-class counter behind Partition,
-// ClassSizes and every relational k-check. It reports each record r in
-// 0..n-1 that skip (nil: none) does not exclude to class, with the number
-// of r's class; classes are numbered 0, 1, ... in first-seen order.
-// Record r's signature is the tuple over columns i of cols[i][r], read
+// ClassCounter and every relational k-check. It refills x and reports
+// each record r in 0..n-1 that skip (nil: none) does not exclude to
+// class, with the number of r's class; classes are numbered 0, 1, ... in
+// first-seen order. Record r's signature is the tuple over columns i of cols[i][r], read
 // through trans[i] when trans is non-nil, each ID below cards[i]. The
 // tuple packs mixed-radix into a uint64 key, ((id0*card1)+id1)*card2 +
 // ..., when the cardinality product fits, and into a big-endian byte
 // string otherwise; either way the per-record path allocates nothing,
 // and key order is tuple order.
-func numberClasses(n int, cols, trans [][]uint32, cards []int, skip func(r int) bool, class func(r, c int)) classIndex {
+func numberClasses(x *classIndex, n int, cols, trans [][]uint32, cards []int, skip func(r int) bool, class func(r, c int)) {
 	radix, packable := uint64(1), true
 	for _, card := range cards {
 		c := uint64(max(card, 1))
@@ -120,9 +131,14 @@ func numberClasses(n int, cols, trans [][]uint32, cards []int, skip func(r int) 
 		}
 		radix *= c
 	}
-	x := classIndex{packed: make(map[uint64]int)}
 	var buf []byte
-	if !packable {
+	if packable {
+		if x.packed == nil {
+			x.packed = make(map[uint64]int)
+		}
+		clear(x.packed)
+		x.wide = nil
+	} else {
 		x.wide, buf = make(map[string]int), make([]byte, 4*len(cols))
 	}
 	for r := 0; r < n; r++ {
@@ -154,7 +170,6 @@ func numberClasses(n int, cols, trans [][]uint32, cards []int, skip func(r int) 
 		}
 		class(r, c)
 	}
-	return x
 }
 
 // classIndex maps numberClasses' signature keys to class numbers: packed
@@ -165,7 +180,7 @@ type classIndex struct {
 }
 
 // order returns the class numbers sorted by signature tuple.
-func (x classIndex) order() []int {
+func (x *classIndex) order() []int {
 	if x.wide != nil {
 		return keyOrder(x.wide)
 	}

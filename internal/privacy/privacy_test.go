@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -290,22 +291,25 @@ func TestNumberClassesWideKeys(t *testing.T) {
 	}
 	// Column 1 reads through a table that merges two of its IDs.
 	trans := [][]uint32{{0, 1, 2, 3}, {0, 0, 2, 3}, {0, 1, 2, 3}}
-	packed := ClassSizes(n, cols, trans, []int{4, 4, 4})
+	var cc ClassCounter
+	packed := slices.Clone(cc.ClassSizes(n, cols, trans, []int{4, 4, 4}))
 	wide := []int{1 << 31, 1 << 31, 1 << 31}
-	if got := ClassSizes(n, cols, trans, wide); !reflect.DeepEqual(got, packed) {
+	if got := cc.ClassSizes(n, cols, trans, wide); !reflect.DeepEqual(got, packed) {
 		t.Fatalf("wide keys gave class sizes %v, packed %v", got, packed)
 	}
 	tuple := func(r int) [3]uint32 {
 		return [3]uint32{trans[0][cols[0][r]], trans[1][cols[1][r]], trans[2][cols[2][r]]}
 	}
 	var reps [][3]uint32
-	order := numberClasses(n, cols, trans, wide, nil, func(r, c int) {
+	var index classIndex
+	numberClasses(&index, n, cols, trans, wide, nil, func(r, c int) {
 		if c == len(reps) {
 			reps = append(reps, tuple(r))
 		} else if reps[c] != tuple(r) {
 			t.Fatalf("record %d joins class %d of %v with %v", r, c, reps[c], tuple(r))
 		}
-	}).order()
+	})
+	order := index.order()
 	if len(order) != len(packed) {
 		t.Fatalf("order lists %d classes, want %d", len(order), len(packed))
 	}

@@ -74,6 +74,8 @@ type qiView struct {
 	// nodes[i][id] the hierarchy.Index node of that dictionary value.
 	cols  [][]uint32
 	nodes [][]int32
+	// counter is the run's class counter; a run counts on one goroutine.
+	counter *privacy.ClassCounter
 }
 
 // validate checks the options against ds and builds the run's QI view,
@@ -97,7 +99,7 @@ func (o *Options) validate(ds *dataset.Dataset) (*qiView, error) {
 	if err != nil {
 		return nil, err
 	}
-	v := &qiView{qis: qis, hh: hh, n: len(ds.Records), nodes: make([][]int32, len(qis))}
+	v := &qiView{qis: qis, hh: hh, n: len(ds.Records), nodes: make([][]int32, len(qis)), counter: new(privacy.ClassCounter)}
 	var dicts []*dataset.Interner
 	// A stale or foreign interning must not be read as ds's.
 	if ix := o.Interned; ix != nil && ix.N == len(ds.Records) && len(ix.Dicts) == len(ds.Attrs) {
@@ -125,7 +127,7 @@ func (o *Options) validate(ds *dataset.Dataset) (*qiView, error) {
 
 // sub returns the view of the QIs at the given positions.
 func (v *qiView) sub(pos []int) *qiView {
-	s := &qiView{n: v.n}
+	s := &qiView{n: v.n, counter: v.counter}
 	for _, p := range pos {
 		s.qis = append(s.qis, v.qis[p])
 		s.hh = append(s.hh, v.hh[p])
@@ -138,7 +140,7 @@ func (v *qiView) sub(pos []int) *qiView {
 // classSizes counts the equivalence classes when QI i publishes each
 // value's node as publish(i, node). The counter reads the columns through
 // one node translation table per QI, so a check allocates per distinct
-// value, not per record.
+// value, not per record. The sizes are valid until the view's next count.
 func (v *qiView) classSizes(publish func(i int, node int32) int32) []int {
 	trans := make([][]uint32, len(v.nodes))
 	cards := make([]int, len(v.nodes))
@@ -149,7 +151,7 @@ func (v *qiView) classSizes(publish func(i int, node int32) int32) []int {
 		}
 		cards[i] = v.hh[i].Index().Len()
 	}
-	return privacy.ClassSizes(v.n, v.cols, trans, cards)
+	return v.counter.ClassSizes(v.n, v.cols, trans, cards)
 }
 
 // cutSizes counts the classes when every QI is published through its cut.
