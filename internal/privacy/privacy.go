@@ -4,11 +4,11 @@
 // (Terrovitis et al.), and their combination (k,k^m)-anonymity for
 // RT-datasets (Poulis et al.).
 //
-// The hot paths run on the interned columnar core: one class counter
-// numbers equivalence classes by mixed-radix packed ID tuples — behind
-// Partition, over rank-interned columns, and behind ClassCounter, which the
-// relational algorithms' k-checks call over hierarchy node IDs — and the
-// k^m support scan counts itemsets of dense item IDs — a counts array for
+// The hot paths run on the interned columnar core. One class counter
+// numbers equivalence classes by mixed-radix packed ID tuples: Partition
+// runs it over rank-interned columns, and the relational algorithms'
+// k-checks run it, through ClassCounter, over hierarchy node IDs. The k^m
+// support scan counts itemsets of dense item IDs — a counts array for
 // single items, a uint64-keyed map for pairs, packed byte keys beyond —
 // sharded across a bounded worker pool and merged additively, which keeps
 // the output deterministic for any worker count.
@@ -115,12 +115,12 @@ func (cc *ClassCounter) ClassSizes(n int, cols, trans [][]uint32, cards []int) [
 // ClassCounter and every relational k-check. It refills x and reports
 // each record r in 0..n-1 that skip (nil: none) does not exclude to
 // class, with the number of r's class; classes are numbered 0, 1, ... in
-// first-seen order. Record r's signature is the tuple over columns i of cols[i][r], read
-// through trans[i] when trans is non-nil, each ID below cards[i]. The
-// tuple packs mixed-radix into a uint64 key, ((id0*card1)+id1)*card2 +
-// ..., when the cardinality product fits, and into a big-endian byte
-// string otherwise; either way the per-record path allocates nothing,
-// and key order is tuple order.
+// first-seen order. Record r's signature is the tuple over columns i of
+// cols[i][r], read through trans[i] when trans is non-nil, each ID below
+// cards[i]. The tuple packs mixed-radix into a uint64 key,
+// ((id0*card1)+id1)*card2 + ..., when the cardinality product fits, and
+// into a big-endian byte string otherwise; either way the per-record path
+// allocates nothing, and key order is tuple order.
 func numberClasses(x *classIndex, n int, cols, trans [][]uint32, cards []int, skip func(r int) bool, class func(r, c int)) {
 	radix, packable := uint64(1), true
 	for _, card := range cards {
