@@ -216,11 +216,6 @@ func (h *Hierarchy) Covers(general, value string) bool {
 	return false
 }
 
-// IsDescendantOrSelf is Covers with the argument order of ancestor checks.
-func (h *Hierarchy) IsDescendantOrSelf(value, ancestor string) bool {
-	return h.Covers(ancestor, value)
-}
-
 // Validate checks structural invariants: unique values, single root,
 // consistent parent/child links, and positive leaf counts.
 func (h *Hierarchy) Validate() error {

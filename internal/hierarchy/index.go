@@ -162,21 +162,6 @@ func (ix *Index) LeafCount(id int32) int32 { return ix.hi[id] - ix.lo[id] }
 // LeafID returns the node ID of the leaf with the given ordinal.
 func (ix *Index) LeafID(ordinal int32) int32 { return ix.leafIDs[ordinal] }
 
-// IsAncestorOrSelf reports whether a is b or one of b's ancestors — a
-// constant-time range containment check.
-func (ix *Index) IsAncestorOrSelf(a, b int32) bool {
-	return a <= b && b < a+ix.size[a]
-}
-
-// AncestorAtDepth returns id's ancestor at the given depth (id itself when
-// depth(id) == d), or -1 when id is shallower than d.
-func (ix *Index) AncestorAtDepth(id int32, d int32) int32 {
-	if d < 0 || int(d) >= len(ix.atDepth) {
-		return -1
-	}
-	return ix.atDepth[d][id]
-}
-
 // GeneralizeLevels returns the ID of id's ancestor lvl steps up, capping
 // at the root — the indexed counterpart of Hierarchy.GeneralizeLevels.
 func (ix *Index) GeneralizeLevels(id int32, lvl int) int32 {
@@ -188,9 +173,8 @@ func (ix *Index) GeneralizeLevels(id int32, lvl int) int32 {
 }
 
 // NCPNum returns the integer numerator contribution (leaves-1)*leaves of
-// publishing id over its whole subtree; Cut.NCP sums exactly these, so
-// indexed cuts can maintain the sum incrementally and still produce
-// bit-identical floats.
+// publishing id over its whole subtree; a Cut keeps the sum of these over
+// its nodes, so its NCP is exact whatever order the sum was built in.
 func (ix *Index) NCPNum(id int32) int64 {
 	lc := int64(ix.LeafCount(id))
 	return (lc - 1) * lc

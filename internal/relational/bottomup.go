@@ -31,13 +31,7 @@ func BottomUp(ds *dataset.Dataset, opts Options) (*Result, error) {
 	for i := range qis {
 		cuts[i] = hierarchy.NewLeafCut(hh[i])
 	}
-	freq := make([]map[string]int, len(qis))
-	for i, q := range qis {
-		freq[i] = make(map[string]int)
-		for r := range ds.Records {
-			freq[i][ds.Records[r].Values[q]]++
-		}
-	}
+	freq := view.leafPrefix()
 	sw.Mark("setup")
 
 	for minClassSize(view.cutSizes(cuts)) < opts.K {
@@ -45,44 +39,36 @@ func BottomUp(ds *dataset.Dataset, opts Options) (*Result, error) {
 			return nil, err
 		}
 		// Candidates: generalize the children of some parent whose
-		// subtree currently intersects the cut.
+		// subtree currently intersects the cut, visited through the
+		// first on-cut child in value order.
 		type candidate struct {
-			attr   int
-			parent *hierarchy.Node
-			cost   float64
+			attr  int
+			child int32
+			cost  float64
 		}
 		best := candidate{attr: -1}
-		for i := range cuts {
-			seen := make(map[*hierarchy.Node]bool)
-			for _, node := range cuts[i].Nodes() {
-				p := node.Parent
-				if p == nil || seen[p] {
+		for i, cut := range cuts {
+			ix := cut.Index()
+			seen := make([]bool, ix.Len())
+			for _, id := range cut.IDs() {
+				p := ix.Parent(id)
+				if p < 0 || seen[p] {
 					continue
 				}
 				seen[p] = true
-				parentNCP, err := hh[i].NCP(p.Value)
-				if err != nil {
-					return nil, err
-				}
+				parentNCP := ix.NCP(p)
 				// Cost: records under p gain (parentNCP - currentNCP).
 				cost := 0.0
-				for _, leaf := range p.Leaves() {
-					cnt := freq[i][leaf]
+				lo, hi := ix.LeafRange(p)
+				for o := lo; o < hi; o++ {
+					cnt := freq[i][o+1] - freq[i][o]
 					if cnt == 0 {
 						continue
 					}
-					cur, err := cuts[i].Map(leaf)
-					if err != nil {
-						return nil, err
-					}
-					curNCP, err := hh[i].NCP(cur)
-					if err != nil {
-						return nil, err
-					}
-					cost += (parentNCP - curNCP) * float64(cnt)
+					cost += (parentNCP - ix.NCP(cut.MapID(ix.LeafID(o)))) * float64(cnt)
 				}
 				if best.attr < 0 || cost < best.cost {
-					best = candidate{attr: i, parent: p, cost: cost}
+					best = candidate{attr: i, child: id, cost: cost}
 				}
 			}
 		}
@@ -92,28 +78,8 @@ func BottomUp(ds *dataset.Dataset, opts Options) (*Result, error) {
 			// happen for n < k, which was rejected above — or n == 0.
 			break
 		}
-		// Generalize one child on the cut up to the parent (Generalize
-		// sweeps all cut nodes under the parent).
-		child := ""
-		for _, c := range best.parent.Children {
-			if cuts[best.attr].Contains(c.Value) {
-				child = c.Value
-				break
-			}
-		}
-		if child == "" {
-			// The cut sits deeper; find any cut descendant of the parent.
-			for _, v := range cuts[best.attr].Values() {
-				if hh[best.attr].Covers(best.parent.Value, v) {
-					child = v
-					break
-				}
-			}
-		}
-		if child == "" {
-			return nil, fmt.Errorf("bottomup: internal error: no cut node under %q", best.parent.Value)
-		}
-		if err := cuts[best.attr].Generalize(child); err != nil {
+		// Generalizing the child sweeps every cut node under the parent.
+		if err := cuts[best.attr].GeneralizeID(best.child); err != nil {
 			return nil, err
 		}
 	}

@@ -156,11 +156,30 @@ func (v *qiView) classSizes(publish func(i int, node int32) int32) []int {
 
 // cutSizes counts the classes when every QI is published through its cut.
 func (v *qiView) cutSizes(cuts []*hierarchy.Cut) []int {
-	ic := make([]*hierarchy.IndexedCut, len(cuts))
-	for i, c := range cuts {
-		ic[i] = hierarchy.NewIndexedCut(v.hh[i].Index(), c)
+	return v.classSizes(func(i int, node int32) int32 { return cuts[i].MapID(node) })
+}
+
+// leafPrefix returns, per QI, prefix sums over leaf ordinals of the
+// records holding each leaf value: the records under node id number
+// p[hi]-p[lo] for lo, hi := Index.LeafRange(id). Records holding an
+// interior value (partly generalized input) are not counted.
+func (v *qiView) leafPrefix() [][]int {
+	out := make([][]int, len(v.cols))
+	for i, col := range v.cols {
+		ix := v.hh[i].Index()
+		p := make([]int, ix.NumLeaves()+1)
+		for _, d := range col {
+			if node := v.nodes[i][d]; ix.SubtreeSize(node) == 1 {
+				lo, _ := ix.LeafRange(node)
+				p[lo+1]++
+			}
+		}
+		for o := 1; o < len(p); o++ {
+			p[o] += p[o-1]
+		}
+		out[i] = p
 	}
-	return v.classSizes(func(i int, node int32) int32 { return ic[i].Map(node) })
+	return out
 }
 
 // levelSizes counts the classes when QI i is generalized levels[i] steps

@@ -37,15 +37,9 @@ func TopDown(ds *dataset.Dataset, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("topdown: dataset has %d records, fewer than k=%d", n, opts.K)
 	}
 
-	// Count value frequencies per attribute once; candidate scoring uses
+	// Count leaf frequencies per attribute once; candidate scoring uses
 	// them to weight NCP gains by affected records.
-	freq := make([]map[string]int, len(qis))
-	for i, q := range qis {
-		freq[i] = make(map[string]int)
-		for r := range ds.Records {
-			freq[i][ds.Records[r].Values[q]]++
-		}
-	}
+	freq := view.leafPrefix()
 
 	for {
 		// One specialization round re-partitions the dataset per trial;
@@ -55,59 +49,49 @@ func TopDown(ds *dataset.Dataset, opts Options) (*Result, error) {
 		}
 		type candidate struct {
 			attr  int
-			value string
+			node  int32
 			score float64
 		}
 		// The cut holds still within a round, and so does its smallest
 		// class: the baseline every candidate's AnonyLoss is measured from.
 		cur := minClassSize(view.cutSizes(cuts))
 		best := candidate{attr: -1}
-		for i := range cuts {
-			for _, node := range cuts[i].Nodes() {
-				if node.IsLeaf() {
+		for i, cut := range cuts {
+			ix := cut.Index()
+			under := func(id int32) int {
+				lo, hi := ix.LeafRange(id)
+				return freq[i][hi] - freq[i][lo]
+			}
+			for _, id := range cut.IDs() {
+				end := id + ix.SubtreeSize(id)
+				if end == id+1 {
 					continue
 				}
 				// Information gain: NCP drop weighted by the records
 				// carrying leaves under this node.
-				records := 0
-				for _, leaf := range node.Leaves() {
-					records += freq[i][leaf]
-				}
+				records := under(id)
 				if records == 0 {
 					// No data under this node; specialize for free.
 					records = 1
 				}
-				parentNCP, err := hh[i].NCP(node.Value)
-				if err != nil {
-					return nil, err
-				}
 				childNCP := 0.0
-				for _, c := range node.Children {
-					ncp, err := hh[i].NCP(c.Value)
-					if err != nil {
-						return nil, err
-					}
-					leaves := 0
-					for _, leaf := range c.Leaves() {
-						leaves += freq[i][leaf]
-					}
-					if records > 0 {
-						childNCP += ncp * float64(leaves) / float64(records)
-					}
+				for ch := id + 1; ch < end; ch += ix.SubtreeSize(ch) {
+					childNCP += ix.NCP(ch) * float64(under(ch)) / float64(records)
 				}
-				gain := (parentNCP - childNCP) * float64(records)
+				gain := (ix.NCP(id) - childNCP) * float64(records)
 				if gain <= 0 {
 					continue
 				}
 				// Validity + anonymity loss: min class size after the
-				// trial specialization.
-				trial := cuts[i].Clone()
-				if err := trial.Specialize(node.Value); err != nil {
+				// trial specialization, which generalizing the first
+				// child undoes exactly.
+				if err := cut.SpecializeID(id); err != nil {
 					return nil, err
 				}
-				trialCuts := append([]*hierarchy.Cut(nil), cuts...)
-				trialCuts[i] = trial
-				mcs := minClassSize(view.cutSizes(trialCuts))
+				mcs := minClassSize(view.cutSizes(cuts))
+				if err := cut.GeneralizeID(id + 1); err != nil {
+					return nil, err
+				}
 				if mcs < opts.K {
 					continue
 				}
@@ -118,14 +102,14 @@ func TopDown(ds *dataset.Dataset, opts Options) (*Result, error) {
 				}
 				score := gain / loss
 				if best.attr < 0 || score > best.score {
-					best = candidate{attr: i, value: node.Value, score: score}
+					best = candidate{attr: i, node: id, score: score}
 				}
 			}
 		}
 		if best.attr < 0 {
 			break
 		}
-		if err := cuts[best.attr].Specialize(best.value); err != nil {
+		if err := cuts[best.attr].SpecializeID(best.node); err != nil {
 			return nil, err
 		}
 	}

@@ -22,7 +22,7 @@ import (
 // level i never reintroduce violations at levels < i.
 //
 // The repair loop runs on the interned core: transactions are sorted
-// dense-ID lists mapped through an IndexedCut, per-size support counts are
+// dense-ID lists mapped through the cut, per-size support counts are
 // maintained incrementally, and a repair re-maps and re-counts only the
 // transactions that contain the generalized subtree (found through a
 // postings index) instead of re-scanning the whole dataset per round.
@@ -33,7 +33,7 @@ func Apriori(ds *dataset.Dataset, opts Options) (*Result, error) {
 	}
 	cut := hierarchy.NewLeafCut(opts.ItemHierarchy)
 	sw.Mark("setup")
-	gens, err := aprioriOnCut(opts.Ctx, ds, nil, cut, opts.ItemHierarchy, opts.K, opts.M, nil)
+	gens, err := aprioriOnCut(opts.Ctx, ds, nil, cut, opts.K, opts.M, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -47,21 +47,18 @@ func Apriori(ds *dataset.Dataset, opts Options) (*Result, error) {
 }
 
 // aprioriOnCut runs the AA repair loop over the records at indices idx (all
-// when nil), mutating cut. When allowed is non-nil, only items whose cut
-// node's leaves are all inside allowed may be generalized (VPA restricts
-// repairs to one vertical part). ctx (nil-able) is polled each repair
-// round and inside the scans, so a cancelled run stops within one round.
-// Returns the number of generalizations.
-func aprioriOnCut(ctx context.Context, ds *dataset.Dataset, idx []int, cut *hierarchy.Cut, h *hierarchy.Hierarchy, k, m int, allowed map[string]bool) (int, error) {
-	st, err := newAprioriState(ds, idx, cut, h, allowed)
+// when nil), mutating cut in place: repairs made before an error stay on
+// it, so VPA's verification pass starts from an infeasible part's partial
+// repairs. When allowed is non-nil, only items whose cut node's leaves
+// are all inside allowed may be generalized (VPA restricts repairs to one
+// vertical part). ctx (nil-able) is polled each repair round and inside
+// the scans, so a cancelled run stops within one round. Returns the
+// number of generalizations.
+func aprioriOnCut(ctx context.Context, ds *dataset.Dataset, idx []int, cut *hierarchy.Cut, k, m int, allowed map[string]bool) (int, error) {
+	st, err := newAprioriState(ds, idx, cut, allowed)
 	if err != nil {
 		return 0, err
 	}
-	// Write the indexed cut back on every exit path, success or not: the
-	// seed mutated cut in place, so partial repairs survive an infeasible
-	// part (VPA continues past those and must see them) and a cancelled
-	// run leaves the same state behind.
-	defer st.cut.ApplyTo(cut)
 	gens := 0
 	// NCP deltas are compared through the exact float operations of
 	// Cut.NCP, so the repair choice (and with it the whole run) matches
@@ -127,7 +124,7 @@ func aprioriOnCut(ctx context.Context, ds *dataset.Dataset, idx []int, cut *hier
 // subset size.
 type aprioriState struct {
 	ix  *hierarchy.Index
-	cut *hierarchy.IndexedCut
+	cut *hierarchy.Cut
 	txs [][]int32
 	// postings[id] lists the indices of transactions whose mapped items
 	// include id; kept exact across repairs so a repair visits only the
@@ -154,13 +151,9 @@ type aprioriState struct {
 	bestIDs []int32
 }
 
-func newAprioriState(ds *dataset.Dataset, idx []int, cut *hierarchy.Cut, h *hierarchy.Hierarchy, allowed map[string]bool) (*aprioriState, error) {
-	ix := h.Index()
-	st := &aprioriState{
-		ix:       ix,
-		cut:      hierarchy.NewIndexedCut(ix, cut),
-		postings: make(map[int32][]int),
-	}
+func newAprioriState(ds *dataset.Dataset, idx []int, cut *hierarchy.Cut, allowed map[string]bool) (*aprioriState, error) {
+	ix := cut.Index()
+	st := &aprioriState{ix: ix, cut: cut, postings: make(map[int32][]int)}
 	if allowed != nil {
 		st.allowedPrefix = make([]int32, ix.NumLeaves()+1)
 		for o := int32(0); o < int32(ix.NumLeaves()); o++ {
@@ -181,7 +174,7 @@ func newAprioriState(ds *dataset.Dataset, idx []int, cut *hierarchy.Cut, h *hier
 			if err != nil {
 				return err
 			}
-			tx = append(tx, st.cut.Map(id))
+			tx = append(tx, st.cut.MapID(id))
 		}
 		if tx == nil {
 			st.txs = append(st.txs, nil)
@@ -426,7 +419,7 @@ func (st *aprioriState) repair(ctx context.Context, id int32) error {
 		}
 	}
 	sort.Ints(affected)
-	if _, err := st.cut.Generalize(id); err != nil {
+	if err := st.cut.GeneralizeID(id); err != nil {
 		return err
 	}
 	for n, t := range affected {

@@ -61,7 +61,7 @@ func LRA(ds *dataset.Dataset, opts Options) (*Result, error) {
 		}
 		partIdx := idx[lo:hi]
 		cut := hierarchy.NewLeafCut(opts.ItemHierarchy)
-		g, err := aprioriOnCut(opts.Ctx, ds, partIdx, cut, opts.ItemHierarchy, opts.K, opts.M, nil)
+		g, err := aprioriOnCut(opts.Ctx, ds, partIdx, cut, opts.K, opts.M, nil)
 		if err != nil {
 			return nil, err
 		}

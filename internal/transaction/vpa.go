@@ -50,7 +50,7 @@ func VPA(ds *dataset.Dataset, opts Options) (*Result, error) {
 				allowed[leaf] = true
 			}
 		}
-		g, err := aprioriOnCut(opts.Ctx, ds, nil, cut, h, opts.K, opts.M, allowed)
+		g, err := aprioriOnCut(opts.Ctx, ds, nil, cut, opts.K, opts.M, allowed)
 		gens += g
 		if err != nil {
 			// Distinguish "cancelled" from "this part is infeasible": only
@@ -67,7 +67,7 @@ func VPA(ds *dataset.Dataset, opts Options) (*Result, error) {
 	sw.Mark("anonymize parts")
 
 	// Verification: repair cross-part violations globally.
-	g, err := aprioriOnCut(opts.Ctx, ds, nil, cut, h, opts.K, opts.M, nil)
+	g, err := aprioriOnCut(opts.Ctx, ds, nil, cut, opts.K, opts.M, nil)
 	if err != nil {
 		return nil, err
 	}
