@@ -38,69 +38,18 @@ func Incognito(ds *dataset.Dataset, opts Options) (*Result, error) {
 		return nil, err
 	}
 	qis := view.qis
-	heights := make([]int, len(qis))
-	for i, h := range view.hh {
-		heights[i] = h.Height()
-	}
 	sw.Mark("setup")
-
-	// anon[subsetKey][nodeKey] records k-anonymous level vectors per
-	// attribute subset (vectors indexed by subset position).
-	anon := make(map[string]map[string]bool)
-	checked := 0
 
 	n := len(ds.Records)
 	budget := int(opts.MaxSuppression * float64(n))
-	subsets := enumerateSubsets(len(qis))
-	for _, sub := range subsets {
-		subKey := subsetKey(sub)
-		anon[subKey] = make(map[string]bool)
-		subView := view.sub(sub)
-		subHeights := make([]int, len(sub))
-		for i, a := range sub {
-			subHeights[i] = heights[a]
-		}
-		lat, err := lattice.New(subHeights)
-		if err != nil {
-			return nil, err
-		}
-		// WalkCtx polls the context between lattice nodes, so a cancelled
-		// job stops mid-expansion instead of finishing the subset.
-		if err := lat.WalkCtx(opts.Ctx, func(node []int) bool {
-			key := lattice.Key(node)
-			// Roll-up pruning: a specialization already k-anonymous
-			// implies this node is too.
-			for _, pred := range lat.Predecessors(node) {
-				if anon[subKey][lattice.Key(pred)] {
-					anon[subKey][key] = true
-					return true
-				}
-			}
-			// Subset pruning: every (size-1) projection must be
-			// k-anonymous.
-			if !subsetProjectionsAnonymous(anon, sub, node) {
-				return true
-			}
-			checked++
-			if suppressionNeeded(subView.levelSizes(node), opts.K) <= budget {
-				anon[subKey][key] = true
-			}
-			return true
-		}); err != nil {
-			return nil, err
-		}
+	minimal, checked, err := view.incognitoSearch(opts, budget)
+	if err != nil {
+		return nil, err
 	}
 	sw.Mark("lattice search")
-
-	fullKey := subsetKey(subsets[len(subsets)-1])
-	var candidates [][]int
-	for key := range anon[fullKey] {
-		candidates = append(candidates, parseKey(key))
-	}
-	if len(candidates) == 0 {
+	if len(minimal) == 0 {
 		return nil, fmt.Errorf("incognito: no k-anonymous generalization exists for k=%d (dataset has %d records)", opts.K, n)
 	}
-	minimal := lattice.MinimalNodes(candidates)
 
 	// Pick the minimal node with the lowest GCP.
 	bestIdx := -1
@@ -131,6 +80,72 @@ func Incognito(ds *dataset.Dataset, opts Options) (*Result, error) {
 		Levels:       minimal[bestIdx],
 		NodesChecked: checked,
 	}, nil
+}
+
+// incognitoSearch walks the lattice of every QI subset in increasing
+// size and returns the minimal k-anonymous full-dimension nodes, sorted as
+// lattice.MinimalNodes sorts them, with the number of nodes whose
+// k-anonymity it tested. A node qualifies when at most budget records fall
+// in classes smaller than k.
+func (v *qiView) incognitoSearch(opts Options, budget int) ([][]int, int, error) {
+	heights := make([]int, len(v.qis))
+	for i, h := range v.hh {
+		heights[i] = h.Height()
+	}
+	// anon[subsetKey][nodeKey] records k-anonymous level vectors per
+	// attribute subset (vectors indexed by subset position).
+	anon := make(map[string]map[string]bool)
+	checked := 0
+
+	subsets := enumerateSubsets(len(v.qis))
+	for _, sub := range subsets {
+		subKey := subsetKey(sub)
+		anon[subKey] = make(map[string]bool)
+		subView := v.sub(sub)
+		subHeights := make([]int, len(sub))
+		for i, a := range sub {
+			subHeights[i] = heights[a]
+		}
+		lat, err := lattice.New(subHeights)
+		if err != nil {
+			return nil, 0, err
+		}
+		// WalkCtx polls the context between lattice nodes, so a cancelled
+		// job stops mid-expansion instead of finishing the subset.
+		if err := lat.WalkCtx(opts.Ctx, func(node []int) bool {
+			key := lattice.Key(node)
+			// Roll-up pruning: a specialization already k-anonymous
+			// implies this node is too.
+			for _, pred := range lat.Predecessors(node) {
+				if anon[subKey][lattice.Key(pred)] {
+					anon[subKey][key] = true
+					return true
+				}
+			}
+			// Subset pruning: every (size-1) projection must be
+			// k-anonymous.
+			if !subsetProjectionsAnonymous(anon, sub, node) {
+				return true
+			}
+			checked++
+			if suppressionNeeded(subView.levelSizes(node), opts.K) <= budget {
+				anon[subKey][key] = true
+			}
+			return true
+		}); err != nil {
+			return nil, 0, err
+		}
+	}
+
+	fullKey := subsetKey(subsets[len(subsets)-1])
+	var candidates [][]int
+	for key := range anon[fullKey] {
+		candidates = append(candidates, parseKey(key))
+	}
+	if len(candidates) == 0 {
+		return nil, checked, nil
+	}
+	return lattice.MinimalNodes(candidates), checked, nil
 }
 
 // suppressSmallClasses suppresses every record whose equivalence class is
