@@ -99,17 +99,33 @@ type ClassCounter struct {
 // first-seen order, where record r's signature on column i is cols[i][r]
 // read through the translation table trans[i] (trans nil: the column IDs
 // themselves), an ID below cards[i]. The slice is valid until the
-// counter's next call.
+// counter's next call. Callers that pass compact IDs, cards[i] the number
+// of distinct IDs, keep the tuples' radix small enough for the dense
+// slot table.
 func (cc *ClassCounter) ClassSizes(n int, cols, trans [][]uint32, cards []int) []int {
+	return cc.Classes(n, cols, trans, cards, nil)
+}
+
+// Classes is ClassSizes that also stores, when of is non-nil, the number
+// of record r's class — its index in the returned sizes — in of[r].
+func (cc *ClassCounter) Classes(n int, cols, trans [][]uint32, cards []int, of []int32) []int {
 	cc.sizes = cc.sizes[:0]
-	numberClasses(&cc.index, n, cols, trans, cards, nil, func(_, c int) {
+	numberClasses(&cc.index, n, cols, trans, cards, nil, func(r, c int) {
 		if c == len(cc.sizes) {
 			cc.sizes = append(cc.sizes, 0)
 		}
 		cc.sizes[c]++
+		if of != nil {
+			of[r] = int32(c)
+		}
 	})
 	return cc.sizes
 }
+
+// denseSlotsPerRecord caps numberClasses' dense slot table at this many
+// slots per record. Above the cap a check hashes its keys instead: the
+// table would cost more to hold than the map it replaces.
+const denseSlotsPerRecord = 16
 
 // numberClasses is the one equivalence-class counter behind Partition,
 // ClassCounter and every relational k-check. It refills x and reports
@@ -120,7 +136,9 @@ func (cc *ClassCounter) ClassSizes(n int, cols, trans [][]uint32, cards []int) [
 // cards[i]. The tuple packs mixed-radix into a uint64 key,
 // ((id0*card1)+id1)*card2 + ..., when the cardinality product fits, and
 // into a big-endian byte string otherwise; either way the per-record path
-// allocates nothing, and key order is tuple order.
+// allocates nothing, and key order is tuple order. A packed key below
+// denseSlotsPerRecord*n indexes a slot table directly; larger keys go
+// through a map.
 func numberClasses(x *classIndex, n int, cols, trans [][]uint32, cards []int, skip func(r int) bool, class func(r, c int)) {
 	radix, packable := uint64(1), true
 	for _, card := range cards {
@@ -131,15 +149,34 @@ func numberClasses(x *classIndex, n int, cols, trans [][]uint32, cards []int, sk
 		}
 		radix *= c
 	}
-	var buf []byte
-	if packable {
+	x.keys, x.wide = x.keys[:0], nil
+	if !packable {
+		x.wide = make(map[string]int)
+		buf := make([]byte, 4*len(cols))
+		for r := 0; r < n; r++ {
+			if skip != nil && skip(r) {
+				continue
+			}
+			for i, col := range cols {
+				putID(buf[4*i:], translate(col[r], trans, i))
+			}
+			c, ok := x.wide[string(buf)]
+			if !ok {
+				c = len(x.wide)
+				x.wide[string(buf)] = c
+			}
+			class(r, c)
+		}
+		return
+	}
+	dense := radix <= uint64(denseSlotsPerRecord)*uint64(n)
+	if dense && uint64(len(x.slots)) < radix {
+		x.slots = make([]int32, min(max(radix, 2*uint64(len(x.slots))), uint64(denseSlotsPerRecord)*uint64(n)))
+	} else if !dense {
 		if x.packed == nil {
 			x.packed = make(map[uint64]int)
 		}
 		clear(x.packed)
-		x.wide = nil
-	} else {
-		x.wide, buf = make(map[string]int), make([]byte, 4*len(cols))
 	}
 	for r := 0; r < n; r++ {
 		if skip != nil && skip(r) {
@@ -147,34 +184,49 @@ func numberClasses(x *classIndex, n int, cols, trans [][]uint32, cards []int, sk
 		}
 		key := uint64(0)
 		for i, col := range cols {
-			id := col[r]
-			if trans != nil {
-				id = trans[i][id]
-			}
-			if packable {
-				key = key*uint64(cards[i]) + uint64(id)
-			} else {
-				putID(buf[4*i:], id)
-			}
+			key = key*uint64(cards[i]) + uint64(translate(col[r], trans, i))
 		}
 		var c int
-		var ok bool
-		if packable {
-			if c, ok = x.packed[key]; !ok {
-				c = len(x.packed)
-				x.packed[key] = c
+		if dense {
+			c = int(x.slots[key]) - 1
+			if c < 0 {
+				c = len(x.keys)
+				x.slots[key] = int32(c + 1)
+				x.keys = append(x.keys, key)
 			}
-		} else if c, ok = x.wide[string(buf)]; !ok {
-			c = len(x.wide)
-			x.wide[string(buf)] = c
+		} else {
+			var ok bool
+			if c, ok = x.packed[key]; !ok {
+				c = len(x.keys)
+				x.packed[key] = c
+				x.keys = append(x.keys, key)
+			}
 		}
 		class(r, c)
 	}
+	if dense {
+		// The touched list clears the table for the next count.
+		for _, key := range x.keys {
+			x.slots[key] = 0
+		}
+	}
 }
 
-// classIndex maps numberClasses' signature keys to class numbers: packed
-// keys, or byte-string keys when the tuples do not pack (wide non-nil).
+// translate reads column i's ID through its translation table, if any.
+func translate(id uint32, trans [][]uint32, i int) uint32 {
+	if trans != nil {
+		return trans[i][id]
+	}
+	return id
+}
+
+// classIndex holds numberClasses' signature keys: keys[c] is class c's
+// packed key, numbered through the all-zero-between-counts slot table or
+// the packed map; wide is the byte-string index used, instead, when the
+// tuples do not pack.
 type classIndex struct {
+	keys   []uint64
+	slots  []int32 // slots[key] = class+1, 0 for a key not seen
 	packed map[uint64]int
 	wide   map[string]int
 }
@@ -182,17 +234,21 @@ type classIndex struct {
 // order returns the class numbers sorted by signature tuple.
 func (x *classIndex) order() []int {
 	if x.wide != nil {
-		return keyOrder(x.wide)
+		keys := make([]string, len(x.wide))
+		for key, c := range x.wide {
+			keys[c] = key
+		}
+		return keyOrder(keys)
 	}
-	return keyOrder(x.packed)
+	return keyOrder(x.keys)
 }
 
-// keyOrder returns index's values sorted by their keys.
-func keyOrder[K cmp.Ordered](index map[K]int) []int {
-	keys := make([]K, len(index))
-	order := make([]int, len(index))
-	for key, c := range index {
-		keys[c], order[c] = key, c
+// keyOrder returns the class numbers sorted by their keys, where keys[c]
+// is class c's key.
+func keyOrder[K cmp.Ordered](keys []K) []int {
+	order := make([]int, len(keys))
+	for c := range order {
+		order[c] = c
 	}
 	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(keys[a], keys[b]) })
 	return order

@@ -320,3 +320,71 @@ func TestNumberClassesWideKeys(t *testing.T) {
 		}
 	}
 }
+
+// TestNumberClassesKeyPaths requires the dense slot table, the packed-key
+// map and the byte-string keys to number every record's class alike and
+// to order the classes alike, by signature tuple. One classIndex serves
+// every count, the paths interleaved, so a slot left set by one dense
+// count shows in the next. The dense table serves radixes up to
+// denseSlotsPerRecord*n and the map the ones above.
+func TestNumberClassesKeyPaths(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var x classIndex
+	for round := 0; round < 60; round++ {
+		n := 4 + rng.Intn(77) // keeps the third card, n at the cap of 16, above the IDs
+		cols := make([][]uint32, 3)
+		for i := range cols {
+			cols[i] = make([]uint32, n)
+			span := 1 + rng.Intn(4)
+			for r := range cols[i] {
+				cols[i][r] = uint32(rng.Intn(span))
+			}
+		}
+		tuple := func(r int) []uint32 { return []uint32{cols[0][r], cols[1][r], cols[2][r]} }
+		var wantOf, wantOrder []int
+		for p, cards := range [][]int{
+			{4, 4, denseSlotsPerRecord * n / 16}, // dense, radix the cap
+			{4, 4, denseSlotsPerRecord*n/16 + 1}, // packed map, above the cap
+			{1 << 31, 1 << 31, 1 << 31},          // byte-string keys
+			{4, 4, max(4, n-rng.Intn(n))},        // dense again
+		} {
+			of := make([]int, n)
+			numberClasses(&x, n, cols, nil, cards, nil, func(r, c int) { of[r] = c })
+			order := x.order()
+			if p == 0 {
+				wantOf, wantOrder = of, order
+				continue
+			}
+			if !reflect.DeepEqual(of, wantOf) || !reflect.DeepEqual(order, wantOrder) {
+				t.Fatalf("round %d, cards %v: classes %v, order %v; the dense table gave %v, %v", round, cards, of, order, wantOf, wantOrder)
+			}
+		}
+		for a := 0; a < n; a++ {
+			for b := 0; b < n; b++ {
+				if same := slices.Equal(tuple(a), tuple(b)); same != (wantOf[a] == wantOf[b]) {
+					t.Fatalf("round %d: records %d %v and %d %v in classes %d and %d", round, a, tuple(a), b, tuple(b), wantOf[a], wantOf[b])
+				}
+			}
+		}
+		for i := 1; i < len(wantOrder); i++ {
+			a, b := slices.Index(wantOf, wantOrder[i-1]), slices.Index(wantOf, wantOrder[i])
+			if slices.Compare(tuple(a), tuple(b)) >= 0 {
+				t.Fatalf("round %d: order puts %v before %v", round, tuple(a), tuple(b))
+			}
+		}
+	}
+	// The cap itself: a radix of denseSlotsPerRecord*n takes the table,
+	// one more the map.
+	const n = 7
+	col := [][]uint32{{0, 3, 5, 3, 0, 111, 5}}
+	for _, c := range []struct {
+		card  int
+		dense bool
+	}{{denseSlotsPerRecord * n, true}, {denseSlotsPerRecord*n + 1, false}} {
+		var y classIndex
+		numberClasses(&y, n, col, nil, []int{c.card}, nil, func(int, int) {})
+		if dense := y.packed == nil; dense != c.dense || len(y.keys) != 4 {
+			t.Errorf("radix %d: dense %v with %d classes, want dense %v with 4", c.card, dense, len(y.keys), c.dense)
+		}
+	}
+}

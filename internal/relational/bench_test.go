@@ -2,25 +2,40 @@ package relational
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"secreta/internal/dataset"
 	"secreta/internal/gen"
 )
 
-// benchAlgorithm times one relational algorithm at the size the anon-miss
-// end-to-end workload feeds it — 2,000 generated census records with
-// fanout-4 hierarchies and the shared interning — at k=6 and k=10.
-func benchAlgorithm(b *testing.B, run func(*dataset.Dataset, Options) (*Result, error)) {
-	ds := gen.Census(gen.Config{Records: 2000, Items: 24, Seed: 1})
-	hs, err := gen.Hierarchies(ds, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ix := dataset.Intern(ds)
-	for _, k := range []int{6, 10} {
-		opts := Options{K: k, Hierarchies: hs, Interned: ix}
-		b.Run(fmt.Sprintf("n2000_k%d", k), func(b *testing.B) {
+// benchCase is one benchmarked run: records generated census records at
+// k, with Incognito's suppression budget supp.
+type benchCase struct {
+	records, k int
+	supp       float64
+}
+
+// anonMissCases are the size the anon-miss end-to-end workload feeds the
+// relational algorithms — 2,000 records — at k=6 and k=10.
+var anonMissCases = []benchCase{{2000, 6, 0}, {2000, 10, 0}}
+
+// benchAlgorithm times one relational algorithm on generated census data
+// with fanout-4 hierarchies and the shared interning, one sub-benchmark
+// per case.
+func benchAlgorithm(b *testing.B, run func(*dataset.Dataset, Options) (*Result, error), cases ...benchCase) {
+	for _, c := range cases {
+		ds := gen.Census(gen.Config{Records: c.records, Items: 24, Seed: 1})
+		hs, err := gen.Hierarchies(ds, 4)
+		if err != nil {
+			b.Fatal(err)
+		}
+		opts := Options{K: c.k, Hierarchies: hs, Interned: dataset.Intern(ds), MaxSuppression: c.supp}
+		name := fmt.Sprintf("n%d_k%d", c.records, c.k)
+		if c.supp > 0 {
+			name += fmt.Sprintf("_supp%g", c.supp)
+		}
+		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := run(ds, opts); err != nil {
@@ -31,6 +46,12 @@ func benchAlgorithm(b *testing.B, run func(*dataset.Dataset, Options) (*Result, 
 	}
 }
 
-func BenchmarkBottomUp(b *testing.B)  { benchAlgorithm(b, BottomUp) }
-func BenchmarkTopDown(b *testing.B)   { benchAlgorithm(b, TopDown) }
-func BenchmarkIncognito(b *testing.B) { benchAlgorithm(b, Incognito) }
+func BenchmarkBottomUp(b *testing.B) { benchAlgorithm(b, BottomUp, anonMissCases...) }
+func BenchmarkTopDown(b *testing.B)  { benchAlgorithm(b, TopDown, anonMissCases...) }
+
+// BenchmarkIncognito adds, to the anon-miss cases, the compare-sweep
+// workload's shape — 1,000 records, its sweep's lowest and highest k —
+// and a 5% suppression budget.
+func BenchmarkIncognito(b *testing.B) {
+	benchAlgorithm(b, Incognito, slices.Concat(anonMissCases, []benchCase{{1000, 4, 0}, {1000, 10, 0}, {2000, 6, 0.05}})...)
+}

@@ -2,20 +2,15 @@ package relational
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"secreta/internal/dataset"
 	"secreta/internal/generalize"
 	"secreta/internal/lattice"
-	"secreta/internal/metrics"
 	"secreta/internal/privacy"
 	"secreta/internal/timing"
 )
-
-// metricsGCP is a local alias keeping the algorithm body readable.
-func metricsGCP(ds *dataset.Dataset, hs generalize.Set, qis []int) (float64, error) {
-	return metrics.GCP(ds, hs, qis)
-}
 
 // Incognito implements full-domain k-anonymity (LeFevre et al., SIGMOD
 // 2005). It searches the lattice of per-attribute generalization levels for
@@ -51,35 +46,87 @@ func Incognito(ds *dataset.Dataset, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("incognito: no k-anonymous generalization exists for k=%d (dataset has %d records)", opts.K, n)
 	}
 
-	// Pick the minimal node with the lowest GCP.
-	bestIdx := -1
-	bestGCP := 2.0
-	var bestDS *dataset.Dataset
+	// Score every minimal node on the view and materialize only the one
+	// with the lowest GCP; the strict < keeps the first of equal scores.
+	bestIdx, bestGCP := -1, 2.0
+	sc := view.newScorer()
 	for i, node := range minimal {
-		cand, err := generalize.FullDomain(ds, opts.Hierarchies, qis, node)
-		if err != nil {
-			return nil, err
+		if g := sc.score(node, opts.K, budget); g < bestGCP {
+			bestIdx, bestGCP = i, g
 		}
-		if budget > 0 {
-			suppressSmallClasses(cand, qis, opts.K)
-		}
-		g, err := metricsGCP(cand, opts.Hierarchies, qis)
-		if err != nil {
-			return nil, err
-		}
-		if g < bestGCP {
-			bestGCP = g
-			bestIdx = i
-			bestDS = cand
-		}
+	}
+	best, err := generalize.FullDomain(ds, opts.Hierarchies, qis, minimal[bestIdx])
+	if err != nil {
+		return nil, err
+	}
+	if budget > 0 {
+		suppressSmallClasses(best, qis, opts.K)
 	}
 	sw.Mark("recode")
 	return &Result{
-		Anonymized:   bestDS,
+		Anonymized:   best,
 		Phases:       sw.Phases(),
 		Levels:       minimal[bestIdx],
 		NodesChecked: checked,
 	}, nil
+}
+
+// gcpScorer scores full-domain nodes on a run's QI view: the GCP
+// metrics.GCP reports for the candidate Incognito publishes at the node,
+// computed without building it. Its tables are reused across nodes.
+type gcpScorer struct {
+	v     *qiView
+	ncp   [][]float64 // ncp[i][id]: the loss of QI i's dictionary value id at the node
+	class []int32     // class[r]: record r's class number at the node
+}
+
+func (v *qiView) newScorer() *gcpScorer {
+	sc := &gcpScorer{v: v, ncp: make([][]float64, len(v.cols)), class: make([]int32, v.n)}
+	for i, nodes := range v.nodes {
+		sc.ncp[i] = make([]float64, len(nodes))
+	}
+	return sc
+}
+
+// score returns metrics.GCP of ds generalized levels[i] steps up QI i's
+// hierarchy, after suppressing the records of classes smaller than k when
+// budget > 0, bit for bit: each cell costs the NCP of its published node
+// (1 for a node valued generalize.Suppressed, as metrics.GCP prices it),
+// a suppressed record 1 per QI, and the costs are summed record by record
+// and QI by QI, metrics.GCP's order.
+func (sc *gcpScorer) score(levels []int, k, budget int) float64 {
+	v := sc.v
+	if v.n == 0 {
+		return 0
+	}
+	for i, nodes := range v.nodes {
+		ix := v.hh[i].Index()
+		for id, node := range nodes {
+			g := ix.GeneralizeLevels(node, levels[i])
+			if ix.Value(g) == generalize.Suppressed {
+				sc.ncp[i][id] = 1
+			} else {
+				sc.ncp[i][id] = ix.NCP(g)
+			}
+		}
+	}
+	var sizes []int
+	if budget > 0 {
+		sizes = v.levelClasses(levels, sc.class)
+	}
+	total := 0.0
+	for r := 0; r < v.n; r++ {
+		if sizes != nil && sizes[sc.class[r]] < k {
+			for range v.cols {
+				total++
+			}
+			continue
+		}
+		for i, col := range v.cols {
+			total += sc.ncp[i][col[r]]
+		}
+	}
+	return total / float64(v.n*len(v.cols))
 }
 
 // incognitoSearch walks the lattice of every QI subset in increasing
@@ -87,66 +134,135 @@ func Incognito(ds *dataset.Dataset, opts Options) (*Result, error) {
 // lattice.MinimalNodes sorts them, with the number of nodes whose
 // k-anonymity it tested. A node qualifies when at most budget records fall
 // in classes smaller than k.
+//
+// Each subset keeps one bitset of its k-anonymous nodes, indexed by node
+// rank: the level vector read as a mixed-radix number, the subset's first
+// QI most significant, so a predecessor's or projection's rank is computed
+// in place. Roll-up marks every node with a k-anonymous predecessor, so
+// the set is closed under generalization and its minimal nodes are exactly
+// the nodes that passed their own check.
 func (v *qiView) incognitoSearch(opts Options, budget int) ([][]int, int, error) {
-	heights := make([]int, len(v.qis))
+	q := len(v.qis)
+	radix := make([]int, q)
 	for i, h := range v.hh {
-		heights[i] = h.Height()
+		radix[i] = h.Height() + 1
 	}
-	// anon[subsetKey][nodeKey] records k-anonymous level vectors per
-	// attribute subset (vectors indexed by subset position).
-	anon := make(map[string]map[string]bool)
+	anon := make([][]uint64, 1<<q)
 	checked := 0
-
-	subsets := enumerateSubsets(len(v.qis))
-	for _, sub := range subsets {
-		subKey := subsetKey(sub)
-		anon[subKey] = make(map[string]bool)
+	var minimal [][]int
+	var byLevel, levelStart []int
+	for _, sub := range enumerateSubsets(q) {
+		mask, size, maxLevel := 0, 1, 0
+		for _, a := range sub {
+			mask |= 1 << a
+			size *= radix[a]
+			maxLevel += radix[a] - 1
+		}
+		bits := make([]uint64, (size+63)/64)
+		anon[mask] = bits
 		subView := v.sub(sub)
-		subHeights := make([]int, len(sub))
-		for i, a := range sub {
-			subHeights[i] = heights[a]
+		node := make([]int, len(sub))
+		// Bucket the ranks by level (component sum), ascending within a
+		// level: the breadth-first order of lattice.Walk.
+		levelStart = slices.Grow(levelStart[:0], maxLevel+2)[:maxLevel+2]
+		clear(levelStart)
+		for r := 0; r < size; r++ {
+			levelStart[rankLevel(sub, radix, r)+1]++
 		}
-		lat, err := lattice.New(subHeights)
-		if err != nil {
-			return nil, 0, err
+		for l := 1; l < len(levelStart); l++ {
+			levelStart[l] += levelStart[l-1]
 		}
-		// WalkCtx polls the context between lattice nodes, so a cancelled
-		// job stops mid-expansion instead of finishing the subset.
-		if err := lat.WalkCtx(opts.Ctx, func(node []int) bool {
-			key := lattice.Key(node)
-			// Roll-up pruning: a specialization already k-anonymous
-			// implies this node is too.
-			for _, pred := range lat.Predecessors(node) {
-				if anon[subKey][lattice.Key(pred)] {
-					anon[subKey][key] = true
-					return true
-				}
+		byLevel = slices.Grow(byLevel[:0], size)[:size]
+		for r := 0; r < size; r++ {
+			l := rankLevel(sub, radix, r)
+			byLevel[levelStart[l]] = r
+			levelStart[l]++
+		}
+		for _, r := range byLevel {
+			// Poll between nodes, so a cancelled job stops mid-expansion
+			// instead of finishing the subset.
+			if err := opts.interrupted(); err != nil {
+				return nil, 0, err
 			}
-			// Subset pruning: every (size-1) projection must be
-			// k-anonymous.
-			if !subsetProjectionsAnonymous(anon, sub, node) {
-				return true
+			rankNode(node, sub, radix, r)
+			if predecessorAnonymous(bits, node, sub, radix, r) {
+				setBit(bits, r)
+				continue
+			}
+			if !projectionsAnonymous(anon, node, sub, radix, mask) {
+				continue
 			}
 			checked++
 			if suppressionNeeded(subView.levelSizes(node), opts.K) <= budget {
-				anon[subKey][key] = true
+				setBit(bits, r)
+				if len(sub) == q {
+					minimal = append(minimal, slices.Clone(node))
+				}
 			}
-			return true
-		}); err != nil {
-			return nil, 0, err
 		}
 	}
-
-	fullKey := subsetKey(subsets[len(subsets)-1])
-	var candidates [][]int
-	for key := range anon[fullKey] {
-		candidates = append(candidates, parseKey(key))
-	}
-	if len(candidates) == 0 {
+	if len(minimal) == 0 {
 		return nil, checked, nil
 	}
-	return lattice.MinimalNodes(candidates), checked, nil
+	return lattice.MinimalNodes(minimal), checked, nil
 }
+
+// rankLevel returns the level, the component sum, of the node of rank r
+// in the lattice over sub.
+func rankLevel(sub, radix []int, r int) int {
+	l := 0
+	for j := len(sub) - 1; j >= 0; j-- {
+		l += r % radix[sub[j]]
+		r /= radix[sub[j]]
+	}
+	return l
+}
+
+// rankNode writes the level vector of rank r in the lattice over sub into
+// node.
+func rankNode(node, sub, radix []int, r int) {
+	for j := len(sub) - 1; j >= 0; j-- {
+		node[j] = r % radix[sub[j]]
+		r /= radix[sub[j]]
+	}
+}
+
+// predecessorAnonymous reports whether a node one level below node (rank
+// r) is marked in bits — the roll-up property.
+func predecessorAnonymous(bits []uint64, node, sub, radix []int, r int) bool {
+	stride := 1
+	for j := len(sub) - 1; j >= 0; j-- {
+		if node[j] > 0 && hasBit(bits, r-stride) {
+			return true
+		}
+		stride *= radix[sub[j]]
+	}
+	return false
+}
+
+// projectionsAnonymous reports whether node's projection onto every
+// proper subset of sub one QI smaller is marked k-anonymous — the subset
+// property.
+func projectionsAnonymous(anon [][]uint64, node, sub, radix []int, mask int) bool {
+	if len(sub) == 1 {
+		return true
+	}
+	for drop := range sub {
+		r := 0
+		for j, a := range sub {
+			if j != drop {
+				r = r*radix[a] + node[j]
+			}
+		}
+		if !hasBit(anon[mask&^(1<<sub[drop])], r) {
+			return false
+		}
+	}
+	return true
+}
+
+func setBit(bits []uint64, i int)      { bits[i>>6] |= 1 << (i & 63) }
+func hasBit(bits []uint64, i int) bool { return bits[i>>6]&(1<<(i&63)) != 0 }
 
 // suppressSmallClasses suppresses every record whose equivalence class is
 // smaller than k — the suppression half of "k-anonymity with suppression".
@@ -159,31 +275,6 @@ func suppressSmallClasses(ds *dataset.Dataset, qis []int, k int) {
 			generalize.SuppressRecord(ds, qis, r)
 		}
 	}
-}
-
-// subsetProjectionsAnonymous checks that every proper (size-1) subset
-// projection of node is marked k-anonymous.
-func subsetProjectionsAnonymous(anon map[string]map[string]bool, sub []int, node []int) bool {
-	if len(sub) == 1 {
-		return true
-	}
-	projSub := make([]int, 0, len(sub)-1)
-	projNode := make([]int, 0, len(sub)-1)
-	for drop := range sub {
-		projSub = projSub[:0]
-		projNode = projNode[:0]
-		for i := range sub {
-			if i == drop {
-				continue
-			}
-			projSub = append(projSub, sub[i])
-			projNode = append(projNode, node[i])
-		}
-		if !anon[subsetKey(projSub)][lattice.Key(projNode)] {
-			return false
-		}
-	}
-	return true
 }
 
 // enumerateSubsets lists all non-empty subsets of {0..n-1} ordered by size
@@ -200,26 +291,5 @@ func enumerateSubsets(n int) [][]int {
 		out = append(out, s)
 	}
 	sort.SliceStable(out, func(i, j int) bool { return len(out[i]) < len(out[j]) })
-	return out
-}
-
-func subsetKey(sub []int) string { return lattice.Key(sub) }
-
-func parseKey(key string) []int {
-	var out []int
-	v := 0
-	seen := false
-	for i := 0; i <= len(key); i++ {
-		if i == len(key) || key[i] == ',' {
-			if seen {
-				out = append(out, v)
-			}
-			v = 0
-			seen = false
-			continue
-		}
-		v = v*10 + int(key[i]-'0')
-		seen = true
-	}
 	return out
 }

@@ -1,8 +1,14 @@
 package relational
 
 import (
+	"hash/fnv"
+	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 
+	"secreta/internal/dataset"
+	"secreta/internal/gen"
 	"secreta/internal/generalize"
 	"secreta/internal/lattice"
 	"secreta/internal/metrics"
@@ -88,4 +94,124 @@ func TestIncognitoMatchesNaive(t *testing.T) {
 			t.Errorf("k=%d: Incognito GCP %.6f != naive %.6f", k, gIncognito, gNaive)
 		}
 	}
+}
+
+// naiveSmallRecords lists the records of cand whose class — records with
+// the same QI values, joined into one string — is smaller than k: a
+// brute-force k-check that shares no code with the class counter.
+func naiveSmallRecords(cand *dataset.Dataset, qis []int, k int) []int {
+	sig := func(r int) string {
+		vals := make([]string, len(qis))
+		for i, q := range qis {
+			vals[i] = cand.Records[r].Values[q]
+		}
+		return strings.Join(vals, "\x00")
+	}
+	count := make(map[string]int)
+	for r := range cand.Records {
+		count[sig(r)]++
+	}
+	var small []int
+	for r := range cand.Records {
+		if count[sig(r)] < k {
+			small = append(small, r)
+		}
+	}
+	return small
+}
+
+// FuzzIncognitoMatchesNaive requires Incognito to publish exactly what
+// the exhaustive lattice scan publishes — the same Levels and the same
+// records — on generated census data of at most 64 records, leaf-valued
+// or partly generalized, for k from 1 to 8 and a suppression budget of 0
+// or 10%. The scan checks every node with naiveSmallRecords, suppresses
+// the small classes of the node it picks the same way, and prices nodes
+// with metrics.GCP; when not even the top node qualifies, Incognito must
+// fail.
+func FuzzIncognitoMatchesNaive(f *testing.F) {
+	f.Add([]byte{5, 0, 40, 0, 0, 1, 2, 3})
+	f.Add([]byte{3, 1, 63, 2, 1, 9, 9})
+	f.Add([]byte{7, 3, 20, 1, 2, 4})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 5 {
+			return
+		}
+		k := 1 + int(data[0]%8)
+		supp := 0.0
+		if data[1]&1 != 0 {
+			supp = 0.1
+		}
+		n := 1 + int(data[2]%64)
+		fanout := 2 + int(data[3]%3)
+		qiNames := [][]string{nil, {"Age", "Zip"}, {"Gender", "Education", "Marital"}}[int(data[4])%3]
+		h := fnv.New64a()
+		h.Write(data)
+		seed := int64(h.Sum64())
+		ds := gen.Census(gen.Config{Records: n, Items: 0, Seed: seed})
+		hs, err := gen.Hierarchies(ds, fanout)
+		if err != nil {
+			t.Skip(err)
+		}
+		if data[1]&2 != 0 {
+			ds = generalizeSome(t, rand.New(rand.NewSource(seed)), ds, hs)
+		}
+		qis, err := ds.QIIndices(qiNames)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hh, err := hs.ForQIs(ds, qis)
+		if err != nil {
+			t.Fatal(err)
+		}
+		heights := make([]int, len(qis))
+		for i, h := range hh {
+			heights[i] = h.Height()
+		}
+		budget := int(supp * float64(n))
+		publish := func(node []int) (*dataset.Dataset, int) {
+			cand, err := generalize.FullDomain(ds, hs, qis, node)
+			if err != nil {
+				t.Fatal(err)
+			}
+			small := naiveSmallRecords(cand, qis, k)
+			if budget > 0 {
+				for _, r := range small {
+					generalize.SuppressRecord(cand, qis, r)
+				}
+			}
+			return cand, len(small)
+		}
+		res, err := Incognito(ds, Options{K: k, QIs: qiNames, Hierarchies: hs, MaxSuppression: supp})
+		if _, small := publish(heights); small > budget {
+			if err == nil {
+				t.Fatalf("Incognito published levels %v where no node is k-anonymous", res.Levels)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		best, _ := naiveFullDomain(t, qis, heights,
+			func(node []int) bool {
+				_, small := publish(node)
+				return small <= budget
+			},
+			func(node []int) float64 {
+				cand, _ := publish(node)
+				g, err := metrics.GCP(cand, hs, qis)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return g
+			})
+		want, _ := publish(best)
+		if !reflect.DeepEqual(res.Levels, best) {
+			t.Fatalf("Incognito levels %v, naive %v", res.Levels, best)
+		}
+		for r := range want.Records {
+			if !reflect.DeepEqual(res.Anonymized.Records[r].Values, want.Records[r].Values) {
+				t.Fatalf("record %d: Incognito published %q, naive %q", r, res.Anonymized.Records[r].Values, want.Records[r].Values)
+			}
+		}
+	})
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"strings"
 	"testing"
 
 	"secreta/internal/dataset"
@@ -13,61 +12,7 @@ import (
 	"secreta/internal/metrics"
 )
 
-// viewScore is the GCP Incognito would publish at node, scored on the QI
-// view without building the candidate: a per-QI NCP table over dictionary
-// IDs, summed record by record and QI by QI, with every record of a class
-// smaller than k counted as suppressed when the budget is positive.
-func viewScore(v *qiView, node []int, k, budget int) float64 {
-	if v.n == 0 {
-		return 0
-	}
-	tables := make([][]float64, len(v.cols))
-	pub := make([][]int32, len(v.cols))
-	for i, nodes := range v.nodes {
-		ix := v.hh[i].Index()
-		tables[i], pub[i] = make([]float64, len(nodes)), make([]int32, len(nodes))
-		for id, nd := range nodes {
-			g := ix.GeneralizeLevels(nd, node[i])
-			pub[i][id] = g
-			if ix.Value(g) == generalize.Suppressed {
-				tables[i][id] = 1
-			} else {
-				tables[i][id] = ix.NCP(g)
-			}
-		}
-	}
-	small := make([]bool, v.n)
-	if budget > 0 {
-		key := func(r int) string {
-			var b strings.Builder
-			for i, col := range v.cols {
-				b.WriteString(v.hh[i].Index().Value(pub[i][col[r]]))
-				b.WriteByte(0)
-			}
-			return b.String()
-		}
-		count := make(map[string]int)
-		for r := 0; r < v.n; r++ {
-			count[key(r)]++
-		}
-		for r := range small {
-			small[r] = count[key(r)] < k
-		}
-	}
-	total := 0.0
-	for r := 0; r < v.n; r++ {
-		for i, col := range v.cols {
-			if small[r] {
-				total++
-			} else {
-				total += tables[i][col[r]]
-			}
-		}
-	}
-	return total / float64(v.n*len(v.cols))
-}
-
-// checkScores requires the view score of every minimal node Incognito's
+// checkScores requires the score Incognito gives every minimal node its
 // search finds on ds to equal metrics.GCP of the materialized candidate
 // bit for bit.
 func checkScores(t *testing.T, name string, ds *dataset.Dataset, opts Options) {
@@ -81,6 +26,7 @@ func checkScores(t *testing.T, name string, ds *dataset.Dataset, opts Options) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sc := view.newScorer()
 	for _, node := range minimal {
 		cand, err := generalize.FullDomain(ds, opts.Hierarchies, view.qis, node)
 		if err != nil {
@@ -93,7 +39,7 @@ func checkScores(t *testing.T, name string, ds *dataset.Dataset, opts Options) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := viewScore(view, node, opts.K, budget); math.Float64bits(got) != math.Float64bits(want) {
+		if got := sc.score(node, opts.K, budget); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("%s node %v: view score %v, GCP %v", name, node, got, want)
 		}
 	}

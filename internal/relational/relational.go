@@ -9,6 +9,7 @@ package relational
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"secreta/internal/dataset"
 	"secreta/internal/generalize"
@@ -76,6 +77,17 @@ type qiView struct {
 	nodes [][]int32
 	// counter is the run's class counter; a run counts on one goroutine.
 	counter *privacy.ClassCounter
+	// trans[i] and cards[i] are the last check's compact IDs of QI i:
+	// trans[i][id] is the rank of dictionary value id's published node
+	// among the distinct nodes published, cards[i] their number. rank[i]
+	// is the node-indexed scratch that numbers them, all zero between
+	// checks. trans and rank alias the run view's, so a sub-view's checks
+	// reuse them too.
+	trans [][]uint32
+	cards []int
+	rank  [][]int32
+	// published is the distinct-node scratch of one QI's compaction.
+	published []int32
 }
 
 // validate checks the options against ds and builds the run's QI view,
@@ -99,7 +111,8 @@ func (o *Options) validate(ds *dataset.Dataset) (*qiView, error) {
 	if err != nil {
 		return nil, err
 	}
-	v := &qiView{qis: qis, hh: hh, n: len(ds.Records), nodes: make([][]int32, len(qis)), counter: new(privacy.ClassCounter)}
+	v := &qiView{qis: qis, hh: hh, n: len(ds.Records), counter: new(privacy.ClassCounter),
+		nodes: make([][]int32, len(qis)), trans: make([][]uint32, len(qis)), cards: make([]int, len(qis)), rank: make([][]int32, len(qis))}
 	var dicts []*dataset.Interner
 	// A stale or foreign interning must not be read as ds's.
 	if ix := o.Interned; ix != nil && ix.N == len(ds.Records) && len(ix.Dicts) == len(ds.Attrs) {
@@ -121,37 +134,63 @@ func (o *Options) validate(ds *dataset.Dataset) (*qiView, error) {
 			}
 			v.nodes[i][id] = node
 		}
+		v.trans[i], v.rank[i] = make([]uint32, d.Len()), make([]int32, hix.Len())
 	}
 	return v, nil
 }
 
 // sub returns the view of the QIs at the given positions.
 func (v *qiView) sub(pos []int) *qiView {
-	s := &qiView{n: v.n, counter: v.counter}
+	s := &qiView{n: v.n, counter: v.counter, cards: make([]int, len(pos))}
 	for _, p := range pos {
 		s.qis = append(s.qis, v.qis[p])
 		s.hh = append(s.hh, v.hh[p])
 		s.cols = append(s.cols, v.cols[p])
 		s.nodes = append(s.nodes, v.nodes[p])
+		s.trans = append(s.trans, v.trans[p])
+		s.rank = append(s.rank, v.rank[p])
 	}
 	return s
 }
 
 // classSizes counts the equivalence classes when QI i publishes each
 // value's node as publish(i, node). The counter reads the columns through
-// one node translation table per QI, so a check allocates per distinct
-// value, not per record. The sizes are valid until the view's next count.
+// the compact IDs compact fills, so a check allocates nothing and the
+// tuples' radix is the product of the distinct published values. The
+// sizes are valid until the view's next count.
 func (v *qiView) classSizes(publish func(i int, node int32) int32) []int {
-	trans := make([][]uint32, len(v.nodes))
-	cards := make([]int, len(v.nodes))
+	v.compact(publish)
+	return v.counter.ClassSizes(v.n, v.cols, v.trans, v.cards)
+}
+
+// compact fills trans and cards for publishing QI i's values as
+// publish(i, node): each dictionary ID maps to the rank of its published
+// node among the distinct nodes published. Ranks follow node order, so
+// tuple order, and with it any order over the classes, is the order of
+// the published node IDs.
+func (v *qiView) compact(publish func(i int, node int32) int32) {
 	for i, nodes := range v.nodes {
-		trans[i] = make([]uint32, len(nodes))
+		trans, rank, pub := v.trans[i], v.rank[i], v.published[:0]
 		for id, node := range nodes {
-			trans[i][id] = uint32(publish(i, node))
+			p := publish(i, node)
+			trans[id] = uint32(p)
+			if rank[p] == 0 {
+				rank[p] = 1
+				pub = append(pub, p)
+			}
 		}
-		cards[i] = v.hh[i].Index().Len()
+		slices.Sort(pub)
+		for r, p := range pub {
+			rank[p] = int32(r)
+		}
+		for id, p := range trans {
+			trans[id] = uint32(rank[p])
+		}
+		for _, p := range pub {
+			rank[p] = 0
+		}
+		v.cards[i], v.published = len(pub), pub
 	}
-	return v.counter.ClassSizes(v.n, v.cols, trans, cards)
 }
 
 // cutSizes counts the classes when every QI is published through its cut.
@@ -184,10 +223,15 @@ func (v *qiView) leafPrefix() [][]int {
 
 // levelSizes counts the classes when QI i is generalized levels[i] steps
 // up its hierarchy.
-func (v *qiView) levelSizes(levels []int) []int {
-	return v.classSizes(func(i int, node int32) int32 {
+func (v *qiView) levelSizes(levels []int) []int { return v.levelClasses(levels, nil) }
+
+// levelClasses is levelSizes that also stores, when of is non-nil, each
+// record's class number, an index into the sizes, in of[r].
+func (v *qiView) levelClasses(levels []int, of []int32) []int {
+	v.compact(func(i int, node int32) int32 {
 		return v.hh[i].Index().GeneralizeLevels(node, levels[i])
 	})
+	return v.counter.Classes(v.n, v.cols, v.trans, v.cards, of)
 }
 
 // interrupted returns the options context's error, nil when no context

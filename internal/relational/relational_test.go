@@ -250,22 +250,6 @@ func TestClusterCountsAndSizes(t *testing.T) {
 	}
 }
 
-func TestParseKeyRoundTrip(t *testing.T) {
-	for _, node := range [][]int{{0}, {1, 2, 3}, {10, 0, 7}} {
-		got := parseKey(keyOf(node))
-		if len(got) != len(node) {
-			t.Fatalf("parseKey arity: %v vs %v", got, node)
-		}
-		for i := range node {
-			if got[i] != node[i] {
-				t.Fatalf("parseKey(%v) = %v", node, got)
-			}
-		}
-	}
-}
-
-func keyOf(node []int) string { return subsetKey(node) }
-
 func TestEnumerateSubsetsOrder(t *testing.T) {
 	subs := enumerateSubsets(3)
 	if len(subs) != 7 {
