@@ -5,9 +5,12 @@
 // RT-datasets (Poulis et al.).
 //
 // The hot paths run on the interned columnar core. One class counter
-// numbers equivalence classes by mixed-radix packed ID tuples: Partition
-// runs it over rank-interned columns, and the relational algorithms'
-// k-checks run it, through ClassCounter, over hierarchy node IDs. The k^m
+// numbers equivalence classes by mixed-radix packed ID tuples, through a
+// reused dense slot table when the tuples' radix is at most a fixed
+// multiple of the record count and through a hash map above it:
+// Partition runs it over rank-interned columns, and the relational
+// algorithms' k-checks run it, through ClassCounter, over order-preserving
+// compact ranks of the hierarchy nodes they publish. The k^m
 // support scan counts itemsets of dense item IDs — a counts array for
 // single items, a uint64-keyed map for pairs, packed byte keys beyond —
 // sharded across a bounded worker pool and merged additively, which keeps

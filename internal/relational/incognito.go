@@ -150,55 +150,41 @@ func (v *qiView) incognitoSearch(opts Options, budget int) ([][]int, int, error)
 	anon := make([][]uint64, 1<<q)
 	checked := 0
 	var minimal [][]int
-	var byLevel, levelStart []int
 	for _, sub := range enumerateSubsets(q) {
-		mask, size, maxLevel := 0, 1, 0
-		for _, a := range sub {
+		mask, size := 0, 1
+		heights := make([]int, len(sub))
+		for i, a := range sub {
 			mask |= 1 << a
 			size *= radix[a]
-			maxLevel += radix[a] - 1
+			heights[i] = radix[a] - 1
 		}
 		bits := make([]uint64, (size+63)/64)
 		anon[mask] = bits
 		subView := v.sub(sub)
-		node := make([]int, len(sub))
-		// Bucket the ranks by level (component sum), ascending within a
-		// level: the breadth-first order of lattice.Walk.
-		levelStart = slices.Grow(levelStart[:0], maxLevel+2)[:maxLevel+2]
-		clear(levelStart)
-		for r := 0; r < size; r++ {
-			levelStart[rankLevel(sub, radix, r)+1]++
+		lat, err := lattice.New(heights)
+		if err != nil {
+			return nil, 0, err
 		}
-		for l := 1; l < len(levelStart); l++ {
-			levelStart[l] += levelStart[l-1]
-		}
-		byLevel = slices.Grow(byLevel[:0], size)[:size]
-		for r := 0; r < size; r++ {
-			l := rankLevel(sub, radix, r)
-			byLevel[levelStart[l]] = r
-			levelStart[l]++
-		}
-		for _, r := range byLevel {
-			// Poll between nodes, so a cancelled job stops mid-expansion
-			// instead of finishing the subset.
-			if err := opts.interrupted(); err != nil {
-				return nil, 0, err
-			}
-			rankNode(node, sub, radix, r)
-			if predecessorAnonymous(bits, node, sub, radix, r) {
+		// WalkCtx polls the context between lattice nodes, so a cancelled
+		// job stops mid-expansion instead of finishing the subset.
+		if err := lat.WalkCtx(opts.Ctx, func(node []int) bool {
+			r := rank(node, sub, radix, -1)
+			switch {
+			case predecessorAnonymous(bits, node, sub, radix, r):
 				setBit(bits, r)
-				continue
-			}
-			if !projectionsAnonymous(anon, node, sub, radix, mask) {
-				continue
-			}
-			checked++
-			if suppressionNeeded(subView.levelSizes(node), opts.K) <= budget {
-				setBit(bits, r)
-				if len(sub) == q {
-					minimal = append(minimal, slices.Clone(node))
+			case !projectionsAnonymous(anon, node, sub, radix, mask):
+			default:
+				checked++
+				if suppressionNeeded(subView.levelSizes(node), opts.K) <= budget {
+					setBit(bits, r)
+					if len(sub) == q {
+						minimal = append(minimal, slices.Clone(node))
+					}
 				}
 			}
+			return true
+		}); err != nil {
+			return nil, 0, err
 		}
 	}
 	if len(minimal) == 0 {
@@ -207,24 +193,16 @@ func (v *qiView) incognitoSearch(opts Options, budget int) ([][]int, int, error)
 	return lattice.MinimalNodes(minimal), checked, nil
 }
 
-// rankLevel returns the level, the component sum, of the node of rank r
-// in the lattice over sub.
-func rankLevel(sub, radix []int, r int) int {
-	l := 0
-	for j := len(sub) - 1; j >= 0; j-- {
-		l += r % radix[sub[j]]
-		r /= radix[sub[j]]
+// rank returns node's rank in the lattice over sub, leaving out position
+// skip (-1: none) — the rank of its projection onto the rest of sub.
+func rank(node, sub, radix []int, skip int) int {
+	r := 0
+	for j, a := range sub {
+		if j != skip {
+			r = r*radix[a] + node[j]
+		}
 	}
-	return l
-}
-
-// rankNode writes the level vector of rank r in the lattice over sub into
-// node.
-func rankNode(node, sub, radix []int, r int) {
-	for j := len(sub) - 1; j >= 0; j-- {
-		node[j] = r % radix[sub[j]]
-		r /= radix[sub[j]]
-	}
+	return r
 }
 
 // predecessorAnonymous reports whether a node one level below node (rank
@@ -248,13 +226,7 @@ func projectionsAnonymous(anon [][]uint64, node, sub, radix []int, mask int) boo
 		return true
 	}
 	for drop := range sub {
-		r := 0
-		for j, a := range sub {
-			if j != drop {
-				r = r*radix[a] + node[j]
-			}
-		}
-		if !hasBit(anon[mask&^(1<<sub[drop])], r) {
+		if !hasBit(anon[mask&^(1<<sub[drop])], rank(node, sub, radix, drop)) {
 			return false
 		}
 	}
