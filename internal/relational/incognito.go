@@ -80,6 +80,7 @@ type gcpScorer struct {
 	class []int32     // class[r]: record r's class number at the node
 }
 
+// newScorer allocates a scorer's tables for v's dictionaries and records.
 func (v *qiView) newScorer() *gcpScorer {
 	sc := &gcpScorer{v: v, ncp: make([][]float64, len(v.cols)), class: make([]int32, v.n)}
 	for i, nodes := range v.nodes {
@@ -116,7 +117,7 @@ func (sc *gcpScorer) score(levels []int, k, budget int) float64 {
 	}
 	total := 0.0
 	for r := 0; r < v.n; r++ {
-		if sizes != nil && sizes[sc.class[r]] < k {
+		if budget > 0 && sizes[sc.class[r]] < k {
 			for range v.cols {
 				total++
 			}
