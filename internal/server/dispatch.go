@@ -2,21 +2,22 @@ package server
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"sync"
 )
 
-// Tenant-fair job admission. Single-tenant servers admit jobs straight
-// off the shared slot semaphore (FIFO-ish, racing goroutines). With
-// tenants configured, a saturating tenant would win that race almost
-// every time, so admission instead goes through a dispatcher: each
-// tenant gets its own FIFO queue, and a single dispatch loop hands the
-// shared slots out by smooth weighted round-robin across the non-empty
-// queues. One tenant's backlog then costs other tenants at most its
-// weight share — the property the starvation e2e pins.
+// Job admission. Every job waits in its tenant's FIFO queue (a
+// single-tenant server has one queue, under tenant ""), and the shared
+// slots are handed out by smooth weighted round-robin across the queues
+// whose tenant is under its concurrency cap. A saturating tenant's
+// backlog then costs other tenants at most its weight share — the
+// property the starvation e2e pins. A slot is granted under the
+// admission lock by the goroutine that frees it, or by the arriving job
+// that finds it free.
 
-// wrrEntry is one tenant's smooth-WRR accumulator. current is touched
-// only by the dispatch loop, so fairness bookkeeping is contention-free.
+// wrrEntry is one tenant's smooth-WRR accumulator, guarded by the
+// admission lock.
 type wrrEntry struct {
 	id      string
 	weight  int
@@ -68,9 +69,10 @@ func (p *wrrPicker) add(id string, weight int) {
 }
 
 // pick selects the next tenant among those eligible (queue non-empty and
-// under any per-tenant cap), or "" when none is. Strict > with sorted
+// under any per-tenant cap); ok is false when none is. The flag, not the
+// id, says "none": "" is the single-tenant id. Strict > with sorted
 // iteration breaks accumulator ties toward the smaller id.
-func (p *wrrPicker) pick(eligible func(id string) bool) string {
+func (p *wrrPicker) pick(eligible func(id string) bool) (id string, ok bool) {
 	total := 0
 	var best *wrrEntry
 	for _, e := range p.entries {
@@ -84,215 +86,139 @@ func (p *wrrPicker) pick(eligible func(id string) bool) string {
 		}
 	}
 	if best == nil {
-		return ""
+		return "", false
 	}
 	best.current -= total
-	return best.id
+	return best.id, true
 }
 
-// waiter is one queued job waiting for a slot grant.
-type waiter struct {
-	tenant string
-	// grant is buffered so the dispatch loop never blocks on a waiter
-	// that is concurrently abandoning.
-	grant   chan struct{}
-	granted bool // guarded by dispatcher.mu
-}
-
-// dispatcher owns the per-tenant queues and the dispatch loop. It wraps
-// the server's slot semaphore: the loop claims a slot, picks a tenant by
-// WRR, and grants the head of that tenant's queue; the job releases the
-// slot (and its tenant's running count) when it finishes.
-type dispatcher struct {
-	slots   chan struct{}
-	tenants *tenantSet
+// admission owns the job slots. One mutex guards the free-slot count,
+// the per-tenant queues and running counts, and the WRR accumulators.
+// A queued job waits on its grant channel, which is closed when it is
+// handed a slot.
+type admission struct {
+	tenants *tenantSet // nil: single-tenant, no per-tenant caps
+	total   int
 
 	mu      sync.Mutex
-	cond    *sync.Cond
+	free    int
 	picker  *wrrPicker
-	queues  map[string][]*waiter
+	queues  map[string][]chan struct{}
 	running map[string]int
-	stopped bool
 }
 
-// newDispatcher builds the dispatcher over the server's slot semaphore
-// and starts its loop; stop it by cancelling ctx.
-func newDispatcher(ctx context.Context, slots chan struct{}, tenants *tenantSet) *dispatcher {
-	weights := make(map[string]int, len(tenants.ids))
-	for _, id := range tenants.ids {
-		weights[id] = tenants.byID[id].weight()
+// newAdmission builds admission over total slots, weighting each
+// configured tenant's queue by its WRR weight.
+func newAdmission(total int, tenants *tenantSet) *admission {
+	weights := map[string]int{}
+	if tenants != nil {
+		for _, id := range tenants.ids {
+			weights[id] = tenants.byID[id].weight()
+		}
 	}
-	d := &dispatcher{
-		slots:   slots,
+	return &admission{
 		tenants: tenants,
+		total:   total,
+		free:    total,
 		picker:  newWRRPicker(weights),
-		queues:  make(map[string][]*waiter),
+		queues:  make(map[string][]chan struct{}),
 		running: make(map[string]int),
 	}
-	d.cond = sync.NewCond(&d.mu)
-	go d.loop(ctx)
-	// Wake the loop out of its cond wait at shutdown.
-	go func() {
-		<-ctx.Done()
-		d.mu.Lock()
-		d.stopped = true
-		d.mu.Unlock()
-		d.cond.Broadcast()
-	}()
-	return d
+}
+
+// tenant returns id's runtime state (nil in single-tenant mode, or for a
+// recovered job whose tenant left the tenants file).
+func (a *admission) tenant(id string) *tenantState {
+	if a.tenants == nil {
+		return nil
+	}
+	return a.tenants.byID[id]
 }
 
 // eligibleLocked reports whether tenant id can be granted a slot right
 // now: a waiter is queued and the tenant is under its concurrency cap.
-func (d *dispatcher) eligibleLocked(id string) bool {
-	if len(d.queues[id]) == 0 {
+func (a *admission) eligibleLocked(id string) bool {
+	if len(a.queues[id]) == 0 {
 		return false
 	}
-	if st := d.tenants.byID[id]; st != nil && st.cfg.MaxConcurrentJobs > 0 &&
-		d.running[id] >= st.cfg.MaxConcurrentJobs {
-		return false
-	}
-	return true
+	st := a.tenant(id)
+	return st == nil || st.cfg.MaxConcurrentJobs <= 0 || a.running[id] < st.cfg.MaxConcurrentJobs
 }
 
-// loop is the dispatch goroutine: claim one slot, hand it to the next
-// WRR-chosen waiter, repeat. Holding the claimed slot while no waiter is
-// eligible is deliberate — nothing else consumes slots in tenant mode.
-func (d *dispatcher) loop(ctx context.Context) {
-	for {
-		select {
-		case d.slots <- struct{}{}:
-		case <-ctx.Done():
+// grantLocked hands free slots to eligible waiters, one WRR pick each.
+func (a *admission) grantLocked() {
+	for a.free > 0 {
+		id, ok := a.picker.pick(a.eligibleLocked)
+		if !ok {
 			return
 		}
-		d.mu.Lock()
-		var w *waiter
-		for {
-			if d.stopped {
-				d.mu.Unlock()
-				<-d.slots
-				return
-			}
-			id := d.picker.pick(d.eligibleLocked)
-			if id != "" {
-				q := d.queues[id]
-				w, d.queues[id] = q[0], q[1:]
-				if len(d.queues[id]) == 0 {
-					delete(d.queues, id)
-				}
-				d.running[id]++
-				w.granted = true
-				break
-			}
-			d.cond.Wait()
-		}
-		d.mu.Unlock()
-		if st := d.tenants.byID[w.tenant]; st != nil {
+		q := a.queues[id]
+		close(q[0])
+		a.setQueueLocked(id, q[1:])
+		a.free--
+		a.running[id]++
+		if st := a.tenant(id); st != nil {
 			st.dispatched.Add(1)
 		}
-		w.grant <- struct{}{}
 	}
-}
-
-// enqueue appends a waiter to its tenant's queue and nudges the loop.
-func (d *dispatcher) enqueue(w *waiter) {
-	d.mu.Lock()
-	if _, ok := d.picker.byID[w.tenant]; !ok {
-		// A recovered job whose tenant left the tenants file still has to
-		// drain; give it the default weight.
-		d.picker.add(w.tenant, 1)
-	}
-	d.queues[w.tenant] = append(d.queues[w.tenant], w)
-	d.mu.Unlock()
-	d.cond.Broadcast()
-}
-
-// abandon withdraws a cancelled waiter. If the grant raced in first, the
-// waiter owns a slot it will never use — consume and release it here.
-func (d *dispatcher) abandon(w *waiter) {
-	d.mu.Lock()
-	if w.granted {
-		d.mu.Unlock()
-		<-w.grant
-		d.release(w.tenant)
-		return
-	}
-	q := d.queues[w.tenant]
-	for i, qw := range q {
-		if qw == w {
-			copy(q[i:], q[i+1:])
-			q = q[:len(q)-1]
-			break
-		}
-	}
-	if len(q) == 0 {
-		delete(d.queues, w.tenant)
-	} else {
-		d.queues[w.tenant] = q
-	}
-	d.mu.Unlock()
-}
-
-// release returns a granted slot and the tenant's running credit, waking
-// the loop in case the tenant's cap was the blocker.
-func (d *dispatcher) release(tenant string) {
-	d.mu.Lock()
-	if d.running[tenant] > 0 {
-		d.running[tenant]--
-		if d.running[tenant] == 0 {
-			delete(d.running, tenant)
-		}
-	}
-	d.mu.Unlock()
-	<-d.slots
-	d.cond.Broadcast()
-}
-
-// queueDepths snapshots per-tenant queued and running counts for /stats
-// and the dashboard.
-func (d *dispatcher) queueDepths() map[string][2]int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make(map[string][2]int, len(d.queues)+len(d.running))
-	for id, q := range d.queues {
-		out[id] = [2]int{len(q), d.running[id]}
-	}
-	for id, r := range d.running {
-		if _, ok := out[id]; !ok {
-			out[id] = [2]int{0, r}
-		}
-	}
-	return out
 }
 
 // admit blocks until the job may run, honoring cancellation. The caller
-// must pair a nil return with releaseSlot. Single-tenant servers keep
-// the original direct semaphore path, byte-for-byte.
-func (s *Server) admit(ctx context.Context, tenant string) error {
-	if s.dispatch == nil {
-		select {
-		case s.slots <- struct{}{}:
-			return nil
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-	w := &waiter{tenant: tenant, grant: make(chan struct{}, 1)}
-	s.dispatch.enqueue(w)
+// must pair a nil return with release.
+func (a *admission) admit(ctx context.Context, tenant string) error {
+	grant := make(chan struct{})
+	a.mu.Lock()
+	// A tenant outside the tenants file joins the rotation at the default
+	// weight: "" on a single-tenant server, or the tenant of a recovered
+	// job that has left the file since (its jobs still have to drain).
+	a.picker.add(tenant, 1)
+	a.queues[tenant] = append(a.queues[tenant], grant)
+	a.grantLocked()
+	a.mu.Unlock()
 	select {
-	case <-w.grant:
+	case <-grant:
 		return nil
 	case <-ctx.Done():
-		s.dispatch.abandon(w)
-		return ctx.Err()
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	select {
+	case <-grant:
+		// The grant raced the cancel: give the slot straight back.
+		a.releaseLocked(tenant)
+	default:
+		a.setQueueLocked(tenant, slices.DeleteFunc(a.queues[tenant], func(c chan struct{}) bool { return c == grant }))
+	}
+	return ctx.Err()
+}
+
+// setQueueLocked stores tenant's queue, dropping it once empty.
+func (a *admission) setQueueLocked(tenant string, q []chan struct{}) {
+	if len(q) == 0 {
+		delete(a.queues, tenant)
+	} else {
+		a.queues[tenant] = q
 	}
 }
 
-// releaseSlot returns the admission slot acquired by admit.
-func (s *Server) releaseSlot(tenant string) {
-	if s.dispatch == nil {
-		<-s.slots
-		return
+// release returns a slot granted by admit to the next eligible waiter.
+func (a *admission) release(tenant string) {
+	a.mu.Lock()
+	a.releaseLocked(tenant)
+	a.mu.Unlock()
+}
+
+func (a *admission) releaseLocked(tenant string) {
+	a.free++
+	if a.running[tenant]--; a.running[tenant] <= 0 {
+		delete(a.running, tenant)
 	}
-	s.dispatch.release(tenant)
+	a.grantLocked()
+}
+
+// slots reports how many slots are held and how many exist.
+func (a *admission) slots() slotsView {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return slotsView{InUse: a.total - a.free, Total: a.total}
 }

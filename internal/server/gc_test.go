@@ -167,7 +167,7 @@ func TestGCKeepsDataDirUnderCapAndSparesInFlight(t *testing.T) {
 	// In-flight protection: hold the server's only slot so a fresh job
 	// stays queued, then sweep. The job and its dataset must both
 	// survive, with no errors counted.
-	srv2.slots <- struct{}{}
+	releaseSlot := holdSlot(t, srv2, "")
 	qresp, sub := postJSON(t, ts2.URL+"/anonymize", map[string]any{
 		"dataset_ref": ref,
 		"config":      map[string]any{"algo": "apriori", "k": 9, "m": 1},
@@ -192,7 +192,7 @@ func TestGCKeepsDataDirUnderCapAndSparesInFlight(t *testing.T) {
 	// Release the slot and let the job run. From here on, background
 	// kick-triggered sweeps race the polls, so completion is observed
 	// leniently (terminal, or already swept — never stuck in queue).
-	<-srv2.slots
+	releaseSlot()
 	gcAwait(t, ts2.URL, queuedID)
 
 	// Sustained load: six more jobs against the capped dir, sweeping

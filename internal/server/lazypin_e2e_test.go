@@ -81,7 +81,7 @@ func TestLazyPinBoundsResidencyByConcurrency(t *testing.T) {
 	// jobs below are deterministically still queued when the
 	// delete-conflict and residency checks run — any wall-clock slot
 	// holder (a "slow" job) races the checks on a fast machine.
-	srv.slots <- struct{}{}
+	releaseSlot := holdSlot(t, srv, "")
 
 	ids := make([]string, jobs)
 	for i := range ids {
@@ -113,7 +113,7 @@ func TestLazyPinBoundsResidencyByConcurrency(t *testing.T) {
 		t.Fatalf("%d datasets resident mid-queue, want <= 2 (cache cap + running job)", got)
 	}
 	// Release the slot and let the queue drain.
-	<-srv.slots
+	releaseSlot()
 	for i, id := range ids {
 		if st := pollDone(t, ts.URL, id); st != StatusDone {
 			t.Fatalf("job %d ended %s, want done", i, st)

@@ -108,27 +108,21 @@ func (d diskRecords) stream(emit func(line []byte) error) error {
 	}
 }
 
-// jobResult is what a finished job retains and serves. Exactly one shape
-// is populated: full for series jobs, meta+recs for anonymize jobs.
+// jobResult is what a job's runnable hands back on success and what the
+// finished job retains and serves. Exactly one shape is populated: full
+// for series jobs, meta+recs for anonymize jobs. A runnable's recs are
+// in RAM; finishJob points them at the chunk file once it is committed.
 type jobResult struct {
 	full []byte
 	meta *anonMeta
 	recs resultRecords
 }
 
-// jobOutcome is what a job's runnable hands back on success; finishJob
-// turns it into the retained jobResult (persisting as a side effect).
-type jobOutcome struct {
-	payload []byte    // complete JSON document (series jobs)
-	meta    *anonMeta // anonymize jobs
-	records dataset.RecordSource
-}
-
 // ---- payload builders (series jobs keep the legacy buffered form) ----
 
 // resultsPayload wraps export.ResultsJSON: {"results": [...]}, byte-for-
 // byte the same result objects `secreta evaluate -results` writes.
-func resultsPayload(results []*engine.Result) (*jobOutcome, error) {
+func resultsPayload(results []*engine.Result) (*jobResult, error) {
 	var buf bytes.Buffer
 	if err := export.ResultsJSON(&buf, results); err != nil {
 		return nil, err
@@ -137,10 +131,10 @@ func resultsPayload(results []*engine.Result) (*jobOutcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &jobOutcome{payload: p}, nil
+	return &jobResult{full: p}, nil
 }
 
-func seriesPayload(series []*experiment.Series) (*jobOutcome, error) {
+func seriesPayload(series []*experiment.Series) (*jobResult, error) {
 	var buf bytes.Buffer
 	if err := export.SeriesJSON(&buf, series); err != nil {
 		return nil, err
@@ -149,7 +143,7 @@ func seriesPayload(series []*experiment.Series) (*jobOutcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &jobOutcome{payload: p}, nil
+	return &jobResult{full: p}, nil
 }
 
 // wrap assembles {"key": <raw>, ...} from alternating key, raw-JSON pairs.
@@ -161,11 +155,11 @@ func wrap(kv ...any) ([]byte, error) {
 	return json.MarshalIndent(out, "", "  ")
 }
 
-// anonymizeOutcome builds the streaming-ready outcome of an anonymize
+// anonymizeResult builds the streaming-ready result of an anonymize
 // run: the constant-size meta plus the replayable record source the
 // engine result carries. cacheHit flags cache-served results so their
 // runtime_s is not read as a fresh measurement.
-func anonymizeOutcome(res *engine.Result, cacheHit bool) (*jobOutcome, error) {
+func anonymizeResult(res *engine.Result, cacheHit bool) (*jobResult, error) {
 	var buf bytes.Buffer
 	if err := export.ResultsJSON(&buf, []*engine.Result{res}); err != nil {
 		return nil, err
@@ -179,7 +173,7 @@ func anonymizeOutcome(res *engine.Result, cacheHit bool) (*jobOutcome, error) {
 		return nil, fmt.Errorf("anonymize result carries no records")
 	}
 	hdr := export.HeaderFor(src)
-	return &jobOutcome{
+	return &jobResult{
 		meta: &anonMeta{
 			Attributes:  hdr.Attributes,
 			Transaction: hdr.Transaction,
@@ -187,7 +181,7 @@ func anonymizeOutcome(res *engine.Result, cacheHit bool) (*jobOutcome, error) {
 			CacheHit:    cacheHit,
 			Results:     compact.Bytes(),
 		},
-		records: src,
+		recs: memRecords{src: src},
 	}, nil
 }
 

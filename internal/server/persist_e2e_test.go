@@ -222,6 +222,11 @@ func TestRecoveryRequeuesInflight(t *testing.T) {
 	if sub["job"].(string) <= "j-000041" {
 		t.Fatalf("new job %s collides with recovered sequence", sub["job"])
 	}
+	// Let that job finish before cleanup closes the store and removes the
+	// directory, or its journal record and trace blob race the removal.
+	if st := pollDone(t, ts.URL, sub["job"].(string)); st != StatusDone {
+		t.Fatalf("new job ended %s", st)
+	}
 }
 
 // TestRecoveryFailsRequeueWhenDatasetGone: an in-flight job whose dataset

@@ -42,7 +42,6 @@ import (
 	"secreta/internal/dataset"
 	"secreta/internal/engine"
 	"secreta/internal/experiment"
-	"secreta/internal/export"
 	"secreta/internal/gen"
 	"secreta/internal/generalize"
 	"secreta/internal/hierarchy"
@@ -158,14 +157,13 @@ type Server struct {
 		disconnects atomic.Uint64
 	}
 	// tenants is the multi-tenant table (nil: single-tenant mode; see
-	// tenant.go). dispatch shares the job slots across tenants by
-	// weighted round-robin (nil exactly when tenants is nil). gc is the
-	// disk retention sweeper (nil unless durable with DataMaxBytes set).
-	tenants  *tenantSet
-	dispatch *dispatcher
-	gc       *gcState
-	// slots is the admission semaphore: a job must hold a slot to run.
-	slots chan struct{}
+	// tenant.go). gc is the disk retention sweeper (nil unless durable
+	// with DataMaxBytes set).
+	tenants *tenantSet
+	gc      *gcState
+	// admission hands out the job slots: a job must hold one to run
+	// (see dispatch.go).
+	admission *admission
 	// uploadSlots bounds concurrent POST /datasets decodes. Uploads don't
 	// consume job slots, but decoding up to MaxBodyBytes of JSON is real
 	// CPU/memory — without a bound, a flood of uploads could saturate the
@@ -233,7 +231,6 @@ func New(ctx context.Context, opts Options) (*Server, error) {
 		logger:      opts.Logger,
 		dash:        newDashHistory(),
 		baseCtx:     ctx,
-		slots:       make(chan struct{}, opts.MaxConcurrentJobs),
 		uploadSlots: make(chan struct{}, opts.MaxConcurrentJobs),
 	}
 	s.mux.HandleFunc("POST /datasets", s.handleDatasetUpload)
@@ -260,8 +257,8 @@ func New(ctx context.Context, opts Options) (*Server, error) {
 			return nil, fmt.Errorf("server: %w", err)
 		}
 		s.tenants = newTenantSet(opts.Tenants, opts.Now)
-		s.dispatch = newDispatcher(ctx, s.slots, s.tenants)
 	}
+	s.admission = newAdmission(opts.MaxConcurrentJobs, s.tenants)
 	if opts.DataMaxBytes > 0 && s.st != nil {
 		s.gc = newGCState(opts.DataMaxBytes, opts.GCInterval, opts.Now)
 		go s.gcLoop(ctx)
@@ -536,7 +533,7 @@ func (s *Server) datasetError(w http.ResponseWriter, err error) {
 // crash). release frees resources acquired at preparation time — the
 // registry pin — and must be called exactly once on every exit path.
 type preparedJob struct {
-	fn         func(context.Context) (*jobOutcome, error)
+	fn         func(context.Context) (*jobResult, error)
 	release    func()
 	timeout    time.Duration
 	datasetRef string
@@ -614,7 +611,7 @@ func (s *Server) prepareSingle(kind string, req *AnonymizeRequest, owner string)
 		if err != nil {
 			return nil, err
 		}
-		fn := func(ctx context.Context) (*jobOutcome, error) {
+		fn := func(ctx context.Context) (*jobResult, error) {
 			ds, err := s.loadTraced(ctx, load)
 			if err != nil {
 				return nil, err
@@ -634,17 +631,17 @@ func (s *Server) prepareSingle(kind string, req *AnonymizeRequest, owner string)
 	if err != nil {
 		return nil, err
 	}
-	var fn func(context.Context) (*jobOutcome, error)
+	var fn func(context.Context) (*jobResult, error)
 	if kind == "anonymize" {
-		fn = func(ctx context.Context) (*jobOutcome, error) {
+		fn = func(ctx context.Context) (*jobResult, error) {
 			res, cacheHit, err := s.runSingle(ctx, s.sched, load, cfg, fanout, workload)
 			if err != nil {
 				return nil, err
 			}
-			return anonymizeOutcome(res, cacheHit)
+			return anonymizeResult(res, cacheHit)
 		}
 	} else {
-		fn = func(ctx context.Context) (*jobOutcome, error) {
+		fn = func(ctx context.Context) (*jobResult, error) {
 			// Uncached like the CLI: /evaluate is a measurement, so its
 			// runtime must come from a real execution.
 			res, _, err := s.runSingle(ctx, s.uncached, load, cfg, fanout, workload)
@@ -685,7 +682,7 @@ func (s *Server) prepareCompare(req *CompareRequest, owner string) (*preparedJob
 	if err != nil {
 		return nil, err
 	}
-	fn := func(ctx context.Context) (*jobOutcome, error) {
+	fn := func(ctx context.Context) (*jobResult, error) {
 		ds, err := s.loadTraced(ctx, load)
 		if err != nil {
 			return nil, err
@@ -1317,17 +1314,15 @@ func (s *Server) runJob(ctx context.Context, cancel context.CancelFunc, j *job, 
 	defer p.release()
 	defer cancel()
 	queueSpan := j.trace.Root().Start("queue_wait")
-	// Admission: the shared semaphore directly (single-tenant) or the
-	// weighted round-robin dispatcher's per-tenant queue (multi-tenant).
-	if err := s.admit(ctx, j.tenant); err != nil {
+	if err := s.admission.admit(ctx, j.tenant); err != nil {
 		queueSpan.End()
 		j.finish(nil, err, err, false, p.release)
 		return
 	}
-	defer s.releaseSlot(j.tenant)
+	defer s.admission.release(j.tenant)
 	queueSpan.End()
-	// The slot race can admit a job whose context was cancelled while
-	// it queued; don't burn the slot on dataset decoding for it.
+	// A grant can land just before the job's context is cancelled; don't
+	// burn the slot on dataset decoding for it.
 	if err := ctx.Err(); err != nil {
 		j.finish(nil, err, err, false, p.release)
 		return
@@ -1345,61 +1340,49 @@ func (s *Server) runJob(ctx context.Context, cancel context.CancelFunc, j *job, 
 	// context.
 	execSpan := j.trace.Root().Start("execute")
 	runCtx = obs.With(runCtx, execSpan)
-	outcome, err := p.fn(runCtx)
+	res, err := p.fn(runCtx)
 	execSpan.End()
-	s.finishJob(j, outcome, err, runCtx.Err(), p.release)
+	s.finishJob(j, res, err, runCtx.Err(), p.release)
 }
 
-// finishJob persists a successful outcome (durability first: the result
-// bytes are on disk before the journal's terminal record points at them),
-// decides what the job retains in memory, and records the outcome.
+// finishJob persists a successful result (durability first: the result
+// bytes are on disk before the journal's terminal record points at them)
+// and records the outcome.
 //
 // Series jobs keep their small document in RAM (and as a .json blob when
 // durable). Anonymize jobs are the streaming case: when durable, the
 // records are written once as a framed chunk file and the job retains
 // only the meta plus a reopenable disk stream — resident memory per
 // terminal job is O(1), and every later request serves O(chunk); without
-// a store, the job retains the result's record source — the interned
-// columnar copy the result cache built and shares with its entry, the
-// most compact replayable in-RAM shape.
-func (s *Server) finishJob(j *job, outcome *jobOutcome, err error, ctxErr error, release func()) {
-	var res *jobResult
+// a store (or when the write fails), the job retains the result's record
+// source — the interned columnar copy the result cache built and shares
+// with its entry, the most compact replayable in-RAM shape.
+func (s *Server) finishJob(j *job, res *jobResult, err error, ctxErr error, release func()) {
 	hasResult := false
 	// Persist whenever the work completed — matching finish()'s rule that
-	// an outcome with no error is done even if the deadline fired as fn
+	// a result with no error is done even if the deadline fired as fn
 	// returned.
-	if err == nil && outcome != nil {
+	if err == nil && res != nil {
 		persistSpan := j.trace.Root().Start("persist")
-		switch {
-		case outcome.payload != nil:
-			res = &jobResult{full: outcome.payload}
-			if s.st != nil {
-				if werr := s.st.Results.Put(j.id, outcome.payload); werr != nil {
-					// The job still answers from memory; only post-restart
-					// retrieval is lost. A permanent error additionally
-					// latches degraded mode — the next write would fail too.
-					s.log().Warn("persisting result failed", "job_id", j.id, "err", werr)
-					persistSpan.Event("fault: result blob: " + werr.Error())
-					s.storeFault("result blob persist", werr)
-				} else {
-					hasResult = true
-				}
-			}
-		case outcome.meta != nil:
-			res = &jobResult{meta: outcome.meta}
-			if s.st != nil {
-				if werr := s.writeChunkedResult(j.id, outcome.meta, outcome.records); werr != nil {
-					s.log().Warn("persisting result stream failed", "job_id", j.id, "err", werr)
-					persistSpan.Event("fault: result stream: " + werr.Error())
-					s.storeFault("result stream persist", werr)
-				} else {
-					hasResult = true
-				}
-			}
-			if hasResult {
-				res.recs = diskRecords{chunks: s.st.ResultChunks, id: j.id}
+		if s.st != nil {
+			what, werr := "result blob", error(nil)
+			if res.meta != nil {
+				what, werr = "result stream", s.writeChunkedResult(j.id, res.meta, res.recs)
 			} else {
-				res.recs = memRecords{src: outcome.records}
+				werr = s.st.Results.Put(j.id, res.full)
+			}
+			if werr != nil {
+				// The job still answers from memory; only post-restart
+				// retrieval is lost. A permanent error additionally
+				// latches degraded mode — the next write would fail too.
+				s.log().Warn("persisting "+what+" failed", "job_id", j.id, "err", werr)
+				persistSpan.Event("fault: " + what + ": " + werr.Error())
+				s.storeFault(what+" persist", werr)
+			} else {
+				hasResult = true
+				if res.meta != nil {
+					res.recs = diskRecords{chunks: s.st.ResultChunks, id: j.id}
+				}
 			}
 		}
 		persistSpan.End()
@@ -1414,7 +1397,7 @@ func (s *Server) finishJob(j *job, outcome *jobOutcome, err error, ctxErr error,
 // file: frame 0 the compact meta document, then record lines batched
 // into chunkTarget-sized frames — written incrementally, fsync'd, and
 // atomically published.
-func (s *Server) writeChunkedResult(id string, meta *anonMeta, src dataset.RecordSource) error {
+func (s *Server) writeChunkedResult(id string, meta *anonMeta, recs resultRecords) error {
 	metaLine, err := json.Marshal(meta)
 	if err != nil {
 		return err
@@ -1428,30 +1411,21 @@ func (s *Server) writeChunkedResult(id string, meta *anonMeta, src dataset.Recor
 		return err
 	}
 	buf := make([]byte, 0, chunkTarget+4096)
-	var scanErr error
-	src.ScanRecords(func(i int, rec dataset.Record) bool {
-		buf, scanErr = export.AppendRecordJSON(buf, rec)
-		if scanErr != nil {
-			return false
+	err = recs.stream(func(line []byte) error {
+		buf = append(append(buf, line...), '\n')
+		if len(buf) < chunkTarget {
+			return nil
 		}
-		buf = append(buf, '\n')
-		if len(buf) >= chunkTarget {
-			if scanErr = cw.WriteFrame(buf); scanErr != nil {
-				return false
-			}
-			buf = buf[:0]
-		}
-		return true
+		err := cw.WriteFrame(buf)
+		buf = buf[:0]
+		return err
 	})
-	if scanErr != nil {
-		cw.Abort()
-		return scanErr
+	if err == nil && len(buf) > 0 {
+		err = cw.WriteFrame(buf)
 	}
-	if len(buf) > 0 {
-		if err := cw.WriteFrame(buf); err != nil {
-			cw.Abort()
-			return err
-		}
+	if err != nil {
+		cw.Abort()
+		return err
 	}
 	return cw.Commit()
 }

@@ -71,7 +71,7 @@ func TestBufferedDocMatchesLegacyBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		outcome, err := anonymizeOutcome(res, cacheHit)
+		outcome, err := anonymizeResult(res, cacheHit)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,7 +92,7 @@ func TestBufferedDocMatchesLegacyBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := &Server{st: st}
-		if err := s.writeChunkedResult("j-000001", outcome.meta, outcome.records); err != nil {
+		if err := s.writeChunkedResult("j-000001", outcome.meta, outcome.recs); err != nil {
 			t.Fatal(err)
 		}
 		var fromDisk bytes.Buffer

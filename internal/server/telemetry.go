@@ -43,7 +43,7 @@ type streamingView struct {
 	Served            uint64 `json:"served"`
 }
 
-// slotsView is the admission semaphore's occupancy.
+// slotsView is the job slots' occupancy.
 type slotsView struct {
 	InUse int `json:"in_use"`
 	Total int `json:"total"`
@@ -63,7 +63,7 @@ func (s *Server) snapshot() Snapshot {
 			Served:            s.streams.served.Load(),
 		},
 		Ready: s.ready.Load(),
-		Slots: slotsView{InUse: len(s.slots), Total: cap(s.slots)},
+		Slots: s.admission.slots(),
 	}
 	if s.st != nil {
 		st, d := s.st.Stats(), s.degraded.view()

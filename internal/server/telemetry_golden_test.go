@@ -156,14 +156,6 @@ func TestTelemetryGoldenDurable(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	// The WRR dispatcher claims one slot up front and holds it while no
-	// job waits; let it get there so slots-in-use is settled.
-	for len(s.slots) != 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("dispatcher never claimed its slot")
-		}
-		time.Sleep(time.Millisecond)
-	}
 	h := s.Handler()
 	patients, _ := patientsJSON(t)
 	uploads := []struct {

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
@@ -28,10 +27,10 @@ import (
 // are their own WAL ops), so scoping survives a restart. Admission is
 // tenant-fair: per-tenant token buckets gate POSTs (429 + Retry-After +
 // X-RateLimit-* headers), stored-bytes and pending-jobs quotas answer
-// 403/429 with a machine-readable reason, and the dispatcher in
-// dispatch.go shares the job slots by weighted round-robin instead of
-// FIFO. Without a tenants file, none of this engages and the server
-// behaves exactly as before.
+// 403/429 with a machine-readable reason, and admission (dispatch.go)
+// shares the job slots across the tenants' queues by weighted
+// round-robin. Without a tenants file, none of this engages: every job
+// waits in one FIFO queue.
 
 // TenantConfig is one entry of the tenants file.
 type TenantConfig struct {
@@ -132,7 +131,7 @@ type tenantState struct {
 	storedBytes atomic.Int64 // claimed dataset bytes (quota unit)
 	rateLimited atomic.Uint64
 	rejected    atomic.Uint64 // quota rejections (403/429 with a reason)
-	dispatched  atomic.Uint64 // jobs granted a slot by the dispatcher
+	dispatched  atomic.Uint64 // jobs granted a slot by admission
 }
 
 // weight resolves the effective WRR weight (default 1).
@@ -341,18 +340,6 @@ func (ts *tenantSet) claimCount(ref string) int {
 	return len(ts.claims[ref])
 }
 
-// claimants returns the tenants claiming ref, sorted.
-func (ts *tenantSet) claimants(ref string) []string {
-	ts.mu.Lock()
-	out := make([]string, 0, len(ts.claims[ref]))
-	for t := range ts.claims[ref] {
-		out = append(out, t)
-	}
-	ts.mu.Unlock()
-	sort.Strings(out)
-	return out
-}
-
 // TenantView is the per-tenant block of GET /stats.
 type TenantView struct {
 	ID                string         `json:"id"`
@@ -492,11 +479,4 @@ func (s *Server) journalRelease(ref, tenant string) {
 // quotaReject answers one machine-readable quota rejection.
 func quotaReject(w http.ResponseWriter, code int, reason, msg string) {
 	writeJSON(w, code, map[string]any{"error": msg, "reason": reason})
-}
-
-// encodeTenantsFile renders cfgs in the -tenants-file format — test and
-// tooling helper, the inverse of LoadTenantsFile.
-func encodeTenantsFile(cfgs []TenantConfig) []byte {
-	data, _ := json.MarshalIndent(tenantsFile{Tenants: cfgs}, "", "  ")
-	return data
 }

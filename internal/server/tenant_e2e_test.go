@@ -80,8 +80,8 @@ func promValue(t *testing.T, body, name string) float64 {
 }
 
 // TestTenantStarvationFairness is the tentpole's acceptance e2e: tenant
-// alpha floods the queue while tenant beta submits occasionally; the WRR
-// dispatcher must keep serving beta at close to its idle latency instead
+// alpha floods the queue while tenant beta submits occasionally; WRR
+// admission must keep serving beta at close to its idle latency instead
 // of parking it behind alpha's backlog. It then cross-checks the
 // per-tenant /metrics families against the /stats tenants block.
 func TestTenantStarvationFairness(t *testing.T) {

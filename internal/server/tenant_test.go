@@ -35,6 +35,13 @@ func newTenantServer(t *testing.T, opts Options, cfgs ...TenantConfig) (*Server,
 	return srv, ts
 }
 
+// encodeTenantsFile renders cfgs in the -tenants-file format, the
+// inverse of LoadTenantsFile.
+func encodeTenantsFile(cfgs []TenantConfig) []byte {
+	data, _ := json.MarshalIndent(tenantsFile{Tenants: cfgs}, "", "  ")
+	return data
+}
+
 // authedDo sends one request with the given API key (via X-API-Key; ""
 // sends no key) and returns the raw response. The caller owns the body.
 func authedDo(t *testing.T, method, url, key string, body []byte) *http.Response {
@@ -441,11 +448,10 @@ func TestTenantPendingJobsQuota(t *testing.T) {
 		"config":      map[string]any{"algo": "apriori", "k": 2, "m": 1},
 	}
 
-	// Pretend the tenant is already running at its concurrency cap, so
-	// the first submission stays deterministically queued.
-	srv.dispatch.mu.Lock()
-	srv.dispatch.running["acme"] = 1
-	srv.dispatch.mu.Unlock()
+	// Hold a slot as acme: the tenant is at its concurrency cap and the
+	// server's only slot is taken, so the first submission stays
+	// deterministically queued.
+	releaseSlot := holdSlot(t, srv, "acme")
 
 	id1 := submitAs(t, ts.URL, "k-acme", req)
 	resp, body := authedJSON(t, http.MethodPost, ts.URL+"/anonymize", "k-acme", req)
@@ -459,12 +465,9 @@ func TestTenantPendingJobsQuota(t *testing.T) {
 		t.Fatalf("quota_rejects_total=%v, want 1", got)
 	}
 
-	// Drop the synthetic running credit; the queued job dispatches and
-	// completes, and the quota admits submissions again.
-	srv.dispatch.mu.Lock()
-	delete(srv.dispatch.running, "acme")
-	srv.dispatch.mu.Unlock()
-	srv.dispatch.cond.Broadcast()
+	// Give the slot back; the queued job dispatches and completes, and
+	// the quota admits submissions again.
+	releaseSlot()
 	if st := pollDoneAs(t, ts.URL, "k-acme", id1); st != StatusDone {
 		t.Fatalf("queued job ended %s, want done", st)
 	}

@@ -7,7 +7,7 @@ import (
 )
 
 // Deterministic property tests for the smooth weighted round-robin
-// picker behind the tenant dispatcher. Everything is seeded, so a failure
+// picker behind job admission. Everything is seeded, so a failure
 // reproduces exactly; the seeds are fixed rather than time-derived on
 // purpose.
 
@@ -33,8 +33,8 @@ func TestWRRProportionalityAllEligible(t *testing.T) {
 		const rotations = 20
 		counts := make(map[string]int, n)
 		for pick := 1; pick <= rotations*total; pick++ {
-			id := p.pick(allEligible)
-			if id == "" {
+			id, ok := p.pick(allEligible)
+			if !ok {
 				t.Fatalf("trial %d: pick %d returned no id with every entry eligible", trial, pick)
 			}
 			counts[id]++
@@ -69,7 +69,8 @@ func TestWRRDeterministicTieBreak(t *testing.T) {
 	p1, p2 := newWRRPicker(weights), newWRRPicker(weights)
 	want := []string{"a", "b", "c", "a", "b", "c", "a", "b", "c"}
 	for i, w := range want {
-		g1, g2 := p1.pick(allEligible), p2.pick(allEligible)
+		g1, _ := p1.pick(allEligible)
+		g2, _ := p2.pick(allEligible)
 		if g1 != w || g2 != w {
 			t.Fatalf("pick %d: got %q/%q, want %q (sorted-id rotation)", i, g1, g2, w)
 		}
@@ -78,7 +79,7 @@ func TestWRRDeterministicTieBreak(t *testing.T) {
 
 // TestWRRRandomEligibilityNeverSkipsOrStarves drives the picker with
 // seeded random eligibility sets and pins three safety properties: the
-// pick is always a member of the eligible set, an empty set yields "",
+// pick is always a member of the eligible set, an empty set yields none,
 // and no entry that stays continuously eligible goes unpicked for more
 // than two full rotations' worth of picks.
 func TestWRRRandomEligibilityNeverSkipsOrStarves(t *testing.T) {
@@ -103,9 +104,9 @@ func TestWRRRandomEligibilityNeverSkipsOrStarves(t *testing.T) {
 				eligible[id] = true
 			}
 		}
-		got := p.pick(func(id string) bool { return eligible[id] })
+		got, ok := p.pick(func(id string) bool { return eligible[id] })
 		if len(eligible) == 0 {
-			if got != "" {
+			if ok {
 				t.Fatalf("step %d: picked %q from an empty eligible set", step, got)
 			}
 			continue
@@ -130,7 +131,7 @@ func TestWRRRandomEligibilityNeverSkipsOrStarves(t *testing.T) {
 	}
 }
 
-// TestWRRAddMidStream pins the dispatcher's recovered-tenant path: an id
+// TestWRRAddMidStream pins admission's recovered-tenant path: an id
 // added after picks have happened (a journaled job whose tenant left the
 // tenants file) joins the rotation at its weight and is not starved,
 // while re-adding a known id is a no-op.
@@ -144,7 +145,8 @@ func TestWRRAddMidStream(t *testing.T) {
 	counts := map[string]int{}
 	const rotations = 12 // total weight is now 2+1+1 = 4
 	for i := 0; i < rotations*4; i++ {
-		counts[p.pick(allEligible)]++
+		id, _ := p.pick(allEligible)
+		counts[id]++
 	}
 	// Mid-stream accumulator offsets can shift counts by at most one slot
 	// from the exact per-rotation share.

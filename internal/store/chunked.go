@@ -2,10 +2,8 @@ package store
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"io/fs"
 
@@ -16,24 +14,18 @@ import (
 // delivery reads straight from disk, chunk by chunk, so serving an
 // N-record result costs O(chunk) memory no matter how large N is.
 //
-// A chunk file is a sequence of frames, each:
-//
-//	[u32 length][u32 CRC32(payload)][payload]
-//
-// (little-endian, IEEE CRC — the same framing discipline as the WAL).
-// Frame 0 is a caller-defined meta payload; every following frame is an
-// opaque chunk of the record stream. Files are written through an fsync'd
-// temp file + rename, so like every other blob a crash leaves either the
-// whole file or nothing — there is no torn-tail repair to do, the frames
-// exist purely so a *reader* never has to hold more than one in memory.
+// A chunk file is a sequence of non-empty frames in the WAL's layout
+// (the frame codec in wal.go). Frame 0 is a caller-defined meta payload;
+// every following frame is an opaque chunk of the record stream. Files
+// are written through an fsync'd temp file + rename, so like every other
+// blob a crash leaves either the whole file or nothing — there is no
+// torn-tail repair to do, the frames exist purely so a *reader* never
+// has to hold more than one in memory.
 
 // ErrCorruptChunk reports a frame whose checksum or length does not match
 // its payload — the file is damaged and the caller should treat the whole
 // blob as lost.
 var ErrCorruptChunk = errors.New("store: corrupt chunk frame")
-
-// chunkHeaderSize is the per-frame overhead: u32 length + u32 CRC.
-const chunkHeaderSize = 8
 
 // maxChunkFrame caps a single frame so a corrupt length field cannot make
 // a reader allocate gigabytes. Writers chunk well below this.
@@ -70,7 +62,7 @@ type ChunkWriter struct {
 	f    faultfs.File
 	bw   *bufio.Writer
 	dest string
-	hdr  [chunkHeaderSize]byte
+	hdr  [walHeaderSize]byte
 	done bool
 }
 
@@ -84,8 +76,7 @@ func (w *ChunkWriter) WriteFrame(payload []byte) error {
 	if len(payload) > maxChunkFrame {
 		return fmt.Errorf("store: chunk frame of %d bytes exceeds the %d cap", len(payload), maxChunkFrame)
 	}
-	binary.LittleEndian.PutUint32(w.hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(w.hdr[4:8], crc32.ChecksumIEEE(payload))
+	putFrameHeader(w.hdr[:], payload)
 	if _, err := w.bw.Write(w.hdr[:]); err != nil {
 		return err
 	}
@@ -152,7 +143,7 @@ type ChunkReader struct {
 // ErrCorruptChunk when a frame fails its checksum. The returned slice is
 // reused by the following Next call.
 func (r *ChunkReader) Next() ([]byte, error) {
-	var hdr [chunkHeaderSize]byte
+	var hdr [walHeaderSize]byte
 	if _, err := io.ReadFull(r.br, hdr[:]); err != nil {
 		if errors.Is(err, io.EOF) {
 			return nil, io.EOF
@@ -161,18 +152,18 @@ func (r *ChunkReader) Next() ([]byte, error) {
 		// corruption, not a clean end.
 		return nil, fmt.Errorf("%w: truncated frame header", ErrCorruptChunk)
 	}
-	n := binary.LittleEndian.Uint32(hdr[0:4])
+	n := frameLen(hdr[:])
 	if n == 0 || n > maxChunkFrame {
 		return nil, fmt.Errorf("%w: implausible frame length %d", ErrCorruptChunk, n)
 	}
-	if cap(r.buf) < int(n) {
+	if cap(r.buf) < n {
 		r.buf = make([]byte, n)
 	}
 	r.buf = r.buf[:n]
 	if _, err := io.ReadFull(r.br, r.buf); err != nil {
 		return nil, fmt.Errorf("%w: truncated frame payload", ErrCorruptChunk)
 	}
-	if crc32.ChecksumIEEE(r.buf) != binary.LittleEndian.Uint32(hdr[4:8]) {
+	if !frameIntact(hdr[:], r.buf) {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorruptChunk)
 	}
 	return r.buf, nil

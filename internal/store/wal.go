@@ -8,18 +8,33 @@ import (
 	"secreta/internal/faultfs"
 )
 
-// WAL record framing. Each record is:
+// Frame codec, shared by WAL records and chunk-file frames (chunked.go):
 //
 //	[4 bytes little-endian payload length]
 //	[4 bytes little-endian CRC-32 (IEEE) of the payload]
 //	[payload bytes]
 //
-// Replay walks records from the start and stops at the first frame that
-// does not check out — a short header, an implausible length, a short
-// payload, or a CRC mismatch. Everything before that point is valid by
-// construction (appends are sequential and fsync'd), so a crash mid-append
-// loses at most the record being written, never earlier history.
+// WAL replay walks records from the start and stops at the first frame
+// that does not check out — a short header, an implausible length, a
+// short payload, or a CRC mismatch. Everything before that point is
+// valid by construction (appends are sequential and fsync'd), so a crash
+// mid-append loses at most the record being written, never earlier
+// history. A chunk reader reports such a frame as ErrCorruptChunk.
 const walHeaderSize = 8
+
+// putFrameHeader writes payload's frame header into hdr[:walHeaderSize].
+func putFrameHeader(hdr, payload []byte) {
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
+}
+
+// frameLen decodes the payload length from a frame header.
+func frameLen(hdr []byte) int { return int(binary.LittleEndian.Uint32(hdr[0:4])) }
+
+// frameIntact reports whether payload matches the checksum in its header.
+func frameIntact(hdr, payload []byte) bool {
+	return crc32.ChecksumIEEE(payload) == binary.LittleEndian.Uint32(hdr[4:8])
+}
 
 // maxWALRecord bounds a single record's payload. It exists purely as a
 // corruption guard during replay: a frame whose length field exceeds it is
@@ -35,8 +50,7 @@ func appendWALRecord(f faultfs.File, payload []byte) error {
 		return fmt.Errorf("store: WAL record of %d bytes exceeds the %d byte frame limit", len(payload), maxWALRecord)
 	}
 	frame := make([]byte, walHeaderSize+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
+	putFrameHeader(frame, payload)
 	copy(frame[walHeaderSize:], payload)
 	if _, err := f.Write(frame); err != nil {
 		return fmt.Errorf("store: appending WAL record: %w", err)
@@ -61,13 +75,13 @@ func scanWAL(data []byte) (records [][]byte, valid int64, torn bool) {
 		if len(data)-off < walHeaderSize {
 			return records, int64(off), true
 		}
-		n := int(binary.LittleEndian.Uint32(data[off : off+4]))
-		sum := binary.LittleEndian.Uint32(data[off+4 : off+8])
+		hdr := data[off : off+walHeaderSize]
+		n := frameLen(hdr)
 		if n > maxWALRecord || len(data)-off-walHeaderSize < n {
 			return records, int64(off), true
 		}
 		payload := data[off+walHeaderSize : off+walHeaderSize+n]
-		if crc32.ChecksumIEEE(payload) != sum {
+		if !frameIntact(hdr, payload) {
 			return records, int64(off), true
 		}
 		records = append(records, payload)
