@@ -37,7 +37,7 @@ func TestCacheKeepsOneCopyOfRecords(t *testing.T) {
 		t.Fatal("interned records differ from the anonymized dataset")
 	}
 	var hit *Result
-	for item := range sched.Stream(context.Background(), ds, []Config{cfg}) {
+	for item := range sched.Stream(context.Background(), ds, "", []Config{cfg}) {
 		if !item.CacheHit {
 			t.Fatal("re-run missed the cache")
 		}
@@ -71,7 +71,7 @@ func TestCacheByteCapUnderSustainedLoad(t *testing.T) {
 		cfgs = append(cfgs, Config{Mode: Relational, Algorithm: "cluster", K: k, Hierarchies: hs})
 	}
 	for round := 0; round < 3; round++ {
-		for item := range sched.Stream(context.Background(), ds, cfgs) {
+		for item := range sched.Stream(context.Background(), ds, "", cfgs) {
 			if item.Result.Err != nil {
 				t.Fatalf("k=%d: %v", item.Result.Config.K, item.Result.Err)
 			}
@@ -146,7 +146,7 @@ func TestCacheHitStillServedAfterEvictions(t *testing.T) {
 		t.Fatal(err, first[0].Err)
 	}
 	hit := false
-	for item := range sched.Stream(context.Background(), ds, []Config{cfg}) {
+	for item := range sched.Stream(context.Background(), ds, "", []Config{cfg}) {
 		hit = item.CacheHit
 	}
 	if !hit {

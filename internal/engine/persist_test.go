@@ -62,7 +62,7 @@ func TestCachePersistsAcrossInstances(t *testing.T) {
 	schedB := NewScheduler(1, cacheB)
 	var hit bool
 	var again *Result
-	for item := range schedB.Stream(context.Background(), ds, []Config{cfg}) {
+	for item := range schedB.Stream(context.Background(), ds, "", []Config{cfg}) {
 		hit, again = item.CacheHit, item.Result
 	}
 	if !hit {
@@ -89,7 +89,7 @@ func TestCachePersistsAcrossInstances(t *testing.T) {
 	// touching the backing.
 	backing.fail = true
 	var hit3 bool
-	for item := range schedB.Stream(context.Background(), ds, []Config{cfg}) {
+	for item := range schedB.Stream(context.Background(), ds, "", []Config{cfg}) {
 		hit3 = item.CacheHit
 	}
 	if !hit3 {

@@ -71,19 +71,25 @@ type Item struct {
 // cancellation no further jobs are started and unfinished configurations
 // are never emitted. Failures stay per-item in Result.Err.
 //
+// dsKey is ds.Fingerprint() when the caller already holds it (a registry
+// dataset_ref is one); the result cache keys on it, so it must be the
+// fingerprint of ds as it is now. Empty makes Stream fingerprint ds
+// itself when the cache needs a key.
+//
 // Contract: the caller must either drain the channel or cancel ctx —
 // abandoning it mid-stream with a live context strands the worker
 // goroutines on their sends for the life of the process.
-func (s *Scheduler) Stream(ctx context.Context, ds *dataset.Dataset, cfgs []Config) <-chan Item {
+func (s *Scheduler) Stream(ctx context.Context, ds *dataset.Dataset, dsKey string, cfgs []Config) <-chan Item {
 	out := make(chan Item)
 	workers := s.Workers(len(cfgs))
 	// One batchShared serves the whole batch: workers intern the dataset
 	// once between them and run over the shared immutable view.
 	sh := newBatchShared(ds)
-	dsKey := ""
 	var memo *inputHasher
 	if s.cache != nil {
-		dsKey = ds.Fingerprint()
+		if dsKey == "" {
+			dsKey = ds.Fingerprint()
+		}
 		memo = newInputHasher()
 	}
 	jobs := make(chan int)
@@ -208,7 +214,7 @@ func (s *Scheduler) runOne(ctx context.Context, ds *dataset.Dataset, cfg Config,
 // finished work is never thrown away. Unfinished slots are nil.
 func (s *Scheduler) RunAll(ctx context.Context, ds *dataset.Dataset, cfgs []Config) ([]*Result, error) {
 	results := make([]*Result, len(cfgs))
-	for item := range s.Stream(ctx, ds, cfgs) {
+	for item := range s.Stream(ctx, ds, "", cfgs) {
 		results[item.Index] = item.Result
 	}
 	if err := ctx.Err(); err != nil {

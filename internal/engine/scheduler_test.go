@@ -77,7 +77,7 @@ func TestSchedulerDeterminism(t *testing.T) {
 func TestSchedulerStreamCoversAllIndices(t *testing.T) {
 	ds, cfgs := grid(t)
 	seen := make(map[int]bool)
-	for item := range NewScheduler(4, nil).Stream(context.Background(), ds, cfgs) {
+	for item := range NewScheduler(4, nil).Stream(context.Background(), ds, "", cfgs) {
 		if seen[item.Index] {
 			t.Fatalf("index %d emitted twice", item.Index)
 		}
@@ -105,7 +105,7 @@ func TestSchedulerCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	stream := NewScheduler(2, nil).Stream(ctx, ds, cfgs)
+	stream := NewScheduler(2, nil).Stream(ctx, ds, "", cfgs)
 	n := 0
 	for range stream {
 		n++
@@ -158,7 +158,7 @@ func TestSchedulerCacheHit(t *testing.T) {
 		t.Fatalf("after first run: stats = %+v", s)
 	}
 	hits := 0
-	for item := range sched.Stream(context.Background(), ds, cfgs) {
+	for item := range sched.Stream(context.Background(), ds, "", cfgs) {
 		if item.CacheHit {
 			hits++
 		}
@@ -216,7 +216,7 @@ func TestSchedulerCacheHitCarriesCallersConfig(t *testing.T) {
 	}
 	cfg.Label = "second"
 	var item Item
-	for it := range sched.Stream(context.Background(), ds, []Config{cfg}) {
+	for it := range sched.Stream(context.Background(), ds, "", []Config{cfg}) {
 		item = it
 	}
 	if !item.CacheHit {

@@ -156,7 +156,10 @@ type cluster struct {
 	// hierarchy; such clusters never merge (mirroring the old per-pair
 	// lookup error).
 	relNodes []*hierarchy.Node
-	items    [][]string
+	// relNCP caches the NCP of each relNodes entry, so scoring a pair
+	// evaluates only the LCA's NCP per QI. nil exactly when relNodes is.
+	relNCP []float64
+	items  [][]string
 	// km is the itemset support table of the cluster's original
 	// transactions, the state every k^m check of the merge traversal
 	// reads. Dropped once the transaction phase has read which clusters
@@ -168,18 +171,30 @@ type cluster struct {
 	merges int  // merge-chain length, bounded by maxMergeChain
 }
 
-// resolveNodes caches the cluster signature's hierarchy nodes.
+// resolveNodes caches the cluster signature's hierarchy nodes and their
+// NCPs.
 func (c *cluster) resolveNodes(hh []*hierarchy.Hierarchy) {
 	nodes := make([]*hierarchy.Node, len(c.relVals))
 	for i, v := range c.relVals {
 		n := hh[i].Node(v)
 		if n == nil {
-			c.relNodes = nil
+			c.relNodes, c.relNCP = nil, nil
 			return
 		}
 		nodes[i] = n
 	}
+	c.setNodes(nodes, hh)
+}
+
+// setNodes installs the signature nodes and refreshes their cached NCPs.
+func (c *cluster) setNodes(nodes []*hierarchy.Node, hh []*hierarchy.Hierarchy) {
 	c.relNodes = nodes
+	if len(c.relNCP) != len(nodes) {
+		c.relNCP = make([]float64, len(nodes))
+	}
+	for q, n := range nodes {
+		c.relNCP[q] = hh[q].NCPNode(n)
+	}
 }
 
 // maxMergeChain bounds how many merges one cluster may absorb; beyond it
@@ -239,6 +254,7 @@ func Anonymize(ds *dataset.Dataset, opts Options) (*Result, error) {
 	tables := privacy.NewKMTableArena(view, opts.K, opts.M)
 	clusters := clustersFromClasses(ds, relRes.Anonymized, qis, hh, view, tables)
 	merges := 0
+	var cands []cand // pickPartner's scoring buffer, reused across steps
 	for {
 		// One traversal iteration scans clusters and scores merge
 		// candidates; polling here (and inside pickPartner) bounds the
@@ -262,7 +278,7 @@ func Anonymize(ds *dataset.Dataset, opts Options) (*Result, error) {
 			break
 		}
 		c := clusters[dirtyIdx]
-		partner, delta := pickPartner(clusters, dirtyIdx, hh, opts, tables)
+		partner, delta := pickPartner(clusters, dirtyIdx, hh, opts, tables, &cands)
 		if partner >= 0 && delta <= opts.Delta && (opts.UngatedMerges || c.merges < maxMergeChain) {
 			// Merge only when it actually helps the transaction side:
 			// the merged multiset must have strictly fewer violations
@@ -274,7 +290,7 @@ func Anonymize(ds *dataset.Dataset, opts Options) (*Result, error) {
 				helps = tables.MergedViolations(&c.km, &p.km) < c.km.Violations()+p.km.Violations()
 			}
 			if helps {
-				mergeClusters(clusters, dirtyIdx, partner, tables)
+				mergeClusters(clusters, dirtyIdx, partner, hh, tables)
 				merges++
 				continue
 			}
@@ -432,8 +448,8 @@ func itemsOf(ds *dataset.Dataset, records []int) [][]string {
 
 // relDeltaCost computes the average per-attribute NCP increase of merging
 // two clusters: NCP(LCA of both signatures) minus the size-weighted
-// current NCP. Runs on the clusters' cached signature nodes — LCA walks
-// and O(1) NCP reads, no value lookups.
+// current NCP. Runs on the clusters' cached signature nodes and NCPs — one
+// LCA walk and one O(1) NCP read per QI, no value lookups.
 func relDeltaCost(a, b *cluster, hh []*hierarchy.Hierarchy) (float64, error) {
 	if a.relNodes == nil || b.relNodes == nil {
 		return 0, fmt.Errorf("rt: cluster signature unknown to hierarchy")
@@ -443,9 +459,7 @@ func relDeltaCost(a, b *cluster, hh []*hierarchy.Hierarchy) (float64, error) {
 	for i, h := range hh {
 		lca := hierarchy.LCANodes(a.relNodes[i], b.relNodes[i])
 		newNCP := h.NCPNode(lca)
-		aNCP := h.NCPNode(a.relNodes[i])
-		bNCP := h.NCPNode(b.relNodes[i])
-		cur := (aNCP*na + bNCP*nb) / (na + nb)
+		cur := (a.relNCP[i]*na + b.relNCP[i]*nb) / (na + nb)
 		delta += newNCP - cur
 	}
 	return delta / float64(len(hh)), nil
@@ -471,19 +485,47 @@ func ctxErr(ctx context.Context) error {
 	return ctx.Err()
 }
 
+// cand is one merge candidate scored by pickPartner.
+type cand struct {
+	j        int
+	rd       float64
+	tc       float64
+	combined float64
+}
+
+// candLess is the bounding method's candidate order: relational delta for
+// Rmerger, transaction cost then relational delta for Tmerger, and the
+// weighted combination for RTmerger.
+func candLess(f Flavor, a, b *cand) bool {
+	switch f {
+	case RMerge:
+		return a.rd < b.rd
+	case TMerge:
+		if a.tc != b.tc {
+			return a.tc < b.tc
+		}
+		return a.rd < b.rd
+	default: // RTMerge
+		return a.combined < b.combined
+	}
+}
+
 // pickPartner selects the best merge partner for cluster i per the bounding
 // method, returning the partner index (or -1) and the merge's relational
 // delta. Scoring every candidate pair is the traversal's hot path, so the
 // scan polls the options context and bails out with -1 when cancelled; the
-// caller's own poll then surfaces the context error.
-func pickPartner(clusters []*cluster, i int, hh []*hierarchy.Hierarchy, opts Options, tables *privacy.KMTableArena) (int, float64) {
-	type cand struct {
-		j        int
-		rd       float64
-		tc       float64
-		combined float64
-	}
-	var cands []cand
+// caller's own poll then surfaces the context error. Candidates are scored
+// into *buf, a buffer the caller reuses across steps.
+//
+// Tie rule: the partner is the candidate that sort.Slice under candLess
+// leaves at index 0 of the candidates in cluster order. choosePartner
+// finds the minimum in one linear pass and returns it when it is strictly
+// below every other candidate. When another candidate ties it, the same
+// sort.Slice runs on the same slice, so among tied candidates the partner
+// is whatever pdqsort leaves first — not necessarily the lowest index.
+func pickPartner(clusters []*cluster, i int, hh []*hierarchy.Hierarchy, opts Options, tables *privacy.KMTableArena, buf *[]cand) (int, float64) {
+	cands := (*buf)[:0]
+	defer func() { *buf = cands }()
 	for j, other := range clusters {
 		if ctxErr(opts.Ctx) != nil {
 			return -1, 0
@@ -504,17 +546,17 @@ func pickPartner(clusters []*cluster, i int, hh []*hierarchy.Hierarchy, opts Opt
 	if len(cands) == 0 {
 		return -1, 0
 	}
-	switch opts.Flavor {
-	case RMerge:
-		sort.Slice(cands, func(a, b int) bool { return cands[a].rd < cands[b].rd })
-	case TMerge:
-		sort.Slice(cands, func(a, b int) bool {
-			if cands[a].tc != cands[b].tc {
-				return cands[a].tc < cands[b].tc
-			}
-			return cands[a].rd < cands[b].rd
-		})
-	default: // RTMerge
+	best := choosePartner(cands, opts.Flavor, opts.Weight)
+	return cands[best].j, cands[best].rd
+}
+
+// choosePartner returns the index in cands (non-empty, in cluster order)
+// of the candidate pickPartner's tie rule chooses, filling RTmerger's
+// combined scores first. A tie sorts cands in place and answers 0.
+// Relational deltas are finite, or NaN for every candidate when there is
+// no QI; then every pair compares as tied, and the sort decides as well.
+func choosePartner(cands []cand, f Flavor, weight float64) int {
+	if f == RTMerge {
 		// Normalize relational deltas to [0,1] by the max candidate.
 		maxRD := 0.0
 		for _, c := range cands {
@@ -527,18 +569,30 @@ func pickPartner(clusters []*cluster, i int, hh []*hierarchy.Hierarchy, opts Opt
 			if maxRD > 0 {
 				nrd = cands[idx].rd / maxRD
 			}
-			cands[idx].combined = opts.Weight*nrd + (1-opts.Weight)*cands[idx].tc
+			cands[idx].combined = weight*nrd + (1-weight)*cands[idx].tc
 		}
-		sort.Slice(cands, func(a, b int) bool { return cands[a].combined < cands[b].combined })
 	}
-	return cands[0].j, cands[0].rd
+	best, tied := 0, false
+	for x := 1; x < len(cands); x++ {
+		switch {
+		case candLess(f, &cands[x], &cands[best]):
+			best, tied = x, false
+		case !candLess(f, &cands[best], &cands[x]):
+			tied = true
+		}
+	}
+	if !tied {
+		return best
+	}
+	sort.Slice(cands, func(a, b int) bool { return candLess(f, &cands[a], &cands[b]) })
+	return 0
 }
 
 // mergeClusters folds cluster j into cluster i, updating signatures to the
-// per-attribute LCA and folding the support tables. Cluster j's slot
-// becomes nil. Both clusters' signature nodes are known: pickPartner
-// returns only partners whose relDeltaCost succeeded.
-func mergeClusters(clusters []*cluster, i, j int, tables *privacy.KMTableArena) {
+// per-attribute LCA (and their cached NCPs) and folding the support
+// tables. Cluster j's slot becomes nil. Both clusters' signature nodes are
+// known: pickPartner returns only partners whose relDeltaCost succeeded.
+func mergeClusters(clusters []*cluster, i, j int, hh []*hierarchy.Hierarchy, tables *privacy.KMTableArena) {
 	a, b := clusters[i], clusters[j]
 	newNodes := make([]*hierarchy.Node, len(a.relNodes))
 	newVals := make([]string, len(a.relNodes))
@@ -547,7 +601,7 @@ func mergeClusters(clusters []*cluster, i, j int, tables *privacy.KMTableArena) 
 		newVals[q] = newNodes[q].Value
 	}
 	a.relVals = newVals
-	a.relNodes = newNodes
+	a.setNodes(newNodes, hh)
 	a.records = append(a.records, b.records...)
 	a.items = append(a.items, b.items...)
 	tables.Fold(&a.km, &b.km)

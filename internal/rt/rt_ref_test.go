@@ -193,6 +193,26 @@ func refRelDelta(a, b *refCluster, hh []*hierarchy.Hierarchy) (float64, []*hiera
 	return delta / float64(len(hh)), newNodes, nil
 }
 
+// refRelDeltaCost is relDeltaCost as it was before the per-cluster NCP
+// cache: it re-reads both clusters' signature NCPs for every pair, so the
+// reference does not share the production scorer.
+func refRelDeltaCost(a, b *refCluster, hh []*hierarchy.Hierarchy) (float64, error) {
+	if a.relNodes == nil || b.relNodes == nil {
+		return 0, fmt.Errorf("rt: cluster signature unknown to hierarchy")
+	}
+	delta := 0.0
+	na, nb := float64(len(a.records)), float64(len(b.records))
+	for i, h := range hh {
+		lca := hierarchy.LCANodes(a.relNodes[i], b.relNodes[i])
+		newNCP := h.NCPNode(lca)
+		aNCP := h.NCPNode(a.relNodes[i])
+		bNCP := h.NCPNode(b.relNodes[i])
+		cur := (aNCP*na + bNCP*nb) / (na + nb)
+		delta += newNCP - cur
+	}
+	return delta / float64(len(hh)), nil
+}
+
 func refTransCost(a, b *refCluster, k, m int, counter *privacy.KMCounter) float64 {
 	total := 0
 	for _, tr := range a.itemIDs {
@@ -223,7 +243,7 @@ func refPickPartner(clusters []*refCluster, i int, hh []*hierarchy.Hierarchy, op
 		if j == i || other == nil {
 			continue
 		}
-		rd, err := relDeltaCost(&clusters[i].cluster, &other.cluster, hh)
+		rd, err := refRelDeltaCost(clusters[i], other, hh)
 		if err != nil {
 			continue
 		}

@@ -203,7 +203,7 @@ var metricFamilies = []metricFamily{
 		perTenant(func(tv TenantView) uint64 { return tv.RateLimitedTotal })},
 	{"secreta_tenant_quota_rejects_total", "counter", "Requests rejected by a tenant quota (stored bytes or pending jobs).", hasTenants,
 		perTenant(func(tv TenantView) uint64 { return tv.QuotaRejectsTotal })},
-	{"secreta_tenant_dispatched_total", "counter", "Job slots granted to each tenant by the round-robin dispatcher.", hasTenants,
+	{"secreta_tenant_dispatched_total", "counter", "Job slots granted to each tenant by admission (weighted round-robin over the tenant queues).", hasTenants,
 		perTenant(func(tv TenantView) uint64 { return tv.DispatchedTotal })},
 
 	{"secreta_gc_max_bytes", "gauge", "Configured data-directory byte cap (-data-max-bytes).", hasGC,

@@ -479,21 +479,24 @@ func decodeDataset(raw json.RawMessage) (*dataset.Dataset, error) {
 
 // resolveDataset turns a request's dataset fields into a loader. Exactly
 // one of raw (inline rows) and ref (an ID from POST /datasets) must be
-// set. A ref is reserved immediately — before the job is even admitted —
-// so the dataset cannot be deleted between submission and execution, but
-// its bytes are loaded (and RAM-pinned) only when the job starts: with a
-// durable backing, a deep queue of submissions holds index entries, not
-// dataset memory, so pinned RAM scales with -max-concurrent rather than
-// queue depth. The returned release (idempotent, never nil) must be
-// called when the job finishes or the submission is rejected. Inline
-// payloads decode lazily inside the job, under admission control, so
-// unadmitted requests cannot spend decode CPU.
+// set. The loader returns the dataset with its fingerprint, computed once
+// per job: an inline dataset is hashed after decoding, a ref is the
+// fingerprint of the registry dataset it names. A ref is reserved
+// immediately — before the job is even admitted — so the dataset cannot
+// be deleted between submission and execution, but its bytes are loaded
+// (and RAM-pinned) only when the job starts: with a durable backing, a
+// deep queue of submissions holds index entries, not dataset memory, so
+// pinned RAM scales with -max-concurrent rather than queue depth. The
+// returned release (idempotent, never nil) must be called when the job
+// finishes or the submission is rejected. Inline payloads decode lazily
+// inside the job, under admission control, so unadmitted requests cannot
+// spend decode CPU.
 //
 // owner, when non-empty (multi-tenant submissions), requires the caller's
 // tenant to have claimed the ref: another tenant's dataset — even one
 // whose content fingerprint the caller guessed — answers the same
 // not-found error as a ref that never existed.
-func (s *Server) resolveDataset(raw json.RawMessage, ref, owner string) (load func() (*dataset.Dataset, error), release func(), err error) {
+func (s *Server) resolveDataset(raw json.RawMessage, ref, owner string) (load datasetLoader, release func(), err error) {
 	inline := hasDataset(raw)
 	switch {
 	case inline && ref != "":
@@ -501,13 +504,32 @@ func (s *Server) resolveDataset(raw json.RawMessage, ref, owner string) (load fu
 	case !inline && ref == "":
 		return nil, nil, fmt.Errorf("request has no dataset (inline dataset or dataset_ref required)")
 	case inline:
-		return func() (*dataset.Dataset, error) { return decodeDataset(raw) }, func() {}, nil
+		load := func() (*dataset.Dataset, string, error) {
+			ds, err := decodeDataset(raw)
+			if err != nil {
+				return nil, "", err
+			}
+			return ds, ds.Fingerprint(), nil
+		}
+		return load, func() {}, nil
 	}
 	if owner != "" && !s.tenants.owns(ref, owner) {
 		return nil, nil, fmt.Errorf("%w: %q", registry.ErrNotFound, ref)
 	}
-	return s.registry.PinLazy(ref)
+	pin, release, err := s.registry.PinLazy(ref)
+	if err != nil {
+		return nil, nil, err
+	}
+	load = func() (*dataset.Dataset, string, error) {
+		ds, err := pin()
+		return ds, ref, err
+	}
+	return load, release, nil
 }
+
+// datasetLoader loads a job's dataset and returns it with its
+// fingerprint.
+type datasetLoader func() (ds *dataset.Dataset, fingerprint string, err error)
 
 // datasetError writes the right status for a dataset resolution failure:
 // an unknown (or already evicted) dataset_ref is 404, a broken durable
@@ -612,7 +634,7 @@ func (s *Server) prepareSingle(kind string, req *AnonymizeRequest, owner string)
 			return nil, err
 		}
 		fn := func(ctx context.Context) (*jobResult, error) {
-			ds, err := s.loadTraced(ctx, load)
+			ds, _, err := s.loadTraced(ctx, load)
 			if err != nil {
 				return nil, err
 			}
@@ -683,7 +705,7 @@ func (s *Server) prepareCompare(req *CompareRequest, owner string) (*preparedJob
 		return nil, err
 	}
 	fn := func(ctx context.Context) (*jobResult, error) {
-		ds, err := s.loadTraced(ctx, load)
+		ds, _, err := s.loadTraced(ctx, load)
 		if err != nil {
 			return nil, err
 		}
@@ -708,8 +730,8 @@ func (s *Server) prepareCompare(req *CompareRequest, owner string) (*preparedJob
 // inside the job, behind admission control. The bool reports whether the
 // result was served from the cache — payloads surface it so a copied
 // runtime_s is never mistaken for a fresh measurement.
-func (s *Server) runSingle(ctx context.Context, sched *engine.Scheduler, load func() (*dataset.Dataset, error), cfg engine.Config, fanout int, workload *query.Workload) (*engine.Result, bool, error) {
-	ds, err := s.loadTraced(ctx, load)
+func (s *Server) runSingle(ctx context.Context, sched *engine.Scheduler, load datasetLoader, cfg engine.Config, fanout int, workload *query.Workload) (*engine.Result, bool, error) {
+	ds, fp, err := s.loadTraced(ctx, load)
 	if err != nil {
 		return nil, false, err
 	}
@@ -718,7 +740,7 @@ func (s *Server) runSingle(ctx context.Context, sched *engine.Scheduler, load fu
 	}
 	var item engine.Item
 	got := false
-	for it := range sched.Stream(ctx, ds, []engine.Config{cfg}) {
+	for it := range sched.Stream(ctx, ds, fp, []engine.Config{cfg}) {
 		item, got = it, true
 	}
 	if !got {
@@ -734,36 +756,36 @@ func (s *Server) runSingle(ctx context.Context, sched *engine.Scheduler, load fu
 		// Fold the measured phase breakdown into the /stats aggregates; a
 		// cache hit replays stored timings and would skew the percentiles.
 		s.phases.record(item.Result.Phases)
-		s.logPhases(ctx, ds, item.Result.Phases)
+		s.logPhases(ctx, fp, item.Result.Phases)
 	}
 	return item.Result, item.CacheHit, nil
 }
 
 // loadTraced wraps a job's dataset load in a trace span annotated with the
-// dataset's content fingerprint and size.
-func (s *Server) loadTraced(ctx context.Context, load func() (*dataset.Dataset, error)) (*dataset.Dataset, error) {
+// dataset's content fingerprint and size, and returns both the dataset and
+// its fingerprint.
+func (s *Server) loadTraced(ctx context.Context, load datasetLoader) (*dataset.Dataset, string, error) {
 	sp := obs.FromCtx(ctx).Start("dataset_load")
 	defer sp.End()
-	ds, err := load()
+	ds, fp, err := load()
 	if err != nil {
 		sp.SetAttr("err", err.Error())
-		return nil, err
+		return nil, "", err
 	}
-	sp.SetAttr("fingerprint", ds.Fingerprint())
+	sp.SetAttr("fingerprint", fp)
 	sp.SetAttr("records", strconv.Itoa(len(ds.Records)))
-	return ds, nil
+	return ds, fp, nil
 }
 
 // logPhases emits one structured log line per measured algorithm phase —
 // job_id (the trace's job), dataset fingerprint, phase name, duration —
 // the queryable form of the per-job phase breakdown.
-func (s *Server) logPhases(ctx context.Context, ds *dataset.Dataset, phases []timing.Phase) {
+func (s *Server) logPhases(ctx context.Context, fp string, phases []timing.Phase) {
 	if len(phases) == 0 {
 		return
 	}
 	lg := s.log()
 	jobID := obs.FromCtx(ctx).TraceID()
-	fp := ds.Fingerprint()
 	for _, ph := range phases {
 		lg.Info("phase complete",
 			"job_id", jobID,
