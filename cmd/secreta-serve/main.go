@@ -27,26 +27,8 @@
 // profiles — bind it to localhost only; it must never be exposed
 // publicly.
 //
-// Endpoints (see docs/API.md for the full reference):
-//
-//	POST   /datasets         upload a dataset, get a dataset_ref
-//	GET    /datasets         list registered datasets
-//	GET    /datasets/{id}    dataset metadata (size, pins, residency)
-//	DELETE /datasets/{id}    evict a dataset (409 while a job uses it)
-//	POST   /anonymize        submit an anonymization job
-//	POST   /evaluate         submit an evaluation job (optional sweep)
-//	POST   /compare          submit a comparison job
-//	GET    /jobs                    list jobs (state=, limit=, after= params)
-//	GET    /jobs/{id}               poll job status
-//	GET    /jobs/{id}/result        fetch the JSON result of a done job
-//	GET    /jobs/{id}/result/stream stream an anonymize result as NDJSON
-//	GET    /jobs/{id}/trace         job lifecycle trace (JSON span tree)
-//	DELETE /jobs/{id}               cancel a job (stops mid-algorithm)
-//	GET    /healthz                 liveness + readiness (false during replay)
-//	GET    /stats                   cache/registry/store/streaming counters
-//	GET    /metrics                 Prometheus text exposition
-//	GET    /dashboard               embedded live operator dashboard
-//	GET    /dashboard/data          dashboard JSON aggregate + SVG charts
+// The HTTP routes and their request and response bodies are listed in
+// docs/API.md.
 package main
 
 import (
@@ -67,28 +49,32 @@ import (
 	"secreta/internal/store"
 )
 
+// The flags are package-level so the docs test can list them.
+var (
+	addr             = flag.String("addr", ":8080", "listen address")
+	workers          = flag.Int("workers", 0, "scheduler workers per job (0: engine default)")
+	maxBody          = flag.Int64("max-body", 32<<20, "maximum request body bytes")
+	maxConcurrent    = flag.Int("max-concurrent", 4, "jobs running at once; excess submissions queue")
+	maxPending       = flag.Int("max-pending", 100, "queued+running jobs before submissions get 429")
+	cacheEntries     = flag.Int("cache-entries", 0, "result cache entry cap (0: default 1024, -1: unbounded)")
+	cacheBytes       = flag.Int64("cache-bytes", 0, "result cache byte cap (0: default 256 MiB, -1: unbounded)")
+	registryDatasets = flag.Int("registry-datasets", 0, "dataset registry entry cap (0: default 64, -1: unbounded)")
+	registryBytes    = flag.Int64("registry-bytes", 0, "dataset registry byte cap (0: default 1 GiB, -1: unbounded)")
+	jobTimeout       = flag.Duration("job-timeout", 0, "default job execution deadline, also caps per-request timeout_ms (0: none)")
+	dataDir          = flag.String("data-dir", "", "durable state directory; empty keeps everything in memory")
+	snapshotEvery    = flag.Int("snapshot-every", 0, "journal appends between snapshots (0: default 256)")
+	diskCacheEntries = flag.Int("disk-cache-entries", 0, "disk result cache entry cap (0: default 4096); needs -data-dir")
+	diskCacheBytes   = flag.Int64("disk-cache-bytes", 0, "disk result cache byte cap (0: default 2 GiB); needs -data-dir")
+	storeRetries     = flag.Int("store-retries", 0, "store I/O attempts on transient errors, first try included (0: default 3, 1: no retries); needs -data-dir")
+	degradedProbe    = flag.Duration("degraded-probe-interval", 0, "how often a degraded server probes storage to re-arm writes (0: default 5s); needs -data-dir")
+	tenantsFile      = flag.String("tenants-file", "", "JSON tenant table (API keys, quotas, rates, weights); empty runs single-tenant with no auth")
+	dataMaxBytes     = flag.Int64("data-max-bytes", 0, "data directory byte cap enforced by the retention sweeper (0: no GC); needs -data-dir")
+	gcInterval       = flag.Duration("gc-interval", 0, "retention sweep cadence (0: default 30s); needs -data-max-bytes")
+	logFormat        = flag.String("log-format", "text", "structured log format: text or json")
+	debugAddr        = flag.String("debug-addr", "", "separate listener for net/http/pprof profiling; keep it on localhost, never public (empty: disabled)")
+)
+
 func main() {
-	addr := flag.String("addr", ":8080", "listen address")
-	workers := flag.Int("workers", 0, "scheduler workers per job (0: engine default)")
-	maxBody := flag.Int64("max-body", 32<<20, "maximum request body bytes")
-	maxConcurrent := flag.Int("max-concurrent", 4, "jobs running at once; excess submissions queue")
-	maxPending := flag.Int("max-pending", 100, "queued+running jobs before submissions get 429")
-	cacheEntries := flag.Int("cache-entries", 0, "result cache entry cap (0: default 1024, -1: unbounded)")
-	cacheBytes := flag.Int64("cache-bytes", 0, "result cache byte cap (0: default 256 MiB, -1: unbounded)")
-	registryDatasets := flag.Int("registry-datasets", 0, "dataset registry entry cap (0: default 64, -1: unbounded)")
-	registryBytes := flag.Int64("registry-bytes", 0, "dataset registry byte cap (0: default 1 GiB, -1: unbounded)")
-	jobTimeout := flag.Duration("job-timeout", 0, "default job execution deadline, also caps per-request timeout_ms (0: none)")
-	dataDir := flag.String("data-dir", "", "durable state directory; empty keeps everything in memory")
-	snapshotEvery := flag.Int("snapshot-every", 0, "journal appends between snapshots (0: default 256)")
-	diskCacheEntries := flag.Int("disk-cache-entries", 0, "disk result cache entry cap (0: default 4096); needs -data-dir")
-	diskCacheBytes := flag.Int64("disk-cache-bytes", 0, "disk result cache byte cap (0: default 2 GiB); needs -data-dir")
-	storeRetries := flag.Int("store-retries", 0, "store I/O attempts on transient errors, first try included (0: default 3, 1: no retries); needs -data-dir")
-	degradedProbe := flag.Duration("degraded-probe-interval", 0, "how often a degraded server probes storage to re-arm writes (0: default 5s); needs -data-dir")
-	tenantsFile := flag.String("tenants-file", "", "JSON tenant table (API keys, quotas, rates, weights); empty runs single-tenant with no auth")
-	dataMaxBytes := flag.Int64("data-max-bytes", 0, "data directory byte cap enforced by the retention sweeper (0: no GC); needs -data-dir")
-	gcInterval := flag.Duration("gc-interval", 0, "retention sweep cadence (0: default 30s); needs -data-max-bytes")
-	logFormat := flag.String("log-format", "text", "structured log format: text or json")
-	debugAddr := flag.String("debug-addr", "", "separate listener for net/http/pprof profiling; keep it on localhost, never public (empty: disabled)")
 	flag.Parse()
 
 	logger, err := newLogger(*logFormat)

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
 	"io"
 	"net"
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -210,4 +212,33 @@ func TestRestartAcrossRuns(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 	t.Fatal("resubmitted job never finished")
+}
+
+// TestFlagsDocumented is the docs gate for the command line: every
+// secreta-serve flag must appear, as `-name` in backticks, in the API
+// reference or the operations runbook. The backticks keep incidental
+// hyphenated prose from passing for an undocumented flag.
+func TestFlagsDocumented(t *testing.T) {
+	var docs []string
+	for _, name := range []string{"API.md", "OPERATIONS.md"} {
+		doc, err := os.ReadFile(filepath.Join("..", "..", "docs", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs = append(docs, string(doc))
+	}
+	n := 0
+	flag.VisitAll(func(f *flag.Flag) {
+		if strings.HasPrefix(f.Name, "test.") {
+			return
+		}
+		n++
+		quoted := "`-" + f.Name + "`"
+		if !strings.Contains(docs[0], quoted) && !strings.Contains(docs[1], quoted) {
+			t.Errorf("flag -%s is not documented: want %s in docs/API.md or docs/OPERATIONS.md", f.Name, quoted)
+		}
+	})
+	if n == 0 {
+		t.Fatal("secreta-serve registers no flags")
+	}
 }

@@ -11,12 +11,13 @@ import (
 // Degraded read-only mode: when a durable write the server cannot work
 // around fails with a permanent (non-transient) storage error — a journal
 // append, a WAL frame, a result-blob persist — the server stops accepting
-// new write work instead of quietly dropping durability. POST routes
-// answer 503 with Retry-After; everything already on disk or in memory
-// (job polls, results, streams, stats) keeps serving. A background probe
-// performs a full atomic write+read+remove against the data directory and
-// re-arms writes the moment the disk recovers, so an operator fixing a
-// full volume never has to restart the process.
+// new write work instead of quietly dropping durability. Write routes
+// (every POST and DELETE; see routes.go) answer 503 with Retry-After;
+// everything already on disk or in memory (job polls, results, streams,
+// stats) keeps serving. A background probe performs a full atomic
+// write+read+remove against the data directory and re-arms writes the
+// moment the disk recovers, so an operator fixing a full volume never has
+// to restart the process.
 //
 // Transient errors (EINTR/EAGAIN, see faultfs.IsTransient) never trip
 // degraded mode — the store's retry layer absorbs them, and one that
@@ -60,12 +61,6 @@ func (d *degradedState) view() degradedView {
 	return v
 }
 
-func (d *degradedState) isActive() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.active
-}
-
 // enter latches degraded mode; only the first caller of a healthy window
 // records its reason. It reports whether this call made the transition.
 func (d *degradedState) enter(reason string) bool {
@@ -107,13 +102,14 @@ func (s *Server) storeFault(where string, err error) {
 	}
 }
 
-// gateWrite answers a write request while the server is degraded. It
-// reports whether the request was consumed (the caller must return).
-func (s *Server) gateWrite(w http.ResponseWriter, r *http.Request) bool {
-	if r.Method != http.MethodPost || !s.degraded.isActive() {
+// gateWrite answers a write route's request while the server is
+// degraded. It reports whether the request was consumed (the caller must
+// return).
+func (s *Server) gateWrite(w http.ResponseWriter) bool {
+	v := s.degraded.view()
+	if !v.Active {
 		return false
 	}
-	v := s.degraded.view()
 	w.Header().Set("Retry-After", "5")
 	writeJSON(w, http.StatusServiceUnavailable, map[string]any{
 		"error":    "server is in degraded read-only mode: " + v.Reason,
@@ -140,8 +136,8 @@ func (s *Server) probeDurability() bool {
 }
 
 // probeLoop drives recovery probes while the server is degraded, at the
-// configured interval, until ctx ends. Healthy intervals cost one atomic
-// load each.
+// configured interval, until ctx ends. Healthy intervals cost one
+// uncontended lock each.
 func (s *Server) probeLoop() {
 	interval := s.opts.DegradedProbeInterval
 	if interval <= 0 {
@@ -154,7 +150,7 @@ func (s *Server) probeLoop() {
 		case <-s.baseCtx.Done():
 			return
 		case <-t.C:
-			if s.degraded.isActive() {
+			if s.degraded.view().Active {
 				s.probeDurability()
 			}
 		}

@@ -86,6 +86,60 @@ func TestDegradedModeProbeRearms(t *testing.T) {
 	}
 }
 
+// TestDegradedRefusesDelete: a DELETE is a write. While degraded, a
+// finished job's DELETE must answer 503 rather than drop the job from
+// memory with a removal the journal never recorded (which a restart
+// would undo), and the job must still be there after a restart.
+func TestDegradedRefusesDelete(t *testing.T) {
+	dir := t.TempDir()
+	ffs := faultfs.NewFaultFS(faultfs.OS, 1)
+	ts, crash := faultServer(t, dir, ffs, Options{Workers: 2})
+
+	raw, _ := patientsJSON(t)
+	code, body := uploadDataset(t, ts.URL, raw)
+	if code != http.StatusCreated {
+		t.Fatalf("upload: %d %v", code, body)
+	}
+	ref := body["dataset_ref"].(string)
+	resp, sub := postJSON(t, ts.URL+"/anonymize", map[string]any{
+		"dataset_ref": ref,
+		"config":      map[string]any{"algo": "cluster", "k": 4},
+	})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d", resp.StatusCode)
+	}
+	id := sub["job"].(string)
+	if st := pollDone(t, ts.URL, id); st != StatusDone {
+		t.Fatalf("job ended %s", st)
+	}
+
+	ffs.Arm(faultfs.Rule{Op: faultfs.OpWrite, Path: "wal.log", Err: syscall.EIO, Count: -1})
+	ffs.Arm(faultfs.Rule{Op: faultfs.OpRename, Path: ".probe", Err: syscall.EIO, Count: -1})
+	if resp, _ := postJSON(t, ts.URL+"/anonymize", map[string]any{
+		"dataset_ref": ref,
+		"config":      map[string]any{"algo": "cluster", "k": 3},
+	}); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("latching submit: %d", resp.StatusCode)
+	}
+	waitDegraded(t, ts.URL, true)
+	waitAllTerminal(t, ts.URL)
+
+	code, body = httpDelete(t, ts.URL+"/jobs/"+id)
+	if code != http.StatusServiceUnavailable || body["degraded"] != true {
+		t.Fatalf("degraded DELETE: %d %v, want a degraded 503", code, body)
+	}
+	if code, _ := getJSON(t, ts.URL+"/jobs/"+id); code != http.StatusOK {
+		t.Fatalf("job after refused DELETE: %d, want 200", code)
+	}
+
+	crash()
+	ts2, _ := faultServer(t, dir, faultfs.OS, Options{Workers: 2})
+	code, view := getJSON(t, ts2.URL+"/jobs/"+id)
+	if code != http.StatusOK || view["status"] != string(StatusDone) {
+		t.Fatalf("job after restart: %d %v, want done", code, view)
+	}
+}
+
 // waitDegraded polls /healthz until the degraded flag matches want.
 func waitDegraded(t *testing.T, base string, want bool) {
 	t.Helper()

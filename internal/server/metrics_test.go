@@ -245,3 +245,18 @@ func TestMetricFamiliesDocumented(t *testing.T) {
 		}
 	}
 }
+
+// TestFaultStatsFieldsDocumented pins, by name, the GET /stats fields an
+// operator reaches for during a disk incident: the runbook's "/stats
+// field reference" must keep naming them.
+func TestFaultStatsFieldsDocumented(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join("..", "..", "docs", "OPERATIONS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, field := range []string{"trim_errors", "io_retries", "degraded", "orphans_swept", "disk_transient"} {
+		if !strings.Contains(string(doc), field) {
+			t.Errorf("/stats field %s is not mentioned in docs/OPERATIONS.md", field)
+		}
+	}
+}

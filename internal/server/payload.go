@@ -108,6 +108,28 @@ func (d diskRecords) stream(emit func(line []byte) error) error {
 	}
 }
 
+// batchLines streams recs' record lines, each newline-terminated, after
+// head, and hands emit every batch that reaches chunkTarget bytes, then
+// the shorter tail. The NDJSON route and the chunk file share it, so both
+// carry the same record bytes in the same batches. emit must not keep the
+// batch: its buffer is reused.
+func batchLines(recs resultRecords, head []byte, emit func(batch []byte) error) error {
+	buf := append(make([]byte, 0, chunkTarget+4096), head...)
+	err := recs.stream(func(line []byte) error {
+		buf = append(append(buf, line...), '\n')
+		if len(buf) < chunkTarget {
+			return nil
+		}
+		err := emit(buf)
+		buf = buf[:0]
+		return err
+	})
+	if err == nil && len(buf) > 0 {
+		err = emit(buf)
+	}
+	return err
+}
+
 // jobResult is what a job's runnable hands back on success and what the
 // finished job retains and serves. Exactly one shape is populated: full
 // for series jobs, meta+recs for anonymize jobs. A runnable's recs are

@@ -126,7 +126,10 @@ const (
 type Server struct {
 	opts Options
 	mux  *http.ServeMux
-	jobs *jobStore
+	// gates maps each route pattern to the gates its row names (see
+	// routes.go).
+	gates map[string]gate
+	jobs  *jobStore
 	// sched serves single-configuration jobs from the shared cache;
 	// uncached runs sweep/compare jobs, whose per-point runtime series
 	// are benchmarks and must be measured, never copied from a cache hit.
@@ -221,6 +224,7 @@ func New(ctx context.Context, opts Options) (*Server, error) {
 	s := &Server{
 		opts:        opts,
 		mux:         http.NewServeMux(),
+		gates:       make(map[string]gate, len(routes)),
 		jobs:        newJobStore(opts.MaxJobs),
 		sched:       engine.NewScheduler(opts.Workers, cache),
 		uncached:    engine.NewScheduler(opts.Workers, nil),
@@ -233,24 +237,10 @@ func New(ctx context.Context, opts Options) (*Server, error) {
 		baseCtx:     ctx,
 		uploadSlots: make(chan struct{}, opts.MaxConcurrentJobs),
 	}
-	s.mux.HandleFunc("POST /datasets", s.handleDatasetUpload)
-	s.mux.HandleFunc("GET /datasets", s.handleDatasetList)
-	s.mux.HandleFunc("GET /datasets/{id}", s.handleDatasetInfo)
-	s.mux.HandleFunc("DELETE /datasets/{id}", s.handleDatasetDelete)
-	s.mux.HandleFunc("POST /anonymize", s.handleAnonymize)
-	s.mux.HandleFunc("POST /evaluate", s.handleEvaluate)
-	s.mux.HandleFunc("POST /compare", s.handleCompare)
-	s.mux.HandleFunc("GET /jobs", s.handleJobList)
-	s.mux.HandleFunc("GET /jobs/{id}", s.handleJobStatus)
-	s.mux.HandleFunc("GET /jobs/{id}/result", s.handleJobResult)
-	s.mux.HandleFunc("GET /jobs/{id}/result/stream", s.handleJobResultStream)
-	s.mux.HandleFunc("GET /jobs/{id}/trace", s.handleJobTrace)
-	s.mux.HandleFunc("DELETE /jobs/{id}", s.handleJobCancel)
-	s.mux.HandleFunc("GET /healthz", s.handleHealth)
-	s.mux.HandleFunc("GET /stats", s.handleStats)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.HandleFunc("GET /dashboard", s.handleDashboard)
-	s.mux.HandleFunc("GET /dashboard/data", s.handleDashboardData)
+	for _, rt := range routes {
+		s.mux.HandleFunc(rt.pattern, func(w http.ResponseWriter, r *http.Request) { rt.handle(s, w, r) })
+		s.gates[rt.pattern] = rt.gates
+	}
 	s.jobs.logger = opts.Logger
 	if len(opts.Tenants) > 0 {
 		if err := ValidateTenants(opts.Tenants); err != nil {
@@ -284,39 +274,6 @@ func (s *Server) log() *slog.Logger {
 		return s.logger
 	}
 	return slog.Default()
-}
-
-// Handler returns the routed HTTP handler, wrapped in the readiness
-// gate: while journal replay runs, only /healthz is served — admitting a
-// job before its predecessors are re-queued would reorder history. In
-// multi-tenant mode the API-key gate resolves the caller's tenant next
-// (401 without a valid key) and the per-tenant token bucket meters POSTs
-// (429 + Retry-After). A final gate holds POST routes while the server
-// is in degraded read-only mode (see degraded.go); reads keep flowing.
-func (s *Server) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if !s.ready.Load() && r.URL.Path != "/healthz" {
-			w.Header().Set("Retry-After", "1")
-			writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-				"error": "server is replaying its journal; retry shortly",
-				"ready": false,
-			})
-			return
-		}
-		r, done := s.authGate(w, r)
-		if done {
-			return
-		}
-		// Only POSTs spend tokens: pollers watching job status must not be
-		// throttled into missing their own completions.
-		if r.Method == http.MethodPost && s.rateGate(w, r) {
-			return
-		}
-		if s.gateWrite(w, r) {
-			return
-		}
-		s.mux.ServeHTTP(w, r)
-	})
 }
 
 // ---- request payloads ----
@@ -798,33 +755,24 @@ func (s *Server) logPhases(ctx context.Context, fp string, phases []timing.Phase
 
 // ---- handlers ----
 
-func (s *Server) handleAnonymize(w http.ResponseWriter, r *http.Request) {
-	s.handleSubmit(w, r, "anonymize")
-}
-
-func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
-	s.handleSubmit(w, r, "evaluate")
-}
-
-func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
-	s.handleSubmit(w, r, "compare")
-}
-
-// handleSubmit is the shared submission path: read the (bounded) body,
-// validate it into a preparedJob, and hand both to submit — the body
-// rides along into the journal so a crash can re-queue the job.
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, kind string) {
-	body, ok := s.readBody(w, r)
-	if !ok {
-		return
+// handleSubmit is the handler of the submission row for jobs of kind:
+// read the (bounded) body, validate it into a preparedJob, and hand both
+// to submit — the body rides along into the journal so a crash can
+// re-queue the job.
+func handleSubmit(kind string) func(*Server, http.ResponseWriter, *http.Request) {
+	return func(s *Server, w http.ResponseWriter, r *http.Request) {
+		body, ok := s.readBody(w, r)
+		if !ok {
+			return
+		}
+		tenant := reqTenant(r)
+		p, err := s.prepareJob(kind, body, tenant)
+		if err != nil {
+			s.datasetError(w, err)
+			return
+		}
+		s.submit(w, kind, body, p, tenant)
 	}
-	tenant := reqTenant(r)
-	p, err := s.prepareJob(kind, body, tenant)
-	if err != nil {
-		s.datasetError(w, err)
-		return
-	}
-	s.submit(w, kind, body, p, tenant)
 }
 
 // handleDatasetUpload stores the posted dataset — the same JSON format the
@@ -846,14 +794,7 @@ func (s *Server) handleDatasetUpload(w http.ResponseWriter, r *http.Request) {
 	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
 	ds, err := dataset.ReadJSON(body)
 	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeJSON(w, http.StatusRequestEntityTooLarge, map[string]any{
-				"error": fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit),
-			})
-			return
-		}
-		s.badRequest(w, fmt.Errorf("decoding dataset: %w", err))
+		s.bodyError(w, "decoding dataset", err)
 		return
 	}
 	if tst := s.tenantState(r); tst != nil {
@@ -1030,24 +971,21 @@ func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"jobs": views, "total": total})
 }
 
-// jobFor resolves a job ID to a job the request may see: in
-// multi-tenant mode another tenant's job is indistinguishable from a
-// missing one (nil here, 404 at the caller).
-func (s *Server) jobFor(r *http.Request, id string) *job {
-	j := s.jobs.get(id)
-	if j == nil {
-		return nil
+// pathJob resolves the {id} path value to a job the request may see, or
+// answers 404 and returns nil: in multi-tenant mode another tenant's job
+// is indistinguishable from a missing one.
+func (s *Server) pathJob(w http.ResponseWriter, r *http.Request) *job {
+	id := r.PathValue("id")
+	if j := s.jobs.get(id); j != nil && (s.tenants == nil || j.tenant == reqTenant(r)) {
+		return j
 	}
-	if s.tenants != nil && j.tenant != reqTenant(r) {
-		return nil
-	}
-	return j
+	writeJSON(w, http.StatusNotFound, map[string]any{"error": fmt.Sprintf("no job %q", id)})
+	return nil
 }
 
 func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
-	j := s.jobFor(r, r.PathValue("id"))
+	j := s.pathJob(w, r)
 	if j == nil {
-		s.notFound(w, r.PathValue("id"))
 		return
 	}
 	writeJSON(w, http.StatusOK, j.view())
@@ -1060,10 +998,8 @@ func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 // its persisted trace snapshot, whether it finished in this process or
 // was recovered from the journal, so traces survive restart.
 func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	j := s.jobFor(r, id)
+	j := s.pathJob(w, r)
 	if j == nil {
-		s.notFound(w, id)
 		return
 	}
 	if tr := j.liveTrace(); tr != nil {
@@ -1071,7 +1007,7 @@ func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.st != nil {
-		if data, err := s.st.Traces.Get(id); err == nil {
+		if data, err := s.st.Traces.Get(j.id); err == nil {
 			w.Header().Set("Content-Type", "application/json")
 			w.WriteHeader(http.StatusOK)
 			w.Write(data)
@@ -1079,7 +1015,7 @@ func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, http.StatusNotFound, map[string]any{
-		"error": fmt.Sprintf("no trace recorded for job %q", id),
+		"error": fmt.Sprintf("no trace recorded for job %q", j.id),
 	})
 }
 
@@ -1094,9 +1030,8 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 		s.handleJobResultStream(w, r)
 		return
 	}
-	j := s.jobFor(r, r.PathValue("id"))
+	j := s.pathJob(w, r)
 	if j == nil {
-		s.notFound(w, r.PathValue("id"))
 		return
 	}
 	status, result, errMsg := j.snapshot()
@@ -1136,9 +1071,8 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 // Client disconnects are detected via the request context between
 // batches, freeing the connection promptly without affecting the job.
 func (s *Server) handleJobResultStream(w http.ResponseWriter, r *http.Request) {
-	j := s.jobFor(r, r.PathValue("id"))
+	j := s.pathJob(w, r)
 	if j == nil {
-		s.notFound(w, r.PathValue("id"))
 		return
 	}
 	status, result, errMsg := j.snapshot()
@@ -1165,29 +1099,16 @@ func (s *Server) handleJobResultStream(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	ctx := r.Context()
 	rc := http.NewResponseController(w)
-	buf := make([]byte, 0, chunkTarget+4096)
-	buf = append(append(buf, meta...), '\n')
-	flush := func() error {
+	err = batchLines(result.recs, append(meta, '\n'), func(batch []byte) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if _, err := w.Write(buf); err != nil {
+		if _, err := w.Write(batch); err != nil {
 			return err
 		}
-		buf = buf[:0]
 		rc.Flush()
 		return nil
-	}
-	err = result.recs.stream(func(line []byte) error {
-		buf = append(append(buf, line...), '\n')
-		if len(buf) >= chunkTarget {
-			return flush()
-		}
-		return nil
 	})
-	if err == nil && len(buf) > 0 {
-		err = flush()
-	}
 	if err != nil {
 		if ctx.Err() != nil || errors.Is(err, context.Canceled) {
 			s.streams.disconnects.Add(1)
@@ -1260,9 +1181,8 @@ func acceptsNDJSON(r *http.Request) bool {
 // finished it deletes the record (and its retained result — durable copy
 // included) instead.
 func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
-	j := s.jobFor(r, r.PathValue("id"))
+	j := s.pathJob(w, r)
 	if j == nil {
-		s.notFound(w, r.PathValue("id"))
 		return
 	}
 	if v := j.view(); v.Status.Terminal() {
@@ -1432,20 +1352,7 @@ func (s *Server) writeChunkedResult(id string, meta *anonMeta, recs resultRecord
 		cw.Abort()
 		return err
 	}
-	buf := make([]byte, 0, chunkTarget+4096)
-	err = recs.stream(func(line []byte) error {
-		buf = append(append(buf, line...), '\n')
-		if len(buf) < chunkTarget {
-			return nil
-		}
-		err := cw.WriteFrame(buf)
-		buf = buf[:0]
-		return err
-	})
-	if err == nil && len(buf) > 0 {
-		err = cw.WriteFrame(buf)
-	}
-	if err != nil {
+	if err := batchLines(recs, nil, cw.WriteFrame); err != nil {
 		cw.Abort()
 		return err
 	}
@@ -1456,25 +1363,27 @@ func (s *Server) writeChunkedResult(id string, meta *anonMeta, recs resultRecord
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
 	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeJSON(w, http.StatusRequestEntityTooLarge, map[string]any{
-				"error": fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit),
-			})
-			return nil, false
-		}
-		s.badRequest(w, fmt.Errorf("reading request: %w", err))
+		s.bodyError(w, "reading request", err)
 		return nil, false
 	}
 	return body, true
 }
 
-func (s *Server) badRequest(w http.ResponseWriter, err error) {
-	writeJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error()})
+// bodyError answers a request body that failed to read or decode: 413
+// when the MaxBodyBytes cap cut it short, else 400 naming what failed.
+func (s *Server) bodyError(w http.ResponseWriter, what string, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeJSON(w, http.StatusRequestEntityTooLarge, map[string]any{
+			"error": fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit),
+		})
+		return
+	}
+	s.badRequest(w, fmt.Errorf("%s: %w", what, err))
 }
 
-func (s *Server) notFound(w http.ResponseWriter, id string) {
-	writeJSON(w, http.StatusNotFound, map[string]any{"error": fmt.Sprintf("no job %q", id)})
+func (s *Server) badRequest(w http.ResponseWriter, err error) {
+	writeJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error()})
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -346,14 +347,20 @@ func TestBadRequests(t *testing.T) {
 	t.Run("oversized body", func(t *testing.T) {
 		small := httptest.NewServer(mustNew(t, context.Background(), Options{Workers: 1, MaxBodyBytes: 1024}).Handler())
 		defer small.Close()
-		resp, err := http.Post(small.URL+"/anonymize", "application/json",
-			bytes.NewReader(append(dsJSON, bytes.Repeat([]byte(" "), 2048)...)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusRequestEntityTooLarge {
-			t.Fatalf("status %d, want 413", resp.StatusCode)
+		// A job submission and a dataset upload read their bodies
+		// differently but answer the same 413.
+		for _, path := range []string{"/anonymize", "/datasets"} {
+			resp, err := http.Post(small.URL+path, "application/json",
+				bytes.NewReader(append(dsJSON, bytes.Repeat([]byte(" "), 2048)...)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			want := "{\n  \"error\": \"request body exceeds 1024 bytes\"\n}\n"
+			if resp.StatusCode != http.StatusRequestEntityTooLarge || string(body) != want {
+				t.Fatalf("POST %s: status %d body %q, want 413 %q", path, resp.StatusCode, body, want)
+			}
 		}
 	})
 	t.Run("unknown job", func(t *testing.T) {

@@ -389,21 +389,11 @@ func reqTenant(r *http.Request) string {
 	return id
 }
 
-// tenantOpenRoute reports whether path is served without an API key even
-// in multi-tenant mode: health, operator stats/metrics and the dashboard
-// are deployment-internal surfaces, not tenant data.
-func tenantOpenRoute(path string) bool {
-	switch path {
-	case "/healthz", "/stats", "/metrics", "/dashboard", "/dashboard/data":
-		return true
-	}
-	return false
-}
-
 // authGate resolves the request's tenant and rewrites the context. It
-// reports whether the request was consumed (401 written).
+// reports whether the request was consumed (401 written). Handler skips
+// it on open routes.
 func (s *Server) authGate(w http.ResponseWriter, r *http.Request) (*http.Request, bool) {
-	if s.tenants == nil || tenantOpenRoute(r.URL.Path) {
+	if s.tenants == nil {
 		return r, false
 	}
 	st := s.tenants.authenticate(r)
@@ -418,10 +408,10 @@ func (s *Server) authGate(w http.ResponseWriter, r *http.Request) (*http.Request
 	return r.WithContext(context.WithValue(r.Context(), tenantCtxKey{}, st.cfg.ID)), false
 }
 
-// rateGate runs the tenant's token bucket for one POST and writes the
-// X-RateLimit-* headers (on allow and deny alike). It reports whether
-// the request was consumed (429 written). Single-tenant mode never
-// gates.
+// rateGate runs the tenant's token bucket for one metered request and
+// writes the X-RateLimit-* headers (on allow and deny alike). It reports
+// whether the request was consumed (429 written). Single-tenant mode
+// never gates.
 func (s *Server) rateGate(w http.ResponseWriter, r *http.Request) bool {
 	st := s.tenantState(r)
 	if st == nil {
