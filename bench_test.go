@@ -1,196 +1,60 @@
-// Package secreta's root benchmark suite regenerates every experiment of
-// DESIGN.md section 3 (E1-E10) as a testing.B benchmark, so
-// `go test -bench=. -benchmem` reproduces the paper's analytical outputs
-// end to end. The printed harness with full tables is cmd/secreta-bench;
-// these benches measure the same code paths and report the headline metric
-// of each experiment via b.ReportMetric.
+// Package secreta's root benchmark suite measures the paper experiments
+// E1-E10 (experiment.Paper, indexed in docs/PERFORMANCE.md) on the same
+// dataset `secreta-bench -exp` prints their tables from, so
+// `go test -run '^$' -bench BenchmarkPaper .` times exactly what the
+// harness prints. BenchmarkE8Workers is E8's configuration batch at fixed
+// worker counts; the ablation benches below contrast design choices with
+// the alternatives they replaced.
 package secreta
 
 import (
 	"fmt"
+	"io"
 	"runtime"
 	"testing"
 
 	"secreta/internal/dataset"
 	"secreta/internal/engine"
 	"secreta/internal/experiment"
-	"secreta/internal/gen"
 	"secreta/internal/generalize"
-	"secreta/internal/hierarchy"
 	"secreta/internal/lattice"
 	"secreta/internal/metrics"
-	"secreta/internal/policy"
 	"secreta/internal/privacy"
-	"secreta/internal/query"
 	"secreta/internal/rt"
 )
 
-type fixture struct {
-	ds *dataset.Dataset
-	hs generalize.Set
-	ih *hierarchy.Hierarchy
-	w  *query.Workload
-}
-
-func load(b *testing.B, records int) *fixture {
+// loadEnv builds the experiment input of experiment.DefaultData resized
+// to records.
+func loadEnv(b *testing.B, records int) *experiment.Env {
 	b.Helper()
-	ds := gen.Census(gen.Config{Records: records, Items: 24, Seed: 42})
-	hs, err := gen.Hierarchies(ds, 4)
+	cfg := experiment.DefaultData
+	cfg.Records = records
+	env, err := experiment.NewEnv(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	ih, err := gen.ItemHierarchy(ds, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	w, err := query.Generate(ds, query.GenOptions{Queries: 60, Dims: 2, Seed: 42})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return &fixture{ds: ds, hs: hs, ih: ih, w: w}
+	return env
 }
 
-func (f *fixture) rtConfig() engine.Config {
-	return engine.Config{
-		Mode: engine.RT, RelAlgo: "cluster", TransAlgo: "apriori", Flavor: rt.RMerge,
-		K: 10, M: 2, Delta: 0.2,
-		Hierarchies: f.hs, ItemHierarchy: f.ih, Workload: f.w,
-	}
-}
-
-// BenchmarkE1Histograms: Dataset Editor histograms (Fig. 2).
-func BenchmarkE1Histograms(b *testing.B) {
-	f := load(b, 1000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for a := range f.ds.Attrs {
-			_ = f.ds.Histogram(a)
-		}
-		_ = f.ds.ItemHistogram()
-	}
-}
-
-// BenchmarkE2AREvsDelta: ARE vs delta sweep (Fig. 3a).
-func BenchmarkE2AREvsDelta(b *testing.B) {
-	f := load(b, 300)
-	sweep := experiment.Sweep{Param: "delta", Start: 0, End: 0.4, Step: 0.2}
-	b.ResetTimer()
-	var last *experiment.Series
-	for i := 0; i < b.N; i++ {
-		s, err := experiment.VaryingRun(f.ds, f.rtConfig(), sweep, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = s
-	}
-	if n := len(last.Points); n > 0 {
-		b.ReportMetric(last.Points[n-1].Indicators.ARE, "ARE@maxdelta")
-	}
-}
-
-// BenchmarkE3Phases: one RT run with phase breakdown (Fig. 3b).
-func BenchmarkE3Phases(b *testing.B) {
-	f := load(b, 300)
-	b.ResetTimer()
-	var res *engine.Result
-	for i := 0; i < b.N; i++ {
-		res = engine.Run(f.ds, f.rtConfig())
-		if res.Err != nil {
-			b.Fatal(res.Err)
-		}
-	}
-	for _, p := range res.Phases {
-		b.ReportMetric(p.Duration.Seconds()*1000, p.Name+"_ms")
-	}
-}
-
-// BenchmarkE4GenFreq: generalized value frequencies (Fig. 3c).
-func BenchmarkE4GenFreq(b *testing.B) {
-	f := load(b, 300)
-	res := engine.Run(f.ds, f.rtConfig())
-	if res.Err != nil {
-		b.Fatal(res.Err)
-	}
-	ai := f.ds.AttrIndex("Age")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = metrics.GeneralizedFrequencies(res.Anonymized, ai)
-	}
-}
-
-// BenchmarkE5ItemError: item frequency error (Fig. 3d).
-func BenchmarkE5ItemError(b *testing.B) {
-	f := load(b, 300)
-	res := engine.Run(f.ds, f.rtConfig())
-	if res.Err != nil {
-		b.Fatal(res.Err)
-	}
-	b.ResetTimer()
-	var mean float64
-	for i := 0; i < b.N; i++ {
-		ves := metrics.ItemFrequencyError(f.ds, res.Anonymized, f.ih)
-		mean = 0
-		for _, ve := range ves {
-			mean += ve.RelError
-		}
-		mean /= float64(len(ves))
-	}
-	b.ReportMetric(mean, "mean_relerr")
-}
-
-// BenchmarkE6CompareK: comparison mode, two configurations vs k (Fig. 4).
-func BenchmarkE6CompareK(b *testing.B) {
-	f := load(b, 300)
-	c1 := f.rtConfig()
-	c1.Label = "cluster+apriori/Rmerger"
-	c2 := f.rtConfig()
-	c2.Flavor = rt.TMerge
-	c2.Label = "cluster+apriori/Tmerger"
-	sweep := experiment.Sweep{Param: "k", Start: 5, End: 15, Step: 5}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiment.Compare(f.ds, []engine.Config{c1, c2}, sweep, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE7Matrix: all 20 relational x transaction combinations.
-func BenchmarkE7Matrix(b *testing.B) {
-	f := load(b, 200)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ok := 0
-		for _, rel := range rt.RelationalAlgos {
-			for _, tra := range rt.TransactionAlgos {
-				cfg := f.rtConfig()
-				cfg.RelAlgo, cfg.TransAlgo, cfg.K = rel, tra, 4
-				cfg.Workload = nil
-				res := engine.Run(f.ds, cfg)
-				if res.Err != nil {
-					b.Fatalf("%s+%s: %v", rel, tra, res.Err)
-				}
-				if res.Indicators.KAnonymous && res.Indicators.KMAnonymous {
-					ok++
+// BenchmarkPaper runs each paper experiment, one sub-benchmark per ID,
+// with its table written to io.Discard.
+func BenchmarkPaper(b *testing.B) {
+	env := loadEnv(b, experiment.DefaultData.Records)
+	for _, e := range experiment.Paper {
+		b.Run(e.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := e.Run(env, io.Discard); err != nil {
+					b.Fatal(err)
 				}
 			}
-		}
-		if ok != 20 {
-			b.Fatalf("only %d/20 combinations satisfied privacy", ok)
-		}
+		})
 	}
 }
 
-// BenchmarkE8Workers: evaluator scalability with worker count.
+// BenchmarkE8Workers: E8's configuration batch at each worker count.
 func BenchmarkE8Workers(b *testing.B) {
-	f := load(b, 300)
-	var cfgs []engine.Config
-	for k := 2; k <= 16; k += 2 {
-		c := f.rtConfig()
-		c.K = k
-		c.Workload = nil
-		cfgs = append(cfgs, c)
-	}
+	env := loadEnv(b, 300)
+	cfgs := env.E8Configs()
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			if p := runtime.GOMAXPROCS(0); p < workers {
@@ -200,7 +64,7 @@ func BenchmarkE8Workers(b *testing.B) {
 				b.Skipf("GOMAXPROCS=%d < workers=%d: scaling not measurable on this box", p, workers)
 			}
 			for i := 0; i < b.N; i++ {
-				for _, r := range engine.RunAll(f.ds, cfgs, workers) {
+				for _, r := range engine.RunAll(env.DS, cfgs, workers) {
 					if r.Err != nil {
 						b.Fatal(r.Err)
 					}
@@ -210,59 +74,11 @@ func BenchmarkE8Workers(b *testing.B) {
 	}
 }
 
-// BenchmarkE9RelationalK: the four relational algorithms across k.
-func BenchmarkE9RelationalK(b *testing.B) {
-	f := load(b, 300)
-	for _, algo := range rt.RelationalAlgos {
-		b.Run(algo, func(b *testing.B) {
-			var gcp float64
-			for i := 0; i < b.N; i++ {
-				res := engine.Run(f.ds, engine.Config{
-					Mode: engine.Relational, Algorithm: algo, K: 10,
-					Hierarchies: f.hs,
-				})
-				if res.Err != nil {
-					b.Fatal(res.Err)
-				}
-				gcp = res.Indicators.GCP
-			}
-			b.ReportMetric(gcp, "GCP")
-		})
-	}
-}
-
-// BenchmarkE10TransactionK: the five transaction algorithms across k.
-func BenchmarkE10TransactionK(b *testing.B) {
-	f := load(b, 300)
-	pol := &policy.Policy{
-		Privacy: policy.PrivacyAllItems(f.ds),
-		Utility: policy.UtilityTop(f.ds),
-	}
-	for _, algo := range rt.TransactionAlgos {
-		b.Run(algo, func(b *testing.B) {
-			var loss float64
-			for i := 0; i < b.N; i++ {
-				res := engine.Run(f.ds, engine.Config{
-					Mode: engine.Transactional, Algorithm: algo, K: 10, M: 2,
-					ItemHierarchy: f.ih, Policy: pol,
-				})
-				if res.Err != nil {
-					b.Fatal(res.Err)
-				}
-				loss = res.Indicators.TransactionGCP
-			}
-			b.ReportMetric(loss, "tGCP")
-		})
-	}
-}
-
-// --- Ablation benches (design choices recorded in DESIGN.md / EXPERIMENTS.md) ---
-
 // BenchmarkAblationMergeGate contrasts the gated merge policy (a merge must
 // strictly reduce k^m violations) against ungated merging, which cascades
 // into a single class.
 func BenchmarkAblationMergeGate(b *testing.B) {
-	f := load(b, 600)
+	env := loadEnv(b, 600)
 	for _, tc := range []struct {
 		name    string
 		ungated bool
@@ -270,16 +86,16 @@ func BenchmarkAblationMergeGate(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			var gcp float64
 			for i := 0; i < b.N; i++ {
-				res, err := rt.Anonymize(f.ds, rt.Options{
+				res, err := rt.Anonymize(env.DS, rt.Options{
 					K: 10, M: 2, Delta: 0.1,
-					Hierarchies: f.hs, ItemHierarchy: f.ih,
+					Hierarchies: env.Hierarchies, ItemHierarchy: env.ItemHierarchy,
 					RelAlgo: "cluster", TransAlgo: "apriori",
 					Flavor: rt.RMerge, UngatedMerges: tc.ungated,
 				})
 				if err != nil {
 					b.Fatal(err)
 				}
-				g, err := metrics.GCP(res.Anonymized, f.hs, mustQIs(b, f.ds))
+				g, err := metrics.GCP(res.Anonymized, env.Hierarchies, mustQIs(b, env.DS))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -293,9 +109,9 @@ func BenchmarkAblationMergeGate(b *testing.B) {
 // BenchmarkAblationIncognitoNaive contrasts Incognito's pruned search with
 // an exhaustive lattice scan that checks k-anonymity at every node.
 func BenchmarkAblationIncognitoNaive(b *testing.B) {
-	f := load(b, 300)
-	qis := mustQIs(b, f.ds)
-	hh, err := f.hs.ForQIs(f.ds, qis)
+	env := loadEnv(b, 300)
+	qis := mustQIs(b, env.DS)
+	hh, err := env.Hierarchies.ForQIs(env.DS, qis)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -305,9 +121,9 @@ func BenchmarkAblationIncognitoNaive(b *testing.B) {
 	}
 	b.Run("incognito", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res := engine.Run(f.ds, engine.Config{
+			res := engine.Run(env.DS, engine.Config{
 				Mode: engine.Relational, Algorithm: "incognito", K: 10,
-				Hierarchies: f.hs,
+				Hierarchies: env.Hierarchies,
 			})
 			if res.Err != nil {
 				b.Fatal(res.Err)
@@ -322,7 +138,7 @@ func BenchmarkAblationIncognitoNaive(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			found := 0
 			lat.Walk(func(node []int) bool {
-				cand, err := generalize.FullDomain(f.ds, f.hs, qis, node)
+				cand, err := generalize.FullDomain(env.DS, env.Hierarchies, qis, node)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -340,12 +156,12 @@ func BenchmarkAblationIncognitoNaive(b *testing.B) {
 
 // BenchmarkExtensionRho measures the rho-uncertainty extension algorithm.
 func BenchmarkExtensionRho(b *testing.B) {
-	f := load(b, 600)
-	h := f.ds.ItemHistogram()
+	env := loadEnv(b, 600)
+	h := env.DS.ItemHistogram()
 	sens := []string{h[0].Value, h[1].Value, h[2].Value}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := engine.Run(f.ds, engine.Config{
+		res := engine.Run(env.DS, engine.Config{
 			Mode: engine.Transactional, Algorithm: "rho",
 			Rho: 0.5, M: 2, K: 1, Sensitive: sens,
 		})

@@ -1,7 +1,8 @@
 // Command secreta-bench is the experiment harness of this reproduction: it
 // regenerates, as printed tables and series, the analytical outputs behind
-// every figure of the SECRETA demo paper (see DESIGN.md section 3 for the
-// experiment index E1-E10 and EXPERIMENTS.md for recorded results).
+// every figure of the SECRETA demo paper. The experiments E1-E10 are
+// defined once, in internal/experiment (paper.go); docs/PERFORMANCE.md
+// indexes them and records measured results.
 //
 //	secreta-bench -exp all            # run everything
 //	secreta-bench -exp E2 -records 800
@@ -16,96 +17,33 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"runtime"
-	"sort"
 	"strings"
 	"time"
 
-	"secreta/internal/dataset"
-	"secreta/internal/engine"
 	"secreta/internal/experiment"
 	"secreta/internal/gen"
-	"secreta/internal/generalize"
-	"secreta/internal/hierarchy"
-	"secreta/internal/metrics"
-	"secreta/internal/policy"
-	"secreta/internal/query"
-	"secreta/internal/rt"
 )
-
-type bench struct {
-	id    string
-	brief string
-	run   func(env *environment) error
-}
-
-type environment struct {
-	ds       *dataset.Dataset
-	hs       generalize.Set
-	ih       *hierarchy.Hierarchy
-	workload *query.Workload
-	qis      []int
-	records  int
-	seed     int64
-}
-
-var benches = []bench{
-	{"E1", "attribute histograms (Fig. 2, Dataset Editor)", runE1},
-	{"E2", "ARE vs delta, fixed k,m (Fig. 3a)", runE2},
-	{"E3", "runtime phase breakdown (Fig. 3b)", runE3},
-	{"E4", "generalized value frequencies (Fig. 3c)", runE4},
-	{"E5", "item frequency relative error (Fig. 3d)", runE5},
-	{"E6", "comparison mode: ARE & runtime vs k (Fig. 4)", runE6},
-	{"E7", "20-combination matrix (Sec. 1)", runE7},
-	{"E8", "evaluator scalability vs workers (Sec. 2.2)", runE8},
-	{"E9", "relational algorithms: GCP & ARE vs k", runE9},
-	{"E10", "transaction algorithms: loss & runtime vs k", runE10},
-}
 
 func main() {
 	if runHarnessCommand(os.Args) {
 		return
 	}
+	d := experiment.DefaultData
 	expFlag := flag.String("exp", "all", "experiment id (E1..E10) or 'all'")
-	records := flag.Int("records", 600, "dataset size")
-	items := flag.Int("items", 24, "item domain size")
-	seed := flag.Int64("seed", 42, "random seed")
+	records := flag.Int("records", d.Records, "dataset size")
+	items := flag.Int("items", d.Items, "item domain size")
+	seed := flag.Int64("seed", d.Seed, "random seed")
 	flag.Parse()
 
-	ds := gen.Census(gen.Config{Records: *records, Items: *items, Seed: *seed})
-	hs, err := gen.Hierarchies(ds, 4)
+	env, err := experiment.NewEnv(gen.Config{Records: *records, Items: *items, Seed: *seed})
 	if err != nil {
 		fatal(err)
 	}
-	ih, err := gen.ItemHierarchy(ds, 2)
+	ran, err := printExperiments(os.Stdout, env, *expFlag)
 	if err != nil {
 		fatal(err)
-	}
-	w, err := query.Generate(ds, query.GenOptions{Queries: 80, Dims: 2, Seed: *seed})
-	if err != nil {
-		fatal(err)
-	}
-	qis, err := ds.QIIndices(nil)
-	if err != nil {
-		fatal(err)
-	}
-	env := &environment{ds: ds, hs: hs, ih: ih, workload: w, qis: qis, records: *records, seed: *seed}
-
-	want := strings.ToUpper(*expFlag)
-	ran := 0
-	for _, b := range benches {
-		if want != "ALL" && b.id != want {
-			continue
-		}
-		fmt.Printf("=== %s: %s (n=%d, seed=%d)\n", b.id, b.brief, *records, *seed)
-		start := time.Now()
-		if err := b.run(env); err != nil {
-			fmt.Fprintf(os.Stderr, "%s failed: %v\n", b.id, err)
-			os.Exit(1)
-		}
-		fmt.Printf("--- %s done in %v\n\n", b.id, time.Since(start).Round(time.Millisecond))
-		ran++
 	}
 	if ran == 0 {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *expFlag)
@@ -113,293 +51,27 @@ func main() {
 	}
 }
 
+// printExperiments prints the experiment whose ID is want ("all" for
+// every one) with a header and its duration, and counts those it ran. It
+// stops at the first experiment that fails.
+func printExperiments(w io.Writer, env *experiment.Env, want string) (ran int, err error) {
+	want = strings.ToUpper(want)
+	for _, e := range experiment.Paper {
+		if want != "ALL" && e.ID != want {
+			continue
+		}
+		fmt.Fprintf(w, "=== %s: %s (n=%d, seed=%d)\n", e.ID, e.Brief, len(env.DS.Records), env.Seed)
+		start := time.Now()
+		if err := e.Run(env, w); err != nil {
+			return ran, fmt.Errorf("%s failed: %v", e.ID, err)
+		}
+		fmt.Fprintf(w, "--- %s done in %v\n\n", e.ID, time.Since(start).Round(time.Millisecond))
+		ran++
+	}
+	return ran, nil
+}
+
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, err)
 	os.Exit(1)
-}
-
-func baseRT(env *environment) engine.Config {
-	return engine.Config{
-		Mode: engine.RT, RelAlgo: "cluster", TransAlgo: "apriori", Flavor: rt.RMerge,
-		K: 10, M: 2, Delta: 0.2,
-		Hierarchies: env.hs, ItemHierarchy: env.ih, Workload: env.workload,
-	}
-}
-
-// E1: per-attribute histograms of the original dataset.
-func runE1(env *environment) error {
-	for i, a := range env.ds.Attrs {
-		h := env.ds.Histogram(i)
-		top := h
-		if len(top) > 5 {
-			top = top[:5]
-		}
-		fmt.Printf("%-10s %2d distinct; top:", a.Name, len(h))
-		for _, f := range top {
-			fmt.Printf(" %s=%d", f.Value, f.Count)
-		}
-		fmt.Println()
-	}
-	ih := env.ds.ItemHistogram()
-	fmt.Printf("%-10s %2d distinct items; top item %s=%d, median item %s=%d (Zipf skew)\n",
-		env.ds.TransName, len(ih), ih[0].Value, ih[0].Count,
-		ih[len(ih)/2].Value, ih[len(ih)/2].Count)
-	return nil
-}
-
-// E2: ARE vs delta at fixed k, m (Fig. 3a). The paper's plot tracks how the
-// merge slack trades transaction utility against relational utility, so we
-// report ARE over the mixed workload and over an item-only workload (the
-// transaction side the plot is about).
-func runE2(env *environment) error {
-	sweep := experiment.Sweep{Param: "delta", Start: 0, End: 0.5, Step: 0.1}
-	mixed, err := experiment.VaryingRun(env.ds, baseRT(env), sweep, 0)
-	if err != nil {
-		return err
-	}
-	itemW, err := query.Generate(env.ds, query.GenOptions{Queries: 80, Dims: -1, Items: 1, Seed: env.seed})
-	if err != nil {
-		return err
-	}
-	itemCfg := baseRT(env)
-	itemCfg.Workload = itemW
-	itemsOnly, err := experiment.VaryingRun(env.ds, itemCfg, sweep, 0)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%8s %10s %10s %10s %10s\n", "delta", "ARE", "itemARE", "GCP", "tGCP")
-	for i, p := range mixed.Points {
-		if p.Err != nil {
-			fmt.Printf("%8.2f error: %v\n", p.X, p.Err)
-			continue
-		}
-		fmt.Printf("%8.2f %10.4f %10.4f %10.4f %10.4f\n", p.X,
-			p.Indicators.ARE, itemsOnly.Points[i].Indicators.ARE,
-			p.Indicators.GCP, p.Indicators.TransactionGCP)
-	}
-	fmt.Println("expected shape: item-query ARE and transaction loss fall as delta rises (more")
-	fmt.Println("merging freedom); relational GCP rises in exchange.")
-	return nil
-}
-
-// E3: phase breakdown of a single RT run (Fig. 3b).
-func runE3(env *environment) error {
-	res := engine.Run(env.ds, baseRT(env))
-	if res.Err != nil {
-		return res.Err
-	}
-	fmt.Printf("total runtime: %v\n", res.Runtime.Round(time.Microsecond))
-	for _, p := range res.Phases {
-		pct := 100 * float64(p.Duration) / float64(res.Runtime)
-		fmt.Printf("  %-12s %10v  %5.1f%%\n", p.Name, p.Duration.Round(time.Microsecond), pct)
-	}
-	return nil
-}
-
-// E4: frequencies of generalized values in a relational attribute (Fig.
-// 3c). delta=0 keeps clusters unmerged so the local recoding granularity
-// stays visible in the histogram.
-func runE4(env *environment) error {
-	cfg := baseRT(env)
-	cfg.Delta = 0
-	res := engine.Run(env.ds, cfg)
-	if res.Err != nil {
-		return res.Err
-	}
-	ai := env.ds.AttrIndex("Age")
-	freqs := metrics.GeneralizedFrequencies(res.Anonymized, ai)
-	if len(freqs) > 10 {
-		freqs = freqs[:10]
-	}
-	fmt.Printf("top generalized Age values (of %d):\n", len(metrics.GeneralizedFrequencies(res.Anonymized, ai)))
-	for _, f := range freqs {
-		fmt.Printf("  %-20s %d\n", f.Value, f.Count)
-	}
-	return nil
-}
-
-// E5: relative error of item frequencies, original vs anonymized (Fig. 3d).
-func runE5(env *environment) error {
-	res := engine.Run(env.ds, baseRT(env))
-	if res.Err != nil {
-		return res.Err
-	}
-	ves := metrics.ItemFrequencyError(env.ds, res.Anonymized, env.ih)
-	sum, max := 0.0, 0.0
-	for _, ve := range ves {
-		sum += ve.RelError
-		if ve.RelError > max {
-			max = ve.RelError
-		}
-	}
-	fmt.Printf("items: %d, mean relative error: %.4f, max: %.4f\n", len(ves), sum/float64(len(ves)), max)
-	sort.Slice(ves, func(i, j int) bool { return ves[i].RelError > ves[j].RelError })
-	fmt.Println("worst five items:")
-	for _, ve := range ves[:min(5, len(ves))] {
-		fmt.Printf("  %-8s orig %5.0f est %7.2f relerr %.3f\n", ve.Value, ve.Original, ve.Estimate, ve.RelError)
-	}
-	return nil
-}
-
-// E6: comparison mode — multiple configurations, ARE and runtime vs k.
-func runE6(env *environment) error {
-	mk := func(rel, tra string, fl rt.Flavor) engine.Config {
-		c := baseRT(env)
-		c.RelAlgo, c.TransAlgo, c.Flavor = rel, tra, fl
-		c.Label = rel + "+" + tra + "/" + fl.String()
-		return c
-	}
-	bases := []engine.Config{
-		mk("cluster", "apriori", rt.RMerge),
-		mk("cluster", "apriori", rt.TMerge),
-		mk("topdown", "apriori", rt.RMerge),
-	}
-	series, err := experiment.Compare(env.ds, bases,
-		experiment.Sweep{Param: "k", Start: 5, End: 25, Step: 5}, 0)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%-30s %6s %10s %10s %10s\n", "configuration", "k", "ARE", "GCP", "time")
-	for _, s := range series {
-		for _, p := range s.Points {
-			if p.Err != nil {
-				fmt.Printf("%-30s %6.0f error: %v\n", s.Label, p.X, p.Err)
-				continue
-			}
-			fmt.Printf("%-30s %6.0f %10.4f %10.4f %9.1fms\n",
-				s.Label, p.X, p.Indicators.ARE, p.Indicators.GCP,
-				float64(p.Runtime)/float64(time.Millisecond))
-		}
-	}
-	fmt.Println("expected shape: ARE/GCP grow with k for every configuration.")
-	return nil
-}
-
-// E7: the paper's 20 combinations under one bounding method.
-func runE7(env *environment) error {
-	fmt.Printf("%-22s %10s %10s %10s %6s\n", "combination", "GCP", "tGCP", "ARE", "ok")
-	for _, rel := range rt.RelationalAlgos {
-		for _, tra := range rt.TransactionAlgos {
-			cfg := baseRT(env)
-			cfg.RelAlgo, cfg.TransAlgo = rel, tra
-			cfg.K = 5
-			res := engine.Run(env.ds, cfg)
-			if res.Err != nil {
-				fmt.Printf("%-22s error: %v\n", rel+"+"+tra, res.Err)
-				continue
-			}
-			ok := res.Indicators.KAnonymous && res.Indicators.KMAnonymous
-			fmt.Printf("%-22s %10.4f %10.4f %10.4f %6v\n",
-				rel+"+"+tra, res.Indicators.GCP, res.Indicators.TransactionGCP, res.Indicators.ARE, ok)
-		}
-	}
-	return nil
-}
-
-// E8: Method Evaluator/Comparator scalability with worker count.
-func runE8(env *environment) error {
-	var cfgs []engine.Config
-	for k := 2; k <= 16; k += 2 {
-		c := baseRT(env)
-		c.K = k
-		c.Workload = nil
-		cfgs = append(cfgs, c)
-	}
-	fmt.Printf("%8s %12s (8 configurations, %d CPUs)\n", "workers", "wall time", runtime.NumCPU())
-	base := time.Duration(0)
-	for _, workers := range []int{1, 2, 4, 8} {
-		if p := runtime.GOMAXPROCS(0); p < workers {
-			fmt.Printf("%8d %12s  skipped: GOMAXPROCS=%d < workers=%d, scaling not measurable\n",
-				workers, "—", p, workers)
-			continue
-		}
-		start := time.Now()
-		results := engine.RunAll(env.ds, cfgs, workers)
-		wall := time.Since(start)
-		for _, r := range results {
-			if r.Err != nil {
-				return r.Err
-			}
-		}
-		if workers == 1 {
-			base = wall
-		}
-		fmt.Printf("%8d %12v  speedup %.2fx\n", workers, wall.Round(time.Millisecond),
-			float64(base)/float64(wall))
-	}
-	fmt.Println("expected shape: near-linear speedup until configurations are exhausted.")
-	return nil
-}
-
-// E9: the four relational algorithms alone, GCP & ARE vs k.
-func runE9(env *environment) error {
-	var bases []engine.Config
-	for _, algo := range rt.RelationalAlgos {
-		bases = append(bases, engine.Config{
-			Label: algo, Mode: engine.Relational, Algorithm: algo,
-			Hierarchies: env.hs, Workload: env.workload,
-		})
-	}
-	series, err := experiment.Compare(env.ds, bases,
-		experiment.Sweep{Param: "k", Start: 2, End: 50, Step: 16}, 0)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%-12s %6s %10s %10s %10s\n", "algorithm", "k", "GCP", "ARE", "time")
-	for _, s := range series {
-		for _, p := range s.Points {
-			if p.Err != nil {
-				fmt.Printf("%-12s %6.0f error: %v\n", s.Label, p.X, p.Err)
-				continue
-			}
-			fmt.Printf("%-12s %6.0f %10.4f %10.4f %9.1fms\n",
-				s.Label, p.X, p.Indicators.GCP, p.Indicators.ARE,
-				float64(p.Runtime)/float64(time.Millisecond))
-		}
-	}
-	fmt.Println("expected shape: cluster (local recoding) <= topdown/bottomup <= incognito (full-domain) in GCP.")
-	return nil
-}
-
-// E10: the five transaction algorithms alone, loss & runtime vs k.
-func runE10(env *environment) error {
-	pol := &policy.Policy{
-		Privacy: policy.PrivacyAllItems(env.ds),
-		Utility: policy.UtilityTop(env.ds),
-	}
-	var bases []engine.Config
-	for _, algo := range rt.TransactionAlgos {
-		bases = append(bases, engine.Config{
-			Label: algo, Mode: engine.Transactional, Algorithm: algo, M: 2,
-			ItemHierarchy: env.ih, Policy: pol,
-		})
-	}
-	series, err := experiment.Compare(env.ds, bases,
-		experiment.Sweep{Param: "k", Start: 2, End: 26, Step: 8}, 0)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%-12s %6s %12s %10s\n", "algorithm", "k", "trans. GCP", "time")
-	for _, s := range series {
-		for _, p := range s.Points {
-			if p.Err != nil {
-				fmt.Printf("%-12s %6.0f error: %v\n", s.Label, p.X, p.Err)
-				continue
-			}
-			fmt.Printf("%-12s %6.0f %12.4f %9.1fms\n",
-				s.Label, p.X, p.Indicators.TransactionGCP,
-				float64(p.Runtime)/float64(time.Millisecond))
-		}
-	}
-	fmt.Println("expected shape: loss grows with k for the hierarchy-based algorithms (apriori, lra,")
-	fmt.Println("vpa); COAT/PCTA labels are arbitrary groups outside the hierarchy, so their tGCP is an")
-	fmt.Println("upper bound — compare their runtimes and the policy-protection checks instead.")
-	return nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -1,62 +1,51 @@
 package main
 
 import (
+	"bytes"
+	"fmt"
+	"io"
+	"strings"
 	"testing"
 
+	"secreta/internal/experiment"
 	"secreta/internal/gen"
-	"secreta/internal/query"
 )
 
-// smallEnv builds a fast experiment environment so every experiment's code
-// path is exercised in tests.
-func smallEnv(t *testing.T) *environment {
-	t.Helper()
-	ds := gen.Census(gen.Config{Records: 120, Items: 16, Seed: 42})
-	hs, err := gen.Hierarchies(ds, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ih, err := gen.ItemHierarchy(ds, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := query.Generate(ds, query.GenOptions{Queries: 20, Dims: 2, Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	qis, err := ds.QIIndices(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &environment{ds: ds, hs: hs, ih: ih, workload: w, qis: qis, records: 120, seed: 42}
-}
-
+// TestAllExperimentsRun prints every paper experiment through the CLI on
+// a small dataset, so each body in experiment.Paper runs under -race.
 func TestAllExperimentsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are slow")
 	}
-	env := smallEnv(t)
-	for _, b := range benches {
-		b := b
-		t.Run(b.id, func(t *testing.T) {
-			if err := b.run(env); err != nil {
-				t.Fatalf("%s: %v", b.id, err)
+	env, err := experiment.NewEnv(gen.Config{Records: 120, Items: 16, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range experiment.Paper {
+		t.Run(e.ID, func(t *testing.T) {
+			var out bytes.Buffer
+			ran, err := printExperiments(&out, env, strings.ToLower(e.ID))
+			if err != nil {
+				t.Fatalf("%v\n%s", err, out.String())
+			}
+			header := fmt.Sprintf("=== %s: %s (n=120, seed=42)\n", e.ID, e.Brief)
+			if ran != 1 || !strings.HasPrefix(out.String(), header) {
+				t.Fatalf("ran %d, output starts %q, want 1 and %q", ran, out.String()[:min(len(header), out.Len())], header)
 			}
 		})
+	}
+	if ran, err := printExperiments(io.Discard, env, "E11"); ran != 0 || err != nil {
+		t.Fatalf("unknown ID: ran %d, err %v", ran, err)
 	}
 }
 
 func TestBenchListCoversE1ToE10(t *testing.T) {
-	if len(benches) != 10 {
-		t.Fatalf("benches = %d, want 10", len(benches))
+	if len(experiment.Paper) != 10 {
+		t.Fatalf("experiments = %d, want 10", len(experiment.Paper))
 	}
-	for i, b := range benches {
-		want := "E" + string(rune('1'+i))
-		if i == 9 {
-			want = "E10"
-		}
-		if b.id != want {
-			t.Errorf("bench %d id = %s, want %s", i, b.id, want)
+	for i, e := range experiment.Paper {
+		if want := fmt.Sprintf("E%d", i+1); e.ID != want {
+			t.Errorf("experiment %d id = %s, want %s", i, e.ID, want)
 		}
 	}
 }

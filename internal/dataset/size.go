@@ -33,3 +33,21 @@ func (d *Dataset) ApproxBytes() int64 {
 	}
 	return n
 }
+
+// Meta is the cheap-to-read description of one stored dataset. The
+// durable store keeps it, JSON-encoded, in a sidecar file so booting over
+// a large data directory decodes no blob; the registry indexes its
+// disk-only datasets by it.
+type Meta struct {
+	ID      string `json:"dataset_ref"`
+	Attrs   int    `json:"attrs"`
+	Records int    `json:"records"`
+	// Bytes is the dataset's approximate in-RAM size (ApproxBytes), the
+	// cost the registry LRU accounts with — not the blob's disk size.
+	Bytes int64 `json:"bytes"`
+}
+
+// Meta describes d stored under id.
+func (d *Dataset) Meta(id string) Meta {
+	return Meta{ID: id, Attrs: len(d.Attrs), Records: len(d.Records), Bytes: d.ApproxBytes()}
+}

@@ -3,7 +3,9 @@
 // picks one parameter (k, m or delta), its start/end values and step; the
 // module runs the configuration once per value and assembles the utility
 // indicators and runtimes into series ready for the Plotting Module. The
-// Comparison mode runs several configurations over the same sweep.
+// Comparison mode runs several configurations over the same sweep. Paper
+// (paper.go) is the table of experiments E1-E10 that reproduce the
+// paper's figures on top of these runs.
 package experiment
 
 import (

@@ -8,7 +8,7 @@ import (
 
 // SVG renders the chart as a standalone SVG document of the given pixel
 // size — the Data Export Module's graph export path (SVG instead of the
-// paper's PDF/JPG/BMP/PNG, see DESIGN.md).
+// paper's PDF/JPG/BMP/PNG; README.md lists the export formats).
 func (c *Chart) SVG(width, height int) string {
 	if width < 200 {
 		width = 200

@@ -9,32 +9,13 @@ import (
 	"secreta/internal/store"
 )
 
-// storeBacking adapts store.DatasetStore to the Backing interface the
-// same way the server does.
-type storeBacking struct{ ds *store.DatasetStore }
-
-func (b storeBacking) Save(id string, d *dataset.Dataset) error { return b.ds.Save(id, d) }
-func (b storeBacking) Load(id string) (*dataset.Dataset, error) { return b.ds.Load(id) }
-func (b storeBacking) Delete(id string) error                   { return b.ds.Delete(id) }
-func (b storeBacking) List() ([]BackedDataset, error) {
-	metas, err := b.ds.List()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]BackedDataset, len(metas))
-	for i, m := range metas {
-		out[i] = BackedDataset{ID: m.ID, Attrs: m.Attrs, Records: m.Records, Bytes: m.Bytes}
-	}
-	return out, nil
-}
-
 func newBackedRegistry(t *testing.T, dir string, maxDatasets int, maxBytes int64) *Registry {
 	t.Helper()
 	ds, err := store.NewDatasetStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewBacked(maxDatasets, maxBytes, storeBacking{ds})
+	r, err := NewBacked(maxDatasets, maxBytes, ds)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -195,17 +195,6 @@ func (l *LRU) removeElement(el *list.Element) {
 	l.bytes -= e.cost
 }
 
-// Keys lists the resident keys from most to least recently used.
-func (l *LRU) Keys() []string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]string, 0, l.ll.Len())
-	for el := l.ll.Front(); el != nil; el = el.Next() {
-		out = append(out, el.Value.(*lruEntry).key)
-	}
-	return out
-}
-
 // Range calls fn for every resident entry from most to least recently
 // used, stopping early when fn returns false. The lock is held for the
 // whole traversal: fn must not call back into the LRU.

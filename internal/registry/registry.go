@@ -51,22 +51,13 @@ var ErrStore = errors.New("registry: dataset store failure")
 // Backing is the durable side of a disk-backed registry. Save must be
 // atomic and durable before returning; Load must verify integrity
 // (content fingerprint) and fail rather than hand back a corrupt
-// dataset. Implemented by internal/store's DatasetStore via a thin
-// adapter in the server.
+// dataset; List describes every dataset the backing holds. Implemented
+// by internal/store's *DatasetStore.
 type Backing interface {
 	Save(id string, ds *dataset.Dataset) error
 	Load(id string) (*dataset.Dataset, error)
 	Delete(id string) error
-	List() ([]BackedDataset, error)
-}
-
-// BackedDataset describes one dataset resident in the durable backing.
-type BackedDataset struct {
-	ID      string
-	Attrs   int
-	Records int
-	// Bytes is the approximate in-RAM size (the LRU's cost unit).
-	Bytes int64
+	List() ([]dataset.Meta, error)
 }
 
 // Registry is a content-addressed store of decoded datasets. The ID of a
@@ -83,7 +74,7 @@ type Registry struct {
 	// single-flight for concurrent pin-misses).
 	mu      sync.Mutex
 	backing Backing
-	meta    map[string]BackedDataset
+	meta    map[string]dataset.Meta
 	busy    map[string]*sync.WaitGroup
 	// refs counts lazy-pin reservations (PinLazy): the dataset's index
 	// entry is held — Remove fails — but its bytes need not be resident.
@@ -105,7 +96,7 @@ func New(maxDatasets int, maxBytes int64) *Registry {
 func NewBacked(maxDatasets int, maxBytes int64, b Backing) (*Registry, error) {
 	r := New(maxDatasets, maxBytes)
 	r.backing = b
-	r.meta = make(map[string]BackedDataset)
+	r.meta = make(map[string]dataset.Meta)
 	r.busy = make(map[string]*sync.WaitGroup)
 	r.refs = make(map[string]int)
 	list, err := b.List()
@@ -175,7 +166,8 @@ func (r *Registry) Add(ds *dataset.Dataset) (id string, created bool, err error)
 		}
 		return id, true, nil
 	}
-	cost := ds.ApproxBytes()
+	meta := ds.Meta(id)
+	cost := meta.Bytes
 	if r.maxBytes > 0 && cost > r.maxBytes {
 		return "", false, fmt.Errorf("%w (%d bytes)", ErrTooLarge, cost)
 	}
@@ -189,7 +181,7 @@ func (r *Registry) Add(ds *dataset.Dataset) (id string, created bool, err error)
 		// created=false with its own decoded copy. The index is RAM-only
 		// (rebuilt from disk at boot), so a crash mid-save leaves no
 		// trace of either.
-		r.meta[id] = BackedDataset{ID: id, Attrs: len(ds.Attrs), Records: len(ds.Records), Bytes: cost}
+		r.meta[id] = meta
 	}
 	r.mu.Unlock()
 	if !known {
@@ -204,17 +196,6 @@ func (r *Registry) Add(ds *dataset.Dataset) (id string, created bool, err error)
 	// The size precheck above makes Put's only failure mode impossible.
 	r.lru.Put(id, ds, cost)
 	return id, !known, nil
-}
-
-// get returns the dataset stored under id without pinning it. The result
-// may be evicted at any time after the call, which is why this is not
-// exported: jobs must use Pin.
-func (r *Registry) get(id string) (*dataset.Dataset, error) {
-	v, ok := r.lru.Get(id)
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNotFound, id)
-	}
-	return v.(*dataset.Dataset), nil
 }
 
 // Pin returns the dataset stored under id and a release func. Until
@@ -467,7 +448,7 @@ func (r *Registry) List() []Info {
 		return out
 	}
 	r.mu.Lock()
-	metas := make([]BackedDataset, 0, len(r.meta))
+	metas := make([]dataset.Meta, 0, len(r.meta))
 	for _, m := range r.meta {
 		metas = append(metas, m)
 	}

@@ -41,7 +41,12 @@ func TestLRUEvictionOrder(t *testing.T) {
 		t.Fatal("a missing")
 	}
 	l.Put("d", "d", 1)
-	if got, want := l.Keys(), []string{"d", "a", "c"}; !reflect.DeepEqual(got, want) {
+	var got []string
+	l.Range(func(key string, _ any, _ int64, _ int) bool {
+		got = append(got, key)
+		return true
+	})
+	if want := []string{"d", "a", "c"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("keys after eviction = %v, want %v", got, want)
 	}
 	if l.Contains("b") {
@@ -118,16 +123,17 @@ func TestRegistryContentAddressing(t *testing.T) {
 	if n := len(r.List()); n != 1 {
 		t.Fatalf("registry has %d datasets, want 1", n)
 	}
-	got, err := r.get(id1)
+	got, release, err := r.Pin(id1)
 	if err != nil || got.Fingerprint() != id1 {
-		t.Fatalf("Get returned wrong dataset (err=%v)", err)
+		t.Fatalf("Pin returned wrong dataset (err=%v)", err)
 	}
+	release()
 	info, err := r.Describe(id1)
 	if err != nil || info.Records != 5 || info.Attrs != 2 {
 		t.Fatalf("Describe = %+v, %v", info, err)
 	}
-	if _, err := r.get("nope"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("Get(nope) = %v, want ErrNotFound", err)
+	if _, err := r.Describe("nope"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Describe(nope) = %v, want ErrNotFound", err)
 	}
 }
 
@@ -145,7 +151,7 @@ func TestRegistryPinBlocksRemoveAndEviction(t *testing.T) {
 	r.Add(testDataset(t, 2))
 	r.Add(testDataset(t, 3))
 	r.Add(testDataset(t, 4))
-	if _, err := r.get(id1); err != nil {
+	if _, err := r.Describe(id1); err != nil {
 		t.Fatalf("pinned dataset evicted: %v", err)
 	}
 	release()
@@ -178,7 +184,7 @@ func TestAddSucceedsWhenAllResidentsPinned(t *testing.T) {
 	if err != nil || !created {
 		t.Fatalf("Add with all residents pinned: created=%v err=%v", created, err)
 	}
-	if _, err := r.get(id3); err != nil {
+	if _, err := r.Describe(id3); err != nil {
 		t.Fatalf("freshly admitted dataset bounced: %v", err)
 	}
 	rel1()

@@ -5,31 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"time"
-
-	"secreta/internal/dataset"
-	"secreta/internal/registry"
-	"secreta/internal/store"
 )
-
-// datasetBacking adapts the store's dataset blob directory to the
-// registry's Backing interface (the registry must not depend on the store
-// package).
-type datasetBacking struct{ ds *store.DatasetStore }
-
-func (b datasetBacking) Save(id string, d *dataset.Dataset) error { return b.ds.Save(id, d) }
-func (b datasetBacking) Load(id string) (*dataset.Dataset, error) { return b.ds.Load(id) }
-func (b datasetBacking) Delete(id string) error                   { return b.ds.Delete(id) }
-func (b datasetBacking) List() ([]registry.BackedDataset, error) {
-	metas, err := b.ds.List()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]registry.BackedDataset, len(metas))
-	for i, m := range metas {
-		out[i] = registry.BackedDataset{ID: m.ID, Attrs: m.Attrs, Records: m.Records, Bytes: m.Bytes}
-	}
-	return out, nil
-}
 
 // recoveryInfo summarizes the boot-time replay for GET /stats.
 type recoveryInfo struct {

@@ -214,7 +214,7 @@ func New(ctx context.Context, opts Options) (*Server, error) {
 	if opts.Store != nil {
 		cache.SetBacking(opts.Store.Cache)
 		var err error
-		reg, err = registry.NewBacked(regEntries, regBytes, datasetBacking{opts.Store.Datasets})
+		reg, err = registry.NewBacked(regEntries, regBytes, opts.Store.Datasets)
 		if err != nil {
 			return nil, fmt.Errorf("server: rehydrating dataset registry: %w", err)
 		}

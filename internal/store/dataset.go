@@ -9,23 +9,12 @@ import (
 	"secreta/internal/faultfs"
 )
 
-// DatasetMeta is the cheap-to-read description of one stored dataset,
-// kept in a sidecar file so booting a registry over a large data
-// directory does not decode every blob.
-type DatasetMeta struct {
-	ID      string `json:"dataset_ref"`
-	Attrs   int    `json:"attrs"`
-	Records int    `json:"records"`
-	// Bytes is the dataset's approximate in-RAM size (dataset.ApproxBytes),
-	// the cost the registry LRU accounts with — not the blob's disk size.
-	Bytes int64 `json:"bytes"`
-}
-
 // DatasetStore persists registry datasets as content-addressed blobs:
 // <fingerprint>.json holds the dataset in the same JSON format the HTTP
-// API speaks, <fingerprint>.meta the sidecar. Load verifies that the
+// API speaks, <fingerprint>.meta its dataset.Meta sidecar. Load verifies that the
 // decoded dataset's fingerprint matches its file name, so a corrupt or
-// tampered blob can never impersonate a dataset_ref.
+// tampered blob can never impersonate a dataset_ref. It is the durable
+// registry.Backing.
 type DatasetStore struct {
 	blobs *BlobDir
 	metas *BlobDir
@@ -61,16 +50,15 @@ func (s *DatasetStore) Save(id string, ds *dataset.Dataset) error {
 	if err := s.blobs.Put(id, buf.Bytes()); err != nil {
 		return err
 	}
-	return s.writeMeta(id, ds)
+	return s.writeMeta(ds.Meta(id))
 }
 
-func (s *DatasetStore) writeMeta(id string, ds *dataset.Dataset) error {
-	meta := DatasetMeta{ID: id, Attrs: len(ds.Attrs), Records: len(ds.Records), Bytes: ds.ApproxBytes()}
+func (s *DatasetStore) writeMeta(meta dataset.Meta) error {
 	data, err := json.Marshal(meta)
 	if err != nil {
-		return fmt.Errorf("store: encoding dataset meta %q: %w", id, err)
+		return fmt.Errorf("store: encoding dataset meta %q: %w", meta.ID, err)
 	}
-	return s.metas.Put(id, data)
+	return s.metas.Put(meta.ID, data)
 }
 
 // Load reads and decodes the dataset under id, verifying its content
@@ -106,15 +94,15 @@ func (s *DatasetStore) Delete(id string) error {
 // missing (crash between the two writes, or an older layout) is decoded
 // once to regenerate it; a blob that fails to decode is skipped — one
 // corrupt upload must not take the whole index down.
-func (s *DatasetStore) List() ([]DatasetMeta, error) {
+func (s *DatasetStore) List() ([]dataset.Meta, error) {
 	names, err := s.blobs.Names()
 	if err != nil {
 		return nil, err
 	}
-	out := make([]DatasetMeta, 0, len(names))
+	out := make([]dataset.Meta, 0, len(names))
 	for _, id := range names {
 		if data, err := s.metas.Get(id); err == nil {
-			var meta DatasetMeta
+			var meta dataset.Meta
 			if json.Unmarshal(data, &meta) == nil && meta.ID == id {
 				out = append(out, meta)
 				continue
@@ -127,8 +115,9 @@ func (s *DatasetStore) List() ([]DatasetMeta, error) {
 		// Rewriting the sidecar is an optimization for the next List; a
 		// failure (read-only disk) must not veto the index — we already
 		// have the meta in hand.
-		_ = s.writeMeta(id, ds)
-		out = append(out, DatasetMeta{ID: id, Attrs: len(ds.Attrs), Records: len(ds.Records), Bytes: ds.ApproxBytes()})
+		meta := ds.Meta(id)
+		_ = s.writeMeta(meta)
+		out = append(out, meta)
 	}
 	return out, nil
 }

@@ -235,6 +235,29 @@ func TestDatasetStoreRoundTripAndVerify(t *testing.T) {
 	}
 }
 
+// TestDatasetMetaSidecarBytes pins the .meta sidecar's bytes: data
+// directories written by earlier builds must still index without a
+// decode of every blob.
+func TestDatasetMetaSidecarBytes(t *testing.T) {
+	s, err := NewDatasetStore(filepath.Join(t.TempDir(), "datasets"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := sampleDataset(t)
+	id := ds.Fingerprint()
+	if err := s.Save(id, ds); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(s.metas.Dir(), id+".meta"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"dataset_ref":"9f3392d196645a01f42e53e81c5dfecb7b915df206125fe0b6c7b13be68fa4e0","attrs":2,"records":2,"bytes":501}`
+	if string(got) != want {
+		t.Fatalf("meta sidecar = %s\nwant            %s", got, want)
+	}
+}
+
 func TestCacheStoreRoundTrip(t *testing.T) {
 	c, err := newCacheStore(faultfs.OS, newDiag(nil), t.TempDir(), 0, 0)
 	if err != nil {
