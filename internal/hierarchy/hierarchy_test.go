@@ -360,7 +360,8 @@ func TestCutSpecializeProperty(t *testing.T) {
 }
 
 // Property: LCA is commutative, idempotent, and its result covers both
-// arguments.
+// arguments; Index.LCA on IDs, of leaves or of any two nodes, names the
+// same node.
 func TestLCAProperty(t *testing.T) {
 	vals := make([]string, 40)
 	for i := range vals {
@@ -382,6 +383,16 @@ func TestLCAProperty(t *testing.T) {
 		}
 		if !h.Covers(ab.Value, a) || !h.Covers(ab.Value, b) {
 			t.Fatalf("LCA(%q,%q)=%q does not cover both", a, b, ab.Value)
+		}
+		ix := h.Index()
+		ia, _ := ix.ID(a)
+		ib, _ := ix.ID(b)
+		if got := ix.Node(ix.LCA(ia, ib)); got != ab {
+			t.Fatalf("Index.LCA(%q,%q)=%q, LCA %q", a, b, got.Value, ab.Value)
+		}
+		x, y := int32(rng.Intn(ix.Len())), int32(rng.Intn(ix.Len()))
+		if got, want := ix.Node(ix.LCA(x, y)), LCANodes(ix.Node(x), ix.Node(y)); got != want {
+			t.Fatalf("Index.LCA(%q,%q)=%q, LCANodes %q", ix.Value(x), ix.Value(y), got.Value, want.Value)
 		}
 		self, _ := h.LCA(a, a)
 		if self.Value != a {

@@ -148,6 +148,20 @@ func (ix *Index) Parent(id int32) int32 { return ix.par[id] }
 // Depth returns the node's distance from the root.
 func (ix *Index) Depth(id int32) int32 { return ix.depth[id] }
 
+// LCA returns the least common ancestor of two nodes — LCANodes on IDs.
+func (ix *Index) LCA(a, b int32) int32 {
+	for ix.depth[a] > ix.depth[b] {
+		a = ix.par[a]
+	}
+	for ix.depth[b] > ix.depth[a] {
+		b = ix.par[b]
+	}
+	for a != b {
+		a, b = ix.par[a], ix.par[b]
+	}
+	return a
+}
+
 // SubtreeSize returns the number of nodes in id's subtree (including id);
 // the subtree occupies the ID range [id, id+SubtreeSize(id)).
 func (ix *Index) SubtreeSize(id int32) int32 { return ix.size[id] }

@@ -46,6 +46,12 @@ func benchAlgorithm(b *testing.B, run func(*dataset.Dataset, Options) (*Result, 
 	}
 }
 
+// BenchmarkCluster keeps its earlier harness rows — 2,000 records at k=8
+// and 1,000 at k=4 — and adds the anon-miss cases.
+func BenchmarkCluster(b *testing.B) {
+	benchAlgorithm(b, Cluster, slices.Concat([]benchCase{{2000, 8, 0}, {1000, 4, 0}}, anonMissCases)...)
+}
+
 func BenchmarkBottomUp(b *testing.B) { benchAlgorithm(b, BottomUp, anonMissCases...) }
 func BenchmarkTopDown(b *testing.B)  { benchAlgorithm(b, TopDown, anonMissCases...) }
 

@@ -2,6 +2,7 @@ package relational
 
 import (
 	"fmt"
+	"math"
 
 	"secreta/internal/dataset"
 	"secreta/internal/hierarchy"
@@ -57,29 +58,52 @@ type clusterState struct {
 // absorbTables turns the absorption scan into table lookups. Every QI
 // value is a dense slot: QI i's value with column ID id sits at
 // off[i]+id, so one flat array per table serves all QIs. For the cluster
-// being grown, lca[slot] is the cluster's LCA on that QI once a record
-// holding the value joins, and cost[slot] the resulting NCP increase.
-// Both depend only on the cluster's current LCA of that QI, so a QI's
-// slice is rebuilt only when its LCA moves — at most the QI's domain size
-// in LCA walks — while costing a record is one addition per QI.
+// being grown, cost[slot] is the cluster's NCP increase on that QI once a
+// record holding the value joins. It depends only on the cluster's
+// current LCA of that QI, so a QI's slice is reloaded only when its LCA
+// moves, while costing a record is one addition per QI.
+//
+// A reload copies the QI's row for the new LCA from memo, which holds
+// one row per (QI, LCA node), indexed by the node's preorder ID and
+// filled the first time a cluster's LCA reaches the node; each row's LCA
+// walks run once per run rather than once per move.
 type absorbTables struct {
-	hh    []*hierarchy.Hierarchy
-	off   []int
-	nodes []*hierarchy.Node // slot -> the value's own hierarchy node
-	lca   []*hierarchy.Node
-	cost  []float64
+	hh   []*hierarchy.Hierarchy
+	ix   []*hierarchy.Index
+	off  []int
+	ids  []int32 // slot -> the value's own hierarchy.Index node
+	cost []float64
+	// memo[i] holds QI i's row for LCA node id at id*w, w the QI's slot
+	// count, once built[i][id] is set. A QI whose rows would take the
+	// memo past maxMemo floats has none and walks on every reload.
+	memo  [][]float64
+	built [][]bool
 }
 
-// rebuild refills QI i's slots for a cluster whose LCA on it is l. The
+// maxMemo caps the floats absorbTables keeps (8 MiB). The generated
+// census data's QIs need some 14k.
+const maxMemo = 1 << 20
+
+// load refills QI i's slots for a cluster whose LCA on it is node l. The
 // float terms are the ones costOfAdding sums, so table sums and walked
 // sums agree bit for bit.
-func (t *absorbTables) rebuild(i int, l *hierarchy.Node) {
-	base := t.hh[i].NCPNode(l)
-	for s := t.off[i]; s < t.off[i+1]; s++ {
-		a := hierarchy.LCANodes(l, t.nodes[s])
-		t.lca[s] = a
-		t.cost[s] = t.hh[i].NCPNode(a) - base
+func (t *absorbTables) load(i int, l int32) {
+	dst := t.cost[t.off[i]:t.off[i+1]]
+	var row []float64
+	if t.memo[i] != nil {
+		row = t.memo[i][int(l)*len(dst) : int(l+1)*len(dst)]
+		if t.built[i][l] {
+			copy(dst, row)
+			return
+		}
+		t.built[i][l] = true
 	}
+	ix, h := t.ix[i], t.hh[i]
+	base := h.NCPNode(ix.Node(l))
+	for s, id := range t.ids[t.off[i]:t.off[i+1]] {
+		dst[s] = h.NCPNode(ix.Node(ix.LCA(l, id))) - base
+	}
+	copy(row, dst)
 }
 
 // costOfAdding computes the NCP increase of extending the cluster's LCAs
@@ -90,7 +114,7 @@ func (t *absorbTables) rebuild(i int, l *hierarchy.Node) {
 func (t *absorbTables) costOfAdding(cl *clusterState, row []uint32, lca []*hierarchy.Node) float64 {
 	delta := 0.0
 	for i := range cl.lca {
-		node := hierarchy.LCANodes(cl.lca[i], t.nodes[row[i]])
+		node := hierarchy.LCANodes(cl.lca[i], t.ix[i].Node(t.ids[row[i]]))
 		lca[i] = node
 		delta += t.hh[i].NCPNode(node) - t.hh[i].NCPNode(cl.lca[i])
 	}
@@ -100,17 +124,20 @@ func (t *absorbTables) costOfAdding(cl *clusterState, row []uint32, lca []*hiera
 // clusterSlots lays the view's QI columns out row-major as absorbTables
 // slots, so the scan reads one record's slots contiguously.
 func clusterSlots(v *qiView) ([]uint32, *absorbTables) {
-	t := &absorbTables{hh: v.hh, off: make([]int, len(v.qis)+1)}
+	nq := len(v.qis)
+	t := &absorbTables{hh: v.hh, ix: make([]*hierarchy.Index, nq), off: make([]int, nq+1),
+		memo: make([][]float64, nq), built: make([][]bool, nq)}
+	memoLeft := maxMemo
 	for i, nodes := range v.nodes {
 		t.off[i+1] = t.off[i] + len(nodes)
-		ix := v.hh[i].Index()
-		for _, node := range nodes {
-			t.nodes = append(t.nodes, ix.Node(node))
+		t.ids = append(t.ids, nodes...)
+		t.ix[i] = v.hh[i].Index()
+		if size := t.ix[i].Len() * len(nodes); size <= memoLeft {
+			memoLeft -= size
+			t.memo[i], t.built[i] = make([]float64, size), make([]bool, t.ix[i].Len())
 		}
 	}
-	t.lca = make([]*hierarchy.Node, len(t.nodes))
-	t.cost = make([]float64, len(t.nodes))
-	nq := len(v.qis)
+	t.cost = make([]float64, len(t.ids))
 	rows := make([]uint32, v.n*nq)
 	for i, col := range v.cols {
 		base := uint32(t.off[i])
@@ -121,34 +148,66 @@ func clusterSlots(v *qiView) ([]uint32, *absorbTables) {
 	return rows, t
 }
 
+// boundSlack absorbs the rounding of the float sums the absorption
+// bound compares; the sums hold a handful of terms no larger than 1, so
+// their error is some 1e-15.
+const boundSlack = 1e-9
+
+// buildClusters grows each cluster by absorbing, k-1 times, the first
+// unassigned record of least cost. A cluster's LCAs only move up, and
+// NCP never falls toward the root, so a record's cost
+// Σ_i NCP(LCA(L_i, v_i)) − S, where S = Σ_i NCP(L_i), can drop between
+// two absorptions by at most the rise of S. Each pool record's key holds
+// its last exact cost plus the S it was taken at; a record whose key − S
+// exceeds the running best by more than boundSlack cannot be strictly
+// cheaper, and the scan skips it without reading its slots.
 func buildClusters(v *qiView, opts Options) ([]*clusterState, error) {
 	k := opts.K
 	n, nq := v.n, len(v.qis)
 	rows, t := clusterSlots(v)
 	row := func(r int) []uint32 { return rows[r*nq : r*nq+nq] }
 	newCluster := func(seed int) *clusterState {
-		cl := &clusterState{members: []int{seed}, lca: make([]*hierarchy.Node, nq)}
+		cl := &clusterState{members: make([]int, 1, k), lca: make([]*hierarchy.Node, nq)}
+		cl.members[0] = seed
 		for i, s := range row(seed) {
-			cl.lca[i] = t.nodes[s]
+			cl.lca[i] = t.ix[i].Node(t.ids[s])
 		}
 		return cl
 	}
 	// pool lists the unassigned records in ascending order, so scanning
 	// it visits candidates in the same order as a scan over all records
 	// that skips the assigned ones — which keeps the tie-break (first
-	// strictly cheaper record wins) unchanged.
+	// strictly cheaper record wins) unchanged. keys[p] is pool[p]'s key.
+	// A record the growing cluster takes keeps its place, keyed taken so
+	// every scan skips it, until the next seeding compacts the pool.
 	pool := make([]int, n)
 	for r := range pool {
 		pool[r] = r
 	}
+	keys := make([]float64, n)
+	taken := math.Inf(1)
+	lca := make([]int32, nq) // the growing cluster's LCA node IDs
 
 	var clusters []*clusterState
-	for len(pool) >= k {
-		cl := newCluster(pool[0])
-		pool = pool[1:]
-		for i, l := range cl.lca {
-			t.rebuild(i, l)
+	for {
+		w := 0
+		for p, r := range pool {
+			if keys[p] != taken {
+				pool[w], keys[w] = r, math.Inf(-1)
+				w++
+			}
 		}
+		pool, keys = pool[:w], keys[:w]
+		if len(pool) < k {
+			break
+		}
+		cl := newCluster(pool[0])
+		keys[0] = taken
+		for i, s := range row(cl.members[0]) {
+			lca[i] = t.ids[s]
+			t.load(i, lca[i])
+		}
+		sum := t.ncpSum(cl.lca)
 		for len(cl.members) < k {
 			// Each absorption scans every unassigned record; polling here
 			// bounds cancellation delay to one scan.
@@ -157,30 +216,39 @@ func buildClusters(v *qiView, opts Options) ([]*clusterState, error) {
 			}
 			bestP := -1
 			bestCost := 0.0
+			skip := math.MaxFloat64 // keys above it cannot beat bestCost; taken ones always are
 			for p, r := range pool {
+				if keys[p] > skip {
+					continue
+				}
 				cost := 0.0
 				for _, s := range rows[r*nq : r*nq+nq] {
 					cost += t.cost[s]
 				}
+				keys[p] = cost + sum
 				if bestP < 0 || cost < bestCost {
 					bestP, bestCost = p, cost
 					if cost == 0 {
 						break // cannot do better than free
 					}
+					skip = bestCost + boundSlack + sum
 				}
 			}
 			if bestP < 0 {
 				break
 			}
 			r := pool[bestP]
-			pool = append(pool[:bestP], pool[bestP+1:]...)
+			keys[bestP] = taken
 			cl.members = append(cl.members, r)
+			// An LCA can move at zero cost (a unary chain keeps the leaf
+			// count), so moves are found by node, not by cost.
 			for i, s := range row(r) {
-				if l := t.lca[s]; l != cl.lca[i] {
-					cl.lca[i] = l
-					t.rebuild(i, l)
+				if l := t.ix[i].LCA(lca[i], t.ids[s]); l != lca[i] {
+					lca[i], cl.lca[i] = l, t.ix[i].Node(l)
+					t.load(i, l)
 				}
 			}
+			sum = t.ncpSum(cl.lca)
 		}
 		clusters = append(clusters, cl)
 	}
@@ -212,4 +280,13 @@ func buildClusters(v *qiView, opts Options) ([]*clusterState, error) {
 		copy(clusters[bestC].lca, best)
 	}
 	return clusters, nil
+}
+
+// ncpSum returns S = Σ_i NCP(lca[i]), summed in QI order.
+func (t *absorbTables) ncpSum(lca []*hierarchy.Node) float64 {
+	sum := 0.0
+	for i, l := range lca {
+		sum += t.hh[i].NCPNode(l)
+	}
+	return sum
 }

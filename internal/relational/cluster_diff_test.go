@@ -94,7 +94,9 @@ func TestClusterMatchesReference(t *testing.T) {
 
 // fuzzDataset turns fuzz bytes into a small census-shaped dataset (one
 // numeric and two categorical QIs over small domains), a k and a fanout.
-// Every byte after the three parameter bytes picks one cell value.
+// Every byte after the three parameter bytes picks one cell value. When
+// the fanout byte's high bit is set, Color draws from chainColors, the
+// values of chainHierarchy, interior nodes included.
 func fuzzDataset(data []byte) (*dataset.Dataset, int, int) {
 	if len(data) < 3 {
 		return nil, 0, 0
@@ -112,6 +114,9 @@ func fuzzDataset(data []byte) (*dataset.Dataset, int, int) {
 		{Name: "Zip", Kind: dataset.Categorical},
 	}, "")
 	colors := []string{"red", "green", "blue", "cyan", "grey"}
+	if data[1]&0x80 != 0 {
+		colors = chainColors
+	}
 	for r := 0; r < n; r++ {
 		cell := func(a int) byte { return cells[(3*r+a)%len(cells)] }
 		rec := dataset.Record{Values: []string{
@@ -128,7 +133,9 @@ func fuzzDataset(data []byte) (*dataset.Dataset, int, int) {
 
 // FuzzClusterMatchesReference requires the table-driven clustering to
 // agree with the reference on arbitrary small datasets and k, with and
-// without the shared interning.
+// without the shared interning. Inputs whose fanout byte has the high bit
+// set publish Color through chainHierarchy, where an LCA can move at zero
+// cost.
 func FuzzClusterMatchesReference(f *testing.F) {
 	f.Add([]byte{1, 0, 9, 1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add([]byte{3, 1, 40, 0, 0, 0, 1, 1, 1, 200, 17, 5})
@@ -142,27 +149,9 @@ func FuzzClusterMatchesReference(f *testing.F) {
 		if err != nil {
 			t.Skip(err)
 		}
+		if data[1]&0x80 != 0 {
+			hs["Color"] = chainHierarchy(t, "Color")
+		}
 		checkClusterMatchesReference(t, ds, Options{K: k, Hierarchies: hs})
 	})
-}
-
-// BenchmarkCluster times the whole Cluster run at the two sizes the
-// end-to-end workloads feed it: 2,000 records at k=8 and 1,000 at k=4.
-func BenchmarkCluster(b *testing.B) {
-	for _, tc := range []struct{ records, k int }{{2000, 8}, {1000, 4}} {
-		ds := gen.Census(gen.Config{Records: tc.records, Items: 24, Seed: 1})
-		hs, err := gen.Hierarchies(ds, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		opts := Options{K: tc.k, Hierarchies: hs, Interned: dataset.Intern(ds)}
-		b.Run(fmt.Sprintf("n%d_k%d", tc.records, tc.k), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := Cluster(ds, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }

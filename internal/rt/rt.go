@@ -513,9 +513,10 @@ func candLess(f Flavor, a, b *cand) bool {
 // pickPartner selects the best merge partner for cluster i per the bounding
 // method, returning the partner index (or -1) and the merge's relational
 // delta. Scoring every candidate pair is the traversal's hot path, so the
-// scan polls the options context and bails out with -1 when cancelled; the
-// caller's own poll then surfaces the context error. Candidates are scored
-// into *buf, a buffer the caller reuses across steps.
+// scan polls the options context every 256 candidates (Err takes the
+// context's lock) and bails out with -1 when cancelled; the caller's own
+// poll then surfaces the context error. Candidates are scored into *buf,
+// a buffer the caller reuses across steps.
 //
 // Tie rule: the partner is the candidate that sort.Slice under candLess
 // leaves at index 0 of the candidates in cluster order. choosePartner
@@ -527,7 +528,7 @@ func pickPartner(clusters []*cluster, i int, hh []*hierarchy.Hierarchy, opts Opt
 	cands := (*buf)[:0]
 	defer func() { *buf = cands }()
 	for j, other := range clusters {
-		if ctxErr(opts.Ctx) != nil {
+		if j%256 == 0 && ctxErr(opts.Ctx) != nil {
 			return -1, 0
 		}
 		if j == i || other == nil {
