@@ -47,9 +47,10 @@ func benchAlgorithm(b *testing.B, run func(*dataset.Dataset, Options) (*Result, 
 }
 
 // BenchmarkCluster keeps its earlier harness rows — 2,000 records at k=8
-// and 1,000 at k=4 — and adds the anon-miss cases.
+// and 1,000 at k=4 — and adds the anon-miss cases and 20,000 records at
+// k=1, where no cluster absorbs and a run must stay linear in n.
 func BenchmarkCluster(b *testing.B) {
-	benchAlgorithm(b, Cluster, slices.Concat([]benchCase{{2000, 8, 0}, {1000, 4, 0}}, anonMissCases)...)
+	benchAlgorithm(b, Cluster, slices.Concat([]benchCase{{2000, 8, 0}, {1000, 4, 0}}, anonMissCases, []benchCase{{20000, 1, 0}})...)
 }
 
 func BenchmarkBottomUp(b *testing.B) { benchAlgorithm(b, BottomUp, anonMissCases...) }

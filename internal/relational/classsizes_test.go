@@ -195,7 +195,7 @@ func FuzzClassSizesMatchReference(f *testing.F) {
 	f.Add([]byte{5, 1, 40, 0, 0, 0, 1, 1, 1, 200, 17, 5})
 	f.Add([]byte{9, 2, 63, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100, 110, 120})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ds, _, fanout := fuzzDataset(data)
+		ds, _, fanout := fuzzDataset(data, false)
 		if ds == nil {
 			return
 		}

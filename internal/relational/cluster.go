@@ -63,47 +63,59 @@ type clusterState struct {
 // current LCA of that QI, so a QI's slice is reloaded only when its LCA
 // moves, while costing a record is one addition per QI.
 //
-// A reload copies the QI's row for the new LCA from memo, which holds
-// one row per (QI, LCA node), indexed by the node's preorder ID and
-// filled the first time a cluster's LCA reaches the node; each row's LCA
-// walks run once per run rather than once per move.
+// A reload copies the QI's row for the new LCA, built the first time a
+// cluster's LCA reaches that node and indexed by its preorder ID; each
+// row's LCA walks run once per run rather than once per move, and memory
+// follows the nodes the clusters reach.
 type absorbTables struct {
 	hh   []*hierarchy.Hierarchy
 	ix   []*hierarchy.Index
 	off  []int
 	ids  []int32 // slot -> the value's own hierarchy.Index node
 	cost []float64
-	// memo[i] holds QI i's row for LCA node id at id*w, w the QI's slot
-	// count, once built[i][id] is set. A QI whose rows would take the
-	// memo past maxMemo floats has none and walks on every reload.
-	memo  [][]float64
-	built [][]bool
+	// rows[i][id] is QI i's row for LCA node id, nil until built. Rows
+	// are carved from slab, chunks of memoChunk floats, until memoLeft
+	// floats are used; rows not built by then are walked on every
+	// reload.
+	rows     [][][]float64
+	slab     []float64
+	memoLeft int
 }
 
-// maxMemo caps the floats absorbTables keeps (8 MiB). The generated
-// census data's QIs need some 14k.
-const maxMemo = 1 << 20
+const (
+	// maxMemo caps the floats the rows take (8 MiB). The generated
+	// census data's rows take some 13k.
+	maxMemo = 1 << 20
+	// memoChunk is the size of the chunks rows are carved from (32 KiB),
+	// so memory follows the rows built.
+	memoChunk = 1 << 12
+)
 
 // load refills QI i's slots for a cluster whose LCA on it is node l. The
 // float terms are the ones costOfAdding sums, so table sums and walked
 // sums agree bit for bit.
 func (t *absorbTables) load(i int, l int32) {
 	dst := t.cost[t.off[i]:t.off[i+1]]
-	var row []float64
-	if t.memo[i] != nil {
-		row = t.memo[i][int(l)*len(dst) : int(l+1)*len(dst)]
-		if t.built[i][l] {
-			copy(dst, row)
-			return
-		}
-		t.built[i][l] = true
+	if row := t.rows[i][l]; row != nil {
+		copy(dst, row)
+		return
 	}
 	ix, h := t.ix[i], t.hh[i]
 	base := h.NCPNode(ix.Node(l))
 	for s, id := range t.ids[t.off[i]:t.off[i+1]] {
 		dst[s] = h.NCPNode(ix.Node(ix.LCA(l, id))) - base
 	}
-	copy(row, dst)
+	w := len(dst)
+	if w > t.memoLeft {
+		return
+	}
+	t.memoLeft -= w
+	if len(t.slab) < w {
+		t.slab = make([]float64, max(w, memoChunk))
+	}
+	t.rows[i][l] = t.slab[:w:w]
+	t.slab = t.slab[w:]
+	copy(t.rows[i][l], dst)
 }
 
 // costOfAdding computes the NCP increase of extending the cluster's LCAs
@@ -126,16 +138,12 @@ func (t *absorbTables) costOfAdding(cl *clusterState, row []uint32, lca []*hiera
 func clusterSlots(v *qiView) ([]uint32, *absorbTables) {
 	nq := len(v.qis)
 	t := &absorbTables{hh: v.hh, ix: make([]*hierarchy.Index, nq), off: make([]int, nq+1),
-		memo: make([][]float64, nq), built: make([][]bool, nq)}
-	memoLeft := maxMemo
+		rows: make([][][]float64, nq), memoLeft: maxMemo}
 	for i, nodes := range v.nodes {
 		t.off[i+1] = t.off[i] + len(nodes)
 		t.ids = append(t.ids, nodes...)
 		t.ix[i] = v.hh[i].Index()
-		if size := t.ix[i].Len() * len(nodes); size <= memoLeft {
-			memoLeft -= size
-			t.memo[i], t.built[i] = make([]float64, size), make([]bool, t.ix[i].Len())
-		}
+		t.rows[i] = make([][]float64, t.ix[i].Len())
 	}
 	t.cost = make([]float64, len(t.ids))
 	rows := make([]uint32, v.n*nq)
@@ -179,28 +187,18 @@ func buildClusters(v *qiView, opts Options) ([]*clusterState, error) {
 	// that skips the assigned ones — which keeps the tie-break (first
 	// strictly cheaper record wins) unchanged. keys[p] is pool[p]'s key.
 	// A record the growing cluster takes keeps its place, keyed taken so
-	// every scan skips it, until the next seeding compacts the pool.
+	// every scan skips it, until the cluster is done and one pass
+	// compacts the pool.
 	pool := make([]int, n)
-	for r := range pool {
-		pool[r] = r
-	}
 	keys := make([]float64, n)
+	for r := range pool {
+		pool[r], keys[r] = r, math.Inf(-1)
+	}
 	taken := math.Inf(1)
 	lca := make([]int32, nq) // the growing cluster's LCA node IDs
 
 	var clusters []*clusterState
-	for {
-		w := 0
-		for p, r := range pool {
-			if keys[p] != taken {
-				pool[w], keys[w] = r, math.Inf(-1)
-				w++
-			}
-		}
-		pool, keys = pool[:w], keys[:w]
-		if len(pool) < k {
-			break
-		}
+	for len(pool) >= k {
 		cl := newCluster(pool[0])
 		keys[0] = taken
 		for i, s := range row(cl.members[0]) {
@@ -251,6 +249,20 @@ func buildClusters(v *qiView, opts Options) ([]*clusterState, error) {
 			sum = t.ncpSum(cl.lca)
 		}
 		clusters = append(clusters, cl)
+		if len(cl.members) == 1 {
+			// k = 1: nothing was scanned, so the seed, pool[0], is the
+			// only key set and drops off the front.
+			pool, keys = pool[1:], keys[1:]
+			continue
+		}
+		w := 0
+		for p, r := range pool {
+			if keys[p] != taken {
+				pool[w], keys[w] = r, math.Inf(-1)
+				w++
+			}
+		}
+		pool, keys = pool[:w], keys[:w]
 	}
 	// Leftovers: attach each to the cluster whose LCAs grow the least.
 	// Two reusable LCA buffers serve the scan: cand receives each

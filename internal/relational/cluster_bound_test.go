@@ -143,3 +143,48 @@ func TestNCPMonotone(t *testing.T) {
 		}
 	}
 }
+
+// TestClusterWideDomainMatchesReference pins the walked reload, which a
+// row not built before the rows reach maxMemo floats takes, to the
+// reference. Zip has 2,000 distinct values, so each Zip row holds 2,000
+// floats, and the test checks that the seeds alone reach more Zip leaves
+// than maxMemo floats hold.
+func TestClusterWideDomainMatchesReference(t *testing.T) {
+	const zips = 2000
+	ds := dataset.New([]dataset.Attribute{
+		{Name: "Age", Kind: dataset.Numeric},
+		{Name: "Zip", Kind: dataset.Categorical},
+	}, "")
+	rng := rand.New(rand.NewSource(3))
+	for r := 0; r < 3000; r++ {
+		rec := dataset.Record{Values: []string{fmt.Sprint(18 + rng.Intn(40)), fmt.Sprintf("z%04d", rng.Intn(zips))}}
+		if err := ds.AddRecord(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hs, err := gen.Hierarchies(ds, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{2, 3} {
+		t.Run(fmt.Sprintf("k%d", k), func(t *testing.T) {
+			opts := Options{K: k, Hierarchies: hs}
+			view, err := opts.validate(ds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			clusters, err := refBuildClusters(ds, view.qis, view.hh, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seeds := map[string]bool{}
+			for _, cl := range clusters {
+				seeds[ds.Records[cl.members[0]].Values[1]] = true
+			}
+			if len(seeds)*zips <= maxMemo {
+				t.Fatalf("seeds reach %d Zip leaves, %d floats of rows: the rows never fill the memo", len(seeds), len(seeds)*zips)
+			}
+			checkClusterMatchesReference(t, ds, opts)
+		})
+	}
+}

@@ -94,10 +94,10 @@ func TestClusterMatchesReference(t *testing.T) {
 
 // fuzzDataset turns fuzz bytes into a small census-shaped dataset (one
 // numeric and two categorical QIs over small domains), a k and a fanout.
-// Every byte after the three parameter bytes picks one cell value. When
-// the fanout byte's high bit is set, Color draws from chainColors, the
-// values of chainHierarchy, interior nodes included.
-func fuzzDataset(data []byte) (*dataset.Dataset, int, int) {
+// Every byte after the three parameter bytes picks one cell value. With
+// chain set, Color draws from chainColors, the values of chainHierarchy,
+// interior nodes included.
+func fuzzDataset(data []byte, chain bool) (*dataset.Dataset, int, int) {
 	if len(data) < 3 {
 		return nil, 0, 0
 	}
@@ -114,7 +114,7 @@ func fuzzDataset(data []byte) (*dataset.Dataset, int, int) {
 		{Name: "Zip", Kind: dataset.Categorical},
 	}, "")
 	colors := []string{"red", "green", "blue", "cyan", "grey"}
-	if data[1]&0x80 != 0 {
+	if chain {
 		colors = chainColors
 	}
 	for r := 0; r < n; r++ {
@@ -141,7 +141,8 @@ func FuzzClusterMatchesReference(f *testing.F) {
 	f.Add([]byte{3, 1, 40, 0, 0, 0, 1, 1, 1, 200, 17, 5})
 	f.Add([]byte{7, 2, 63, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100, 110, 120})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ds, k, fanout := fuzzDataset(data)
+		chain := len(data) > 1 && data[1]&0x80 != 0
+		ds, k, fanout := fuzzDataset(data, chain)
 		if ds == nil {
 			return
 		}
@@ -149,7 +150,7 @@ func FuzzClusterMatchesReference(f *testing.F) {
 		if err != nil {
 			t.Skip(err)
 		}
-		if data[1]&0x80 != 0 {
+		if chain {
 			hs["Color"] = chainHierarchy(t, "Color")
 		}
 		checkClusterMatchesReference(t, ds, Options{K: k, Hierarchies: hs})
