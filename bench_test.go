@@ -17,7 +17,6 @@ import (
 	"secreta/internal/engine"
 	"secreta/internal/experiment"
 	"secreta/internal/generalize"
-	"secreta/internal/lattice"
 	"secreta/internal/metrics"
 	"secreta/internal/privacy"
 	"secreta/internal/rt"
@@ -131,13 +130,9 @@ func BenchmarkAblationIncognitoNaive(b *testing.B) {
 		}
 	})
 	b.Run("naive-scan", func(b *testing.B) {
-		lat, err := lattice.New(heights)
-		if err != nil {
-			b.Fatal(err)
-		}
 		for i := 0; i < b.N; i++ {
 			found := 0
-			lat.Walk(func(node []int) bool {
+			for node := make([]int, len(heights)); node != nil; node = nextLevels(node, heights) {
 				cand, err := generalize.FullDomain(env.DS, env.Hierarchies, qis, node)
 				if err != nil {
 					b.Fatal(err)
@@ -145,13 +140,25 @@ func BenchmarkAblationIncognitoNaive(b *testing.B) {
 				if privacy.IsKAnonymous(cand, qis, 10) {
 					found++
 				}
-				return true
-			})
+			}
 			if found == 0 {
 				b.Fatal("no k-anonymous node")
 			}
 		}
 	})
+}
+
+// nextLevels advances node to the next level vector below heights, the
+// last position fastest, and returns nil after the top node.
+func nextLevels(node, heights []int) []int {
+	for j := len(node) - 1; j >= 0; j-- {
+		if node[j] < heights[j] {
+			node[j]++
+			return node
+		}
+		node[j] = 0
+	}
+	return nil
 }
 
 // BenchmarkExtensionRho measures the rho-uncertainty extension algorithm.

@@ -15,7 +15,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -194,7 +193,7 @@ func runShared(ctx context.Context, ds *dataset.Dataset, cfg Config, sh *batchSh
 func dispatch(ctx context.Context, ds *dataset.Dataset, cfg Config, sh *batchShared) (*dataset.Dataset, []timing.Phase, error) {
 	switch cfg.Mode {
 	case Relational:
-		run, err := relationalByName(cfg.Algorithm)
+		run, err := rt.RelationalByName(cfg.Algorithm)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -241,61 +240,19 @@ func dispatch(ctx context.Context, ds *dataset.Dataset, cfg Config, sh *batchSha
 	return nil, nil, fmt.Errorf("engine: unknown mode %v", cfg.Mode)
 }
 
-func relationalByName(name string) (func(*dataset.Dataset, relational.Options) (*relational.Result, error), error) {
-	switch strings.ToLower(strings.TrimSpace(name)) {
-	case "incognito":
-		return relational.Incognito, nil
-	case "topdown":
-		return relational.TopDown, nil
-	case "bottomup":
-		return relational.BottomUp, nil
-	case "cluster":
-		return relational.Cluster, nil
-	}
-	return nil, fmt.Errorf("engine: unknown relational algorithm %q", name)
-}
-
+// transactionByName resolves rt's transaction algorithms plus the
+// ExtensionAlgos.
 func transactionByName(name string) (func(*dataset.Dataset, transaction.Options) (*transaction.Result, error), error) {
-	switch strings.ToLower(strings.TrimSpace(name)) {
-	case "apriori":
-		return transaction.Apriori, nil
-	case "lra":
-		return transaction.LRA, nil
-	case "vpa":
-		return transaction.VPA, nil
-	case "coat":
-		return transaction.COAT, nil
-	case "pcta":
-		return transaction.PCTA, nil
-	case "rho":
+	if strings.EqualFold(strings.TrimSpace(name), "rho") {
 		return transaction.RhoUncertainty, nil
 	}
-	return nil, fmt.Errorf("engine: unknown transaction algorithm %q", name)
+	return rt.TransactionByName(name)
 }
 
 // ExtensionAlgos lists algorithms beyond the paper's original nine — the
 // extensions its conclusion announces ("rho" = rho-uncertainty, Cao et
 // al.). They run in Transactional mode like the core five.
 var ExtensionAlgos = []string{"rho"}
-
-// Algorithms lists every runnable single-algorithm name by mode.
-func Algorithms(mode Mode) []string {
-	switch mode {
-	case Relational:
-		return append([]string(nil), rt.RelationalAlgos...)
-	case Transactional:
-		return append([]string(nil), rt.TransactionAlgos...)
-	default:
-		var out []string
-		for _, r := range rt.RelationalAlgos {
-			for _, t := range rt.TransactionAlgos {
-				out = append(out, r+"+"+t)
-			}
-		}
-		sort.Strings(out)
-		return out
-	}
-}
 
 // Evaluate computes the full indicator set for an anonymized dataset.
 func Evaluate(orig, anon *dataset.Dataset, cfg Config) (Indicators, error) {

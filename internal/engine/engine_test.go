@@ -33,7 +33,7 @@ func fixture(t testing.TB) (*dataset.Dataset, generalize.Set, *hierarchy.Hierarc
 
 func TestRunRelational(t *testing.T) {
 	ds, hs, _, w := fixture(t)
-	for _, algo := range Algorithms(Relational) {
+	for _, algo := range rt.RelationalAlgos {
 		res := Run(ds, Config{
 			Mode: Relational, Algorithm: algo, K: 5,
 			Hierarchies: hs, Workload: w,
@@ -56,7 +56,7 @@ func TestRunRelational(t *testing.T) {
 func TestRunTransactional(t *testing.T) {
 	ds, _, ih, _ := fixture(t)
 	pol := &policy.Policy{Privacy: policy.PrivacyAllItems(ds), Utility: policy.UtilityTop(ds)}
-	for _, algo := range Algorithms(Transactional) {
+	for _, algo := range rt.TransactionAlgos {
 		res := Run(ds, Config{
 			Mode: Transactional, Algorithm: algo, K: 3, M: 2,
 			ItemHierarchy: ih, Policy: pol,
@@ -158,18 +158,6 @@ func TestDisplayLabel(t *testing.T) {
 	c = Config{Mode: Transactional, Algorithm: "apriori", K: 2, M: 2}
 	if got := c.DisplayLabel(); !strings.Contains(got, "apriori") {
 		t.Errorf("DisplayLabel = %q", got)
-	}
-}
-
-func TestAlgorithmsLists(t *testing.T) {
-	if len(Algorithms(Relational)) != 4 {
-		t.Error("want 4 relational algorithms")
-	}
-	if len(Algorithms(Transactional)) != 5 {
-		t.Error("want 5 transaction algorithms")
-	}
-	if len(Algorithms(RT)) != 20 {
-		t.Errorf("want the paper's 20 combinations, got %d", len(Algorithms(RT)))
 	}
 }
 

@@ -1,9 +1,8 @@
 // Package generalize implements the recoding operators anonymization
 // algorithms apply to datasets: full-domain recoding driven by lattice level
 // vectors (Incognito), cut-based subtree recoding (top-down, bottom-up,
-// Apriori), local recoding of record groups to least common ancestors
-// (Cluster, LRA), item-set recoding through hierarchy cuts, and record
-// suppression.
+// Apriori), item-set recoding through hierarchy cuts and mappings, and
+// record suppression.
 package generalize
 
 import (
@@ -87,55 +86,6 @@ func ApplyCuts(ds *dataset.Dataset, cuts map[string]*hierarchy.Cut, qis []int) (
 			}
 			out.Records[r].Values[q] = g
 		}
-	}
-	return out, nil
-}
-
-// GroupToLCA recodes the QI values of the records at the given indices (in
-// place) to the least common ancestor of the group per attribute — the
-// local-recoding step of clustering algorithms.
-func GroupToLCA(ds *dataset.Dataset, hs Set, qis []int, group []int) error {
-	hh, err := hs.ForQIs(ds, qis)
-	if err != nil {
-		return err
-	}
-	if len(group) == 0 {
-		return nil
-	}
-	for i, q := range qis {
-		vals := make([]string, len(group))
-		for j, r := range group {
-			vals[j] = ds.Records[r].Values[q]
-		}
-		lca, err := hh[i].LCASet(vals)
-		if err != nil {
-			return err
-		}
-		for _, r := range group {
-			ds.Records[r].Values[q] = lca.Value
-		}
-	}
-	return nil
-}
-
-// GroupLCAValues computes, without mutating ds, the per-QI LCA values a
-// group would be generalized to.
-func GroupLCAValues(ds *dataset.Dataset, hs Set, qis []int, group []int) ([]string, error) {
-	hh, err := hs.ForQIs(ds, qis)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]string, len(qis))
-	for i, q := range qis {
-		vals := make([]string, len(group))
-		for j, r := range group {
-			vals[j] = ds.Records[r].Values[q]
-		}
-		lca, err := hh[i].LCASet(vals)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = lca.Value
 	}
 	return out, nil
 }

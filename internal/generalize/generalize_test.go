@@ -109,37 +109,6 @@ func TestApplyCuts(t *testing.T) {
 	}
 }
 
-func TestGroupToLCA(t *testing.T) {
-	ds := testData(t)
-	hs := testHierarchies(t)
-	vals, err := GroupLCAValues(ds, hs, []int{0, 1}, []int{0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(vals, []string{"[20-29]", "Person"}) {
-		t.Errorf("GroupLCAValues = %v", vals)
-	}
-	if ds.Records[0].Values[0] != "25" {
-		t.Error("GroupLCAValues mutated input")
-	}
-	if err := GroupToLCA(ds, hs, []int{0, 1}, []int{0, 1}); err != nil {
-		t.Fatal(err)
-	}
-	if ds.Records[0].Values[0] != "[20-29]" || ds.Records[1].Values[0] != "[20-29]" {
-		t.Errorf("group ages = %v %v", ds.Records[0].Values, ds.Records[1].Values)
-	}
-	if ds.Records[0].Values[1] != "Person" {
-		t.Errorf("group gender = %v", ds.Records[0].Values[1])
-	}
-	// Records outside the group stay put.
-	if ds.Records[2].Values[0] != "31" {
-		t.Error("GroupToLCA touched non-members")
-	}
-	if err := GroupToLCA(ds, hs, []int{0}, nil); err != nil {
-		t.Errorf("empty group: %v", err)
-	}
-}
-
 func TestSuppression(t *testing.T) {
 	ds := testData(t)
 	qis := []int{0, 1}

@@ -166,25 +166,6 @@ func (h *Hierarchy) NCPNode(n *Node) float64 {
 	return float64(n.leafCount-1) / float64(total-1)
 }
 
-// LCASet returns the least common ancestor of a non-empty value set.
-func (h *Hierarchy) LCASet(values []string) (*Node, error) {
-	if len(values) == 0 {
-		return nil, fmt.Errorf("hierarchy %s: LCA of empty set", h.Attr)
-	}
-	cur := h.nodes[values[0]]
-	if cur == nil {
-		return nil, fmt.Errorf("hierarchy %s: unknown value %q", h.Attr, values[0])
-	}
-	for _, v := range values[1:] {
-		n, err := h.LCA(cur.Value, v)
-		if err != nil {
-			return nil, err
-		}
-		cur = n
-	}
-	return cur, nil
-}
-
 // NCP returns the Normalized Certainty Penalty of publishing value instead
 // of a leaf: (leaves(value)-1) / (totalLeaves-1), i.e. 0 for leaves and 1
 // for the root of a non-trivial hierarchy.

@@ -104,13 +104,6 @@ func TestLCA(t *testing.T) {
 	if _, err := h.LCA("25", "zz"); err == nil {
 		t.Error("unknown value accepted")
 	}
-	n, err := h.LCASet([]string{"25", "27", "31"})
-	if err != nil || n.Value != "Any" {
-		t.Errorf("LCASet = %v,%v", n, err)
-	}
-	if _, err := h.LCASet(nil); err == nil {
-		t.Error("empty LCASet accepted")
-	}
 }
 
 func TestNCP(t *testing.T) {

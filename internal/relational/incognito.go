@@ -1,13 +1,15 @@
 package relational
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 
 	"secreta/internal/dataset"
 	"secreta/internal/generalize"
-	"secreta/internal/lattice"
 	"secreta/internal/privacy"
 	"secreta/internal/timing"
 )
@@ -131,17 +133,19 @@ func (sc *gcpScorer) score(levels []int, k, budget int) float64 {
 }
 
 // incognitoSearch walks the lattice of every QI subset in increasing
-// size and returns the minimal k-anonymous full-dimension nodes, sorted as
-// lattice.MinimalNodes sorts them, with the number of nodes whose
-// k-anonymity it tested. A node qualifies when at most budget records fall
-// in classes smaller than k.
+// size and returns the minimal k-anonymous full-dimension nodes, sorted by
+// sortMinimal, with the number of nodes whose k-anonymity it tested. A
+// node qualifies when at most budget records fall in classes smaller than
+// k.
 //
 // Each subset keeps one bitset of its k-anonymous nodes, indexed by node
 // rank: the level vector read as a mixed-radix number, the subset's first
 // QI most significant, so a predecessor's or projection's rank is computed
-// in place. Roll-up marks every node with a k-anonymous predecessor, so
-// the set is closed under generalization and its minimal nodes are exactly
-// the nodes that passed their own check.
+// in place. The walk visits ranks in increasing order; lowering one level
+// lowers the rank, so every direct predecessor is final before the nodes
+// above it. Roll-up marks every node with a k-anonymous predecessor, so
+// the set is closed under generalization, and the nodes that passed their
+// own check are exactly its minimal nodes.
 func (v *qiView) incognitoSearch(opts Options, budget int) ([][]int, int, error) {
 	q := len(v.qis)
 	radix := make([]int, q)
@@ -153,23 +157,28 @@ func (v *qiView) incognitoSearch(opts Options, budget int) ([][]int, int, error)
 	var minimal [][]int
 	for _, sub := range enumerateSubsets(q) {
 		mask, size := 0, 1
-		heights := make([]int, len(sub))
-		for i, a := range sub {
+		for _, a := range sub {
 			mask |= 1 << a
 			size *= radix[a]
-			heights[i] = radix[a] - 1
 		}
 		bits := make([]uint64, (size+63)/64)
 		anon[mask] = bits
 		subView := v.sub(sub)
-		lat, err := lattice.New(heights)
-		if err != nil {
-			return nil, 0, err
-		}
-		// WalkCtx polls the context between lattice nodes, so a cancelled
-		// job stops mid-expansion instead of finishing the subset.
-		if err := lat.WalkCtx(opts.Ctx, func(node []int) bool {
-			r := rank(node, sub, radix, -1)
+		node := make([]int, len(sub))
+		for r := 0; r < size; r++ {
+			// Poll per node, so a cancelled job stops mid-subset.
+			if err := opts.interrupted(); err != nil {
+				return nil, 0, err
+			}
+			if r > 0 {
+				// Advance the odometer to rank r.
+				for j := len(node) - 1; ; j-- {
+					if node[j]++; node[j] < radix[sub[j]] {
+						break
+					}
+					node[j] = 0
+				}
+			}
 			switch {
 			case predecessorAnonymous(bits, node, sub, radix, r):
 				setBit(bits, r)
@@ -183,15 +192,34 @@ func (v *qiView) incognitoSearch(opts Options, budget int) ([][]int, int, error)
 					}
 				}
 			}
-			return true
-		}); err != nil {
-			return nil, 0, err
 		}
 	}
-	if len(minimal) == 0 {
-		return nil, checked, nil
+	sortMinimal(minimal)
+	return minimal, checked, nil
+}
+
+// sortMinimal orders nodes by level sum, then by their comma-joined
+// decimal levels compared as strings ("10,1" before "2,9"). The GCP
+// choice keeps the first of equal scores, so this order decides which
+// tied node Incognito publishes.
+func sortMinimal(nodes [][]int) {
+	key := func(b []byte, node []int) (int, []byte) {
+		sum := 0
+		for i, l := range node {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			sum += l
+			b = strconv.AppendInt(b, int64(l), 10)
+		}
+		return sum, b
 	}
-	return lattice.MinimalNodes(minimal), checked, nil
+	slices.SortFunc(nodes, func(a, b []int) int {
+		var bufA, bufB [64]byte
+		sa, ka := key(bufA[:0], a)
+		sb, kb := key(bufB[:0], b)
+		return cmp.Or(cmp.Compare(sa, sb), bytes.Compare(ka, kb))
+	})
 }
 
 // rank returns node's rank in the lattice over sub, leaving out position

@@ -4,37 +4,77 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
 	"secreta/internal/dataset"
 	"secreta/internal/gen"
 	"secreta/internal/generalize"
-	"secreta/internal/lattice"
 	"secreta/internal/metrics"
-	"secreta/internal/privacy"
 )
 
 // naiveFullDomain finds the best (min-GCP) minimal k-anonymous full-domain
-// node by scanning the whole lattice without any pruning — the reference
-// Incognito's prunings must agree with.
-func naiveFullDomain(t *testing.T, dsQIs []int, heights []int, check func(node []int) bool, gcp func(node []int) float64) ([]int, float64) {
+// node by checking every lattice node without any pruning — the reference
+// Incognito's prunings must agree with. It shares no code with Incognito's
+// search: it enumerates the nodes recursively, keeps the ones no other
+// passing node lies below, and breaks GCP ties by level sum, then by the
+// comma-joined levels compared as strings.
+func naiveFullDomain(t *testing.T, heights []int, check func(node []int) bool, gcp func(node []int) float64) ([]int, float64) {
 	t.Helper()
-	lat, err := lattice.New(heights)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var anonymous [][]int
-	lat.Walk(func(node []int) bool {
-		if check(node) {
-			anonymous = append(anonymous, append([]int(nil), node...))
+	var enumerate func(prefix []int)
+	enumerate = func(prefix []int) {
+		if len(prefix) == len(heights) {
+			if check(prefix) {
+				anonymous = append(anonymous, slices.Clone(prefix))
+			}
+			return
 		}
-		return true
-	})
+		for l := 0; l <= heights[len(prefix)]; l++ {
+			enumerate(append(prefix, l))
+		}
+	}
+	enumerate(nil)
 	if len(anonymous) == 0 {
 		t.Fatal("naive scan found no k-anonymous node")
 	}
-	minimal := lattice.MinimalNodes(anonymous)
+	below := func(b, a []int) bool { // b is a strict specialization of a
+		for i := range a {
+			if b[i] > a[i] {
+				return false
+			}
+		}
+		return !slices.Equal(a, b)
+	}
+	var minimal [][]int
+	for _, a := range anonymous {
+		if !slices.ContainsFunc(anonymous, func(b []int) bool { return below(b, a) }) {
+			minimal = append(minimal, a)
+		}
+	}
+	sum := func(node []int) int {
+		s := 0
+		for _, l := range node {
+			s += l
+		}
+		return s
+	}
+	key := func(node []int) string {
+		parts := make([]string, len(node))
+		for i, l := range node {
+			parts[i] = strconv.Itoa(l)
+		}
+		return strings.Join(parts, ",")
+	}
+	sort.Slice(minimal, func(i, j int) bool {
+		if si, sj := sum(minimal[i]), sum(minimal[j]); si != sj {
+			return si < sj
+		}
+		return key(minimal[i]) < key(minimal[j])
+	})
 	best := minimal[0]
 	bestGCP := gcp(best)
 	for _, node := range minimal[1:] {
@@ -76,7 +116,7 @@ func TestIncognitoMatchesNaive(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return privacy.IsKAnonymous(cand, qis, k)
+			return len(naiveSmallRecords(cand, qis, k)) == 0
 		}
 		gcp := func(node []int) float64 {
 			cand, err := generalize.FullDomain(ds, hs, qis, node)
@@ -89,7 +129,7 @@ func TestIncognitoMatchesNaive(t *testing.T) {
 			}
 			return g
 		}
-		_, gNaive := naiveFullDomain(t, qis, heights, check, gcp)
+		_, gNaive := naiveFullDomain(t, heights, check, gcp)
 		if gIncognito != gNaive {
 			t.Errorf("k=%d: Incognito GCP %.6f != naive %.6f", k, gIncognito, gNaive)
 		}
@@ -191,7 +231,7 @@ func FuzzIncognitoMatchesNaive(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		best, _ := naiveFullDomain(t, qis, heights,
+		best, _ := naiveFullDomain(t, heights,
 			func(node []int) bool {
 				_, small := publish(node)
 				return small <= budget

@@ -70,7 +70,7 @@ func twoLeafHierarchy(t *testing.T, attr, root, a, b string) *hierarchy.Hierarch
 
 // TestIncognitoEdgeCases pins Incognito on an empty and a one-record
 // dataset, on two minimal nodes of equal GCP, where the strict-< choice
-// keeps the first in lattice.MinimalNodes' order, and on a one-leaf
+// keeps the first in sortMinimal's order, and on a one-leaf
 // hierarchy whose root is the suppression marker, which metrics.GCP
 // prices at 1 although its NCP is 0. Every case also checks the view
 // scores.
@@ -143,5 +143,17 @@ func TestIncognitoEdgeCases(t *testing.T) {
 					c.name, res.Levels, res.NodesChecked, got, c.wantLevels, c.wantChecked, c.wantRecords)
 			}
 		}
+	}
+}
+
+// TestSortMinimalOrder pins the order that breaks GCP ties among minimal
+// nodes: level sum first, then the comma-joined levels compared as
+// strings, so at equal sum [10 1] ("10,1") precedes [2 9] ("2,9").
+func TestSortMinimalOrder(t *testing.T) {
+	nodes := [][]int{{2, 9}, {10, 1}, {1, 2}, {0, 3}, {5, 6}, {0, 12}}
+	sortMinimal(nodes)
+	want := [][]int{{0, 3}, {1, 2}, {10, 1}, {2, 9}, {5, 6}, {0, 12}}
+	if !reflect.DeepEqual(nodes, want) {
+		t.Errorf("order %v, want %v", nodes, want)
 	}
 }

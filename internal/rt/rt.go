@@ -218,11 +218,11 @@ func Anonymize(ds *dataset.Dataset, opts Options) (*Result, error) {
 	if opts.Weight <= 0 || opts.Weight > 1 {
 		opts.Weight = 0.5
 	}
-	relRun, err := relationalByName(opts.RelAlgo)
+	relRun, err := RelationalByName(opts.RelAlgo)
 	if err != nil {
 		return nil, err
 	}
-	transRun, err := transactionByName(opts.TransAlgo)
+	transRun, err := TransactionByName(opts.TransAlgo)
 	if err != nil {
 		return nil, err
 	}
@@ -363,7 +363,9 @@ func Anonymize(ds *dataset.Dataset, opts Options) (*Result, error) {
 	}, nil
 }
 
-func relationalByName(name string) (func(*dataset.Dataset, relational.Options) (*relational.Result, error), error) {
+// RelationalByName returns the runner of the named relational algorithm,
+// one of RelationalAlgos (case and surrounding space ignored).
+func RelationalByName(name string) (func(*dataset.Dataset, relational.Options) (*relational.Result, error), error) {
 	switch strings.ToLower(strings.TrimSpace(name)) {
 	case "incognito":
 		return relational.Incognito, nil
@@ -377,7 +379,9 @@ func relationalByName(name string) (func(*dataset.Dataset, relational.Options) (
 	return nil, fmt.Errorf("rt: unknown relational algorithm %q (want one of %v)", name, RelationalAlgos)
 }
 
-func transactionByName(name string) (func(*dataset.Dataset, transaction.Options) (*transaction.Result, error), error) {
+// TransactionByName returns the runner of the named transaction
+// algorithm, one of TransactionAlgos (case and surrounding space ignored).
+func TransactionByName(name string) (func(*dataset.Dataset, transaction.Options) (*transaction.Result, error), error) {
 	switch strings.ToLower(strings.TrimSpace(name)) {
 	case "apriori":
 		return transaction.Apriori, nil

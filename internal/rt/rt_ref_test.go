@@ -37,11 +37,11 @@ func refAnonymize(ds *dataset.Dataset, opts Options) (*Result, error) {
 	if opts.Weight <= 0 || opts.Weight > 1 {
 		opts.Weight = 0.5
 	}
-	relRun, err := relationalByName(opts.RelAlgo)
+	relRun, err := RelationalByName(opts.RelAlgo)
 	if err != nil {
 		return nil, err
 	}
-	transRun, err := transactionByName(opts.TransAlgo)
+	transRun, err := TransactionByName(opts.TransAlgo)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"strings"
 	"testing"
 
 	"secreta/internal/dataset"
@@ -182,6 +183,41 @@ func TestOptionErrors(t *testing.T) {
 	bad.TransAlgo = "nope"
 	if _, err := Anonymize(ds, bad); err == nil {
 		t.Error("unknown transaction algorithm accepted")
+	}
+}
+
+// TestAlgorithmsLists pins the algorithm tables: the paper's four
+// relational and five transaction algorithms, each resolving to a runner,
+// and their 20 RT combinations.
+func TestAlgorithmsLists(t *testing.T) {
+	if len(RelationalAlgos) != 4 {
+		t.Errorf("want 4 relational algorithms, got %v", RelationalAlgos)
+	}
+	if len(TransactionAlgos) != 5 {
+		t.Errorf("want 5 transaction algorithms, got %v", TransactionAlgos)
+	}
+	combos := make(map[string]bool)
+	for _, r := range RelationalAlgos {
+		if run, err := RelationalByName(" " + strings.ToUpper(r)); run == nil || err != nil {
+			t.Errorf("relational %q: %v", r, err)
+		}
+		for _, tr := range TransactionAlgos {
+			combos[r+"+"+tr] = true
+		}
+	}
+	for _, tr := range TransactionAlgos {
+		if run, err := TransactionByName(strings.ToUpper(tr) + " "); run == nil || err != nil {
+			t.Errorf("transaction %q: %v", tr, err)
+		}
+	}
+	if len(combos) != 20 {
+		t.Errorf("want the paper's 20 combinations, got %d", len(combos))
+	}
+	if _, err := RelationalByName("apriori"); err == nil {
+		t.Error("transaction algorithm resolved as relational")
+	}
+	if _, err := TransactionByName("rho"); err == nil {
+		t.Error("extension resolved as an RT transaction algorithm")
 	}
 }
 
