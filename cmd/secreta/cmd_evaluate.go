@@ -124,7 +124,7 @@ func cmdEvaluate(args []string) error {
 	}
 
 	if *outData != "" {
-		if err := res.Anonymized.SaveFile(*outData, dataset.Options{}); err != nil {
+		if err := res.Anonymized().SaveFile(*outData, dataset.Options{}); err != nil {
 			return err
 		}
 		fmt.Fprintf(summary, "anonymized dataset -> %s\n", *outData)
@@ -140,7 +140,7 @@ func cmdEvaluate(args []string) error {
 		if i < 0 {
 			return fmt.Errorf("no attribute named %q", *plotAttr)
 		}
-		freqs := metrics.GeneralizedFrequencies(res.Anonymized, i)
+		freqs := metrics.GeneralizedFrequencies(res.Anonymized(), i)
 		if len(freqs) > 15 {
 			freqs = freqs[:15]
 		}
@@ -158,7 +158,7 @@ func cmdEvaluate(args []string) error {
 		}
 	}
 	if *plotItems && cfg.ItemHierarchy != nil {
-		ves := metrics.ItemFrequencyError(ds, res.Anonymized, cfg.ItemHierarchy)
+		ves := metrics.ItemFrequencyError(ds, res.Anonymized(), cfg.ItemHierarchy)
 		if len(ves) > 20 {
 			ves = ves[:20]
 		}

@@ -57,7 +57,7 @@ func main() {
 
 	// Plot (c): frequencies of generalized values in Age.
 	ai := ds.AttrIndex("Age")
-	freqs := metrics.GeneralizedFrequencies(res.Anonymized, ai)
+	freqs := metrics.GeneralizedFrequencies(res.Anonymized(), ai)
 	if len(freqs) > 8 {
 		freqs = freqs[:8]
 	}

@@ -47,7 +47,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rep := privacy.CheckRT(res.Anonymized, qis, 10, 2)
+	anon := res.Anonymized()
+	rep := privacy.CheckRT(anon, qis, 10, 2)
 	fmt.Printf("anonymized in %v: (k,k^m)-anonymous=%v, classes=%d (min size %d)\n",
 		res.Runtime, rep.Holds(), res.Indicators.Classes, res.Indicators.MinClassSize)
 	fmt.Printf("relational loss (GCP) = %.4f, transaction loss = %.4f\n",
@@ -57,6 +58,6 @@ func main() {
 	for r := 0; r < 3; r++ {
 		fmt.Printf("  %v %v\n    -> %v %v\n",
 			ds.Records[r].Values, ds.Records[r].Items,
-			res.Anonymized.Records[r].Values, res.Anonymized.Records[r].Items)
+			anon.Records[r].Values, anon.Records[r].Items)
 	}
 }

@@ -69,7 +69,7 @@ func main() {
 		if res.Err != nil {
 			log.Fatal(res.Err)
 		}
-		rep := privacy.CheckRT(res.Anonymized, qis, k, m)
+		rep := privacy.CheckRT(res.Anonymized(), qis, k, m)
 		fmt.Printf("%-10s %10.4f %10.4f %10d %8s %8v\n",
 			flavor, res.Indicators.GCP, res.Indicators.TransactionGCP,
 			res.Indicators.Classes, "-", rep.Holds())
@@ -85,7 +85,7 @@ func main() {
 	if res.Err != nil {
 		log.Fatal(res.Err)
 	}
-	ves := metrics.ItemFrequencyError(ds, res.Anonymized, ih)
+	ves := metrics.ItemFrequencyError(ds, res.Anonymized(), ih)
 	mean := 0.0
 	for _, ve := range ves {
 		mean += ve.RelError

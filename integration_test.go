@@ -124,7 +124,7 @@ func TestFullPipelineThroughDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep := privacy.CheckRT(res.Anonymized, qis, 5, 2); !rep.Holds() {
+	if rep := privacy.CheckRT(res.Anonymized(), qis, 5, 2); !rep.Holds() {
 		t.Fatalf("pipeline output violates privacy: %+v", rep)
 	}
 	if res.Indicators.ARE < 0 {
@@ -134,7 +134,7 @@ func TestFullPipelineThroughDisk(t *testing.T) {
 	// 6. Persist the anonymized dataset and verify it reloads as
 	// (k,k^m)-anonymous: the export is faithful.
 	anonPath := filepath.Join(dir, "anon.csv")
-	if err := res.Anonymized.SaveFile(anonPath, dataset.Options{}); err != nil {
+	if err := res.Anonymized().SaveFile(anonPath, dataset.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	anon, err := dataset.LoadFile(anonPath, dataset.Options{})
@@ -182,7 +182,7 @@ func TestExtensionRhoThroughEngine(t *testing.T) {
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	if res.Anonymized.Len() != ds.Len() {
+	if res.Anonymized().Len() != ds.Len() {
 		t.Fatal("record count changed")
 	}
 }

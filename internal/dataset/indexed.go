@@ -8,7 +8,7 @@ import "sort"
 // themselves: IDs pack into fixed-width keys, index straight into arrays,
 // and compare in one instruction.
 //
-// An interner built by Ranked assigns IDs in ascending string order, so
+// An interner built by Rank assigns IDs in ascending string order, so
 // comparing IDs (or byte-packed ID tuples) orders exactly like comparing
 // the underlying strings — the property the deterministic signature and
 // violation orderings rely on.
@@ -21,26 +21,6 @@ type Interner struct {
 // order.
 func NewInterner() *Interner {
 	return &Interner{ids: make(map[string]uint32)}
-}
-
-// Ranked builds an interner over the distinct strings of values with IDs
-// assigned in ascending string order (rank interning). values may contain
-// duplicates and need not be sorted.
-func Ranked(values []string) *Interner {
-	seen := make(map[string]struct{}, len(values))
-	for _, v := range values {
-		seen[v] = struct{}{}
-	}
-	distinct := make([]string, 0, len(seen))
-	for v := range seen {
-		distinct = append(distinct, v)
-	}
-	sort.Strings(distinct)
-	in := &Interner{ids: make(map[string]uint32, len(distinct)), vals: distinct}
-	for i, v := range distinct {
-		in.ids[v] = uint32(i)
-	}
-	return in
 }
 
 // Intern returns the ID of v, assigning the next dense ID when v is new.
@@ -156,10 +136,21 @@ func Intern(d *Dataset) *Indexed {
 	return ix
 }
 
+// Columns returns the given relational columns of ix and their
+// dictionaries, as InternColumns does for a Dataset.
+func (ix *Indexed) Columns(attrs []int) ([][]uint32, []*Interner) {
+	cols, dicts := make([][]uint32, len(attrs)), make([]*Interner, len(attrs))
+	for i, a := range attrs {
+		cols[i], dicts[i] = ix.Cols[a], ix.Dicts[a]
+	}
+	return cols, dicts
+}
+
 // InternColumns rank-interns the given relational columns of d (all when
 // cols is nil) and returns them column-major along with the per-column
 // interners. This is the shared entry point for signature-keyed hot paths
-// (privacy.Partition) that only need a few columns.
+// (privacy.Partition, engine.Evaluate on string output) that only need a
+// few columns.
 func InternColumns(d *Dataset, cols []int) ([][]uint32, []*Interner) {
 	if cols == nil {
 		cols = make([]int, len(d.Attrs))

@@ -9,7 +9,11 @@ import (
 )
 
 func TestInternerRanked(t *testing.T) {
-	in := Ranked([]string{"b", "a", "c", "b", "a"})
+	first := NewInterner()
+	for _, v := range []string{"b", "a", "c", "b", "a"} {
+		first.Intern(v)
+	}
+	in, _ := first.Rank()
 	if in.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", in.Len())
 	}

@@ -22,14 +22,30 @@ func (d *Dataset) ApproxBytes() int64 {
 	n += stringOverhead + int64(len(d.TransName))
 	n += sliceOverhead // Records
 	for i := range d.Records {
-		r := &d.Records[i]
-		n += 2 * sliceOverhead // Values, Items headers
-		for _, v := range r.Values {
-			n += stringOverhead + int64(len(v))
-		}
-		for _, it := range r.Items {
-			n += stringOverhead + int64(len(it))
-		}
+		n += recordBytes(d.Records[i])
+	}
+	return n
+}
+
+// ApproxBytes is the ApproxBytes of ix.Materialize(), decoded one record
+// at a time instead of built.
+func (ix *Indexed) ApproxBytes() int64 {
+	n := (&Dataset{Attrs: ix.Attrs, TransName: ix.TransName}).ApproxBytes()
+	ix.ScanRecords(func(_ int, r Record) bool {
+		n += recordBytes(r)
+		return true
+	})
+	return n
+}
+
+// recordBytes estimates one record: its slice headers and strings.
+func recordBytes(r Record) int64 {
+	n := int64(2 * sliceOverhead) // Values, Items headers
+	for _, v := range r.Values {
+		n += stringOverhead + int64(len(v))
+	}
+	for _, it := range r.Items {
+		n += stringOverhead + int64(len(it))
 	}
 	return n
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"secreta/internal/dataset"
+	"secreta/internal/rt"
 )
 
 // collect copies a record source into a string dataset.
@@ -20,7 +21,7 @@ func collect(src dataset.RecordSource) *dataset.Dataset {
 
 // TestCacheKeepsOneCopyOfRecords pins what a cached result holds: the
 // leader, its single-flight waiters and later hits all share one interned
-// record source, and the entry drops the string dataset it came from.
+// record source: the columns the relational run published.
 func TestCacheKeepsOneCopyOfRecords(t *testing.T) {
 	ds, hs, _, _ := fixture(t)
 	sched := NewScheduler(1, NewCacheSized(8, 0))
@@ -33,7 +34,7 @@ func TestCacheKeepsOneCopyOfRecords(t *testing.T) {
 	if !ok {
 		t.Fatalf("leader's Records is %T, want *dataset.Indexed", first[0].Records)
 	}
-	if collect(ix).Fingerprint() != first[0].Anonymized.Fingerprint() {
+	if collect(ix).Fingerprint() != first[0].Anonymized().Fingerprint() {
 		t.Fatal("interned records differ from the anonymized dataset")
 	}
 	var hit *Result
@@ -43,11 +44,37 @@ func TestCacheKeepsOneCopyOfRecords(t *testing.T) {
 		}
 		hit = item.Result
 	}
-	if hit.Anonymized != nil {
-		t.Error("cache hit still carries the string dataset")
-	}
 	if hit.Records != first[0].Records {
 		t.Error("cache hit does not share the leader's interned records")
+	}
+}
+
+// TestBatchLeavesSharedInterningUnchanged runs every relational
+// algorithm, alone and under an RT combination, over one batch's shared
+// interning — which relational runs publish their columns over — and
+// requires the interning to decode to the same dataset afterwards. Each
+// result's cache cost must be the string-form estimate of its
+// materialized records.
+func TestBatchLeavesSharedInterningUnchanged(t *testing.T) {
+	ds, hs, ih, _ := fixture(t)
+	sh := newBatchShared(ds)
+	before := sh.indexed().Materialize().Fingerprint()
+	for _, algo := range rt.RelationalAlgos {
+		for _, cfg := range []Config{
+			{Mode: Relational, Algorithm: algo, K: 4, Hierarchies: hs},
+			{Mode: RT, RelAlgo: algo, TransAlgo: "apriori", K: 4, M: 2, Delta: 0.5, Hierarchies: hs, ItemHierarchy: ih},
+		} {
+			r := runShared(context.Background(), ds, cfg, sh)
+			if r.Err != nil {
+				t.Fatal(r.Err)
+			}
+			if got, want := resultCost(r), 512+r.Anonymized().ApproxBytes(); got != want {
+				t.Errorf("%s: cache cost %d, materialized estimate %d", cfg.DisplayLabel(), got, want)
+			}
+		}
+	}
+	if sh.indexed().Materialize().Fingerprint() != before {
+		t.Fatal("the batch's runs wrote to its shared interning")
 	}
 }
 

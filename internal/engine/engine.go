@@ -124,19 +124,32 @@ type Indicators struct {
 
 // Result is one completed anonymization with its evaluation.
 type Result struct {
-	Config     Config
-	Anonymized *dataset.Dataset
+	Config Config
 	// Records is a replayable, incrementally consumable iterator over the
 	// anonymized records — what streaming consumers (secreta-serve's
 	// chunked result delivery, `secreta evaluate -stream`) read instead of
-	// serializing Anonymized into one fully materialized payload. It is
-	// set whenever the run produced an anonymized dataset and may be
-	// scanned any number of times.
+	// one fully materialized payload. It is set whenever the run produced
+	// an anonymized dataset and may be scanned any number of times: a
+	// *dataset.Indexed for relational runs and cached results, a
+	// *dataset.Dataset for transaction and RT runs.
 	Records    dataset.RecordSource
 	Runtime    time.Duration
 	Phases     []timing.Phase
 	Indicators Indicators
 	Err        error
+}
+
+// Anonymized returns the anonymized records as strings, for the callers
+// that need them (file output, frequency tables, ARE): interned records
+// are materialized anew on every call. Nil when the run failed.
+func (r *Result) Anonymized() *dataset.Dataset { return materialize(r.Records) }
+
+func materialize(src dataset.RecordSource) *dataset.Dataset {
+	if ix, ok := src.(*dataset.Indexed); ok {
+		return ix.Materialize()
+	}
+	ds, _ := src.(*dataset.Dataset)
+	return ds
 }
 
 // Run executes a single configuration synchronously and evaluates it —
@@ -182,7 +195,6 @@ func runShared(ctx context.Context, ds *dataset.Dataset, cfg Config, sh *batchSh
 		res.Err = err
 		return res
 	}
-	res.Anonymized = anon
 	res.Records = anon
 	evalStart := time.Now()
 	res.Indicators, res.Err = Evaluate(ds, anon, cfg)
@@ -190,7 +202,7 @@ func runShared(ctx context.Context, ds *dataset.Dataset, cfg Config, sh *batchSh
 	return res
 }
 
-func dispatch(ctx context.Context, ds *dataset.Dataset, cfg Config, sh *batchShared) (*dataset.Dataset, []timing.Phase, error) {
+func dispatch(ctx context.Context, ds *dataset.Dataset, cfg Config, sh *batchShared) (dataset.RecordSource, []timing.Phase, error) {
 	switch cfg.Mode {
 	case Relational:
 		run, err := rt.RelationalByName(cfg.Algorithm)
@@ -254,8 +266,8 @@ func transactionByName(name string) (func(*dataset.Dataset, transaction.Options)
 // al.). They run in Transactional mode like the core five.
 var ExtensionAlgos = []string{"rho"}
 
-// Evaluate computes the full indicator set for an anonymized dataset.
-func Evaluate(orig, anon *dataset.Dataset, cfg Config) (Indicators, error) {
+// Evaluate computes the full indicator set for anonymized records.
+func Evaluate(orig *dataset.Dataset, anon dataset.RecordSource, cfg Config) (Indicators, error) {
 	var ind Indicators
 	qis, err := orig.QIIndices(cfg.QIs)
 	if err != nil {
@@ -264,24 +276,35 @@ func Evaluate(orig, anon *dataset.Dataset, cfg Config) (Indicators, error) {
 	relSide := cfg.Mode == Relational || cfg.Mode == RT
 	transSide := (cfg.Mode == Transactional || cfg.Mode == RT) && orig.HasTransaction()
 
-	// The relational indicators and the RT check all consume the same
-	// equivalence-class partition; compute it once and derive each from
-	// the shared classes (Partition is deterministic, so the values are
-	// identical to the per-indicator partitions they replace).
+	// The relational indicators and the RT check all consume one partition
+	// of the QI columns: a relational run's, or an interning of RT's.
 	var classes []privacy.Class
 	if relSide {
-		if ind.GCP, err = metrics.GCP(anon, cfg.Hierarchies, qis); err != nil {
+		var cols [][]uint32
+		var dicts []*dataset.Interner
+		switch a := anon.(type) {
+		case *dataset.Indexed:
+			cols, dicts = a.Columns(qis)
+		case *dataset.Dataset:
+			cols, dicts = dataset.InternColumns(a, qis)
+		}
+		// An empty dataset prices no value, so it needs no hierarchies.
+		n := anon.NumRecords()
+		hh, err := cfg.Hierarchies.ForQIs(orig, qis)
+		if err != nil && n > 0 {
 			return ind, err
 		}
-		classes = privacy.Partition(anon, qis)
-		ind.Discernibility = metrics.DiscernibilityClasses(len(anon.Records), classes)
+		ind.GCP = metrics.GCPColumns(n, cols, dicts, hh)
+		classes = privacy.PartitionColumns(n, cols, dicts)
+		ind.Discernibility = metrics.DiscernibilityClasses(n, classes)
 		ind.CAVG = metrics.CAVGClasses(classes, cfg.K)
-		ind.SuppressionRatio = metrics.SuppressionRatio(anon, qis)
+		ind.SuppressionRatio = metrics.SuppressionRatioClasses(n, classes)
 		ind.MinClassSize = privacy.MinClassLen(classes)
 		ind.Classes = len(classes)
 		ind.KAnonymous = privacy.ClassesKAnonymous(classes, cfg.K)
 	}
 	if transSide {
+		anon := materialize(anon) // transaction and RT runs publish strings
 		if cfg.ItemHierarchy != nil {
 			if ind.TransactionGCP, err = metrics.TransactionGCP(orig, anon, cfg.ItemHierarchy); err != nil {
 				return ind, err
@@ -297,7 +320,7 @@ func Evaluate(orig, anon *dataset.Dataset, cfg Config) (Indicators, error) {
 		}
 	}
 	if cfg.Workload != nil && cfg.Workload.Len() > 0 {
-		are, err := query.ARE(cfg.Workload, orig, anon, cfg.Hierarchies, cfg.ItemHierarchy)
+		are, err := query.ARE(cfg.Workload, orig, materialize(anon), cfg.Hierarchies, cfg.ItemHierarchy)
 		if err != nil {
 			return ind, err
 		}

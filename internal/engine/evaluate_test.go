@@ -79,7 +79,7 @@ func TestRunRhoViaEngine(t *testing.T) {
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	if res.Anonymized == nil || len(res.Phases) == 0 {
+	if res.Anonymized() == nil || len(res.Phases) == 0 {
 		t.Error("rho run incomplete")
 	}
 }

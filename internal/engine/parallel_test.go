@@ -87,7 +87,7 @@ func TestBatchSharedConcurrent(t *testing.T) {
 			t.Fatalf("cfg %d: concurrent indicators %+v diverge from serial %+v",
 				i, r.Indicators, serial[i].Indicators)
 		}
-		if r.Anonymized.Fingerprint() != serial[i].Anonymized.Fingerprint() {
+		if r.Anonymized().Fingerprint() != serial[i].Anonymized().Fingerprint() {
 			t.Fatalf("cfg %d: concurrent output diverges from serial", i)
 		}
 	}

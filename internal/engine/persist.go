@@ -54,9 +54,9 @@ func encodeResult(r *Result) ([]byte, error) {
 	for _, p := range r.Phases {
 		out.Phases = append(out.Phases, storedPhase{Name: p.Name, DurationNS: p.Duration.Nanoseconds()})
 	}
-	if r.Anonymized != nil {
+	if anon := r.Anonymized(); anon != nil {
 		var buf bytes.Buffer
-		if err := r.Anonymized.WriteJSON(&buf); err != nil {
+		if err := anon.WriteJSON(&buf); err != nil {
 			return nil, fmt.Errorf("engine: encoding anonymized dataset: %w", err)
 		}
 		out.Anonymized = buf.Bytes()
@@ -84,8 +84,7 @@ func decodeResult(data []byte, cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("engine: decoding cached anonymized dataset: %w", err)
 		}
-		r.Anonymized = ds
-		r.Records = ds
+		r.Records = dataset.Intern(ds)
 	}
 	return r, nil
 }

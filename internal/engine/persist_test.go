@@ -71,7 +71,7 @@ func TestCachePersistsAcrossInstances(t *testing.T) {
 	if again.Err != nil {
 		t.Fatal(again.Err)
 	}
-	if again.Records == nil || collect(again.Records).Fingerprint() != first[0].Anonymized.Fingerprint() {
+	if again.Records == nil || collect(again.Records).Fingerprint() != first[0].Anonymized().Fingerprint() {
 		t.Fatal("rehydrated anonymized records differ from the computed ones")
 	}
 	if again.Indicators != first[0].Indicators {
@@ -148,7 +148,7 @@ func TestEncodeDecodeResultRoundTrip(t *testing.T) {
 			t.Fatalf("phase %d: %+v != %+v", i, got.Phases[i], r.Phases[i])
 		}
 	}
-	if got.Anonymized.Fingerprint() != r.Anonymized.Fingerprint() {
+	if got.Anonymized().Fingerprint() != r.Anonymized().Fingerprint() {
 		t.Fatal("anonymized dataset did not round-trip")
 	}
 	if _, err := decodeResult([]byte("{garbage"), r.Config); err == nil {

@@ -40,13 +40,14 @@ func TestResultRecordsReplayable(t *testing.T) {
 		return out
 	}
 	first, second := scan(), scan()
-	if !reflect.DeepEqual(first, res.Anonymized.Records) {
-		t.Fatal("record iterator diverges from Anonymized.Records")
+	anon := res.Anonymized()
+	if !reflect.DeepEqual(first, anon.Records) {
+		t.Fatal("record iterator diverges from Anonymized().Records")
 	}
 	if !reflect.DeepEqual(first, second) {
 		t.Fatal("record iterator is not replayable")
 	}
-	if n := res.Records.NumRecords(); n != len(res.Anonymized.Records) {
-		t.Fatalf("NumRecords = %d, want %d", n, len(res.Anonymized.Records))
+	if n := res.Records.NumRecords(); n != len(anon.Records) {
+		t.Fatalf("NumRecords = %d, want %d", n, len(anon.Records))
 	}
 }

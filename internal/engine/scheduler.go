@@ -175,6 +175,11 @@ func (s *Scheduler) runOne(ctx context.Context, ds *dataset.Dataset, cfg Config,
 				defer func() { releaseOnce(nil) }()
 				r := runShared(ctx, ds, cfg, sh)
 				if r.Err == nil {
+					// The cache and the job keep the records interned;
+					// transaction and RT runs publish strings.
+					if d, ok := r.Records.(*dataset.Dataset); ok {
+						r.Records = dataset.Intern(d)
+					}
 					entry := s.cache.put(key, r)
 					// Wake the waiters before the (fsync'd) disk spill:
 					// N-1 duplicates must not stall behind persistence.
@@ -334,8 +339,7 @@ const (
 // deduplicates in-flight computations: concurrent requests for the same
 // key run it once and share the result. Results handed out are shared, not
 // copied; callers must treat them as immutable. A result served from the
-// cache carries its records only as Records, in interned form; its
-// Anonymized is nil.
+// cache carries its records as Records, in interned form.
 type Cache struct {
 	lru     *registry.LRU
 	mu      sync.Mutex // guards flights, backing and the counters
@@ -459,23 +463,13 @@ func (c *Cache) release(key string, r *Result) {
 	}
 }
 
-// put inserts into the RAM LRU only; callers spill separately, after
-// releasing any single-flight waiters. The anonymized dataset is interned
-// once and r.Records points at that columnar copy; the entry put in the
-// LRU (and returned, for the waiters) is r without the string dataset.
-// Cache hits, the caller's job and the waiters then all share one compact
-// record source instead of the entry keeping the record-major strings
-// beside each job's own interning. The byte cost stays the string-form
-// estimate, so the cache admits the same entries as before.
+// put inserts r, whose records are interned, into the RAM LRU only and
+// returns it, for the waiters, who share its one compact record source
+// with the caller's job and later hits; callers spill separately, after
+// releasing the waiters. The byte cost is the string-form estimate.
 func (c *Cache) put(key string, r *Result) *Result {
-	cost := resultCost(r)
-	if r.Anonymized != nil {
-		r.Records = dataset.Intern(r.Anonymized)
-	}
-	entry := *r
-	entry.Anonymized = nil
-	c.lru.Put(key, &entry, cost)
-	return &entry
+	c.lru.Put(key, r, resultCost(r))
+	return r
 }
 
 // spill writes the entry through to the durable backing. A failure here
@@ -498,12 +492,12 @@ func (c *Cache) spill(key string, r *Result) {
 }
 
 // resultCost approximates a cached Result's resident size for the byte
-// cap from its string form: the anonymized dataset dominates; config,
-// indicators and phase timings are a small constant.
+// cap from its records' string form (dataset ApproxBytes): the records
+// dominate; config, indicators and phase timings are a small constant.
 func resultCost(r *Result) int64 {
 	var n int64 = 512
-	if r.Anonymized != nil {
-		n += r.Anonymized.ApproxBytes()
+	if src, ok := r.Records.(interface{ ApproxBytes() int64 }); ok {
+		n += src.ApproxBytes()
 	}
 	return n
 }

@@ -67,7 +67,7 @@ func TestSchedulerDeterminism(t *testing.T) {
 				t.Errorf("%s (%s): indicators diverge from serial run:\n  serial: %+v\n  other:  %+v",
 					label, name, serial[i].Indicators, got.Indicators)
 			}
-			if !sameDataset(serial[i].Anonymized, got.Anonymized) {
+			if !sameDataset(serial[i].Anonymized(), got.Anonymized()) {
 				t.Errorf("%s (%s): anonymized output diverges from serial run", label, name)
 			}
 		}

@@ -179,7 +179,7 @@ func runE4(env *Env, w io.Writer) error {
 		return res.Err
 	}
 	ai := env.DS.AttrIndex("Age")
-	freqs := metrics.GeneralizedFrequencies(res.Anonymized, ai)
+	freqs := metrics.GeneralizedFrequencies(res.Anonymized(), ai)
 	fmt.Fprintf(w, "top generalized Age values (of %d):\n", len(freqs))
 	for _, f := range freqs[:min(10, len(freqs))] {
 		fmt.Fprintf(w, "  %-20s %d\n", f.Value, f.Count)
@@ -193,7 +193,7 @@ func runE5(env *Env, w io.Writer) error {
 	if res.Err != nil {
 		return res.Err
 	}
-	ves := metrics.ItemFrequencyError(env.DS, res.Anonymized, env.ItemHierarchy)
+	ves := metrics.ItemFrequencyError(env.DS, res.Anonymized(), env.ItemHierarchy)
 	sum, max := 0.0, 0.0
 	for _, ve := range ves {
 		sum += ve.RelError

@@ -1,0 +1,39 @@
+package export
+
+import (
+	"io"
+	"testing"
+
+	"secreta/internal/dataset"
+	"secreta/internal/gen"
+	"secreta/internal/relational"
+)
+
+// BenchmarkRecordsNDJSON streams a published relational result — Cluster
+// at k=6 over the 2,000 generated census records the anon-miss end-to-end
+// workload uses — as NDJSON, once from the interned columns the algorithm
+// publishes and once from the same records materialized as strings.
+func BenchmarkRecordsNDJSON(b *testing.B) {
+	ds := gen.Census(gen.Config{Records: 2000, Items: 24, Seed: 1})
+	hs, err := gen.Hierarchies(ds, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := relational.Cluster(ds, relational.Options{K: 6, Hierarchies: hs, Interned: dataset.Intern(ds)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, src := range []struct {
+		name string
+		src  dataset.RecordSource
+	}{{"indexed", res.Anonymized}, {"materialized", res.Anonymized.Materialize()}} {
+		b.Run(src.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := RecordsNDJSON(io.Discard, src.src); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

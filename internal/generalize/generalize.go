@@ -1,8 +1,6 @@
-// Package generalize implements the recoding operators anonymization
-// algorithms apply to datasets: full-domain recoding driven by lattice level
-// vectors (Incognito), cut-based subtree recoding (top-down, bottom-up,
-// Apriori), item-set recoding through hierarchy cuts and mappings, and
-// record suppression.
+// Package generalize implements recoding operators on string datasets:
+// full-domain recoding by lattice level vectors, item-set recoding through
+// hierarchy cuts and mappings, and record suppression.
 package generalize
 
 import (
@@ -68,28 +66,6 @@ func FullDomain(ds *dataset.Dataset, hs Set, qis []int, levels []int) (*dataset.
 	return out, nil
 }
 
-// ApplyCuts recodes every QI value through its attribute's cut, returning a
-// new dataset. cuts is keyed by attribute name and must cover every QI.
-func ApplyCuts(ds *dataset.Dataset, cuts map[string]*hierarchy.Cut, qis []int) (*dataset.Dataset, error) {
-	for _, q := range qis {
-		if cuts[ds.Attrs[q].Name] == nil {
-			return nil, fmt.Errorf("generalize: no cut for attribute %q", ds.Attrs[q].Name)
-		}
-	}
-	out := ds.Clone()
-	for r := range out.Records {
-		for _, q := range qis {
-			c := cuts[out.Attrs[q].Name]
-			g, err := c.Map(out.Records[r].Values[q])
-			if err != nil {
-				return nil, err
-			}
-			out.Records[r].Values[q] = g
-		}
-	}
-	return out, nil
-}
-
 // SuppressRecord replaces all QI values of record r with the Suppressed
 // marker and clears its items.
 func SuppressRecord(ds *dataset.Dataset, qis []int, r int) {
@@ -97,20 +73,6 @@ func SuppressRecord(ds *dataset.Dataset, qis []int, r int) {
 		ds.Records[r].Values[q] = Suppressed
 	}
 	ds.Records[r].Items = nil
-}
-
-// IsSuppressed reports whether record r has been suppressed (all QI cells
-// carry the marker).
-func IsSuppressed(ds *dataset.Dataset, qis []int, r int) bool {
-	if len(qis) == 0 {
-		return false
-	}
-	for _, q := range qis {
-		if ds.Records[r].Values[q] != Suppressed {
-			return false
-		}
-	}
-	return true
 }
 
 // MapItems recodes an item multiset through a cut over the item hierarchy,

@@ -89,41 +89,17 @@ func TestFullDomainErrors(t *testing.T) {
 	}
 }
 
-func TestApplyCuts(t *testing.T) {
-	ds := testData(t)
-	hs := testHierarchies(t)
-	ageCut := hierarchy.NewCut(hs["Age"])
-	if err := ageCut.Specialize("Any"); err != nil {
-		t.Fatal(err)
-	}
-	genderCut := hierarchy.NewLeafCut(hs["Gender"])
-	out, err := ApplyCuts(ds, map[string]*hierarchy.Cut{"Age": ageCut, "Gender": genderCut}, []int{0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Records[0].Values[0] != "[20-29]" || out.Records[0].Values[1] != "M" {
-		t.Errorf("record 0 = %v", out.Records[0].Values)
-	}
-	if _, err := ApplyCuts(ds, map[string]*hierarchy.Cut{}, []int{0}); err == nil {
-		t.Error("missing cut accepted")
-	}
-}
-
 func TestSuppression(t *testing.T) {
 	ds := testData(t)
 	qis := []int{0, 1}
 	SuppressRecord(ds, qis, 1)
-	if !IsSuppressed(ds, qis, 1) {
-		t.Error("record not suppressed")
-	}
-	if IsSuppressed(ds, qis, 0) {
-		t.Error("wrong record reported suppressed")
+	for _, q := range qis {
+		if ds.Records[1].Values[q] != Suppressed || ds.Records[0].Values[q] == Suppressed {
+			t.Errorf("QI %d after suppressing record 1: %q, %q", q, ds.Records[0].Values[q], ds.Records[1].Values[q])
+		}
 	}
 	if ds.Records[1].Items != nil {
 		t.Error("items survived suppression")
-	}
-	if IsSuppressed(ds, nil, 0) {
-		t.Error("empty QI set reported suppressed")
 	}
 }
 

@@ -28,30 +28,46 @@ func GCP(anon *dataset.Dataset, hs generalize.Set, qis []int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	total := 0.0
-	memo := make([]map[string]float64, len(qis))
-	for i := range memo {
-		memo[i] = make(map[string]float64)
-	}
-	for r := range anon.Records {
-		for i, q := range qis {
-			v := anon.Records[r].Values[q]
-			ncp, ok := memo[i][v]
-			if !ok {
-				if v == generalize.Suppressed || !hh[i].Contains(v) {
-					ncp = 1
-				} else {
-					ncp, err = hh[i].NCP(v)
-					if err != nil {
-						return 0, err
-					}
-				}
-				memo[i][v] = ncp
+	cols, dicts := dataset.InternColumns(anon, qis)
+	return GCPColumns(len(anon.Records), cols, dicts, hh), nil
+}
+
+// GCPColumns is GCP over the interned QI columns of n records: record r
+// holds the value dicts[i].Value(cols[i][r]) on QI i, priced under hh[i].
+func GCPColumns(n int, cols [][]uint32, dicts []*dataset.Interner, hh []*hierarchy.Hierarchy) float64 {
+	ncp := make([][]float64, len(dicts))
+	for i, d := range dicts {
+		ncp[i] = make([]float64, d.Len())
+		for id, v := range d.Values() {
+			ncp[i][id] = 1
+			if c, err := hh[i].NCP(v); err == nil && v != generalize.Suppressed {
+				ncp[i][id] = c
 			}
-			total += ncp
 		}
 	}
-	return total / float64(len(anon.Records)*len(qis)), nil
+	return MeanNCP(n, cols, ncp, nil)
+}
+
+// MeanNCP averages the cost of the QI cells of n records: record r's cell
+// on QI i costs ncp[i][cols[i][r]], or 1 when suppressed(r) (nil: no
+// record is), summed record by record and QI by QI.
+func MeanNCP(n int, cols [][]uint32, ncp [][]float64, suppressed func(r int) bool) float64 {
+	if n == 0 || len(cols) == 0 {
+		return 0
+	}
+	total := 0.0
+	for r := 0; r < n; r++ {
+		if suppressed != nil && suppressed(r) {
+			for range cols {
+				total++
+			}
+			continue
+		}
+		for i, col := range cols {
+			total += ncp[i][col[r]]
+		}
+	}
+	return total / float64(n*len(cols))
 }
 
 // TransactionGCP computes the average information loss of the transaction
@@ -173,61 +189,47 @@ func UL(orig, anon *dataset.Dataset, mapping map[string]string, weights map[stri
 	return loss / norm, nil
 }
 
-// Discernibility computes the discernibility metric: each record is charged
-// the size of its equivalence class; suppressed records are charged the
-// dataset size.
-func Discernibility(ds *dataset.Dataset, qis []int) float64 {
-	return DiscernibilityClasses(len(ds.Records), privacy.Partition(ds, qis))
-}
-
-// DiscernibilityClasses is Discernibility over a precomputed partition of
-// n records — for callers (the engine evaluator) that derive several
-// indicators from one privacy.Partition call.
+// DiscernibilityClasses computes the discernibility metric over a
+// partition of n records into equivalence classes: each record is charged
+// the size of its class; suppressed records, in no class, are charged n.
 func DiscernibilityClasses(n int, classes []privacy.Class) float64 {
 	if n == 0 {
 		return 0
 	}
-	covered := 0
 	sum := 0.0
 	for _, c := range classes {
 		sum += float64(len(c.Records) * len(c.Records))
-		covered += len(c.Records)
 	}
-	sum += float64((n - covered) * n) // suppressed records
+	sum += float64((n - covered(classes)) * n) // suppressed records
 	return sum
 }
 
-// CAVG computes the normalized average equivalence class size metric:
-// (records / classes) / k. Values near 1 indicate classes close to the
-// minimum size k.
-func CAVG(ds *dataset.Dataset, qis []int, k int) float64 {
-	return CAVGClasses(privacy.Partition(ds, qis), k)
-}
-
-// CAVGClasses is CAVG over a precomputed partition.
+// CAVGClasses computes the normalized average equivalence class size
+// metric over a partition: (records in classes / classes) / k. Values
+// near 1 indicate classes close to the minimum size k.
 func CAVGClasses(classes []privacy.Class, k int) float64 {
 	if k <= 0 || len(classes) == 0 {
 		return 0
 	}
-	covered := 0
-	for _, c := range classes {
-		covered += len(c.Records)
-	}
-	return float64(covered) / float64(len(classes)) / float64(k)
+	return float64(covered(classes)) / float64(len(classes)) / float64(k)
 }
 
-// SuppressionRatio returns the fraction of records suppressed in anon.
-func SuppressionRatio(anon *dataset.Dataset, qis []int) float64 {
-	if len(anon.Records) == 0 {
+// SuppressionRatioClasses returns the fraction of n records suppressed,
+// the records in none of the classes.
+func SuppressionRatioClasses(n int, classes []privacy.Class) float64 {
+	if n == 0 {
 		return 0
 	}
+	return float64(n-covered(classes)) / float64(n)
+}
+
+// covered counts the records in the classes.
+func covered(classes []privacy.Class) int {
 	n := 0
-	for r := range anon.Records {
-		if generalize.IsSuppressed(anon, qis, r) {
-			n++
-		}
+	for _, c := range classes {
+		n += len(c.Records)
 	}
-	return float64(n) / float64(len(anon.Records))
+	return n
 }
 
 // ValueError is one bar of the frequency-error plots (Evaluation mode,

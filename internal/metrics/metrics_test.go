@@ -7,6 +7,7 @@ import (
 	"secreta/internal/dataset"
 	"secreta/internal/generalize"
 	"secreta/internal/hierarchy"
+	"secreta/internal/privacy"
 )
 
 func hset(t testing.TB) (generalize.Set, *hierarchy.Hierarchy) {
@@ -184,22 +185,23 @@ func TestDiscernibilityAndCAVG(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if d := Discernibility(ds, []int{0}); d != 4+9 {
+	classes := func(ds *dataset.Dataset) []privacy.Class { return privacy.Partition(ds, []int{0}) }
+	if d := DiscernibilityClasses(ds.Len(), classes(ds)); d != 4+9 {
 		t.Errorf("Discernibility = %v, want 13", d)
 	}
-	if c := CAVG(ds, []int{0}, 2); math.Abs(c-5.0/2/2) > 1e-9 {
+	if c := CAVGClasses(classes(ds), 2); math.Abs(c-5.0/2/2) > 1e-9 {
 		t.Errorf("CAVG = %v, want 1.25", c)
 	}
 	generalize.SuppressRecord(ds, []int{0}, 0)
 	// 1 suppressed record charged n=5; classes x(1), y(3).
-	if d := Discernibility(ds, []int{0}); d != 1+9+5 {
+	if d := DiscernibilityClasses(ds.Len(), classes(ds)); d != 1+9+5 {
 		t.Errorf("Discernibility with suppression = %v, want 15", d)
 	}
-	if s := SuppressionRatio(ds, []int{0}); math.Abs(s-0.2) > 1e-9 {
+	if s := SuppressionRatioClasses(ds.Len(), classes(ds)); math.Abs(s-0.2) > 1e-9 {
 		t.Errorf("SuppressionRatio = %v", s)
 	}
 	empty := dataset.New([]dataset.Attribute{{Name: "A"}}, "")
-	if Discernibility(empty, []int{0}) != 0 || CAVG(empty, []int{0}, 2) != 0 || SuppressionRatio(empty, []int{0}) != 0 {
+	if DiscernibilityClasses(0, classes(empty)) != 0 || CAVGClasses(classes(empty), 2) != 0 || SuppressionRatioClasses(0, classes(empty)) != 0 {
 		t.Error("empty dataset metrics non-zero")
 	}
 }

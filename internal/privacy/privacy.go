@@ -36,17 +36,22 @@ type Class struct {
 }
 
 // Partition groups records by their QI signature, skipping suppressed
-// records, and returns classes sorted by signature for determinism. The
-// columns are rank-interned once and numberClasses groups the records by
-// their rank tuples, so grouping allocates per class, not per record;
-// rank order is value order, so the counter's key order is signature
-// order.
+// records, and returns classes sorted by signature for determinism.
 func Partition(ds *dataset.Dataset, qis []int) []Class {
 	var cols [][]uint32
 	var dicts []*dataset.Interner
 	if len(qis) > 0 {
 		cols, dicts = dataset.InternColumns(ds, qis)
 	}
+	return PartitionColumns(len(ds.Records), cols, dicts)
+}
+
+// PartitionColumns is Partition over the interned QI columns of n
+// records, record r holding dicts[i].Value(cols[i][r]) on QI i.
+// numberClasses groups the records by their ID tuples, allocating per
+// class, not per record; with rank-ordered dictionaries ID order is value
+// order, so the counter's key order is signature order.
+func PartitionColumns(n int, cols [][]uint32, dicts []*dataset.Interner) []Class {
 	// Suppression becomes an ID comparison: a record is suppressed when
 	// every QI cell carries the marker's rank. With no QIs, or when any
 	// column never holds the marker, no record is suppressed.
@@ -72,7 +77,7 @@ func Partition(ds *dataset.Dataset, qis []int) []Class {
 	var recs [][]int
 	var reps []int
 	var index classIndex
-	numberClasses(&index, len(ds.Records), cols, nil, cards, skip, func(r, c int) {
+	numberClasses(&index, n, cols, nil, cards, skip, func(r, c int) {
 		if c == len(recs) {
 			recs, reps = append(recs, nil), append(reps, r)
 		}
@@ -81,7 +86,7 @@ func Partition(ds *dataset.Dataset, qis []int) []Class {
 	order := index.order()
 	out := make([]Class, len(order))
 	for oc, c := range order {
-		sig := make([]string, len(qis))
+		sig := make([]string, len(cols))
 		for i := range sig {
 			sig[i] = dicts[i].Value(cols[i][reps[c]])
 		}

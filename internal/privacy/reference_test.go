@@ -14,6 +14,17 @@ import (
 // rewrite is observationally identical — same classes, same signatures,
 // same violations in the same order.
 
+// suppressed reports whether every QI cell of record r holds the
+// suppression marker (never, with no QIs).
+func suppressed(ds *dataset.Dataset, qis []int, r int) bool {
+	for _, q := range qis {
+		if ds.Records[r].Values[q] != generalize.Suppressed {
+			return false
+		}
+	}
+	return len(qis) > 0
+}
+
 // referencePartition is the seed Partition: signature keys built by
 // string concatenation, groups collected in maps keyed by the joined
 // string.
@@ -22,7 +33,7 @@ func referencePartition(ds *dataset.Dataset, qis []int) []Class {
 	sigs := make(map[string][]string)
 	var sb strings.Builder
 	for r := range ds.Records {
-		if generalize.IsSuppressed(ds, qis, r) {
+		if suppressed(ds, qis, r) {
 			continue
 		}
 		sb.Reset()

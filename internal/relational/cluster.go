@@ -23,7 +23,6 @@ func Cluster(ds *dataset.Dataset, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	qis := view.qis
 	n := len(ds.Records)
 	if n > 0 && n < opts.K {
 		return nil, fmt.Errorf("cluster: dataset has %d records, fewer than k=%d", n, opts.K)
@@ -36,14 +35,18 @@ func Cluster(ds *dataset.Dataset, opts Options) (*Result, error) {
 	}
 	sw.Mark("cluster")
 
-	anon := ds.Clone()
+	// Every record publishes its cluster's LCAs.
+	nq := len(view.qis)
+	lca := make([]int32, n*nq)
 	for _, cl := range clusters {
-		for i, q := range qis {
+		for i, l := range cl.lca {
+			id, _ := view.hh[i].Index().ID(l.Value)
 			for _, r := range cl.members {
-				anon.Records[r].Values[q] = cl.lca[i].Value
+				lca[r*nq+i] = id
 			}
 		}
 	}
+	anon := view.publish(func(i, r int) int32 { return lca[r*nq+i] }, nil)
 	sw.Mark("recode")
 	return &Result{Anonymized: anon, Phases: sw.Phases(), Clusters: len(clusters)}, nil
 }

@@ -80,7 +80,7 @@ func writeOutput(h hash.Hash, name string, res *Result, err error) {
 		fmt.Fprintf(h, "error %v\n", err)
 		return
 	}
-	for _, rec := range res.Anonymized.Records {
+	for _, rec := range res.Anonymized.Materialize().Records {
 		fmt.Fprintf(h, "%q\n", rec.Values)
 	}
 	fmt.Fprintf(h, "levels %v nodes %d\n", res.Levels, res.NodesChecked)

@@ -10,7 +10,7 @@ import (
 
 	"secreta/internal/dataset"
 	"secreta/internal/generalize"
-	"secreta/internal/privacy"
+	"secreta/internal/metrics"
 	"secreta/internal/timing"
 )
 
@@ -34,7 +34,6 @@ func Incognito(ds *dataset.Dataset, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	qis := view.qis
 	sw.Mark("setup")
 
 	n := len(ds.Records)
@@ -57,18 +56,15 @@ func Incognito(ds *dataset.Dataset, opts Options) (*Result, error) {
 			bestIdx, bestGCP = i, g
 		}
 	}
-	best, err := generalize.FullDomain(ds, opts.Hierarchies, qis, minimal[bestIdx])
-	if err != nil {
-		return nil, err
-	}
-	if budget > 0 {
-		suppressSmallClasses(best, qis, opts.K)
-	}
+	levels := minimal[bestIdx]
+	anon := view.publish(func(i, r int) int32 {
+		return view.hh[i].Index().GeneralizeLevels(view.nodes[i][view.cols[i][r]], levels[i])
+	}, sc.suppressed(levels, opts.K, budget))
 	sw.Mark("recode")
 	return &Result{
-		Anonymized:   best,
+		Anonymized:   anon,
 		Phases:       sw.Phases(),
-		Levels:       minimal[bestIdx],
+		Levels:       levels,
 		NodesChecked: checked,
 	}, nil
 }
@@ -95,13 +91,10 @@ func (v *qiView) newScorer() *gcpScorer {
 // hierarchy, after suppressing the records of classes smaller than k when
 // budget > 0, bit for bit: each cell costs the NCP of its published node
 // (1 for a node valued generalize.Suppressed, as metrics.GCP prices it),
-// a suppressed record 1 per QI, and the costs are summed record by record
-// and QI by QI, metrics.GCP's order.
+// a suppressed record 1 per QI, and metrics.MeanNCP sums the costs in
+// metrics.GCP's order.
 func (sc *gcpScorer) score(levels []int, k, budget int) float64 {
 	v := sc.v
-	if v.n == 0 {
-		return 0
-	}
 	for i, nodes := range v.nodes {
 		ix := v.hh[i].Index()
 		for id, node := range nodes {
@@ -113,23 +106,18 @@ func (sc *gcpScorer) score(levels []int, k, budget int) float64 {
 			}
 		}
 	}
-	var sizes []int
-	if budget > 0 {
-		sizes = v.levelClasses(levels, sc.class)
+	return metrics.MeanNCP(v.n, v.cols, sc.ncp, sc.suppressed(levels, k, budget))
+}
+
+// suppressed reports the records Incognito suppresses at the node: with
+// budget > 0, those of classes smaller than k; nil, none, otherwise. It
+// holds until the view's next count.
+func (sc *gcpScorer) suppressed(levels []int, k, budget int) func(r int) bool {
+	if budget <= 0 {
+		return nil
 	}
-	total := 0.0
-	for r := 0; r < v.n; r++ {
-		if budget > 0 && sizes[sc.class[r]] < k {
-			for range v.cols {
-				total++
-			}
-			continue
-		}
-		for i, col := range v.cols {
-			total += sc.ncp[i][col[r]]
-		}
-	}
-	return total / float64(v.n*len(v.cols))
+	sizes := sc.v.levelClasses(levels, sc.class)
+	return func(r int) bool { return sizes[sc.class[r]] < k }
 }
 
 // incognitoSearch walks the lattice of every QI subset in increasing
@@ -264,19 +252,6 @@ func projectionsAnonymous(anon [][]uint64, node, sub, radix []int, mask int) boo
 
 func setBit(bits []uint64, i int)      { bits[i>>6] |= 1 << (i & 63) }
 func hasBit(bits []uint64, i int) bool { return bits[i>>6]&(1<<(i&63)) != 0 }
-
-// suppressSmallClasses suppresses every record whose equivalence class is
-// smaller than k — the suppression half of "k-anonymity with suppression".
-func suppressSmallClasses(ds *dataset.Dataset, qis []int, k int) {
-	for _, cl := range privacy.Partition(ds, qis) {
-		if len(cl.Records) >= k {
-			continue
-		}
-		for _, r := range cl.Records {
-			generalize.SuppressRecord(ds, qis, r)
-		}
-	}
-}
 
 // enumerateSubsets lists all non-empty subsets of {0..n-1} ordered by size
 // (Incognito's iteration order), each subset sorted ascending.

@@ -13,7 +13,6 @@ import (
 	"secreta/internal/dataset"
 	"secreta/internal/gen"
 	"secreta/internal/generalize"
-	"secreta/internal/metrics"
 )
 
 // naiveFullDomain finds the best (min-GCP) minimal k-anonymous full-domain
@@ -107,10 +106,7 @@ func TestIncognitoMatchesNaive(t *testing.T) {
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
-		gIncognito, err := metrics.GCP(res.Anonymized, hs, qis)
-		if err != nil {
-			t.Fatal(err)
-		}
+		gIncognito := refGCP(t, res.Anonymized.Materialize(), hs, qis)
 		check := func(node []int) bool {
 			cand, err := generalize.FullDomain(ds, hs, qis, node)
 			if err != nil {
@@ -123,11 +119,7 @@ func TestIncognitoMatchesNaive(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			g, err := metrics.GCP(cand, hs, qis)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return g
+			return refGCP(t, cand, hs, qis)
 		}
 		_, gNaive := naiveFullDomain(t, heights, check, gcp)
 		if gIncognito != gNaive {
@@ -166,7 +158,7 @@ func naiveSmallRecords(cand *dataset.Dataset, qis []int, k int) []int {
 // or partly generalized, for k from 1 to 8 and a suppression budget of 0
 // or 10%. The scan checks every node with naiveSmallRecords, suppresses
 // the small classes of the node it picks the same way, and prices nodes
-// with metrics.GCP; when not even the top node qualifies, Incognito must
+// with refGCP; when not even the top node qualifies, Incognito must
 // fail.
 func FuzzIncognitoMatchesNaive(f *testing.F) {
 	f.Add([]byte{5, 0, 40, 0, 0, 1, 2, 3})
@@ -238,19 +230,16 @@ func FuzzIncognitoMatchesNaive(f *testing.F) {
 			},
 			func(node []int) float64 {
 				cand, _ := publish(node)
-				g, err := metrics.GCP(cand, hs, qis)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return g
+				return refGCP(t, cand, hs, qis)
 			})
 		want, _ := publish(best)
 		if !reflect.DeepEqual(res.Levels, best) {
 			t.Fatalf("Incognito levels %v, naive %v", res.Levels, best)
 		}
+		anon := res.Anonymized.Materialize()
 		for r := range want.Records {
-			if !reflect.DeepEqual(res.Anonymized.Records[r].Values, want.Records[r].Values) {
-				t.Fatalf("record %d: Incognito published %q, naive %q", r, res.Anonymized.Records[r].Values, want.Records[r].Values)
+			if !reflect.DeepEqual(anon.Records[r].Values, want.Records[r].Values) {
+				t.Fatalf("record %d: Incognito published %q, naive %q", r, anon.Records[r].Values, want.Records[r].Values)
 			}
 		}
 	})

@@ -9,12 +9,39 @@ import (
 	"secreta/internal/dataset"
 	"secreta/internal/generalize"
 	"secreta/internal/hierarchy"
-	"secreta/internal/metrics"
 )
 
+// refGCP is metrics.GCP as a string loop of its own, sharing no code with
+// the column loop (metrics.MeanNCP) that metrics.GCP and Incognito's
+// scores run: the average over QI cells of each value's NCP, 1 for a
+// suppressed value or one its hierarchy lacks, summed record by record
+// and QI by QI.
+func refGCP(t *testing.T, anon *dataset.Dataset, hs generalize.Set, qis []int) float64 {
+	t.Helper()
+	if len(anon.Records) == 0 || len(qis) == 0 {
+		return 0
+	}
+	total := 0.0
+	for _, rec := range anon.Records {
+		for _, q := range qis {
+			h, v := hs[anon.Attrs[q].Name], rec.Values[q]
+			if v == generalize.Suppressed || !h.Contains(v) {
+				total++
+				continue
+			}
+			ncp, err := h.NCP(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			total += ncp
+		}
+	}
+	return total / float64(len(anon.Records)*len(qis))
+}
+
 // checkScores requires the score Incognito gives every minimal node its
-// search finds on ds to equal metrics.GCP of the materialized candidate
-// bit for bit.
+// search finds on ds to equal refGCP of the materialized candidate bit for
+// bit.
 func checkScores(t *testing.T, name string, ds *dataset.Dataset, opts Options) {
 	t.Helper()
 	view, err := opts.validate(ds)
@@ -33,12 +60,9 @@ func checkScores(t *testing.T, name string, ds *dataset.Dataset, opts Options) {
 			t.Fatal(err)
 		}
 		if budget > 0 {
-			suppressSmallClasses(cand, view.qis, opts.K)
+			refSuppress(cand, view.qis, opts.K)
 		}
-		want, err := metrics.GCP(cand, opts.Hierarchies, view.qis)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := refGCP(t, cand, opts.Hierarchies, view.qis)
 		if got := sc.score(node, opts.K, budget); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("%s node %v: view score %v, GCP %v", name, node, got, want)
 		}
@@ -47,7 +71,7 @@ func checkScores(t *testing.T, name string, ds *dataset.Dataset, opts Options) {
 
 // TestIncognitoScoreMatchesGCP requires the view score of every minimal
 // node of every Incognito run over digestGrid, leaf-valued and partly
-// generalized, to equal metrics.GCP of the materialized candidate bit for
+// generalized, to equal refGCP of the materialized candidate bit for
 // bit: Incognito picks its node on these scores, so the strict-< choice
 // among minimal nodes, and with it the published output, rests on them.
 func TestIncognitoScoreMatchesGCP(t *testing.T) {
@@ -71,7 +95,7 @@ func twoLeafHierarchy(t *testing.T, attr, root, a, b string) *hierarchy.Hierarch
 // TestIncognitoEdgeCases pins Incognito on an empty and a one-record
 // dataset, on two minimal nodes of equal GCP, where the strict-< choice
 // keeps the first in sortMinimal's order, and on a one-leaf
-// hierarchy whose root is the suppression marker, which metrics.GCP
+// hierarchy whose root is the suppression marker, which refGCP
 // prices at 1 although its NCP is 0. Every case also checks the view
 // scores.
 func TestIncognitoEdgeCases(t *testing.T) {
@@ -135,7 +159,7 @@ func TestIncognitoEdgeCases(t *testing.T) {
 			}
 			checkScores(t, c.name, c.ds, opts)
 			var got [][]string
-			for _, rec := range res.Anonymized.Records {
+			for _, rec := range res.Anonymized.Materialize().Records {
 				got = append(got, rec.Values)
 			}
 			if !reflect.DeepEqual(res.Levels, c.wantLevels) || res.NodesChecked != c.wantChecked || !reflect.DeepEqual(got, c.wantRecords) {

@@ -39,18 +39,18 @@ type Options struct {
 	// plain k-anonymity. Other algorithms currently ignore it.
 	MaxSuppression float64
 	// Interned, when non-nil, is the columnar interning of the input
-	// dataset (dataset.Intern(ds)). Validation reads the QI columns and
-	// their dictionaries from it instead of interning them again, and
-	// batch callers share one interning across all configurations of a
-	// batch.
+	// dataset (dataset.Intern(ds)). Runs read their QI columns from it and
+	// publish over it without writing to it, so batch callers share one
+	// interning across all configurations of a batch.
 	Interned *dataset.Indexed
 }
 
 // Result is the outcome of a relational algorithm run.
 type Result struct {
-	// Anonymized is the k-anonymous dataset (records aligned with the
-	// input).
-	Anonymized *dataset.Dataset
+	// Anonymized is the k-anonymous dataset, records aligned with the
+	// input: the input's interning, shared, with each QI column replaced
+	// by published IDs over a rank-ordered dictionary of its own.
+	Anonymized *dataset.Indexed
 	// Phases is the phase timing breakdown.
 	Phases []timing.Phase
 	// Levels reports the chosen generalization levels for full-domain
@@ -68,6 +68,7 @@ type Result struct {
 // hierarchy.Index node. BottomUp, TopDown and Incognito count every
 // k-check's classes through it; Cluster reads its absorption slots from it.
 type qiView struct {
+	ix  *dataset.Indexed       // the input's interning
 	qis []int                  // QI attribute indices
 	hh  []*hierarchy.Hierarchy // hierarchy per QI
 	n   int                    // number of records
@@ -91,8 +92,8 @@ type qiView struct {
 }
 
 // validate checks the options against ds and builds the run's QI view,
-// reading the shared interning when it describes ds and interning the QI
-// columns once otherwise.
+// reading the shared interning when it describes ds and interning ds once
+// otherwise.
 func (o *Options) validate(ds *dataset.Dataset) (*qiView, error) {
 	if o.K < 1 {
 		return nil, fmt.Errorf("relational: k must be >= 1, got %d", o.K)
@@ -111,18 +112,14 @@ func (o *Options) validate(ds *dataset.Dataset) (*qiView, error) {
 	if err != nil {
 		return nil, err
 	}
-	v := &qiView{qis: qis, hh: hh, n: len(ds.Records), counter: new(privacy.ClassCounter),
-		nodes: make([][]int32, len(qis)), trans: make([][]uint32, len(qis)), cards: make([]int, len(qis)), rank: make([][]int32, len(qis))}
-	var dicts []*dataset.Interner
+	ix := o.Interned
 	// A stale or foreign interning must not be read as ds's.
-	if ix := o.Interned; ix != nil && ix.N == len(ds.Records) && len(ix.Dicts) == len(ds.Attrs) {
-		v.cols, dicts = make([][]uint32, len(qis)), make([]*dataset.Interner, len(qis))
-		for i, q := range qis {
-			v.cols[i], dicts[i] = ix.Cols[q], ix.Dicts[q]
-		}
-	} else {
-		v.cols, dicts = dataset.InternColumns(ds, qis)
+	if ix == nil || ix.N != len(ds.Records) || len(ix.Dicts) != len(ds.Attrs) {
+		ix = dataset.Intern(ds)
 	}
+	cols, dicts := ix.Columns(qis)
+	v := &qiView{ix: ix, qis: qis, hh: hh, n: len(ds.Records), cols: cols, counter: new(privacy.ClassCounter),
+		nodes: make([][]int32, len(qis)), trans: make([][]uint32, len(qis)), cards: make([]int, len(qis)), rank: make([][]int32, len(qis))}
 	// Every data value must be known to its hierarchy.
 	for i, d := range dicts {
 		hix := hh[i].Index()
@@ -137,6 +134,49 @@ func (o *Options) validate(ds *dataset.Dataset) (*qiView, error) {
 		v.trans[i], v.rank[i] = make([]uint32, d.Len()), make([]int32, hix.Len())
 	}
 	return v, nil
+}
+
+// publish returns the run's output: the input's interning with each QI
+// column replaced by the values the records publish. Record r publishes
+// the hierarchy.Index node node(i, r) on QI i, unless suppressed(r)
+// (suppressed nil: no record is); a suppressed record publishes
+// generalize.Suppressed on every QI and no items. Each QI's dictionary
+// holds exactly its published values, in rank order.
+func (v *qiView) publish(node func(i, r int) int32, suppressed func(r int) bool) *dataset.Indexed {
+	out := *v.ix
+	out.Cols, out.Dicts = slices.Clone(out.Cols), slices.Clone(out.Dicts)
+	if suppressed != nil && out.Items != nil {
+		out.Items = slices.Clone(out.Items)
+		for r := range out.Items {
+			if suppressed(r) {
+				out.Items[r] = nil
+			}
+		}
+	}
+	for i, q := range v.qis {
+		// seen is node-indexed scratch, all zero between uses: 1 + the
+		// first-seen dictionary ID of each node published so far.
+		ix, seen := v.hh[i].Index(), v.rank[i]
+		dict, col := dataset.NewInterner(), make([]uint32, v.n)
+		for r := range col {
+			if suppressed != nil && suppressed(r) {
+				col[r] = dict.Intern(generalize.Suppressed)
+				continue
+			}
+			p := node(i, r)
+			if seen[p] == 0 {
+				seen[p] = int32(dict.Intern(ix.Value(p))) + 1
+			}
+			col[r] = uint32(seen[p] - 1)
+		}
+		clear(seen)
+		ranked, perm := dict.Rank()
+		for r, id := range col {
+			col[r] = perm[id]
+		}
+		out.Cols[q], out.Dicts[q] = col, ranked
+	}
+	return &out
 }
 
 // sub returns the view of the QIs at the given positions.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"secreta/internal/dataset"
-	"secreta/internal/generalize"
 	"secreta/internal/hierarchy"
 	"secreta/internal/timing"
 )
@@ -115,14 +114,7 @@ func TopDown(ds *dataset.Dataset, opts Options) (*Result, error) {
 	}
 	sw.Mark("specialize")
 
-	cutMap := make(map[string]*hierarchy.Cut, len(qis))
-	for i, q := range qis {
-		cutMap[ds.Attrs[q].Name] = cuts[i]
-	}
-	anon, err := generalize.ApplyCuts(ds, cutMap, qis)
-	if err != nil {
-		return nil, err
-	}
+	anon := view.publish(func(i, r int) int32 { return cuts[i].MapID(view.nodes[i][view.cols[i][r]]) }, nil)
 	sw.Mark("recode")
 	return &Result{Anonymized: anon, Phases: sw.Phases()}, nil
 }

@@ -23,6 +23,7 @@ package rt
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -169,21 +170,6 @@ type cluster struct {
 	nItems int
 	clean  bool // no further merge processing needed
 	merges int  // merge-chain length, bounded by maxMergeChain
-}
-
-// resolveNodes caches the cluster signature's hierarchy nodes and their
-// NCPs.
-func (c *cluster) resolveNodes(hh []*hierarchy.Hierarchy) {
-	nodes := make([]*hierarchy.Node, len(c.relVals))
-	for i, v := range c.relVals {
-		n := hh[i].Node(v)
-		if n == nil {
-			c.relNodes, c.relNCP = nil, nil
-			return
-		}
-		nodes[i] = n
-	}
-	c.setNodes(nodes, hh)
 }
 
 // setNodes installs the signature nodes and refreshes their cached NCPs.
@@ -420,16 +406,31 @@ func txView(ds *dataset.Dataset, opts Options) *privacy.TxView {
 	return privacy.InternTxView(items)
 }
 
-// clustersFromClasses rebuilds cluster state from the relational phase's
-// equivalence classes, building each cluster's support table from its
-// records' baskets in view.
-func clustersFromClasses(orig, anon *dataset.Dataset, qis []int, hh []*hierarchy.Hierarchy, view *privacy.TxView, tables *privacy.KMTableArena) []*cluster {
-	classes := privacy.Partition(anon, qis)
+// clustersFromClasses rebuilds cluster state from the equivalence classes
+// of the relational phase's published QI columns, building each cluster's
+// support table from its records' baskets in view. Signature nodes are
+// resolved once per dictionary value; a class holding a value its
+// hierarchy lacks keeps none.
+func clustersFromClasses(orig *dataset.Dataset, anon *dataset.Indexed, qis []int, hh []*hierarchy.Hierarchy, view *privacy.TxView, tables *privacy.KMTableArena) []*cluster {
+	cols, dicts := anon.Columns(qis)
+	nodes := make([][]*hierarchy.Node, len(dicts))
+	for i, d := range dicts {
+		for _, v := range d.Values() {
+			nodes[i] = append(nodes[i], hh[i].Node(v))
+		}
+	}
+	classes := privacy.PartitionColumns(anon.N, cols, dicts)
 	out := make([]*cluster, len(classes))
 	var txs [][]uint32
 	for i, cl := range classes {
-		c := &cluster{records: append([]int(nil), cl.Records...), relVals: cl.Signature}
-		c.resolveNodes(hh)
+		c := &cluster{records: cl.Records, relVals: cl.Signature}
+		sig := make([]*hierarchy.Node, len(cols))
+		for q, col := range cols {
+			sig[q] = nodes[q][col[cl.Records[0]]]
+		}
+		if !slices.Contains(sig, nil) {
+			c.setNodes(sig, hh)
+		}
 		c.items = itemsOf(orig, c.records)
 		txs = txs[:0]
 		for _, r := range c.records {

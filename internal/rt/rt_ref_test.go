@@ -63,7 +63,7 @@ func refAnonymize(ds *dataset.Dataset, opts Options) (*Result, error) {
 
 	view := txView(ds, opts)
 	counter := privacy.NewKMCounter(view)
-	clusters := refClustersFromClasses(ds, relRes.Anonymized, qis, hh, view)
+	clusters := refClustersFromClasses(ds, relRes.Anonymized.Materialize(), qis, hh, view)
 	merges := 0
 	for {
 		if err := ctxErr(opts.Ctx); err != nil {
@@ -163,7 +163,7 @@ func refClustersFromClasses(orig, anon *dataset.Dataset, qis []int, hh []*hierar
 	out := make([]*refCluster, len(classes))
 	for i, cl := range classes {
 		c := &refCluster{cluster: cluster{records: append([]int(nil), cl.Records...), relVals: cl.Signature}}
-		c.resolveNodes(hh)
+		refResolveNodes(&c.cluster, hh)
 		c.items = itemsOf(orig, c.records)
 		c.itemIDs = make([][]uint32, len(c.records))
 		for j, r := range c.records {
@@ -172,6 +172,19 @@ func refClustersFromClasses(orig, anon *dataset.Dataset, qis []int, hh []*hierar
 		out[i] = c
 	}
 	return out
+}
+
+// refResolveNodes looks each of the cluster signature's values up in its
+// hierarchy, leaving the cluster without nodes when one is missing.
+func refResolveNodes(c *cluster, hh []*hierarchy.Hierarchy) {
+	nodes := make([]*hierarchy.Node, len(c.relVals))
+	for i, v := range c.relVals {
+		if nodes[i] = hh[i].Node(v); nodes[i] == nil {
+			c.relNodes, c.relNCP = nil, nil
+			return
+		}
+	}
+	c.setNodes(nodes, hh)
 }
 
 func refRelDelta(a, b *refCluster, hh []*hierarchy.Hierarchy) (float64, []*hierarchy.Node, error) {

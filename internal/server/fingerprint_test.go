@@ -66,10 +66,12 @@ func TestRefJobsLeaveDatasetUnmutated(t *testing.T) {
 	}
 }
 
-// TestAnonymizeFingerprintsOnce counts dataset fingerprints per /anonymize
-// job: a dataset_ref job reuses the ref, an inline job hashes its decoded
-// dataset once, and the trace span, the result-cache key and the phase log
-// all share that one hash, whether the job misses or hits the cache.
+// TestAnonymizeFingerprintsOnce counts dataset fingerprints per job: a
+// dataset_ref job reuses the ref, and an inline /anonymize job hashes its
+// decoded dataset once, which the trace span, the result-cache key and the
+// phase log all share, whether the job misses or hits the cache. Inline
+// /evaluate and /compare jobs run uncached, so nothing keys on a hash and
+// they compute none.
 func TestAnonymizeFingerprintsOnce(t *testing.T) {
 	ts := newTestServer(t)
 	raw, _ := patientsJSON(t)
@@ -78,22 +80,27 @@ func TestAnonymizeFingerprintsOnce(t *testing.T) {
 		t.Fatalf("upload: code=%d body=%v", code, body)
 	}
 	ref := body["dataset_ref"].(string)
+	config := func(k int) map[string]any {
+		return map[string]any{"algo": "cluster+apriori/rmerger", "k": k, "m": 2, "delta": 0.5}
+	}
+	sweep := map[string]any{"param": "k", "start": 2, "end": 4, "step": 2}
+	inline := json.RawMessage(raw)
 
 	for _, tc := range []struct {
-		name  string
-		input map[string]any
-		k     int
-		want  uint64
+		name, path string
+		req        map[string]any
+		want       uint64
 	}{
-		{"ref miss", map[string]any{"dataset_ref": ref}, 2, 0},
-		{"ref hit", map[string]any{"dataset_ref": ref}, 2, 0},
-		{"inline miss", map[string]any{"dataset": json.RawMessage(raw)}, 3, 1},
-		{"inline hit", map[string]any{"dataset": json.RawMessage(raw)}, 3, 1},
+		{"ref miss", "/anonymize", map[string]any{"dataset_ref": ref, "config": config(2)}, 0},
+		{"ref hit", "/anonymize", map[string]any{"dataset_ref": ref, "config": config(2)}, 0},
+		{"inline miss", "/anonymize", map[string]any{"dataset": inline, "config": config(3)}, 1},
+		{"inline hit", "/anonymize", map[string]any{"dataset": inline, "config": config(3)}, 1},
+		{"inline evaluate", "/evaluate", map[string]any{"dataset": inline, "config": config(3)}, 0},
+		{"inline evaluate sweep", "/evaluate", map[string]any{"dataset": inline, "config": config(2), "sweep": sweep}, 0},
+		{"inline compare", "/compare", map[string]any{"dataset": inline, "configs": []any{config(2), map[string]any{"algo": "topdown", "k": 2}}, "sweep": sweep}, 0},
 	} {
-		req := tc.input
-		req["config"] = map[string]any{"algo": "cluster+apriori/rmerger", "k": tc.k, "m": 2, "delta": 0.5}
 		before := dataset.FingerprintCount()
-		resp, sub := postJSON(t, ts.URL+"/anonymize", req)
+		resp, sub := postJSON(t, ts.URL+tc.path, tc.req)
 		if resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("%s: code=%d body=%v", tc.name, resp.StatusCode, sub)
 		}

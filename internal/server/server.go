@@ -436,9 +436,9 @@ func decodeDataset(raw json.RawMessage) (*dataset.Dataset, error) {
 
 // resolveDataset turns a request's dataset fields into a loader. Exactly
 // one of raw (inline rows) and ref (an ID from POST /datasets) must be
-// set. The loader returns the dataset with its fingerprint, computed once
-// per job: an inline dataset is hashed after decoding, a ref is the
-// fingerprint of the registry dataset it names. A ref is reserved
+// set. The loader returns the dataset with its fingerprint when it has one
+// for free: a ref is the fingerprint of the registry dataset it names; an
+// inline dataset has none until loadTraced hashes it. A ref is reserved
 // immediately — before the job is even admitted — so the dataset cannot
 // be deleted between submission and execution, but its bytes are loaded
 // (and RAM-pinned) only when the job starts: with a durable backing, a
@@ -463,10 +463,7 @@ func (s *Server) resolveDataset(raw json.RawMessage, ref, owner string) (load da
 	case inline:
 		load := func() (*dataset.Dataset, string, error) {
 			ds, err := decodeDataset(raw)
-			if err != nil {
-				return nil, "", err
-			}
-			return ds, ds.Fingerprint(), nil
+			return ds, "", err
 		}
 		return load, func() {}, nil
 	}
@@ -485,7 +482,7 @@ func (s *Server) resolveDataset(raw json.RawMessage, ref, owner string) (load da
 }
 
 // datasetLoader loads a job's dataset and returns it with its
-// fingerprint.
+// fingerprint, empty for an inline dataset.
 type datasetLoader func() (ds *dataset.Dataset, fingerprint string, err error)
 
 // datasetError writes the right status for a dataset resolution failure:
@@ -591,7 +588,7 @@ func (s *Server) prepareSingle(kind string, req *AnonymizeRequest, owner string)
 			return nil, err
 		}
 		fn := func(ctx context.Context) (*jobResult, error) {
-			ds, _, err := s.loadTraced(ctx, load)
+			ds, _, err := s.loadTraced(ctx, load, false)
 			if err != nil {
 				return nil, err
 			}
@@ -662,7 +659,7 @@ func (s *Server) prepareCompare(req *CompareRequest, owner string) (*preparedJob
 		return nil, err
 	}
 	fn := func(ctx context.Context) (*jobResult, error) {
-		ds, _, err := s.loadTraced(ctx, load)
+		ds, _, err := s.loadTraced(ctx, load, false)
 		if err != nil {
 			return nil, err
 		}
@@ -688,7 +685,7 @@ func (s *Server) prepareCompare(req *CompareRequest, owner string) (*preparedJob
 // result was served from the cache — payloads surface it so a copied
 // runtime_s is never mistaken for a fresh measurement.
 func (s *Server) runSingle(ctx context.Context, sched *engine.Scheduler, load datasetLoader, cfg engine.Config, fanout int, workload *query.Workload) (*engine.Result, bool, error) {
-	ds, fp, err := s.loadTraced(ctx, load)
+	ds, fp, err := s.loadTraced(ctx, load, sched.Cache() != nil)
 	if err != nil {
 		return nil, false, err
 	}
@@ -719,9 +716,11 @@ func (s *Server) runSingle(ctx context.Context, sched *engine.Scheduler, load da
 }
 
 // loadTraced wraps a job's dataset load in a trace span annotated with the
-// dataset's content fingerprint and size, and returns both the dataset and
-// its fingerprint.
-func (s *Server) loadTraced(ctx context.Context, load datasetLoader) (*dataset.Dataset, string, error) {
+// dataset's size and, when it has one, its content fingerprint, and
+// returns both the dataset and the fingerprint. An inline dataset is
+// hashed, once per job, only when fingerprint asks for it: only a cached
+// scheduler keys on the hash.
+func (s *Server) loadTraced(ctx context.Context, load datasetLoader, fingerprint bool) (*dataset.Dataset, string, error) {
 	sp := obs.FromCtx(ctx).Start("dataset_load")
 	defer sp.End()
 	ds, fp, err := load()
@@ -729,7 +728,12 @@ func (s *Server) loadTraced(ctx context.Context, load datasetLoader) (*dataset.D
 		sp.SetAttr("err", err.Error())
 		return nil, "", err
 	}
-	sp.SetAttr("fingerprint", fp)
+	if fp == "" && fingerprint {
+		fp = ds.Fingerprint()
+	}
+	if fp != "" {
+		sp.SetAttr("fingerprint", fp)
+	}
 	sp.SetAttr("records", strconv.Itoa(len(ds.Records)))
 	return ds, fp, nil
 }

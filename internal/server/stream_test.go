@@ -25,7 +25,7 @@ func legacyAnonymizePayload(res *engine.Result, cacheHit bool) ([]byte, error) {
 		return nil, err
 	}
 	var data bytes.Buffer
-	if err := res.Anonymized.WriteJSON(&data); err != nil {
+	if err := res.Anonymized().WriteJSON(&data); err != nil {
 		return nil, err
 	}
 	hit, err := json.Marshal(cacheHit)
@@ -77,7 +77,7 @@ func TestBufferedDocMatchesLegacyBytes(t *testing.T) {
 		}
 
 		var fromMem bytes.Buffer
-		mem := memRecords{src: dataset.Intern(res.Anonymized)}
+		mem := memRecords{src: dataset.Intern(res.Anonymized())}
 		if err := writeBufferedAnonymize(&fromMem, outcome.meta, mem); err != nil {
 			t.Fatal(err)
 		}

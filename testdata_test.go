@@ -86,7 +86,7 @@ func TestTestdataRTAnonymization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep := privacy.CheckRT(res.Anonymized, qis, 4, 2); !rep.Holds() {
+	if rep := privacy.CheckRT(res.Anonymized(), qis, 4, 2); !rep.Holds() {
 		t.Fatalf("privacy violated on sample data: %+v", rep)
 	}
 	if res.Indicators.ARE < 0 {
