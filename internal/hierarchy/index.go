@@ -2,6 +2,8 @@ package hierarchy
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"sync/atomic"
 )
 
@@ -31,6 +33,9 @@ type Index struct {
 	atDepth   [][]int32
 	leafIDs   []int32 // leaf ordinal -> node ID
 	numLeaves int32
+	// order[id] is the position of id's value among all node values in
+	// ascending string order, so ID tuples sort by value on integers.
+	order []int32
 }
 
 // Index returns the hierarchy's acceleration index, building it on first
@@ -111,6 +116,15 @@ func buildIndex(h *Hierarchy) *Index {
 		}
 		ix.atDepth[d] = row
 	}
+	byValue := make([]int32, n)
+	for id := range byValue {
+		byValue[id] = int32(id)
+	}
+	slices.SortFunc(byValue, func(a, b int32) int { return strings.Compare(ix.nodes[a].Value, ix.nodes[b].Value) })
+	ix.order = make([]int32, n)
+	for pos, id := range byValue {
+		ix.order[id] = int32(pos)
+	}
 	return ix
 }
 
@@ -141,6 +155,10 @@ func (ix *Index) Node(id int32) *Node { return ix.nodes[id] }
 
 // Value returns the string value behind an ID.
 func (ix *Index) Value(id int32) string { return ix.nodes[id].Value }
+
+// Order returns the position of id's value in ascending value order:
+// values are distinct, so comparing two IDs' orders compares their values.
+func (ix *Index) Order(id int32) int32 { return ix.order[id] }
 
 // Parent returns the parent ID (-1 for the root).
 func (ix *Index) Parent(id int32) int32 { return ix.par[id] }

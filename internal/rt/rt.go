@@ -329,7 +329,8 @@ func Anonymize(ds *dataset.Dataset, opts Options) (*Result, error) {
 	}
 	sw.Mark("transaction")
 
-	anon := ds.Clone()
+	// Every record belongs to one cluster, which publishes all its items.
+	anon := ds.CloneRelational()
 	for _, c := range clusters {
 		for j, r := range c.records {
 			for i, q := range qis {
@@ -619,16 +620,14 @@ func mergeClusters(clusters []*cluster, i, j int, hh []*hierarchy.Hierarchy, tab
 
 // repairCluster runs the transaction algorithm on the cluster's records
 // alone and returns the anonymized item lists (aligned with c.records).
+// The transaction algorithms read and publish items only, so the
+// sub-dataset holds the cluster's baskets and no relational values. It
+// shares the baskets, which the algorithms only read; they are the
+// input's, already sorted and deduplicated.
 func repairCluster(ds *dataset.Dataset, c *cluster, transRun func(*dataset.Dataset, transaction.Options) (*transaction.Result, error), opts Options) ([][]string, error) {
-	sub := dataset.New(ds.Attrs, ds.TransName)
-	for idx, r := range c.records {
-		rec := dataset.Record{
-			Values: append([]string(nil), ds.Records[r].Values...),
-			Items:  append([]string(nil), c.items[idx]...),
-		}
-		if err := sub.AddRecord(rec); err != nil {
-			return nil, err
-		}
+	sub := &dataset.Dataset{TransName: ds.TransName, Records: make([]dataset.Record, len(c.records))}
+	for idx := range c.records {
+		sub.Records[idx].Items = c.items[idx]
 	}
 	res, err := transRun(sub, transaction.Options{
 		Ctx: opts.Ctx,

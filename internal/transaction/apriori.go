@@ -3,10 +3,9 @@ package transaction
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"secreta/internal/dataset"
-	"secreta/internal/generalize"
 	"secreta/internal/hierarchy"
 	"secreta/internal/obs"
 	"secreta/internal/privacy"
@@ -21,44 +20,59 @@ import (
 // the least NCP. Because generalization only merges supports, repairs at
 // level i never reintroduce violations at levels < i.
 //
-// The repair loop runs on the interned core: transactions are sorted
-// dense-ID lists mapped through the cut, per-size support counts are
-// maintained incrementally, and a repair re-maps and re-counts only the
-// transactions that contain the generalized subtree (found through a
-// postings index) instead of re-scanning the whole dataset per round.
+// The run lives on hierarchy node IDs from input to output: items resolve
+// to IDs once, transactions are sorted ID lists mapped through the cut,
+// per-size support counts are kept incrementally, a repair re-counts only
+// the transactions that contain the generalized subtree (found through a
+// postings index), and the output is written from the mapped ID lists.
 func Apriori(ds *dataset.Dataset, opts Options) (*Result, error) {
 	sw := timing.Start()
-	if err := opts.validateHierarchy(ds); err != nil {
+	items, err := opts.resolveItems(ds)
+	if err != nil {
 		return nil, err
 	}
 	cut := hierarchy.NewLeafCut(opts.ItemHierarchy)
 	sw.Mark("setup")
-	gens, err := aprioriOnCut(opts.Ctx, ds, nil, cut, opts.K, opts.M, nil)
+	st, gens, err := repairCut(opts.Ctx, items, nil, cut, opts.K, opts.M, nil, pairTableCap)
 	if err != nil {
 		return nil, err
 	}
 	sw.Mark("generalize")
-	anon, err := generalize.ApplyItemCut(ds, cut)
-	if err != nil {
-		return nil, err
-	}
+	anon := ds.CloneRelational()
+	st.publish(anon, nil)
 	sw.Mark("recode")
 	return &Result{Anonymized: anon, Phases: sw.Phases(), Cut: cut, Generalizations: gens}, nil
 }
 
-// aprioriOnCut runs the AA repair loop over the records at indices idx (all
-// when nil), mutating cut in place: repairs made before an error stay on
-// it, so VPA's verification pass starts from an infeasible part's partial
-// repairs. When allowed is non-nil, only items whose cut node's leaves
-// are all inside allowed may be generalized (VPA restricts repairs to one
-// vertical part). ctx (nil-able) is polled each repair round and inside
-// the scans, so a cancelled run stops within one round. Returns the
-// number of generalizations.
-func aprioriOnCut(ctx context.Context, ds *dataset.Dataset, idx []int, cut *hierarchy.Cut, k, m int, allowed map[string]bool) (int, error) {
-	st, err := newAprioriState(ds, idx, cut, allowed)
-	if err != nil {
-		return 0, err
+// pairTableCap bounds the flat size-2 support table, in int32 slots
+// (64 KiB). Hierarchies of up to 128 nodes count pairs in the table;
+// larger ones keep them in a map, whose size follows the pairs that
+// occur rather than the node count squared.
+const pairTableCap = 1 << 14
+
+// pairSlots returns the length of the flat pair table for a hierarchy of
+// n nodes: n*n while that stays within limit, 0 above it, where the run
+// counts pairs in a map instead.
+func pairSlots(n, limit int) int {
+	if n*n > limit {
+		return 0
 	}
+	return n * n
+}
+
+// repairCut runs the AA repair loop over the records at indices idx (all
+// when nil) of items (record-aligned node-ID lists from resolveItems),
+// mutating cut in place: repairs made before an error stay on it, so
+// VPA's verification pass starts from an infeasible part's partial
+// repairs. When allowed (indexed by node ID) is non-nil, only those items
+// take part, and only items whose cut node's leaves are all allowed may
+// be generalized (VPA restricts repairs to one vertical part). pairLimit
+// picks the size-2 layout (see pairSlots). ctx (nil-able) is polled each
+// repair round and inside the scans, so a cancelled run stops within one
+// round. Returns the final state, whose mapped transactions are the
+// output, and the number of generalizations.
+func repairCut(ctx context.Context, items [][]int32, idx []int, cut *hierarchy.Cut, k, m int, allowed []bool, pairLimit int) (*aprioriState, int, error) {
+	st := newAprioriState(items, idx, cut, allowed, pairLimit)
 	gens := 0
 	// NCP deltas are compared through the exact float operations of
 	// Cut.NCP, so the repair choice (and with it the whole run) matches
@@ -67,13 +81,13 @@ func aprioriOnCut(ctx context.Context, ds *dataset.Dataset, idx []int, cut *hier
 	denom := float64(total-1) * float64(total)
 	for size := 1; size <= m; size++ {
 		if err := st.buildCounts(ctx, size); err != nil {
-			return gens, err
+			return st, gens, err
 		}
 		obs.FromCtx(ctx).Event("apriori_round",
 			obs.Int("size", size), obs.Int("generalizations", gens))
 		for {
 			if err := ctxErr(ctx); err != nil {
-				return gens, err
+				return st, gens, err
 			}
 			viol := st.minViolation(k)
 			if viol == nil {
@@ -107,42 +121,54 @@ func aprioriOnCut(ctx context.Context, ds *dataset.Dataset, idx []int, cut *hier
 				}
 			}
 			if bestID < 0 {
-				return gens, fmt.Errorf("apriori: cannot repair violation %v (k=%d, m=%d): all items fully generalized", viol.names, k, m)
+				return st, gens, fmt.Errorf("apriori: cannot repair violation %v (k=%d, m=%d): all items fully generalized", viol.names, k, m)
 			}
 			if err := st.repair(ctx, bestID); err != nil {
-				return gens, err
+				return st, gens, err
 			}
 			gens++
 		}
 	}
-	return gens, nil
+	return st, gens, nil
 }
 
-// aprioriState is the interned working set of one repair run: mapped
-// transactions as sorted node-ID lists, a postings index from node ID to
-// the transactions containing it, and the support counts of the current
-// subset size.
+// aprioriState is the working set of one repair run, all on hierarchy
+// node IDs: mapped transactions as ascending ID lists, a postings index
+// from node ID to the transactions containing it, and the support counts
+// of the current subset size.
 type aprioriState struct {
 	ix  *hierarchy.Index
 	cut *hierarchy.Cut
+	// txs[t] is transaction t's items mapped through the cut, ascending
+	// and deduplicated. All lists share one backing array, each capped at
+	// its own length; repairs only shrink them in place.
 	txs [][]int32
-	// postings[id] lists the indices of transactions whose mapped items
-	// include id; kept exact across repairs so a repair visits only the
-	// transactions that actually contain the generalized subtree.
-	postings map[int32][]int
+	// postings[id] lists the transactions whose mapped items include id;
+	// kept exact across repairs so a repair visits only the transactions
+	// that actually contain the generalized subtree. seen is repair's
+	// scratch for deduplicating their union.
+	postings [][]int32
+	seen     []bool
 	// allowedPrefix, when non-nil, holds prefix sums of the allowed-leaf
 	// indicator over leaf ordinals (VPA's vertical restriction):
 	// a subtree is movable iff its leaf range is all-allowed.
 	allowedPrefix []int32
 
 	// Support counts of the current size, densest representation first:
-	// an array over node IDs for single items, packed uint64 pairs, byte
-	// tuples beyond. buf is the reusable packed-key scratch.
-	size   int
-	single []int32
-	pairs  map[uint64]int32
-	packed map[string]*int32
-	buf    []byte
+	// an array over node IDs for single items; for pairs a flat table
+	// (slot a*n+b for a < b) while pairSlots allows it, a map of packed
+	// uint64 pairs beyond; byte tuples for larger sizes. live lists the
+	// table's slots that have held a non-zero count since minViolation
+	// last dropped the zero ones, so no scan walks the whole table. buf
+	// is the reusable packed-key scratch.
+	size      int
+	pairLimit int
+	single    []int32
+	pairTab   []int32
+	live      []int32
+	pairs     map[uint64]int32
+	packed    map[string]*int32
+	buf       []byte
 
 	// candIDs/bestIDs are minViolation's reusable comparison buffers: the
 	// scan keeps only the name-wise smallest violating itemset, so per-
@@ -151,59 +177,74 @@ type aprioriState struct {
 	bestIDs []int32
 }
 
-func newAprioriState(ds *dataset.Dataset, idx []int, cut *hierarchy.Cut, allowed map[string]bool) (*aprioriState, error) {
+func newAprioriState(items [][]int32, idx []int, cut *hierarchy.Cut, allowed []bool, pairLimit int) *aprioriState {
 	ix := cut.Index()
-	st := &aprioriState{ix: ix, cut: cut, postings: make(map[int32][]int)}
+	n := len(items)
+	if idx != nil {
+		n = len(idx)
+	}
+	rec := func(t int) int {
+		if idx == nil {
+			return t
+		}
+		return idx[t]
+	}
+	st := &aprioriState{
+		ix: ix, cut: cut, pairLimit: pairLimit,
+		txs:      make([][]int32, n),
+		postings: make([][]int32, ix.Len()),
+		seen:     make([]bool, n),
+	}
 	if allowed != nil {
 		st.allowedPrefix = make([]int32, ix.NumLeaves()+1)
 		for o := int32(0); o < int32(ix.NumLeaves()); o++ {
 			st.allowedPrefix[o+1] = st.allowedPrefix[o]
-			if allowed[ix.Value(ix.LeafID(o))] {
+			if allowed[ix.LeafID(o)] {
 				st.allowedPrefix[o+1]++
 			}
 		}
 	}
-	mapOne := func(r int) error {
-		items := ds.Records[r].Items
-		var tx []int32
-		for _, it := range items {
-			if allowed != nil && !allowed[it] {
+	total := 0
+	for t := range st.txs {
+		total += len(items[rec(t)])
+	}
+	// Mapping through a cut never reorders preorder IDs (a cut's subtrees
+	// are disjoint ID ranges), so ascending items map to a non-decreasing
+	// list and duplicates are adjacent.
+	flat := make([]int32, 0, total)
+	postLen := make([]int32, ix.Len())
+	for t := range st.txs {
+		start := len(flat)
+		for _, id := range items[rec(t)] {
+			if allowed != nil && !allowed[id] {
 				continue
 			}
-			id, err := ix.MustID(it)
-			if err != nil {
-				return err
+			g := cut.MapID(id)
+			if len(flat) > start && flat[len(flat)-1] == g {
+				continue
 			}
-			tx = append(tx, st.cut.MapID(id))
+			flat = append(flat, g)
+			postLen[g]++
 		}
-		if tx == nil {
-			st.txs = append(st.txs, nil)
-			return nil
+		if len(flat) > start {
+			st.txs[t] = flat[start:len(flat):len(flat)]
 		}
-		sort.Slice(tx, func(a, b int) bool { return tx[a] < tx[b] })
-		tx = dedupIDs(tx)
-		st.txs = append(st.txs, tx)
-		return nil
 	}
-	if idx == nil {
-		for r := range ds.Records {
-			if err := mapOne(r); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		for _, r := range idx {
-			if err := mapOne(r); err != nil {
-				return nil, err
-			}
+	// Postings share one backing array too: each node's list is carved
+	// out at its final length, then filled in transaction order.
+	post := make([]int32, len(flat))
+	for id, l := range postLen {
+		if l > 0 {
+			st.postings[id] = post[:0:l]
+			post = post[l:]
 		}
 	}
 	for t, tx := range st.txs {
 		for _, id := range tx {
-			st.postings[id] = append(st.postings[id], t)
+			st.postings[id] = append(st.postings[id], int32(t))
 		}
 	}
-	return st, nil
+	return st
 }
 
 // dedupIDs removes adjacent duplicates from an ascending slice in place.
@@ -234,12 +275,16 @@ const cancelStride = 256
 // incrementally.
 func (st *aprioriState) buildCounts(ctx context.Context, size int) error {
 	st.size = size
-	st.single, st.pairs, st.packed = nil, nil, nil
+	st.single, st.pairTab, st.live, st.pairs, st.packed = nil, nil, nil, nil, nil
 	switch {
 	case size == 1:
 		st.single = make([]int32, st.ix.Len())
 	case size == 2:
-		st.pairs = make(map[uint64]int32)
+		if slots := pairSlots(st.ix.Len(), st.pairLimit); slots > 0 {
+			st.pairTab = make([]int32, slots)
+		} else {
+			st.pairs = make(map[uint64]int32)
+		}
 	default:
 		st.packed = make(map[string]*int32)
 		st.buf = make([]byte, 4*size)
@@ -255,12 +300,32 @@ func (st *aprioriState) buildCounts(ctx context.Context, size int) error {
 	return nil
 }
 
+// addPair adds d to the support of the pair a < b.
+func (st *aprioriState) addPair(a, b, d int32) {
+	if st.pairTab != nil {
+		s := a*int32(st.ix.Len()) + b
+		old := st.pairTab[s]
+		if old == 0 {
+			st.live = append(st.live, s)
+		}
+		st.pairTab[s] = old + d
+		return
+	}
+	key := uint64(uint32(a))<<32 | uint64(uint32(b))
+	if v := st.pairs[key] + d; v == 0 {
+		delete(st.pairs, key)
+	} else {
+		st.pairs[key] = v
+	}
+}
+
 // count adds d (+1 or -1) to the support of every size-subset of tx.
 //
 // This mirrors supportCounts.add, internal/privacy's scan-only itemset
 // counter, with two deliberate differences that keep them separate
-// implementations: counts here are adjustable (removal must delete zeroed
-// entries so violation scans stay tight) and IDs are hierarchy node IDs
+// implementations: counts here are adjustable (zeroed entries must leave
+// the violation scans: maps delete them, the pair table's live list drops
+// them) and IDs are hierarchy node IDs
 // (int32), not item ranks. Both encode the same invariants — big-endian
 // packing so byte order equals ID order, lexicographic subset enumeration
 // (privacy.ForEachSubset) over ascending IDs — and the equivalence tests
@@ -276,15 +341,9 @@ func (st *aprioriState) count(tx []int32, d int32) {
 			st.single[id] += d
 		}
 	case 2:
-		for i := 0; i < len(tx); i++ {
-			hi := uint64(uint32(tx[i])) << 32
-			for j := i + 1; j < len(tx); j++ {
-				key := hi | uint64(uint32(tx[j]))
-				if v := st.pairs[key] + d; v == 0 {
-					delete(st.pairs, key)
-				} else {
-					st.pairs[key] = v
-				}
+		for i, a := range tx {
+			for _, b := range tx[i+1:] {
+				st.addPair(a, b, d)
 			}
 		}
 	default:
@@ -324,9 +383,10 @@ type violation struct {
 // minViolation returns the violating itemset that is smallest in
 // item-name order — exactly the first violation the seed's sorted scan
 // repaired — or nil when the level is clean. The scan itself is
-// allocation-free: candidate IDs go through reusable buffers, names are
-// resolved lazily for comparisons, and the violation struct (with its
-// names) is built once for the winner.
+// allocation-free: candidate IDs go through reusable buffers, compared by
+// the index's value order, and the violation struct (with its names) is
+// built once for the winner. A pair-table scan walks the live slots,
+// dropping those whose count has fallen to zero.
 func (st *aprioriState) minViolation(k int) *violation {
 	if cap(st.candIDs) < st.size {
 		st.candIDs = make([]int32, st.size)
@@ -341,7 +401,7 @@ func (st *aprioriState) minViolation(k int) *violation {
 	// strictly name-less than the running best — the seed's tie-break.
 	consider := func(support int32) {
 		for i := 1; i < len(cand); i++ {
-			for j := i; j > 0 && st.ix.Value(cand[j]) < st.ix.Value(cand[j-1]); j-- {
+			for j := i; j > 0 && st.ix.Order(cand[j]) < st.ix.Order(cand[j-1]); j-- {
 				cand[j], cand[j-1] = cand[j-1], cand[j]
 			}
 		}
@@ -351,15 +411,30 @@ func (st *aprioriState) minViolation(k int) *violation {
 			haveBest = true
 		}
 	}
-	switch st.size {
-	case 1:
+	switch {
+	case st.size == 1:
 		for id, s := range st.single {
 			if s > 0 && s < int32(k) {
 				cand[0] = int32(id)
 				consider(s)
 			}
 		}
-	case 2:
+	case st.pairTab != nil:
+		n := int32(st.ix.Len())
+		live := st.live[:0]
+		for _, slot := range st.live {
+			s := st.pairTab[slot]
+			if s == 0 {
+				continue
+			}
+			live = append(live, slot)
+			if s < int32(k) {
+				cand[0], cand[1] = slot/n, slot%n
+				consider(s)
+			}
+		}
+		st.live = live
+	case st.size == 2:
 		for key, s := range st.pairs {
 			if s < int32(k) {
 				cand[0], cand[1] = int32(uint32(key>>32)), int32(uint32(key))
@@ -391,9 +466,8 @@ func (st *aprioriState) minViolation(k int) *violation {
 // names lexicographically.
 func lessIDNames(ix *hierarchy.Index, a, b []int32) bool {
 	for i := range a {
-		av, bv := ix.Value(a[i]), ix.Value(b[i])
-		if av != bv {
-			return av < bv
+		if ao, bo := ix.Order(a[i]), ix.Order(b[i]); ao != bo {
+			return ao < bo
 		}
 	}
 	return false
@@ -401,26 +475,28 @@ func lessIDNames(ix *hierarchy.Index, a, b []int32) bool {
 
 // repair generalizes the cut node of id to its parent and refreshes the
 // state incrementally: only the transactions whose mapped items intersect
-// the parent's subtree (per the postings index) are re-counted (at the
-// current st.size) and re-mapped; every other transaction's subsets are
-// untouched.
+// the parent's subtree (per the postings index) are re-mapped, and only
+// their subsets that touch the subtree are re-counted; every other subset
+// is untouched.
 func (st *aprioriState) repair(ctx context.Context, id int32) error {
 	p := st.ix.Parent(id)
 	end := p + st.ix.SubtreeSize(p)
+	if err := st.cut.GeneralizeID(id); err != nil {
+		return err
+	}
 	// Union the postings of every node in the subtree's ID range.
-	var affected []int
-	seen := make(map[int]bool)
+	var affected []int32
 	for j := p; j < end; j++ {
 		for _, t := range st.postings[j] {
-			if !seen[t] {
-				seen[t] = true
+			if !st.seen[t] {
+				st.seen[t] = true
 				affected = append(affected, t)
 			}
 		}
+		st.postings[j] = nil
 	}
-	sort.Ints(affected)
-	if err := st.cut.GeneralizeID(id); err != nil {
-		return err
+	for _, t := range affected {
+		st.seen[t] = false
 	}
 	for n, t := range affected {
 		if n%cancelStride == 0 {
@@ -428,30 +504,108 @@ func (st *aprioriState) repair(ctx context.Context, id int32) error {
 				return err
 			}
 		}
-		old := st.txs[t]
-		st.count(old, -1)
-		// In-range IDs form one contiguous run of the ascending list;
-		// collapsing the run to p keeps the list sorted and deduplicated.
-		tx := old[:0]
-		placed := false
-		for _, v := range old {
-			if v >= p && v < end {
-				if !placed {
-					tx = append(tx, p)
-					placed = true
-				}
-				continue
-			}
-			tx = append(tx, v)
-		}
-		st.txs[t] = tx
-		st.count(tx, 1)
-	}
-	for j := p; j < end; j++ {
-		delete(st.postings, j)
+		st.collapse(int(t), p, end)
 	}
 	st.postings[p] = affected
 	return nil
+}
+
+// collapse replaces transaction t's items inside the ID range [p, end) —
+// one contiguous run of its ascending list — by p, and moves the support
+// counts along. Sizes 1 and 2 adjust only the subsets that touch the run;
+// larger sizes re-count the whole transaction. Every pair a repair adds
+// holds p and every pair it removes holds an item that leaves all
+// transactions for good, so a pair-table slot that reaches zero stays
+// there and the live list never holds a slot twice.
+func (st *aprioriState) collapse(t int, p, end int32) {
+	tx := st.txs[t]
+	i0 := 0
+	for i0 < len(tx) && tx[i0] < p {
+		i0++
+	}
+	i1 := i0
+	for i1 < len(tx) && tx[i1] < end {
+		i1++
+	}
+	run, before, after := tx[i0:i1], tx[:i0], tx[i1:]
+	if len(run) == 1 && run[0] == p {
+		return
+	}
+	// gone holds the run's items that disappear: all of it, or all but p
+	// when the transaction already held p.
+	gone := run
+	if run[0] == p {
+		gone = run[1:]
+	}
+	switch st.size {
+	case 1:
+		if len(gone) == len(run) {
+			st.single[p]++
+		}
+		for _, v := range gone {
+			st.single[v]--
+		}
+	case 2:
+		if len(gone) == len(run) {
+			for _, o := range before {
+				st.addPair(o, p, 1)
+			}
+			for _, o := range after {
+				st.addPair(p, o, 1)
+			}
+		}
+		for _, v := range gone {
+			for _, o := range before {
+				st.addPair(o, v, -1)
+			}
+			for _, o := range after {
+				st.addPair(v, o, -1)
+			}
+		}
+		for i, a := range run {
+			for _, b := range run[i+1:] {
+				st.addPair(a, b, -1)
+			}
+		}
+	default:
+		st.count(tx, -1)
+	}
+	tx[i0] = p
+	tx = tx[:i0+1+copy(tx[i0+1:], after)]
+	st.txs[t] = tx
+	if st.size > 2 {
+		st.count(tx, 1)
+	}
+}
+
+// publish writes the state's mapped transactions, as item names in
+// ascending order, into the records at indices idx (all when nil) of out.
+// The lists share one backing array, each capped at its own length.
+func (st *aprioriState) publish(out *dataset.Dataset, idx []int) {
+	total := 0
+	for _, tx := range st.txs {
+		total += len(tx)
+	}
+	flat := make([]string, total)
+	var order []int32
+	for t, tx := range st.txs {
+		r := t
+		if idx != nil {
+			r = idx[t]
+		}
+		if len(tx) == 0 {
+			out.Records[r].Items = nil
+			continue
+		}
+		order = append(order[:0], tx...)
+		slices.SortFunc(order, func(a, b int32) int { return int(st.ix.Order(a) - st.ix.Order(b)) })
+		items := flat[:len(tx):len(tx)]
+		flat = flat[len(tx):]
+		for i, id := range order {
+			items[i] = st.ix.Value(id)
+		}
+		out.Records[r].Items = items
+	}
 }
 
 // ctxErr returns ctx's error, treating nil as never cancelled.

@@ -1,9 +1,12 @@
 package transaction_test
 
 import (
+	"fmt"
 	"testing"
 
+	"secreta/internal/dataset"
 	"secreta/internal/gen"
+	"secreta/internal/rt"
 	"secreta/internal/transaction"
 )
 
@@ -26,5 +29,59 @@ func BenchmarkApriori(b *testing.B) {
 		if res.Anonymized == nil {
 			b.Fatal("no output")
 		}
+	}
+}
+
+// BenchmarkHierarchyShapes runs the hierarchy-based transaction
+// algorithms at the shapes of the end-to-end workloads, on generated
+// census data with fanout-4 hierarchies and m = 2: Apriori at
+// compare-sweep's size and its lowest and highest k, LRA and VPA at
+// anon-miss's size and middle k, and compare-sweep's RT combination over
+// a 400-item domain, whose hierarchy is too large for Apriori's flat pair
+// table, so RT's many small per-cluster repairs count pairs in the map.
+func BenchmarkHierarchyShapes(b *testing.B) {
+	for _, tc := range []struct {
+		algo              string
+		records, items, k int
+	}{
+		{"apriori", 1000, 24, 4},
+		{"apriori", 1000, 24, 12},
+		{"lra", 2000, 24, 8},
+		{"vpa", 2000, 24, 8},
+		{"cluster+apriori_Rmerger", 1000, 400, 4},
+	} {
+		ds := gen.Census(gen.Config{Records: tc.records, Items: tc.items, Seed: 1})
+		ih, err := gen.ItemHierarchy(ds, 4)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var run func() error
+		if tc.algo == "cluster+apriori_Rmerger" {
+			hs, err := gen.Hierarchies(ds, 4)
+			if err != nil {
+				b.Fatal(err)
+			}
+			opts := rt.Options{
+				K: tc.k, M: 2, Delta: 0.5,
+				Hierarchies: hs, ItemHierarchy: ih, Interned: dataset.Intern(ds),
+				RelAlgo: "cluster", TransAlgo: "apriori", Flavor: rt.RMerge,
+			}
+			run = func() error { _, err := rt.Anonymize(ds, opts); return err }
+		} else {
+			algo, err := rt.TransactionByName(tc.algo)
+			if err != nil {
+				b.Fatal(err)
+			}
+			opts := transaction.Options{K: tc.k, M: 2, ItemHierarchy: ih}
+			run = func() error { _, err := algo(ds, opts); return err }
+		}
+		b.Run(fmt.Sprintf("%s_n%d_i%d_k%d", tc.algo, tc.records, tc.items, tc.k), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"secreta/internal/dataset"
-	"secreta/internal/generalize"
 	"secreta/internal/hierarchy"
 	"secreta/internal/timing"
 )
@@ -20,7 +19,8 @@ import (
 // longer force generalization everywhere.
 func LRA(ds *dataset.Dataset, opts Options) (*Result, error) {
 	sw := timing.Start()
-	if err := opts.validateHierarchy(ds); err != nil {
+	items, err := opts.resolveItems(ds)
+	if err != nil {
 		return nil, err
 	}
 	parts := opts.Partitions
@@ -48,7 +48,7 @@ func LRA(ds *dataset.Dataset, opts Options) (*Result, error) {
 	sort.SliceStable(idx, func(a, b int) bool { return keys[idx[a]] < keys[idx[b]] })
 	sw.Mark("partition")
 
-	anon := ds.Clone()
+	anon := ds.CloneRelational()
 	gens := 0
 	for p := 0; p < parts; p++ {
 		if err := opts.interrupted(); err != nil {
@@ -61,18 +61,12 @@ func LRA(ds *dataset.Dataset, opts Options) (*Result, error) {
 		}
 		partIdx := idx[lo:hi]
 		cut := hierarchy.NewLeafCut(opts.ItemHierarchy)
-		g, err := aprioriOnCut(opts.Ctx, ds, partIdx, cut, opts.K, opts.M, nil)
+		st, g, err := repairCut(opts.Ctx, items, partIdx, cut, opts.K, opts.M, nil, pairTableCap)
 		if err != nil {
 			return nil, err
 		}
 		gens += g
-		for _, r := range partIdx {
-			mapped, err := generalize.MapItems(ds.Records[r].Items, cut)
-			if err != nil {
-				return nil, err
-			}
-			anon.Records[r].Items = mapped
-		}
+		st.publish(anon, partIdx)
 	}
 	sw.Mark("anonymize parts")
 	return &Result{Anonymized: anon, Phases: sw.Phases(), Generalizations: gens}, nil

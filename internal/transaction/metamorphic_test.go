@@ -1,0 +1,135 @@
+package transaction
+
+import (
+	"fmt"
+	"hash/fnv"
+	"math/rand"
+	"reflect"
+	"strings"
+	"testing"
+
+	"secreta/internal/dataset"
+	"secreta/internal/hierarchy"
+)
+
+// permuted returns ds's records in the order perm lists them.
+func permuted(ds *dataset.Dataset, perm []int) *dataset.Dataset {
+	out := dataset.New(ds.Attrs, ds.TransName)
+	for _, r := range perm {
+		out.Records = append(out.Records, ds.Records[r])
+	}
+	return out
+}
+
+// basketPairs counts the (input basket, published basket) pairs of a run
+// over the records of in.
+func basketPairs(in, out *dataset.Dataset) map[string]int {
+	pairs := make(map[string]int)
+	for r := range in.Records {
+		pairs[strings.Join(in.Records[r].Items, ",")+" -> "+strings.Join(out.Records[r].Items, ",")]++
+	}
+	return pairs
+}
+
+// FuzzHierarchyRecordOrder checks the record-order relation of the
+// hierarchy-based algorithms. Apriori and VPA choose their repairs from
+// itemset supports and item names, never from record positions, so
+// permuting the input records must only permute the published records.
+// LRA partitions the records by a stable sort on their baskets, so
+// records with identical baskets keep their input order and can land in
+// different parts (TestLRARecordOrderCounterexample); its check is the
+// relation up to such exchanges: each input basket publishes the same
+// multiset of baskets, and the run makes as many generalizations.
+func FuzzHierarchyRecordOrder(f *testing.F) {
+	f.Add([]byte{3, 1, 0, 30, 10, 1, 2, 3, 4, 5, 6, 7, 8, 9})
+	f.Add([]byte{1, 1, 1, 47, 5, 0, 0, 3, 3, 1, 4})
+	f.Add([]byte{4, 2, 2, 47, 13, 200, 17, 5, 90, 33, 4, 250})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ds, h, k, m := fuzzBaskets(data)
+		if ds == nil {
+			return
+		}
+		hash := fnv.New64a()
+		hash.Write(data)
+		perm := rand.New(rand.NewSource(int64(hash.Sum64()))).Perm(ds.Len())
+		shuffled := permuted(ds, perm)
+		for _, run := range []struct {
+			name string
+			algo func(*dataset.Dataset, Options) (*Result, error)
+		}{
+			{"Apriori", Apriori},
+			{"VPA", VPA},
+			{"LRA", LRA},
+		} {
+			opts := Options{K: k, M: m, ItemHierarchy: h, Partitions: 3}
+			want, errWant := run.algo(ds, opts)
+			got, errGot := run.algo(shuffled, opts)
+			if (errWant == nil) != (errGot == nil) {
+				t.Fatalf("%s: error %v on the input, %v on its permutation", run.name, errWant, errGot)
+			}
+			if errWant != nil {
+				continue
+			}
+			if want.Generalizations != got.Generalizations {
+				t.Fatalf("%s: %d generalizations on the input, %d on its permutation", run.name, want.Generalizations, got.Generalizations)
+			}
+			if run.name == "LRA" {
+				if w, g := basketPairs(ds, want.Anonymized), basketPairs(shuffled, got.Anonymized); !reflect.DeepEqual(w, g) {
+					t.Fatalf("LRA: input and published baskets %v, on the permutation %v", w, g)
+				}
+				continue
+			}
+			for j, r := range perm {
+				if w, g := want.Anonymized.Records[r], got.Anonymized.Records[j]; !reflect.DeepEqual(w, g) {
+					t.Fatalf("%s: record %d published %q, as record %d of the permutation %q", run.name, r, w, j, g)
+				}
+			}
+		}
+	})
+}
+
+// TestLRARecordOrderCounterexample commits the input on which LRA breaks
+// the strict record-order relation. Sorted by basket, the records read
+// {a} {b} {b} {c}; with k = 2 the first part {a} {b} generalizes to X
+// while the second part {b} {c} needs the root. The two {b} records keep
+// their input order, so swapping them swaps which one publishes X.
+func TestLRARecordOrderCounterexample(t *testing.T) {
+	h, err := hierarchy.NewBuilder("items").
+		Add("All", "X").Add("All", "Y").
+		Add("X", "a").Add("X", "b").
+		Add("Y", "c").Add("Y", "d").
+		Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := dataset.New([]dataset.Attribute{{Name: "id"}}, "items")
+	for r, items := range [][]string{{"a"}, {"b"}, {"b"}, {"c"}} {
+		if err := ds.AddRecord(dataset.Record{Values: []string{fmt.Sprint(r)}, Items: items}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	perm := []int{0, 2, 1, 3}
+	opts := Options{K: 2, M: 1, ItemHierarchy: h, Partitions: 2}
+	want, err := LRA(ds, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := LRA(permuted(ds, perm), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	published := func(res *Result, id string) string {
+		for _, rec := range res.Anonymized.Records {
+			if rec.Values[0] == id {
+				return strings.Join(rec.Items, ",")
+			}
+		}
+		return ""
+	}
+	if a, b := published(want, "1"), published(got, "1"); a != "X" || b != "All" {
+		t.Fatalf("record 1 published %q on the input and %q on the permutation, want X and All", a, b)
+	}
+	if w, g := basketPairs(ds, want.Anonymized), basketPairs(permuted(ds, perm), got.Anonymized); !reflect.DeepEqual(w, g) {
+		t.Fatalf("basket pairs differ: %v and %v", w, g)
+	}
+}

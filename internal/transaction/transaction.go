@@ -10,6 +10,7 @@ package transaction
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -64,25 +65,60 @@ type Result struct {
 	Generalizations int
 }
 
-func (o *Options) validateHierarchy(ds *dataset.Dataset) error {
+// resolveItems validates the options of the hierarchy algorithms and
+// resolves the records' items to node IDs of the item hierarchy.
+func (o *Options) resolveItems(ds *dataset.Dataset) ([][]int32, error) {
 	if o.K < 1 {
-		return fmt.Errorf("transaction: k must be >= 1, got %d", o.K)
+		return nil, fmt.Errorf("transaction: k must be >= 1, got %d", o.K)
 	}
 	if o.M < 1 {
-		return fmt.Errorf("transaction: m must be >= 1, got %d", o.M)
+		return nil, fmt.Errorf("transaction: m must be >= 1, got %d", o.M)
 	}
 	if !ds.HasTransaction() {
-		return fmt.Errorf("transaction: dataset has no transaction attribute")
+		return nil, fmt.Errorf("transaction: dataset has no transaction attribute")
 	}
 	if o.ItemHierarchy == nil {
-		return fmt.Errorf("transaction: item hierarchy required")
+		return nil, fmt.Errorf("transaction: item hierarchy required")
 	}
-	for _, it := range ds.ItemDomain() {
-		if !o.ItemHierarchy.Contains(it) {
-			return fmt.Errorf("transaction: item hierarchy misses item %q", it)
+	return itemIDs(ds, o.ItemHierarchy.Index())
+}
+
+// itemIDs resolves every record's items to node IDs of ix in one pass
+// over the records: the only place a hierarchy run turns item strings
+// into IDs. Each record's IDs come back ascending and deduplicated, all
+// in one backing array. A hierarchy that misses items is rejected naming
+// the smallest missing one.
+func itemIDs(ds *dataset.Dataset, ix *hierarchy.Index) ([][]int32, error) {
+	total := 0
+	for r := range ds.Records {
+		total += len(ds.Records[r].Items)
+	}
+	flat := make([]int32, 0, total)
+	out := make([][]int32, len(ds.Records))
+	missing, anyMissing := "", false
+	for r := range ds.Records {
+		start := len(flat)
+		for _, it := range ds.Records[r].Items {
+			id, ok := ix.ID(it)
+			if !ok {
+				if !anyMissing || it < missing {
+					missing, anyMissing = it, true
+				}
+				continue
+			}
+			flat = append(flat, id)
+		}
+		if ids := flat[start:]; len(ids) > 0 {
+			slices.Sort(ids)
+			ids = dedupIDs(ids)
+			flat = flat[:start+len(ids)]
+			out[r] = ids[:len(ids):len(ids)]
 		}
 	}
-	return nil
+	if anyMissing {
+		return nil, fmt.Errorf("transaction: item hierarchy misses item %q", missing)
+	}
+	return out, nil
 }
 
 func (o *Options) validatePolicy(ds *dataset.Dataset, needUtility bool) error {

@@ -268,6 +268,31 @@ func TestOptionValidation(t *testing.T) {
 	}
 }
 
+// TestMissingItemError pins the hierarchy algorithms' rejection of a
+// hierarchy that misses items: the message names the smallest missing
+// item, whatever record it first occurs in.
+func TestMissingItemError(t *testing.T) {
+	ds := dataset.New([]dataset.Attribute{{Name: "A"}}, "T")
+	for _, items := range [][]string{{"d", "e"}, {"a", "c"}, {"a", "b", "e"}} {
+		if err := ds.AddRecord(dataset.Record{Values: []string{"x"}, Items: items}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h, err := hierarchy.NewBuilder("T").Add("All", "L").Add("L", "a").Add("L", "c").Add("All", "e").Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `transaction: item hierarchy misses item "b"`
+	for name, run := range map[string]func(*dataset.Dataset, Options) (*Result, error){
+		"apriori": Apriori, "lra": LRA, "vpa": VPA,
+	} {
+		_, err := run(ds, Options{K: 2, M: 2, ItemHierarchy: h})
+		if err == nil || err.Error() != want {
+			t.Errorf("%s: err = %v, want %s", name, err, want)
+		}
+	}
+}
+
 func TestGroupTable(t *testing.T) {
 	g := newGroupTable([]string{"a", "b", "c"})
 	if g.label("a") != "a" || g.size("a") != 1 {

@@ -2,7 +2,6 @@ package transaction
 
 import (
 	"secreta/internal/dataset"
-	"secreta/internal/generalize"
 	"secreta/internal/hierarchy"
 	"secreta/internal/timing"
 )
@@ -17,7 +16,8 @@ import (
 // k^m-anonymous like the paper's VPA-with-verification variant.
 func VPA(ds *dataset.Dataset, opts Options) (*Result, error) {
 	sw := timing.Start()
-	if err := opts.validateHierarchy(ds); err != nil {
+	items, err := opts.resolveItems(ds)
+	if err != nil {
 		return nil, err
 	}
 	h := opts.ItemHierarchy
@@ -38,19 +38,23 @@ func VPA(ds *dataset.Dataset, opts Options) (*Result, error) {
 	}
 	sw.Mark("partition")
 
+	ix := h.Index()
 	cut := hierarchy.NewLeafCut(h)
 	gens := 0
 	for _, bucket := range buckets {
 		if len(bucket) == 0 {
 			continue
 		}
-		allowed := make(map[string]bool)
+		// The part's items are the leaves of its subtrees, whose preorder
+		// IDs are contiguous ranges.
+		allowed := make([]bool, ix.Len())
 		for _, sub := range bucket {
-			for _, leaf := range sub.Leaves() {
-				allowed[leaf] = true
+			id, _ := ix.ID(sub.Value)
+			for j := id; j < id+ix.SubtreeSize(id); j++ {
+				allowed[j] = ix.Node(j).IsLeaf()
 			}
 		}
-		g, err := aprioriOnCut(opts.Ctx, ds, nil, cut, opts.K, opts.M, allowed)
+		_, g, err := repairCut(opts.Ctx, items, nil, cut, opts.K, opts.M, allowed, pairTableCap)
 		gens += g
 		if err != nil {
 			// Distinguish "cancelled" from "this part is infeasible": only
@@ -67,17 +71,15 @@ func VPA(ds *dataset.Dataset, opts Options) (*Result, error) {
 	sw.Mark("anonymize parts")
 
 	// Verification: repair cross-part violations globally.
-	g, err := aprioriOnCut(opts.Ctx, ds, nil, cut, opts.K, opts.M, nil)
+	st, g, err := repairCut(opts.Ctx, items, nil, cut, opts.K, opts.M, nil, pairTableCap)
 	if err != nil {
 		return nil, err
 	}
 	gens += g
 	sw.Mark("verify")
 
-	anon, err := generalize.ApplyItemCut(ds, cut)
-	if err != nil {
-		return nil, err
-	}
+	anon := ds.CloneRelational()
+	st.publish(anon, nil)
 	sw.Mark("recode")
 	return &Result{Anonymized: anon, Phases: sw.Phases(), Cut: cut, Generalizations: gens}, nil
 }
