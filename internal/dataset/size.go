@@ -27,15 +27,36 @@ func (d *Dataset) ApproxBytes() int64 {
 	return n
 }
 
-// ApproxBytes is the ApproxBytes of ix.Materialize(), decoded one record
-// at a time instead of built.
+// ApproxBytes is the ApproxBytes of ix.Materialize(), summed from the
+// columns by ID over a per-dictionary table of string costs instead of
+// decoding any record.
 func (ix *Indexed) ApproxBytes() int64 {
 	n := (&Dataset{Attrs: ix.Attrs, TransName: ix.TransName}).ApproxBytes()
-	ix.ScanRecords(func(_ int, r Record) bool {
-		n += recordBytes(r)
-		return true
-	})
+	n += int64(ix.N) * 2 * sliceOverhead // each record's Values, Items headers
+	for a, col := range ix.Cols {
+		cost := stringCosts(ix.Dicts[a])
+		for _, id := range col {
+			n += cost[id]
+		}
+	}
+	if ix.ItemDict != nil {
+		cost := stringCosts(ix.ItemDict)
+		for _, basket := range ix.Items {
+			for _, id := range basket {
+				n += cost[id]
+			}
+		}
+	}
 	return n
+}
+
+// stringCosts returns the estimated size of each of d's strings, by ID.
+func stringCosts(d *Interner) []int64 {
+	cost := make([]int64, d.Len())
+	for id, v := range d.Values() {
+		cost[id] = stringOverhead + int64(len(v))
+	}
+	return cost
 }
 
 // recordBytes estimates one record: its slice headers and strings.

@@ -3,12 +3,17 @@
 // packages), experiment series (CSV), run results (JSON) and charts (SVG)
 // to disk, plus streaming record writers (NDJSON and CSV over a
 // dataset.RecordSource) that emit one record at a time, so exporting an
-// N-record anonymized dataset costs O(1) memory.
+// N-record anonymized dataset costs O(chunk + dictionaries) memory, not
+// O(N).
 //
-// Invariant: AppendRecordJSON is the single definition of the compact
+// Invariant: RecordLines is the single definition of the compact
 // record-line format — the streamed record lines, secreta-serve's chunked
 // result frames, and the compacted records of the buffered JSON payload
-// are all byte-identical.
+// are all byte-identical. It writes its JSON by hand, and encoding/json is
+// its oracle: every line must equal json.Marshal of the record's
+// {values, items,omitempty} struct (FuzzRecordLinesMatchJSON).
+// encoding/json itself runs once per stream, for the header, never per
+// record.
 package export
 
 import (

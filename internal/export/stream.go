@@ -13,7 +13,10 @@ import (
 
 // Streaming record serialization: NDJSON and CSV writers that consume a
 // dataset.RecordSource one record at a time, so emitting an N-record
-// anonymized dataset costs O(1) memory regardless of N. secreta-serve's
+// anonymized dataset costs O(chunk + dictionaries) memory regardless of N:
+// one line or row and the writer's buffer, plus — for an Indexed source —
+// the JSON-escaped dictionaries RecordLines holds for one stream, bounded
+// by the strings the Indexed already holds. secreta-serve's
 // chunked result delivery and `secreta evaluate -stream` are built on
 // these; the record line format is shared with the framed result blobs in
 // internal/store, so a stream served from RAM and one served from disk are
@@ -47,31 +50,10 @@ func HeaderFor(src dataset.RecordSource) StreamHeader {
 	return h
 }
 
-// recordJSON is the compact per-line record shape — field names and order
-// identical to the dataset package's JSON record format, so a streamed
-// record is byte-for-byte the compact form of a buffered one.
-type recordJSON struct {
-	Values []string `json:"values"`
-	Items  []string `json:"items,omitempty"`
-}
-
-// AppendRecordJSON appends the compact JSON encoding of rec (no trailing
-// newline) to dst and returns the extended slice. It is the single
-// definition of the record line format: the NDJSON writer, the server's
-// streamed responses and the store's chunked result frames all encode
-// through it.
-func AppendRecordJSON(dst []byte, rec dataset.Record) ([]byte, error) {
-	b, err := json.Marshal(recordJSON{Values: rec.Values, Items: rec.Items})
-	if err != nil {
-		return dst, err
-	}
-	return append(dst, b...), nil
-}
-
 // RecordsNDJSON writes src as NDJSON: one schema header line (StreamHeader)
-// followed by one compact record object per line. Records are encoded and
-// written incrementally — peak memory is one record plus the writer's
-// buffer, never the whole dataset.
+// followed by one compact record line (RecordLines) per record. Records are
+// encoded and written incrementally — beyond the writer's buffer, memory is
+// one line plus, for an Indexed source, its escaped dictionaries.
 func RecordsNDJSON(w io.Writer, src dataset.RecordSource) error {
 	bw := bufio.NewWriterSize(w, 64<<10)
 	hdr, err := json.Marshal(HeaderFor(src))
@@ -80,22 +62,12 @@ func RecordsNDJSON(w io.Writer, src dataset.RecordSource) error {
 	}
 	bw.Write(hdr)
 	bw.WriteByte('\n')
-	var line []byte
-	var scanErr error
-	src.ScanRecords(func(i int, rec dataset.Record) bool {
-		line, scanErr = AppendRecordJSON(line[:0], rec)
-		if scanErr != nil {
-			scanErr = fmt.Errorf("export: encoding record %d: %w", i, scanErr)
-			return false
-		}
+	err = RecordLines(src, func(line []byte) error {
 		bw.Write(line)
-		if scanErr = bw.WriteByte('\n'); scanErr != nil {
-			return false
-		}
-		return true
+		return bw.WriteByte('\n')
 	})
-	if scanErr != nil {
-		return scanErr
+	if err != nil {
+		return err
 	}
 	return bw.Flush()
 }

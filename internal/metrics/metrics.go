@@ -74,32 +74,53 @@ func MeanNCP(n int, cols [][]uint32, ncp [][]float64, suppressed func(r int) boo
 // attribute: for every item occurrence in the original dataset, the NCP of
 // the generalized item covering it in the anonymized record, or 1 when the
 // item disappeared (suppression). orig and anon must be record-aligned.
+//
+// Items are resolved to hierarchy node IDs once per occurrence, and a
+// published item covers an original one when it is the item itself or an
+// ancestor — a preorder subtree-range test, exact on single-child chains
+// too. An item outside the hierarchy covers only an equal string, and
+// pricing one is an error.
 func TransactionGCP(orig, anon *dataset.Dataset, itemH *hierarchy.Hierarchy) (float64, error) {
 	if len(orig.Records) != len(anon.Records) {
 		return 0, fmt.Errorf("metrics: datasets not aligned (%d vs %d records)", len(orig.Records), len(anon.Records))
 	}
+	ix := itemH.Index()
+	id := func(v string) int32 {
+		if id, ok := ix.ID(v); ok {
+			return id
+		}
+		return -1
+	}
+	var published []int32
 	occurrences := 0
 	loss := 0.0
 	for r := range orig.Records {
 		anonItems := anon.Records[r].Items
+		published = published[:0]
+		for _, g := range anonItems {
+			published = append(published, id(g))
+		}
 		for _, it := range orig.Records[r].Items {
 			occurrences++
-			covered := ""
-			for _, g := range anonItems {
-				if g == it || itemH.Covers(g, it) {
-					covered = g
+			v := id(it)
+			covered := -1
+			for j, g := range published {
+				if (v >= 0 && g >= 0 && g <= v && v < g+ix.SubtreeSize(g)) ||
+					(v < 0 && g < 0 && anonItems[j] == it) {
+					covered = j
 					break
 				}
 			}
-			if covered == "" {
+			if covered < 0 || anonItems[covered] == "" {
 				loss++ // suppressed
 				continue
 			}
-			ncp, err := itemH.NCP(covered)
-			if err != nil {
+			g := published[covered]
+			if g < 0 { // Hierarchy.NCP words the unknown-value error
+				_, err := itemH.NCP(anonItems[covered])
 				return 0, err
 			}
-			loss += ncp
+			loss += ix.NCP(g)
 		}
 	}
 	if occurrences == 0 {

@@ -52,23 +52,14 @@ type resultRecords interface {
 
 // memRecords streams from an in-memory record source — for retained
 // terminal jobs this is the interned columnar form of the anonymized
-// dataset, decoded one record at a time (never materialized whole).
+// dataset, framed line by line from its escaped dictionaries (never
+// materialized whole).
 type memRecords struct {
 	src dataset.RecordSource
 }
 
 func (m memRecords) stream(emit func(line []byte) error) error {
-	var line []byte
-	var err error
-	m.src.ScanRecords(func(i int, rec dataset.Record) bool {
-		line, err = export.AppendRecordJSON(line[:0], rec)
-		if err != nil {
-			return false
-		}
-		err = emit(line)
-		return err == nil
-	})
-	return err
+	return export.RecordLines(m.src, emit)
 }
 
 // diskRecords streams from a framed chunk file, one frame in memory at a
