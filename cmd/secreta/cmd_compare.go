@@ -56,7 +56,7 @@ func cmdCompare(args []string) error {
 	defer stop()
 	sweep := experiment.Sweep{Param: *vary, Start: *start, End: *end, Step: *step}
 	// Uncached: the runtime metric must reflect real executions.
-	series, err := experiment.CompareCtx(ctx, ds, bases, sweep,
+	series, err := experiment.CompareCtx(ctx, engine.NewInput(ds), bases, sweep,
 		engine.NewScheduler(*workers, nil))
 	if err != nil {
 		return err

@@ -77,7 +77,7 @@ func cmdEvaluate(args []string) error {
 
 	if *varyParam != "" {
 		sweep := experiment.Sweep{Param: *varyParam, Start: *varyStart, End: *varyEnd, Step: *varyStep}
-		series, err := experiment.VaryingRunCtx(ctx, ds, cfg, sweep, sched)
+		series, err := experiment.VaryingRunCtx(ctx, engine.NewInput(ds), cfg, sweep, sched)
 		if err != nil {
 			return err
 		}
@@ -94,7 +94,7 @@ func cmdEvaluate(args []string) error {
 		return nil
 	}
 
-	results, err := sched.RunAll(ctx, ds, []engine.Config{cfg})
+	results, err := sched.RunAll(ctx, engine.NewInput(ds), []engine.Config{cfg})
 	if err != nil {
 		return err
 	}

@@ -50,6 +50,39 @@ func (ix *Indexed) ApproxBytes() int64 {
 	return n
 }
 
+// ResidentBytes estimates the memory the interned form itself holds: its
+// ID columns, baskets and dictionaries — far less than ApproxBytes, the
+// estimate of its string form. Dictionary strings are counted in full
+// although they share their bytes with the dataset they were interned
+// from, so the estimate errs high.
+func (ix *Indexed) ResidentBytes() int64 {
+	n := int64(sliceOverhead) * int64(2+len(ix.Cols)) // Cols, Dicts, each column
+	for _, col := range ix.Cols {
+		n += 4 * int64(len(col))
+	}
+	for _, d := range ix.Dicts {
+		n += dictBytes(d)
+	}
+	if ix.ItemDict != nil {
+		n += sliceOverhead * int64(1+len(ix.Items))
+		for _, basket := range ix.Items {
+			n += 4 * int64(cap(basket))
+		}
+		n += dictBytes(ix.ItemDict)
+	}
+	return n
+}
+
+// dictBytes estimates one dictionary: per value, its string, its slot in
+// the value list and its entry in the ID map.
+func dictBytes(d *Interner) int64 {
+	n := int64(2 * sliceOverhead)
+	for _, v := range d.Values() {
+		n += 2*stringOverhead + 32 + int64(len(v))
+	}
+	return n
+}
+
 // stringCosts returns the estimated size of each of d's strings, by ID.
 func stringCosts(d *Interner) []int64 {
 	cost := make([]int64, d.Len())

@@ -26,7 +26,7 @@ func TestCacheKeepsOneCopyOfRecords(t *testing.T) {
 	ds, hs, _, _ := fixture(t)
 	sched := NewScheduler(1, NewCacheSized(8, 0))
 	cfg := Config{Mode: Relational, Algorithm: "cluster", K: 4, Hierarchies: hs}
-	first, err := sched.RunAll(context.Background(), ds, []Config{cfg})
+	first, err := sched.RunAll(context.Background(), NewInput(ds), []Config{cfg})
 	if err != nil || first[0].Err != nil {
 		t.Fatal(err, first[0].Err)
 	}
@@ -38,7 +38,7 @@ func TestCacheKeepsOneCopyOfRecords(t *testing.T) {
 		t.Fatal("interned records differ from the anonymized dataset")
 	}
 	var hit *Result
-	for item := range sched.Stream(context.Background(), ds, "", []Config{cfg}) {
+	for item := range sched.Stream(context.Background(), NewInput(ds), "", []Config{cfg}) {
 		if !item.CacheHit {
 			t.Fatal("re-run missed the cache")
 		}
@@ -57,14 +57,14 @@ func TestCacheKeepsOneCopyOfRecords(t *testing.T) {
 // materialized records.
 func TestBatchLeavesSharedInterningUnchanged(t *testing.T) {
 	ds, hs, ih, _ := fixture(t)
-	sh := newBatchShared(ds)
-	before := sh.indexed().Materialize().Fingerprint()
+	in := NewInput(ds)
+	before := in.Indexed().Materialize().Fingerprint()
 	for _, algo := range rt.RelationalAlgos {
 		for _, cfg := range []Config{
 			{Mode: Relational, Algorithm: algo, K: 4, Hierarchies: hs},
 			{Mode: RT, RelAlgo: algo, TransAlgo: "apriori", K: 4, M: 2, Delta: 0.5, Hierarchies: hs, ItemHierarchy: ih},
 		} {
-			r := runShared(context.Background(), ds, cfg, sh)
+			r := runInput(context.Background(), in, cfg)
 			if r.Err != nil {
 				t.Fatal(r.Err)
 			}
@@ -73,7 +73,7 @@ func TestBatchLeavesSharedInterningUnchanged(t *testing.T) {
 			}
 		}
 	}
-	if sh.indexed().Materialize().Fingerprint() != before {
+	if in.Indexed().Materialize().Fingerprint() != before {
 		t.Fatal("the batch's runs wrote to its shared interning")
 	}
 }
@@ -98,7 +98,7 @@ func TestCacheByteCapUnderSustainedLoad(t *testing.T) {
 		cfgs = append(cfgs, Config{Mode: Relational, Algorithm: "cluster", K: k, Hierarchies: hs})
 	}
 	for round := 0; round < 3; round++ {
-		for item := range sched.Stream(context.Background(), ds, "", cfgs) {
+		for item := range sched.Stream(context.Background(), NewInput(ds), "", cfgs) {
 			if item.Result.Err != nil {
 				t.Fatalf("k=%d: %v", item.Result.Config.K, item.Result.Err)
 			}
@@ -168,12 +168,12 @@ func TestCacheHitStillServedAfterEvictions(t *testing.T) {
 	sched := NewScheduler(1, cache)
 	cfg := Config{Mode: Relational, Algorithm: "cluster", K: 4, Hierarchies: hs}
 
-	first, err := sched.RunAll(context.Background(), ds, []Config{cfg})
+	first, err := sched.RunAll(context.Background(), NewInput(ds), []Config{cfg})
 	if err != nil || first[0].Err != nil {
 		t.Fatal(err, first[0].Err)
 	}
 	hit := false
-	for item := range sched.Stream(context.Background(), ds, "", []Config{cfg}) {
+	for item := range sched.Stream(context.Background(), NewInput(ds), "", []Config{cfg}) {
 		hit = item.CacheHit
 	}
 	if !hit {

@@ -84,7 +84,9 @@ type Config struct {
 	// QIs restricts the quasi-identifiers (empty: all relational).
 	QIs []string
 	// Hierarchies, ItemHierarchy, Policy are the configuration inputs
-	// from the Configuration Editor.
+	// from the Configuration Editor. Runs only read them, and results
+	// keep them: a server shares one hierarchy set across every job over
+	// a registry dataset and the results those jobs retain.
 	Hierarchies   generalize.Set
 	ItemHierarchy *hierarchy.Hierarchy
 	Policy        *policy.Policy
@@ -165,19 +167,19 @@ func Run(ds *dataset.Dataset, cfg Config) *Result {
 // the next configuration boundary — with Result.Err set to the context's
 // error.
 func RunCtx(ctx context.Context, ds *dataset.Dataset, cfg Config) *Result {
-	return runShared(ctx, ds, cfg, newBatchShared(ds))
+	return runInput(ctx, NewInput(ds), cfg)
 }
 
-// runShared is RunCtx over batch-shared derived state: Scheduler.Stream
-// builds one batchShared per batch so its workers intern the dataset once
-// between them instead of once per configuration.
-func runShared(ctx context.Context, ds *dataset.Dataset, cfg Config, sh *batchShared) *Result {
+// runInput is RunCtx over a caller-supplied Input, whose derived state
+// (the interning) every run over the same Input shares.
+func runInput(ctx context.Context, in *Input, cfg Config) *Result {
+	ds := in.Dataset()
 	sp := obs.FromCtx(ctx).Start("run", obs.String("config", cfg.DisplayLabel()))
 	defer sp.End()
 	ctx = obs.With(ctx, sp)
 	start := time.Now()
 	res := &Result{Config: cfg}
-	anon, phases, err := dispatch(ctx, ds, cfg, sh)
+	anon, phases, err := dispatch(ctx, in, cfg)
 	res.Runtime = time.Since(start)
 	res.Phases = phases
 	// Stopwatch phases are contiguous from the run's start; replay them as
@@ -202,14 +204,15 @@ func runShared(ctx context.Context, ds *dataset.Dataset, cfg Config, sh *batchSh
 	return res
 }
 
-func dispatch(ctx context.Context, ds *dataset.Dataset, cfg Config, sh *batchShared) (dataset.RecordSource, []timing.Phase, error) {
+func dispatch(ctx context.Context, in *Input, cfg Config) (dataset.RecordSource, []timing.Phase, error) {
+	ds := in.Dataset()
 	switch cfg.Mode {
 	case Relational:
 		run, err := rt.RelationalByName(cfg.Algorithm)
 		if err != nil {
 			return nil, nil, err
 		}
-		r, err := run(ds, relational.Options{Ctx: ctx, K: cfg.K, QIs: cfg.QIs, Hierarchies: cfg.Hierarchies, Interned: sh.indexed()})
+		r, err := run(ds, relational.Options{Ctx: ctx, K: cfg.K, QIs: cfg.QIs, Hierarchies: cfg.Hierarchies, Interned: in.Indexed()})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -242,7 +245,7 @@ func dispatch(ctx context.Context, ds *dataset.Dataset, cfg Config, sh *batchSha
 			RelAlgo:       cfg.RelAlgo,
 			TransAlgo:     cfg.TransAlgo,
 			Flavor:        cfg.Flavor,
-			Interned:      sh.indexed(),
+			Interned:      in.Indexed(),
 		})
 		if err != nil {
 			return nil, nil, err
@@ -337,6 +340,6 @@ func Evaluate(orig *dataset.Dataset, anon dataset.RecordSource, cfg Config) (Ind
 // Result.Err without failing the batch. It is a convenience facade over
 // Scheduler for callers with no context or cache of their own.
 func RunAll(ds *dataset.Dataset, cfgs []Config, workers int) []*Result {
-	results, _ := NewScheduler(workers, nil).RunAll(context.Background(), ds, cfgs)
+	results, _ := NewScheduler(workers, nil).RunAll(context.Background(), NewInput(ds), cfgs)
 	return results
 }

@@ -72,7 +72,7 @@ func TestParallelSpeedupSmoke(t *testing.T) {
 func TestBatchSharedConcurrent(t *testing.T) {
 	ds, cfgs := scalingBatch(t, 150)
 	serial := RunAll(ds, cfgs, 1)
-	got, err := NewScheduler(8, nil).RunAll(context.Background(), ds, cfgs)
+	got, err := NewScheduler(8, nil).RunAll(context.Background(), NewInput(ds), cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,7 +48,7 @@ func TestCachePersistsAcrossInstances(t *testing.T) {
 	cacheA := NewCacheSized(8, 0)
 	cacheA.SetBacking(backing)
 	schedA := NewScheduler(1, cacheA)
-	first, err := schedA.RunAll(context.Background(), ds, []Config{cfg})
+	first, err := schedA.RunAll(context.Background(), NewInput(ds), []Config{cfg})
 	if err != nil || first[0].Err != nil {
 		t.Fatal(err, first[0].Err)
 	}
@@ -62,7 +62,7 @@ func TestCachePersistsAcrossInstances(t *testing.T) {
 	schedB := NewScheduler(1, cacheB)
 	var hit bool
 	var again *Result
-	for item := range schedB.Stream(context.Background(), ds, "", []Config{cfg}) {
+	for item := range schedB.Stream(context.Background(), NewInput(ds), "", []Config{cfg}) {
 		hit, again = item.CacheHit, item.Result
 	}
 	if !hit {
@@ -89,7 +89,7 @@ func TestCachePersistsAcrossInstances(t *testing.T) {
 	// touching the backing.
 	backing.fail = true
 	var hit3 bool
-	for item := range schedB.Stream(context.Background(), ds, "", []Config{cfg}) {
+	for item := range schedB.Stream(context.Background(), NewInput(ds), "", []Config{cfg}) {
 		hit3 = item.CacheHit
 	}
 	if !hit3 {
@@ -110,7 +110,7 @@ func TestCacheBackingFailuresDegrade(t *testing.T) {
 	cache.SetBacking(backing)
 	sched := NewScheduler(1, cache)
 	cfg := Config{Mode: Relational, Algorithm: "cluster", K: 3, Hierarchies: hs}
-	res, err := sched.RunAll(context.Background(), ds, []Config{cfg})
+	res, err := sched.RunAll(context.Background(), NewInput(ds), []Config{cfg})
 	if err != nil || res[0].Err != nil {
 		t.Fatal(err, res[0].Err)
 	}

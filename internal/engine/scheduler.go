@@ -65,30 +65,30 @@ type Item struct {
 	CacheHit bool
 }
 
-// Stream executes the configurations over the dataset and emits an Item per
+// Stream executes the configurations over the input's dataset and emits an Item per
 // configuration as it completes, in completion order. The returned channel
 // is closed when all work is done or the context is cancelled; after
 // cancellation no further jobs are started and unfinished configurations
 // are never emitted. Failures stay per-item in Result.Err.
 //
-// dsKey is ds.Fingerprint() when the caller already holds it (a registry
-// dataset_ref is one); the result cache keys on it, so it must be the
-// fingerprint of ds as it is now. Empty makes Stream fingerprint ds
-// itself when the cache needs a key.
+// Every configuration runs over in, sharing its interning: a caller that
+// runs several batches over one dataset passes the same Input to each.
+//
+// dsKey is the dataset's Fingerprint() when the caller already holds it (a
+// registry dataset_ref is one); the result cache keys on it, so it must be
+// the fingerprint of the dataset as it is now. Empty makes Stream
+// fingerprint the dataset itself when the cache needs a key.
 //
 // Contract: the caller must either drain the channel or cancel ctx —
 // abandoning it mid-stream with a live context strands the worker
 // goroutines on their sends for the life of the process.
-func (s *Scheduler) Stream(ctx context.Context, ds *dataset.Dataset, dsKey string, cfgs []Config) <-chan Item {
+func (s *Scheduler) Stream(ctx context.Context, in *Input, dsKey string, cfgs []Config) <-chan Item {
 	out := make(chan Item)
 	workers := s.Workers(len(cfgs))
-	// One batchShared serves the whole batch: workers intern the dataset
-	// once between them and run over the shared immutable view.
-	sh := newBatchShared(ds)
 	var memo *inputHasher
 	if s.cache != nil {
 		if dsKey == "" {
-			dsKey = ds.Fingerprint()
+			dsKey = in.Dataset().Fingerprint()
 		}
 		memo = newInputHasher()
 	}
@@ -99,7 +99,7 @@ func (s *Scheduler) Stream(ctx context.Context, ds *dataset.Dataset, dsKey strin
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				item := s.runOne(ctx, ds, cfgs[i], dsKey, memo, i, sh)
+				item := s.runOne(ctx, in, cfgs[i], dsKey, memo, i)
 				// Prefer delivery over the cancellation signal: when the
 				// consumer is waiting, a completed result must reach it
 				// even if ctx was cancelled meanwhile — a bare two-way
@@ -143,12 +143,12 @@ func (s *Scheduler) Stream(ctx context.Context, ds *dataset.Dataset, dsKey strin
 // worker — possibly from a different scheduler sharing the cache — is
 // already computing the same key, it waits for that result instead of
 // recomputing (single-flight).
-func (s *Scheduler) runOne(ctx context.Context, ds *dataset.Dataset, cfg Config, dsKey string, memo *inputHasher, i int, sh *batchShared) Item {
+func (s *Scheduler) runOne(ctx context.Context, in *Input, cfg Config, dsKey string, memo *inputHasher, i int) Item {
 	if err := ctx.Err(); err != nil {
 		return Item{Index: i, Result: &Result{Config: cfg, Err: err}}
 	}
 	if s.cache == nil {
-		return Item{Index: i, Result: runShared(ctx, ds, cfg, sh)}
+		return Item{Index: i, Result: runInput(ctx, in, cfg)}
 	}
 	key := dsKey + "/" + cfg.cacheKey(memo)
 	for {
@@ -173,7 +173,7 @@ func (s *Scheduler) runOne(ctx context.Context, ds *dataset.Dataset, cfg Config,
 				}
 				// Panic safety: a flight must never be left unreleased.
 				defer func() { releaseOnce(nil) }()
-				r := runShared(ctx, ds, cfg, sh)
+				r := runInput(ctx, in, cfg)
 				if r.Err == nil {
 					// The cache and the job keep the records interned;
 					// transaction and RT runs publish strings.
@@ -217,9 +217,9 @@ func (s *Scheduler) runOne(ctx context.Context, ds *dataset.Dataset, cfg Config,
 // error only when cancellation actually cost results — a cancel that lands
 // after the last configuration completed still returns the full batch, so
 // finished work is never thrown away. Unfinished slots are nil.
-func (s *Scheduler) RunAll(ctx context.Context, ds *dataset.Dataset, cfgs []Config) ([]*Result, error) {
+func (s *Scheduler) RunAll(ctx context.Context, in *Input, cfgs []Config) ([]*Result, error) {
 	results := make([]*Result, len(cfgs))
-	for item := range s.Stream(ctx, ds, "", cfgs) {
+	for item := range s.Stream(ctx, in, "", cfgs) {
 		results[item.Index] = item.Result
 	}
 	if err := ctx.Err(); err != nil {
@@ -232,11 +232,12 @@ func (s *Scheduler) RunAll(ctx context.Context, ds *dataset.Dataset, cfgs []Conf
 	return results, nil
 }
 
-// inputHasher memoizes content digests of the heavyweight shared inputs
-// (hierarchies, policies, workloads) by pointer identity for the duration
-// of one Stream call — a 100-point sweep serializes each hierarchy once,
-// not once per point. Content-addressing is preserved: the digest is still
-// of the serialized bytes, the pointer only keys the memo.
+// inputHasher memoizes content digests of policies and workloads by
+// pointer identity for the duration of one Stream call — a 100-point
+// sweep serializes each once, not once per point. Content-addressing is
+// preserved: the digest is still of the serialized bytes, the pointer
+// only keys the memo. Hierarchies memoize their own digest (Digest), which
+// outlives the call: a server shares one hierarchy across many jobs.
 type inputHasher struct {
 	mu sync.Mutex
 	m  map[any]string
@@ -278,11 +279,10 @@ func (c *Config) cacheKey(memo *inputHasher) string {
 	sort.Strings(names)
 	for _, name := range names {
 		hier := c.Hierarchies[name]
-		fmt.Fprintf(h, "h:%s:%s|", name, memo.digest(hier, func(w io.Writer) { hier.WriteCSV(w) }))
+		fmt.Fprintf(h, "h:%s:%s|", name, hier.Digest())
 	}
 	if c.ItemHierarchy != nil {
-		ihier := c.ItemHierarchy
-		fmt.Fprintf(h, "ih:%s|", memo.digest(ihier, func(w io.Writer) { ihier.WriteCSV(w) }))
+		fmt.Fprintf(h, "ih:%s|", c.ItemHierarchy.Digest())
 	}
 	if c.Policy != nil {
 		pol := c.Policy

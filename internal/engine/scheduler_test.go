@@ -45,11 +45,11 @@ func sameDataset(a, b *dataset.Dataset) bool {
 // identical indicators and anonymized outputs for every configuration.
 func TestSchedulerDeterminism(t *testing.T) {
 	ds, cfgs := grid(t)
-	serial, err := NewScheduler(1, nil).RunAll(context.Background(), ds, cfgs)
+	serial, err := NewScheduler(1, nil).RunAll(context.Background(), NewInput(ds), cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := NewScheduler(8, nil).RunAll(context.Background(), ds, cfgs)
+	parallel, err := NewScheduler(8, nil).RunAll(context.Background(), NewInput(ds), cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestSchedulerDeterminism(t *testing.T) {
 func TestSchedulerStreamCoversAllIndices(t *testing.T) {
 	ds, cfgs := grid(t)
 	seen := make(map[int]bool)
-	for item := range NewScheduler(4, nil).Stream(context.Background(), ds, "", cfgs) {
+	for item := range NewScheduler(4, nil).Stream(context.Background(), NewInput(ds), "", cfgs) {
 		if seen[item.Index] {
 			t.Fatalf("index %d emitted twice", item.Index)
 		}
@@ -105,7 +105,7 @@ func TestSchedulerCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	stream := NewScheduler(2, nil).Stream(ctx, ds, "", cfgs)
+	stream := NewScheduler(2, nil).Stream(ctx, NewInput(ds), "", cfgs)
 	n := 0
 	for range stream {
 		n++
@@ -137,7 +137,7 @@ func TestSchedulerRunAllReportsContextError(t *testing.T) {
 	ds, cfgs := grid(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := NewScheduler(2, nil).RunAll(ctx, ds, cfgs)
+	_, err := NewScheduler(2, nil).RunAll(ctx, NewInput(ds), cfgs)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -150,7 +150,7 @@ func TestSchedulerCacheHit(t *testing.T) {
 	ds, cfgs := grid(t)
 	cache := NewCache()
 	sched := NewScheduler(4, cache)
-	first, err := sched.RunAll(context.Background(), ds, cfgs)
+	first, err := sched.RunAll(context.Background(), NewInput(ds), cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestSchedulerCacheHit(t *testing.T) {
 		t.Fatalf("after first run: stats = %+v", s)
 	}
 	hits := 0
-	for item := range sched.Stream(context.Background(), ds, "", cfgs) {
+	for item := range sched.Stream(context.Background(), NewInput(ds), "", cfgs) {
 		if item.CacheHit {
 			hits++
 		}
@@ -185,7 +185,7 @@ func TestSchedulerCacheSingleFlight(t *testing.T) {
 		cfgs[i] = Config{Mode: Relational, Algorithm: "cluster", K: 5, Hierarchies: hs}
 	}
 	cache := NewCache()
-	results, err := NewScheduler(8, cache).RunAll(context.Background(), ds, cfgs)
+	results, err := NewScheduler(8, cache).RunAll(context.Background(), NewInput(ds), cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,12 +211,12 @@ func TestSchedulerCacheHitCarriesCallersConfig(t *testing.T) {
 	cache := NewCache()
 	sched := NewScheduler(1, cache)
 	cfg := Config{Label: "first", Mode: Relational, Algorithm: "cluster", K: 5, Hierarchies: hs}
-	if _, err := sched.RunAll(context.Background(), ds, []Config{cfg}); err != nil {
+	if _, err := sched.RunAll(context.Background(), NewInput(ds), []Config{cfg}); err != nil {
 		t.Fatal(err)
 	}
 	cfg.Label = "second"
 	var item Item
-	for it := range sched.Stream(context.Background(), ds, "", []Config{cfg}) {
+	for it := range sched.Stream(context.Background(), NewInput(ds), "", []Config{cfg}) {
 		item = it
 	}
 	if !item.CacheHit {
@@ -236,7 +236,7 @@ func TestSchedulerCacheKeysDistinguishInputs(t *testing.T) {
 	cfg := Config{Mode: Relational, Algorithm: "cluster", K: 5, Hierarchies: hs}
 	run := func(d *dataset.Dataset, c Config) {
 		t.Helper()
-		if _, err := sched.RunAll(context.Background(), d, []Config{c}); err != nil {
+		if _, err := sched.RunAll(context.Background(), NewInput(d), []Config{c}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -123,14 +123,14 @@ func (s *Series) Runtimes() []float64 {
 // VaryingRun executes the configuration once per sweep value using the
 // engine's parallel workers and returns the assembled series.
 func VaryingRun(ds *dataset.Dataset, base engine.Config, sweep Sweep, workers int) (*Series, error) {
-	return VaryingRunCtx(context.Background(), ds, base, sweep, engine.NewScheduler(workers, nil))
+	return VaryingRunCtx(context.Background(), engine.NewInput(ds), base, sweep, engine.NewScheduler(workers, nil))
 }
 
-// VaryingRunCtx is VaryingRun on an explicit scheduler: the sweep points
-// run through its worker pool (and cache, when it has one) and respect
-// context cancellation.
-func VaryingRunCtx(ctx context.Context, ds *dataset.Dataset, base engine.Config, sweep Sweep, sched *engine.Scheduler) (*Series, error) {
-	out, err := CompareCtx(ctx, ds, []engine.Config{base}, sweep, sched)
+// VaryingRunCtx is VaryingRun over a caller-supplied input on an explicit
+// scheduler: the sweep points run through its worker pool (and cache,
+// when it has one) and respect context cancellation.
+func VaryingRunCtx(ctx context.Context, in *engine.Input, base engine.Config, sweep Sweep, sched *engine.Scheduler) (*Series, error) {
+	out, err := CompareCtx(ctx, in, []engine.Config{base}, sweep, sched)
 	if err != nil {
 		return nil, err
 	}
@@ -141,14 +141,14 @@ func VaryingRunCtx(ctx context.Context, ds *dataset.Dataset, base engine.Config,
 // mode's benchmark execution. Configurations are independent; failures stay
 // per-point.
 func Compare(ds *dataset.Dataset, bases []engine.Config, sweep Sweep, workers int) ([]*Series, error) {
-	return CompareCtx(context.Background(), ds, bases, sweep, engine.NewScheduler(workers, nil))
+	return CompareCtx(context.Background(), engine.NewInput(ds), bases, sweep, engine.NewScheduler(workers, nil))
 }
 
 // CompareCtx fans every (configuration, sweep value) pair out as one batch
-// through the scheduler, so a wide comparison saturates the worker pool
-// instead of running series after series. Point order within each series is
-// preserved regardless of completion order.
-func CompareCtx(ctx context.Context, ds *dataset.Dataset, bases []engine.Config, sweep Sweep, sched *engine.Scheduler) ([]*Series, error) {
+// over in through the scheduler, so a wide comparison saturates the worker
+// pool instead of running series after series. Point order within each
+// series is preserved regardless of completion order.
+func CompareCtx(ctx context.Context, in *engine.Input, bases []engine.Config, sweep Sweep, sched *engine.Scheduler) ([]*Series, error) {
 	if len(bases) == 0 {
 		return nil, fmt.Errorf("experiment: no configurations to compare")
 	}
@@ -162,7 +162,7 @@ func CompareCtx(ctx context.Context, ds *dataset.Dataset, bases []engine.Config,
 			cfgs = append(cfgs, sweep.apply(base, v))
 		}
 	}
-	results, err := sched.RunAll(ctx, ds, cfgs)
+	results, err := sched.RunAll(ctx, in, cfgs)
 	if err != nil {
 		return nil, err
 	}

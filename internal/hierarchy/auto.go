@@ -114,8 +114,12 @@ func relabel(n *Node, nodes map[string]*Node, label func([]*Node) string) {
 	nodes[v] = n
 }
 
+// distinctSorted returns the distinct non-empty values in string order.
+// Its seen-set is not pre-sized to len(values): a column holds a handful
+// of distinct values, and a set sized for every record would allocate
+// hundreds of times what it uses.
 func distinctSorted(values []string) []string {
-	seen := make(map[string]struct{}, len(values))
+	seen := make(map[string]struct{})
 	var out []string
 	for _, v := range values {
 		if v == "" {
@@ -131,12 +135,13 @@ func distinctSorted(values []string) []string {
 	return out
 }
 
+// distinctSortedNumeric is distinctSorted in numeric order.
 func distinctSortedNumeric(values []string) ([]string, error) {
 	type pair struct {
 		s string
 		f float64
 	}
-	seen := make(map[string]struct{}, len(values))
+	seen := make(map[string]struct{})
 	var ps []pair
 	for _, v := range values {
 		if v == "" {

@@ -42,7 +42,7 @@ func (h *Hierarchy) Rename(old, new string) error {
 	delete(h.nodes, old)
 	n.Value = new
 	h.nodes[new] = n
-	h.invalidateIndex()
+	h.invalidateCaches()
 	return nil
 }
 

@@ -1,6 +1,9 @@
 package hierarchy
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"reflect"
 	"testing"
 )
@@ -160,5 +163,47 @@ func TestMoveSubtree(t *testing.T) {
 	}
 	if err := h.MoveSubtree("25", "zzz"); err == nil {
 		t.Error("unknown parent accepted")
+	}
+}
+
+// TestEditsInvalidateDigest: every structural edit drops the memoized
+// digest, which then equals the SHA-256 of a fresh WriteCSV.
+func TestEditsInvalidateDigest(t *testing.T) {
+	h := ageHierarchy(t)
+	fresh := func() string {
+		t.Helper()
+		var b bytes.Buffer
+		if err := h.WriteCSV(&b); err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(b.Bytes())
+		return hex.EncodeToString(sum[:])
+	}
+	edits := []struct {
+		name string
+		edit func() error
+	}{
+		{"AddLeaf", func() error { return h.AddLeaf("[20-29]", "28") }},
+		{"Rename", func() error { return h.Rename("[20-29]", "[20s]") }},
+		{"MoveSubtree", func() error { return h.MoveSubtree("31", "[20s]") }},
+		{"RemoveLeaf", func() error { return h.RemoveLeaf("47") }},
+		{"CollapseNode", func() error { return h.CollapseNode("[20s]") }},
+	}
+	prev := h.Digest()
+	if prev != fresh() {
+		t.Fatal("digest differs from the SHA-256 of WriteCSV")
+	}
+	for _, e := range edits {
+		if err := e.edit(); err != nil {
+			t.Fatalf("%s: %v", e.name, err)
+		}
+		got := h.Digest()
+		if got == prev {
+			t.Fatalf("%s left the digest stale", e.name)
+		}
+		if want := fresh(); got != want {
+			t.Fatalf("%s: digest %s, fresh WriteCSV hashes to %s", e.name, got, want)
+		}
+		prev = got
 	}
 }

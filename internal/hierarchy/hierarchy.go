@@ -12,6 +12,7 @@ package hierarchy
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 )
 
 // Node is one value in the hierarchy tree.
@@ -58,9 +59,10 @@ type Hierarchy struct {
 	// height is the maximum leaf depth; full-domain generalization levels
 	// range over 0..height.
 	height int
-	// index caches the dense-ID acceleration structure (see Index); edits
-	// clear it.
-	index indexCache
+	// index caches the dense-ID acceleration structure (see Index) and
+	// digest the content digest (see Digest); edits clear both.
+	index  indexCache
+	digest atomic.Pointer[string]
 }
 
 // Height returns the maximum generalization level (root level).
@@ -78,9 +80,26 @@ func (h *Hierarchy) Size() int { return len(h.nodes) }
 // Leaves returns all leaf values in tree order.
 func (h *Hierarchy) Leaves() []string { return h.Root.Leaves() }
 
+// nodeBytes rounds up what one node costs in memory: the Node itself, its
+// slot in its parent's children, its entries in the value maps of the
+// hierarchy and of its Index, and its slots in the Index's per-node arrays.
+const nodeBytes = 224
+
+// ApproxBytes estimates the memory the hierarchy holds, its Index
+// included whether or not it has been built yet. It errs high, for byte
+// caps over caches that keep hierarchies alive.
+func (h *Hierarchy) ApproxBytes() int64 {
+	// The Index adds one int32 per node per depth level (atDepth).
+	n := int64(len(h.nodes)) * (nodeBytes + 4*int64(h.height+1))
+	for v := range h.nodes {
+		n += int64(len(v))
+	}
+	return n
+}
+
 // finalize computes depths, heights and leaf counts after construction.
 func (h *Hierarchy) finalize() {
-	h.invalidateIndex()
+	h.invalidateCaches()
 	h.height = 0
 	var walk func(n *Node, depth int) int
 	walk = func(n *Node, depth int) int {

@@ -50,8 +50,12 @@ func (h *Hierarchy) Index() *Index {
 	return h.index.Load()
 }
 
-// invalidateIndex drops the cached index after a structural edit.
-func (h *Hierarchy) invalidateIndex() { h.index.Store(nil) }
+// invalidateCaches drops the cached index and digest after a structural
+// edit.
+func (h *Hierarchy) invalidateCaches() {
+	h.index.Store(nil)
+	h.digest.Store(nil)
+}
 
 func buildIndex(h *Hierarchy) *Index {
 	n := len(h.nodes)

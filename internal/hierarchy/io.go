@@ -1,7 +1,9 @@
 package hierarchy
 
 import (
+	"crypto/sha256"
 	"encoding/csv"
+	"encoding/hex"
 	"fmt"
 	"io"
 	"os"
@@ -69,6 +71,22 @@ func (h *Hierarchy) WriteCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
+}
+
+// Digest returns the hex SHA-256 of the hierarchy's WriteCSV bytes, the
+// content key result caches use, computing it on first use. Like Index,
+// the digest is cached and structural edits invalidate it, so a hierarchy
+// shared by many jobs is serialized once, not once per job.
+func (h *Hierarchy) Digest() string {
+	if d := h.digest.Load(); d != nil {
+		return *d
+	}
+	sum := sha256.New()
+	h.WriteCSV(sum) // a hash never fails a write
+	d := hex.EncodeToString(sum.Sum(nil))
+	// A concurrent caller may have raced us; both digests are equal.
+	h.digest.CompareAndSwap(nil, &d)
+	return d
 }
 
 // LoadFile reads a path-style hierarchy CSV from disk.

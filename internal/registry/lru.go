@@ -64,10 +64,20 @@ func (l *LRU) Get(key string) (any, bool) {
 // Contains reports whether key is resident without touching recency or the
 // hit/miss counters.
 func (l *LRU) Contains(key string) bool {
+	_, ok := l.Peek(key)
+	return ok
+}
+
+// Peek returns the value stored under key without touching recency or the
+// hit/miss counters.
+func (l *LRU) Peek(key string) (any, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	_, ok := l.items[key]
-	return ok
+	el, ok := l.items[key]
+	if !ok {
+		return nil, false
+	}
+	return el.Value.(*lruEntry).value, true
 }
 
 // Put stores value under key with the given byte cost, replacing any
@@ -79,11 +89,44 @@ func (l *LRU) Contains(key string) bool {
 // resident is pinned the cache overshoots its caps instead of bouncing
 // the newcomer — the overshoot drains as pins release.
 func (l *LRU) Put(key string, value any, cost int64) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.putLocked(key, value, cost)
+}
+
+// Recost changes the byte cost of key while key still holds value
+// (compared with ==), and reports whether it did: a caller whose entry
+// grew since it was stored recharges it this way without resurrecting it
+// if it was evicted or replaced meanwhile. A shrink always succeeds. A
+// growth is refused when it would take the entry alone past the byte cap,
+// or — unless evict is set — the cache as a whole; an accepted growth with
+// evict set then evicts other unpinned entries, like Put's replace path,
+// until the caps hold. Recost never evicts key itself.
+func (l *LRU) Recost(key string, value any, cost int64, evict bool) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	el, ok := l.items[key]
+	if !ok || el.Value.(*lruEntry).value != value {
+		return false
+	}
+	e := el.Value.(*lruEntry)
+	cost = max(cost, 0)
+	grow := cost - e.cost
+	if grow > 0 && l.maxBytes > 0 && (cost > l.maxBytes || !evict && l.bytes+grow > l.maxBytes) {
+		return false
+	}
+	l.bytes += grow
+	e.cost = cost
+	if evict {
+		l.evictLocked(el)
+	}
+	return true
+}
+
+func (l *LRU) putLocked(key string, value any, cost int64) bool {
 	if cost < 0 {
 		cost = 0
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	if l.maxBytes > 0 && cost > l.maxBytes {
 		if el, ok := l.items[key]; ok && el.Value.(*lruEntry).pins == 0 {
 			l.removeElement(el)

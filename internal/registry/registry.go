@@ -19,6 +19,14 @@
 // a backing, the registry is a pin-aware RAM cache over the durable
 // store rather than the sole copy, and datasets survive process
 // restarts.
+//
+// Each resident dataset also carries one derived-inputs slot (Derived):
+// whatever its users derive from it once and share — for the server, the
+// dataset's interning and auto-generated hierarchies. The slot is built
+// at most once per residency, its bytes count towards the entry's cost
+// under the byte cap, and it is dropped with the entry, so a dataset
+// reloaded from disk starts with an empty one. The cap bounds a slot by
+// emptying it, never by deleting the dataset it was derived from.
 package registry
 
 import (
@@ -135,6 +143,124 @@ func (r *Registry) beginIO(id string) func() {
 	}
 }
 
+// entry is one resident dataset: the decoded copy, its own byte cost and
+// its derived-inputs slot, which lives and dies with the entry. The LRU
+// holds entries by pointer, so a reloaded dataset is a new entry with an
+// empty slot.
+type entry struct {
+	ds    *dataset.Dataset
+	bytes int64 // the dataset's own cost; the LRU cost adds slotBytes
+
+	// slot (nil until first asked for) and slotBytes, the bytes it last
+	// charged, are guarded by Registry.mu.
+	slot      *slot
+	slotBytes int64
+}
+
+// slot is one build of an entry's derived inputs.
+type slot struct {
+	once sync.Once
+	v    any
+}
+
+// admit makes ds resident under id at cost unless it already is: a
+// resident entry is kept, slot and all, since pinned jobs may be using
+// it. It reports false only for a dataset larger than the byte cap.
+func (r *Registry) admit(id string, ds *dataset.Dataset, cost int64) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.admitLocked(id, ds, cost)
+}
+
+func (r *Registry) admitLocked(id string, ds *dataset.Dataset, cost int64) bool {
+	if r.lru.Contains(id) {
+		return true
+	}
+	if r.backing == nil {
+		r.shedSlotsLocked(cost)
+	}
+	return r.lru.Put(id, &entry{ds: ds, bytes: cost}, cost)
+}
+
+// shedSlotsLocked drops derived slots, least recently used entry first,
+// until cost more bytes fit under the byte cap. A memory-only registry
+// holds the only copy of each dataset, so it makes room for an upload
+// from slots, which the next job rebuilds, before the LRU evicts any
+// dataset. An upload that no room could admit sheds nothing. Caller holds
+// r.mu.
+func (r *Registry) shedSlotsLocked(cost int64) {
+	if r.maxBytes <= 0 || cost > r.maxBytes {
+		return
+	}
+	var ids []string
+	var held []*entry
+	r.lru.Range(func(key string, value any, _ int64, _ int) bool {
+		if e := value.(*entry); e.slotBytes > 0 {
+			ids, held = append(ids, key), append(held, e)
+		}
+		return true
+	})
+	for i := len(held) - 1; i >= 0 && r.lru.Stats().Bytes+cost > r.maxBytes; i-- {
+		r.dropSlotLocked(ids[i], held[i])
+	}
+}
+
+// dropSlotLocked empties e's slot and uncharges its bytes; the next
+// Derived builds a fresh one. Jobs still holding the old slot keep using
+// it. Caller holds r.mu.
+func (r *Registry) dropSlotLocked(id string, e *entry) {
+	e.slot, e.slotBytes = nil, 0
+	r.lru.Recost(id, e, e.bytes, false)
+}
+
+// Derived returns the derived-inputs slot of the resident dataset id,
+// which the caller must hold pinned. The first call in a residency fills
+// the slot with build's result; concurrent first callers wait for that
+// one build. build receives the dataset and charge, which sets the bytes
+// the slot holds: they count towards the entry's cost under the byte cap.
+// The cap bounds the slot, never the dataset: a charge that would take
+// the entry alone past the cap — or, in a memory-only registry, where
+// every eviction deletes a dataset, the registry as a whole — is refused
+// and empties the slot, so the next call builds a fresh one. A backed
+// registry makes room for an accepted charge by evicting other datasets'
+// RAM copies. charge reports whether the slot is still the entry's; once
+// it is not (refused, shed for an upload, or the entry left RAM), later
+// charges from that build are ignored. The registry never looks inside a
+// slot; its users must treat it as shared by every holder of the dataset.
+func (r *Registry) Derived(id string, build func(ds *dataset.Dataset, charge func(bytes int64) bool) any) (any, error) {
+	v, ok := r.lru.Peek(id)
+	if !ok {
+		return nil, fmt.Errorf("%w: %q is not resident", ErrNotFound, id)
+	}
+	e := v.(*entry)
+	r.mu.Lock()
+	if e.slot == nil {
+		e.slot = new(slot)
+	}
+	s := e.slot
+	r.mu.Unlock()
+	s.once.Do(func() {
+		s.v = build(e.ds, func(bytes int64) bool { return r.charge(id, e, s, bytes) })
+	})
+	return s.v, nil
+}
+
+// charge sets the bytes that slot s of entry e under id holds; see
+// Derived.
+func (r *Registry) charge(id string, e *entry, s *slot, bytes int64) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if e.slot != s {
+		return false
+	}
+	if r.lru.Recost(id, e, e.bytes+bytes, r.backing != nil) {
+		e.slotBytes = bytes
+		return true
+	}
+	r.dropSlotLocked(id, e)
+	return false
+}
+
 // Info describes one known dataset. Resident reports whether a decoded
 // copy is currently in RAM; a disk-backed registry lists non-resident
 // datasets too (Pins is necessarily 0 for those).
@@ -145,6 +271,12 @@ type Info struct {
 	Bytes    int64  `json:"bytes"`
 	Pins     int    `json:"pins"`
 	Resident bool   `json:"resident"`
+}
+
+// info describes the resident entry e stored under id. Bytes is the
+// dataset's own size; the slot's bytes show only in Stats.
+func (e *entry) info(id string, pins int) Info {
+	return Info{ID: id, Attrs: len(e.ds.Attrs), Records: len(e.ds.Records), Bytes: e.bytes, Pins: pins, Resident: true}
 }
 
 // Add stores ds under its content fingerprint and returns the ID. Adding
@@ -161,7 +293,7 @@ func (r *Registry) Add(ds *dataset.Dataset) (id string, created bool, err error)
 		return id, false, nil
 	}
 	if r.backing == nil {
-		if !r.lru.Put(id, ds, ds.ApproxBytes()) {
+		if !r.admit(id, ds, ds.ApproxBytes()) {
 			return "", false, fmt.Errorf("%w (%d bytes)", ErrTooLarge, ds.ApproxBytes())
 		}
 		return id, true, nil
@@ -193,8 +325,8 @@ func (r *Registry) Add(ds *dataset.Dataset) (id string, created bool, err error)
 		}
 	}
 	// Warm the RAM cache either way — the uploader is about to use it.
-	// The size precheck above makes Put's only failure mode impossible.
-	r.lru.Put(id, ds, cost)
+	// The size precheck above makes admit's only failure mode impossible.
+	r.admit(id, ds, cost)
 	return id, !known, nil
 }
 
@@ -206,7 +338,7 @@ func (r *Registry) Add(ds *dataset.Dataset) (id string, created bool, err error)
 // unconditionally.
 func (r *Registry) Pin(id string) (*dataset.Dataset, func(), error) {
 	if v, ok := r.lru.Pin(id); ok {
-		return v.(*dataset.Dataset), r.releaseFunc(id), nil
+		return v.(*entry).ds, r.releaseFunc(id), nil
 	}
 	if r.backing == nil {
 		return nil, nil, fmt.Errorf("%w: %q", ErrNotFound, id)
@@ -216,7 +348,7 @@ func (r *Registry) Pin(id string) (*dataset.Dataset, func(), error) {
 	// Re-check behind the gate: a concurrent Pin holding it before us may
 	// have just loaded the dataset — the gate doubles as single-flight.
 	if v, ok := r.lru.Pin(id); ok {
-		return v.(*dataset.Dataset), r.releaseFunc(id), nil
+		return v.(*entry).ds, r.releaseFunc(id), nil
 	}
 	r.mu.Lock()
 	_, known := r.meta[id]
@@ -235,9 +367,10 @@ func (r *Registry) Pin(id string) (*dataset.Dataset, func(), error) {
 		r.mu.Unlock()
 		return nil, nil, fmt.Errorf("%w: %q", ErrNotFound, id)
 	}
-	ok := r.lru.Put(id, ds, ds.ApproxBytes())
+	var v any
+	ok := r.admitLocked(id, ds, ds.ApproxBytes())
 	if ok {
-		r.lru.Pin(id)
+		v, ok = r.lru.Pin(id)
 	}
 	r.mu.Unlock()
 	if !ok {
@@ -245,7 +378,7 @@ func (r *Registry) Pin(id string) (*dataset.Dataset, func(), error) {
 		// this dataset's size.
 		return nil, nil, fmt.Errorf("%w (%d bytes)", ErrTooLarge, ds.ApproxBytes())
 	}
-	return ds, r.releaseFunc(id), nil
+	return v.(*entry).ds, r.releaseFunc(id), nil
 }
 
 // PinLazy reserves the dataset under id now but defers the byte load:
@@ -398,12 +531,11 @@ func (r *Registry) residency() map[string]int {
 func (r *Registry) Describe(id string) (Info, error) {
 	var out Info
 	found := false
-	r.lru.Range(func(key string, value any, cost int64, pins int) bool {
+	r.lru.Range(func(key string, value any, _ int64, pins int) bool {
 		if key != id {
 			return true
 		}
-		ds := value.(*dataset.Dataset)
-		out = Info{ID: key, Attrs: len(ds.Attrs), Records: len(ds.Records), Bytes: cost, Pins: pins, Resident: true}
+		out = value.(*entry).info(key, pins)
 		found = true
 		return false
 	})
@@ -432,16 +564,8 @@ func (r *Registry) Describe(id string) (Info, error) {
 func (r *Registry) List() []Info {
 	var out []Info
 	if r.backing == nil {
-		r.lru.Range(func(key string, value any, cost int64, pins int) bool {
-			ds := value.(*dataset.Dataset)
-			out = append(out, Info{
-				ID:       key,
-				Attrs:    len(ds.Attrs),
-				Records:  len(ds.Records),
-				Bytes:    cost,
-				Pins:     pins,
-				Resident: true,
-			})
+		r.lru.Range(func(key string, value any, _ int64, pins int) bool {
+			out = append(out, value.(*entry).info(key, pins))
 			return true
 		})
 		sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })

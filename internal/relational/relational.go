@@ -30,7 +30,8 @@ type Options struct {
 	// QIs names the quasi-identifier attributes; empty means all
 	// relational attributes.
 	QIs []string
-	// Hierarchies supplies a hierarchy per QI attribute.
+	// Hierarchies supplies a hierarchy per QI attribute. Runs only read
+	// them: a server shares one set across every job over a dataset.
 	Hierarchies generalize.Set
 	// MaxSuppression is the fraction of records (0..1) Incognito may
 	// suppress instead of generalizing: a lattice node qualifies when the
@@ -40,8 +41,9 @@ type Options struct {
 	MaxSuppression float64
 	// Interned, when non-nil, is the columnar interning of the input
 	// dataset (dataset.Intern(ds)). Runs read their QI columns from it and
-	// publish over it without writing to it, so batch callers share one
-	// interning across all configurations of a batch.
+	// publish over it without writing to it, so callers share one
+	// interning across all configurations of a batch, and a server across
+	// every job over a registry dataset.
 	Interned *dataset.Indexed
 }
 

@@ -105,16 +105,18 @@ type Options struct {
 	// Hierarchies supplies relational hierarchies.
 	Hierarchies generalize.Set
 	// ItemHierarchy drives hierarchy-based transaction algorithms and is
-	// required for Apriori/LRA/VPA.
+	// required for Apriori/LRA/VPA. Runs only read the hierarchies: a
+	// server shares them across every job over a dataset.
 	ItemHierarchy *hierarchy.Hierarchy
 	// Policy drives COAT/PCTA.
 	Policy *policy.Policy
 	// Interned, when non-nil, is the columnar interning of the input
 	// dataset (dataset.Intern(ds)). The merge traversal's k^m support
 	// tables are built from its transaction IDs instead of re-interning
-	// the item domain, and batch callers (engine.Scheduler) share one
-	// interning across every configuration of a batch. Nil makes
-	// Anonymize intern once itself.
+	// the item domain, and callers (engine.Input) share one interning
+	// across every configuration of a batch and every job over a registry
+	// dataset; runs never write to it. Nil makes Anonymize intern once
+	// itself.
 	Interned *dataset.Indexed
 	// RelAlgo and TransAlgo pick the combination (see RelationalAlgos,
 	// TransactionAlgos).

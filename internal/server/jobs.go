@@ -1,12 +1,13 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -289,6 +290,9 @@ type jobStore struct {
 	seq  int
 	max  int
 	jobs map[string]*job
+	// order holds the same jobs as jobs, ascending by seq: eviction walks
+	// it from the oldest, and listings read it in order.
+	order []*job
 
 	st     *store.Store // nil: memory-only
 	logger *slog.Logger
@@ -400,7 +404,7 @@ func (s *jobStore) add(kind string, cancel context.CancelFunc, maxPending int, b
 	// in the tree from the first snapshot.
 	j.trace = obs.New(j.id)
 	j.trace.Root().SetAttr("kind", kind)
-	s.jobs[j.id] = j
+	s.insertLocked(j)
 	evicted := s.evictLocked()
 	s.mu.Unlock()
 	// The fsync'd appends happen outside the lock so job-API reads never
@@ -453,11 +457,22 @@ func (s *jobStore) restore(rec store.JobRecord, load func() (*jobResult, error),
 	if rec.Seq > s.seq {
 		s.seq = rec.Seq
 	}
-	s.jobs[j.id] = j
+	s.insertLocked(j)
 	evicted := s.evictLocked()
 	s.mu.Unlock()
 	s.dropDurable(evicted)
 	return j
+}
+
+// insertLocked adds j to the table, keeping order sorted by seq. New jobs
+// take the next seq and append; recovery may restore jobs out of order.
+func (s *jobStore) insertLocked(j *job) {
+	s.jobs[j.id] = j
+	i := len(s.order)
+	if i > 0 && s.order[i-1].seq > j.seq {
+		i, _ = slices.BinarySearchFunc(s.order, j.seq, func(o *job, seq int) int { return cmp.Compare(o.seq, seq) })
+	}
+	s.order = slices.Insert(s.order, i, j)
 }
 
 // dropDurable erases journal records and every per-job blob (result,
@@ -488,11 +503,13 @@ func (s *jobStore) evictLocked() []string {
 // remove deletes a job record outright; it reports whether id existed.
 func (s *jobStore) remove(id string) bool {
 	s.mu.Lock()
-	if _, ok := s.jobs[id]; !ok {
+	j, ok := s.jobs[id]
+	if !ok {
 		s.mu.Unlock()
 		return false
 	}
 	delete(s.jobs, id)
+	s.order = slices.DeleteFunc(s.order, func(o *job) bool { return o == j })
 	s.mu.Unlock()
 	s.dropDurable([]string{id})
 	return true
@@ -524,12 +541,8 @@ type jobQuery struct {
 // query) and the total number of matches before pagination.
 func (s *jobStore) list(q jobQuery) (views []JobView, total int) {
 	s.mu.Lock()
-	jobs := make([]*job, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		jobs = append(jobs, j)
-	}
+	jobs := slices.Clone(s.order)
 	s.mu.Unlock()
-	sort.Slice(jobs, func(a, b int) bool { return jobs[a].seq < jobs[b].seq })
 	views = []JobView{}
 	for _, j := range jobs {
 		if q.tenantScoped && j.tenant != q.tenant {
@@ -613,29 +626,33 @@ func (s *jobStore) counts() (all map[Status]int, byTenant map[string]map[Status]
 // misorder lexicographically past the padding width) from the table and
 // returns their IDs for durable cleanup, which the caller does off-lock.
 // Queued and running jobs are never touched. Both retention levers use
-// it: the MaxJobs count cap and the GC sweeper's byte cap.
+// it: the MaxJobs count cap and the GC sweeper's byte cap. It walks order
+// from the oldest job and stops after the n-th terminal one, so a capped
+// table evicts in time proportional to the jobs it skips, not its size.
 func (s *jobStore) dropOldestTerminalLocked(n int) []string {
 	if n <= 0 {
 		return nil
 	}
-	var terminal []*job
-	for _, j := range s.jobs {
+	var ids []string
+	kept, i := 0, 0 // order[:kept] collects the skipped live jobs
+	for ; i < len(s.order) && len(ids) < n; i++ {
+		j := s.order[i]
 		j.mu.Lock()
 		done := j.status.Terminal()
 		j.mu.Unlock()
 		if done {
-			terminal = append(terminal, j)
+			delete(s.jobs, j.id)
+			ids = append(ids, j.id)
+		} else {
+			s.order[kept] = j
+			kept++
 		}
 	}
-	sort.Slice(terminal, func(a, b int) bool { return terminal[a].seq < terminal[b].seq })
-	if len(terminal) > n {
-		terminal = terminal[:n]
-	}
-	ids := make([]string, 0, len(terminal))
-	for _, j := range terminal {
-		delete(s.jobs, j.id)
-		ids = append(ids, j.id)
-	}
+	// Slide the skipped jobs up against the unwalked rest, clear the
+	// vacated front so dropped jobs can be collected, and cut it off.
+	copy(s.order[i-kept:i], s.order[:kept])
+	clear(s.order[:i-kept])
+	s.order = s.order[i-kept:]
 	return ids
 }
 

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+	"sync"
 
 	"secreta/internal/dataset"
 	"secreta/internal/engine"
@@ -99,13 +100,33 @@ func (d diskRecords) stream(emit func(line []byte) error) error {
 	}
 }
 
+// batchBufSize is the capacity of a pooled batch buffer: one chunk plus
+// room for the line that crosses chunkTarget.
+const batchBufSize = chunkTarget + 4096
+
+// batchBufs recycles batch buffers across streams, so a stream does not
+// allocate (and the runtime zero) a fresh one each time.
+var batchBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, batchBufSize)
+	return &b
+}}
+
 // batchLines streams recs' record lines, each newline-terminated, after
 // head, and hands emit every batch that reaches chunkTarget bytes, then
 // the shorter tail. The NDJSON route and the chunk file share it, so both
 // carry the same record bytes in the same batches. emit must not keep the
-// batch: its buffer is reused.
+// batch: its buffer is reused, by this stream and by later ones.
 func batchLines(recs resultRecords, head []byte, emit func(batch []byte) error) error {
-	buf := append(make([]byte, 0, chunkTarget+4096), head...)
+	pooled := batchBufs.Get().(*[]byte)
+	buf := append((*pooled)[:0], head...)
+	defer func() {
+		// A buffer that outgrew the pool's size (an oversized head or
+		// record line) is left to the collector rather than kept.
+		if cap(buf) == batchBufSize {
+			*pooled = buf[:0]
+			batchBufs.Put(pooled)
+		}
+	}()
 	err := recs.stream(func(line []byte) error {
 		buf = append(append(buf, line...), '\n')
 		if len(buf) < chunkTarget {
@@ -212,7 +233,9 @@ func writeBufferedAnonymize(w io.Writer, meta *anonMeta, recs resultRecords) err
 	if err != nil {
 		return err
 	}
-	if err := indentInto(bw, attrs, "    "); err != nil {
+	// One scratch buffer serves every indentInto of the document.
+	var scratch bytes.Buffer
+	if err := indentInto(bw, &scratch, attrs, "    "); err != nil {
 		return err
 	}
 	if meta.Transaction != "" {
@@ -237,7 +260,7 @@ func writeBufferedAnonymize(w io.Writer, meta *anonMeta, recs resultRecords) err
 			}
 			first = false
 			bw.WriteString("\n      ")
-			return indentInto(bw, line, "      ")
+			return indentInto(bw, &scratch, line, "      ")
 		})
 		if err != nil {
 			return err
@@ -247,7 +270,7 @@ func writeBufferedAnonymize(w io.Writer, meta *anonMeta, recs resultRecords) err
 	bw.WriteString("\n  },\n  \"cache_hit\": ")
 	bw.WriteString(strconv.FormatBool(meta.CacheHit))
 	bw.WriteString(",\n  \"results\": ")
-	if err := indentInto(bw, meta.Results, "  "); err != nil {
+	if err := indentInto(bw, &scratch, meta.Results, "  "); err != nil {
 		return err
 	}
 	bw.WriteString("\n}")
@@ -256,12 +279,13 @@ func writeBufferedAnonymize(w io.Writer, meta *anonMeta, recs resultRecords) err
 
 // indentInto re-indents a compact JSON value for embedding at the line
 // prefix the document has reached, mirroring what json.MarshalIndent did
-// to the legacy document's RawMessage fields.
-func indentInto(w *bufio.Writer, compact []byte, prefix string) error {
-	var buf bytes.Buffer
-	if err := json.Indent(&buf, compact, prefix, "  "); err != nil {
+// to the legacy document's RawMessage fields. scratch holds the indented
+// bytes on their way to w; its earlier contents are discarded.
+func indentInto(w *bufio.Writer, scratch *bytes.Buffer, compact []byte, prefix string) error {
+	scratch.Reset()
+	if err := json.Indent(scratch, compact, prefix, "  "); err != nil {
 		return err
 	}
-	_, err := w.Write(buf.Bytes())
+	_, err := w.Write(scratch.Bytes())
 	return err
 }

@@ -329,41 +329,99 @@ type CompareRequest struct {
 	TimeoutMS  int64           `json:"timeout_ms,omitempty"`
 }
 
-// hierSet memoizes per-fanout hierarchy derivation within one request, so
-// a /compare with N configs sharing a fanout derives them once, not N
-// times.
-type hierSet struct {
-	ds    *dataset.Dataset
-	rel   map[int]generalize.Set
-	items map[int]*hierarchy.Hierarchy
+// jobInputs is what every job over one dataset derives from it: the
+// engine Input (the dataset and its lazily built interning) and the
+// auto-generated hierarchies by fanout, so a /compare with N configs
+// sharing a fanout derives them once, not N times. A registry dataset
+// keeps one in its registry slot for as long as it stays resident (or
+// until the registry's byte cap empties the slot), so every job over it —
+// and every result those jobs retain — shares one interning and one
+// hierarchy set; an inline dataset gets a fresh one per job. Everything
+// in it derives from content-addressed bytes, so sharing it across
+// tenants discloses nothing that sharing the dataset_ref does not; once
+// built, nothing in it is written to again.
+type jobInputs struct {
+	in *engine.Input
+	// charge reports the bytes held to the registry entry (nil inline, and
+	// once the registry has refused a charge and emptied its slot).
+	charge func(bytes int64) bool
+
+	mu    sync.Mutex
+	rel   map[int]*derivation[generalize.Set]
+	items map[int]*derivation[*hierarchy.Hierarchy]
+	// hierBytes sums the derived hierarchies' ApproxBytes; charged is the
+	// total last reported through charge.
+	hierBytes, charged int64
 }
 
-func newHierSet(ds *dataset.Dataset) *hierSet {
-	return &hierSet{ds: ds, rel: make(map[int]generalize.Set), items: make(map[int]*hierarchy.Hierarchy)}
+// derivation is one fanout's hierarchies, derived once: only jobs that
+// need the same fanout wait for one another.
+type derivation[T any] struct {
+	once sync.Once
+	v    T
+	err  error
 }
 
-func (h *hierSet) relational(fanout int) (generalize.Set, error) {
-	if hs, ok := h.rel[fanout]; ok {
-		return hs, nil
+func newJobInputs(ds *dataset.Dataset, charge func(int64) bool) *jobInputs {
+	return &jobInputs{
+		in:     engine.NewInput(ds),
+		charge: charge,
+		rel:    make(map[int]*derivation[generalize.Set]),
+		items:  make(map[int]*derivation[*hierarchy.Hierarchy]),
 	}
-	hs, err := gen.Hierarchies(h.ds, fanout)
-	if err != nil {
-		return nil, err
-	}
-	h.rel[fanout] = hs
-	return hs, nil
 }
 
-func (h *hierSet) item(fanout int) (*hierarchy.Hierarchy, error) {
-	if ih, ok := h.items[fanout]; ok {
-		return ih, nil
+// derive returns m's hierarchies for fanout, building them with build on
+// first use; ji.mu is held only to find the fanout's derivation, not
+// while it is built.
+func derive[T any](ji *jobInputs, m map[int]*derivation[T], fanout int, build func(*dataset.Dataset, int) (T, error), size func(T) int64) (T, error) {
+	ji.mu.Lock()
+	d, ok := m[fanout]
+	if !ok {
+		d = new(derivation[T])
+		m[fanout] = d
 	}
-	ih, err := gen.ItemHierarchy(h.ds, fanout)
-	if err != nil {
-		return nil, err
+	ji.mu.Unlock()
+	d.once.Do(func() {
+		if d.v, d.err = build(ji.in.Dataset(), fanout); d.err == nil {
+			ji.mu.Lock()
+			ji.hierBytes += size(d.v)
+			ji.mu.Unlock()
+		}
+	})
+	return d.v, d.err
+}
+
+func (ji *jobInputs) relational(fanout int) (generalize.Set, error) {
+	return derive(ji, ji.rel, fanout, gen.Hierarchies, func(hs generalize.Set) (n int64) {
+		for _, h := range hs {
+			n += h.ApproxBytes()
+		}
+		return n
+	})
+}
+
+func (ji *jobInputs) item(fanout int) (*hierarchy.Hierarchy, error) {
+	return derive(ji, ji.items, fanout, gen.ItemHierarchy, (*hierarchy.Hierarchy).ApproxBytes)
+}
+
+// account charges what the inputs hold now — hierarchies, their indexes
+// and the interning — to the registry entry, when it changed. Jobs call it
+// after their run, while their pin still holds the entry resident. Once
+// the registry refuses a charge, it has emptied its slot and these inputs
+// are only their current jobs'; they charge no more.
+func (ji *jobInputs) account() {
+	ji.mu.Lock()
+	defer ji.mu.Unlock()
+	if ji.charge == nil {
+		return
 	}
-	h.items[fanout] = ih
-	return ih, nil
+	if n := ji.hierBytes + ji.in.ApproxBytes(); n != ji.charged {
+		ji.charged = n
+		if !ji.charge(n) {
+			ji.charge = nil
+		}
+	}
 }
 
 // validateConfig parses the algorithm spec and parameters — everything
@@ -404,18 +462,19 @@ func parseWorkload(lines []string) (*query.Workload, error) {
 	return w, nil
 }
 
-// attachInputs derives the hierarchies the config's mode needs and sets
-// the workload. It runs inside the job, under admission control — its cost
-// is O(dataset) and must not be spendable by unadmitted requests.
-func attachInputs(cfg *engine.Config, ds *dataset.Dataset, hiers *hierSet, fanout int, w *query.Workload) error {
+// attachInputs sets the hierarchies the config's mode needs, deriving
+// them on the first request for their fanout, and the workload. It runs
+// inside the job, under admission control — a derivation costs
+// O(dataset) and must not be spendable by unadmitted requests.
+func attachInputs(cfg *engine.Config, ji *jobInputs, fanout int, w *query.Workload) error {
 	var err error
 	if cfg.Mode != engine.Transactional {
-		if cfg.Hierarchies, err = hiers.relational(fanout); err != nil {
+		if cfg.Hierarchies, err = ji.relational(fanout); err != nil {
 			return fmt.Errorf("config: deriving hierarchies: %w", err)
 		}
 	}
-	if cfg.Mode != engine.Relational && ds.HasTransaction() {
-		if cfg.ItemHierarchy, err = hiers.item(fanout); err != nil {
+	if cfg.Mode != engine.Relational && ji.in.Dataset().HasTransaction() {
+		if cfg.ItemHierarchy, err = ji.item(fanout); err != nil {
 			return fmt.Errorf("config: deriving item hierarchy: %w", err)
 		}
 	}
@@ -436,14 +495,16 @@ func decodeDataset(raw json.RawMessage) (*dataset.Dataset, error) {
 
 // resolveDataset turns a request's dataset fields into a loader. Exactly
 // one of raw (inline rows) and ref (an ID from POST /datasets) must be
-// set. The loader returns the dataset with its fingerprint when it has one
-// for free: a ref is the fingerprint of the registry dataset it names; an
-// inline dataset has none until loadTraced hashes it. A ref is reserved
-// immediately — before the job is even admitted — so the dataset cannot
-// be deleted between submission and execution, but its bytes are loaded
-// (and RAM-pinned) only when the job starts: with a durable backing, a
-// deep queue of submissions holds index entries, not dataset memory, so
-// pinned RAM scales with -max-concurrent rather than queue depth. The
+// set. The loader returns the dataset's job inputs — a registry dataset's
+// are the shared ones of its registry slot, an inline dataset's its own —
+// with its fingerprint when it has one for free: a ref is the fingerprint
+// of the registry dataset it names; an inline dataset has none until
+// loadTraced hashes it. A ref is reserved immediately — before the job is
+// even admitted — so the dataset cannot be deleted between submission
+// and execution, but its bytes are loaded (and RAM-pinned) only when the
+// job starts: with a durable backing, a deep queue of submissions holds
+// index entries, not dataset memory, so pinned RAM scales with
+// -max-concurrent rather than queue depth. The
 // returned release (idempotent, never nil) must be called when the job
 // finishes or the submission is rejected. Inline payloads decode lazily
 // inside the job, under admission control, so unadmitted requests cannot
@@ -461,9 +522,12 @@ func (s *Server) resolveDataset(raw json.RawMessage, ref, owner string) (load da
 	case !inline && ref == "":
 		return nil, nil, fmt.Errorf("request has no dataset (inline dataset or dataset_ref required)")
 	case inline:
-		load := func() (*dataset.Dataset, string, error) {
+		load := func() (*jobInputs, string, error) {
 			ds, err := decodeDataset(raw)
-			return ds, "", err
+			if err != nil {
+				return nil, "", err
+			}
+			return newJobInputs(ds, nil), "", nil
 		}
 		return load, func() {}, nil
 	}
@@ -474,16 +538,25 @@ func (s *Server) resolveDataset(raw json.RawMessage, ref, owner string) (load da
 	if err != nil {
 		return nil, nil, err
 	}
-	load = func() (*dataset.Dataset, string, error) {
-		ds, err := pin()
-		return ds, ref, err
+	load = func() (*jobInputs, string, error) {
+		if _, err := pin(); err != nil {
+			return nil, "", err
+		}
+		slot, err := s.registry.Derived(ref, func(ds *dataset.Dataset, charge func(int64) bool) any {
+			return newJobInputs(ds, charge)
+		})
+		if err != nil {
+			return nil, "", err
+		}
+		return slot.(*jobInputs), ref, nil
 	}
 	return load, release, nil
 }
 
-// datasetLoader loads a job's dataset and returns it with its
-// fingerprint, empty for an inline dataset.
-type datasetLoader func() (ds *dataset.Dataset, fingerprint string, err error)
+// datasetLoader loads a job's dataset and returns its job inputs with its
+// fingerprint, empty for an inline dataset. A registry dataset's inputs
+// are its registry slot's, shared with every other job over it.
+type datasetLoader func() (ji *jobInputs, fingerprint string, err error)
 
 // datasetError writes the right status for a dataset resolution failure:
 // an unknown (or already evicted) dataset_ref is 404, a broken durable
@@ -588,14 +661,15 @@ func (s *Server) prepareSingle(kind string, req *AnonymizeRequest, owner string)
 			return nil, err
 		}
 		fn := func(ctx context.Context) (*jobResult, error) {
-			ds, _, err := s.loadTraced(ctx, load, false)
+			ji, _, err := s.loadTraced(ctx, load, false)
 			if err != nil {
 				return nil, err
 			}
-			if err := attachInputs(&cfg, ds, newHierSet(ds), fanout, workload); err != nil {
+			defer ji.account()
+			if err := attachInputs(&cfg, ji, fanout, workload); err != nil {
 				return nil, err
 			}
-			series, err := experiment.VaryingRunCtx(ctx, ds, cfg, sweep, s.uncached)
+			series, err := experiment.VaryingRunCtx(ctx, ji.in, cfg, sweep, s.uncached)
 			if err != nil {
 				return nil, err
 			}
@@ -659,17 +733,17 @@ func (s *Server) prepareCompare(req *CompareRequest, owner string) (*preparedJob
 		return nil, err
 	}
 	fn := func(ctx context.Context) (*jobResult, error) {
-		ds, _, err := s.loadTraced(ctx, load, false)
+		ji, _, err := s.loadTraced(ctx, load, false)
 		if err != nil {
 			return nil, err
 		}
-		hiers := newHierSet(ds)
+		defer ji.account()
 		for i := range bases {
-			if err := attachInputs(&bases[i], ds, hiers, fanouts[i], workload); err != nil {
+			if err := attachInputs(&bases[i], ji, fanouts[i], workload); err != nil {
 				return nil, err
 			}
 		}
-		series, err := experiment.CompareCtx(ctx, ds, bases, sweep, s.uncached)
+		series, err := experiment.CompareCtx(ctx, ji.in, bases, sweep, s.uncached)
 		if err != nil {
 			return nil, err
 		}
@@ -685,16 +759,17 @@ func (s *Server) prepareCompare(req *CompareRequest, owner string) (*preparedJob
 // result was served from the cache — payloads surface it so a copied
 // runtime_s is never mistaken for a fresh measurement.
 func (s *Server) runSingle(ctx context.Context, sched *engine.Scheduler, load datasetLoader, cfg engine.Config, fanout int, workload *query.Workload) (*engine.Result, bool, error) {
-	ds, fp, err := s.loadTraced(ctx, load, sched.Cache() != nil)
+	ji, fp, err := s.loadTraced(ctx, load, sched.Cache() != nil)
 	if err != nil {
 		return nil, false, err
 	}
-	if err := attachInputs(&cfg, ds, newHierSet(ds), fanout, workload); err != nil {
+	defer ji.account()
+	if err := attachInputs(&cfg, ji, fanout, workload); err != nil {
 		return nil, false, err
 	}
 	var item engine.Item
 	got := false
-	for it := range sched.Stream(ctx, ds, fp, []engine.Config{cfg}) {
+	for it := range sched.Stream(ctx, ji.in, fp, []engine.Config{cfg}) {
 		item, got = it, true
 	}
 	if !got {
@@ -717,17 +792,18 @@ func (s *Server) runSingle(ctx context.Context, sched *engine.Scheduler, load da
 
 // loadTraced wraps a job's dataset load in a trace span annotated with the
 // dataset's size and, when it has one, its content fingerprint, and
-// returns both the dataset and the fingerprint. An inline dataset is
+// returns both the job inputs and the fingerprint. An inline dataset is
 // hashed, once per job, only when fingerprint asks for it: only a cached
 // scheduler keys on the hash.
-func (s *Server) loadTraced(ctx context.Context, load datasetLoader, fingerprint bool) (*dataset.Dataset, string, error) {
+func (s *Server) loadTraced(ctx context.Context, load datasetLoader, fingerprint bool) (*jobInputs, string, error) {
 	sp := obs.FromCtx(ctx).Start("dataset_load")
 	defer sp.End()
-	ds, fp, err := load()
+	ji, fp, err := load()
 	if err != nil {
 		sp.SetAttr("err", err.Error())
 		return nil, "", err
 	}
+	ds := ji.in.Dataset()
 	if fp == "" && fingerprint {
 		fp = ds.Fingerprint()
 	}
@@ -735,7 +811,7 @@ func (s *Server) loadTraced(ctx context.Context, load datasetLoader, fingerprint
 		sp.SetAttr("fingerprint", fp)
 	}
 	sp.SetAttr("records", strconv.Itoa(len(ds.Records)))
-	return ds, fp, nil
+	return ji, fp, nil
 }
 
 // logPhases emits one structured log line per measured algorithm phase —

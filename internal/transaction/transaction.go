@@ -32,7 +32,8 @@ type Options struct {
 	// M is the maximum adversary itemset size for k^m-anonymity
 	// (hierarchy-based algorithms).
 	M int
-	// ItemHierarchy drives Apriori, LRA and VPA.
+	// ItemHierarchy drives Apriori, LRA and VPA, which only read it: a
+	// server shares one across every job over a dataset.
 	ItemHierarchy *hierarchy.Hierarchy
 	// Policy drives COAT and PCTA. COAT requires utility constraints;
 	// both require privacy constraints.
