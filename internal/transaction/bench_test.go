@@ -6,6 +6,7 @@ import (
 
 	"secreta/internal/dataset"
 	"secreta/internal/gen"
+	"secreta/internal/policy"
 	"secreta/internal/rt"
 	"secreta/internal/transaction"
 )
@@ -79,6 +80,34 @@ func BenchmarkHierarchyShapes(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if err := run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkMappingShapes runs the mapping-based transaction algorithms
+// at anon-miss's dataset shape (2,000 generated census records over 24
+// items) with k = 8 and m = 2: COAT and PCTA protect every frequent
+// itemset of size <= m under the top-level utility policy, and
+// rho-uncertainty bounds two sensitive items at rho = 0.3.
+func BenchmarkMappingShapes(b *testing.B) {
+	ds := gen.Census(gen.Config{Records: 2000, Items: 24, Seed: 1})
+	pol := &policy.Policy{Privacy: policy.PrivacyFrequent(ds, 1, 2), Utility: policy.UtilityTop(ds)}
+	for _, tc := range []struct {
+		name string
+		run  func(*dataset.Dataset, transaction.Options) (*transaction.Result, error)
+		opts transaction.Options
+	}{
+		{"coat", transaction.COAT, transaction.Options{K: 8, M: 2, Policy: pol}},
+		{"pcta", transaction.PCTA, transaction.Options{K: 8, M: 2, Policy: pol}},
+		{"rho", transaction.RhoUncertainty, transaction.Options{M: 2, Rho: 0.3, Sensitive: []string{gen.ItemName(0), gen.ItemName(5)}}},
+	} {
+		b.Run(fmt.Sprintf("%s_n2000_i24", tc.name), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := tc.run(ds, tc.opts); err != nil {
 					b.Fatal(err)
 				}
 			}
