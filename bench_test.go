@@ -94,7 +94,7 @@ func BenchmarkAblationMergeGate(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				g, err := metrics.GCP(res.Anonymized, env.Hierarchies, mustQIs(b, env.DS))
+				g, err := metrics.GCP(res.Anonymized.Materialize(), env.Hierarchies, mustQIs(b, env.DS))
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -199,34 +199,6 @@ func (d *Dataset) Clone() *Dataset {
 	return out
 }
 
-// CloneRelational returns a copy of the dataset whose records carry
-// copies of their relational values and no items: the frame an algorithm
-// that recodes every record's items publishes into. The values share one
-// backing array; each record's slice is capped at its own length, so an
-// append to one record never writes into the next.
-func (d *Dataset) CloneRelational() *Dataset {
-	out := &Dataset{
-		Attrs:     append([]Attribute(nil), d.Attrs...),
-		TransName: d.TransName,
-		Records:   make([]Record, len(d.Records)),
-	}
-	total := 0
-	for i := range d.Records {
-		total += len(d.Records[i].Values)
-	}
-	flat := make([]string, total)
-	for i := range d.Records {
-		v := d.Records[i].Values
-		if len(v) == 0 {
-			continue
-		}
-		out.Records[i].Values = flat[:len(v):len(v)]
-		copy(out.Records[i].Values, v)
-		flat = flat[len(v):]
-	}
-	return out
-}
-
 // Column returns a copy of the values of relational attribute i.
 func (d *Dataset) Column(i int) []string {
 	out := make([]string, len(d.Records))

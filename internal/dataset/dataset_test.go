@@ -107,21 +107,6 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
-func TestCloneRelational(t *testing.T) {
-	ds := sample()
-	cp := ds.CloneRelational()
-	for i, rec := range cp.Records {
-		if !reflect.DeepEqual(rec.Values, ds.Records[i].Values) || rec.Items != nil {
-			t.Fatalf("record %d = %+v, want values %v and no items", i, rec, ds.Records[i].Values)
-		}
-	}
-	cp.Records[0].Values = append(cp.Records[0].Values, "extra")
-	cp.Records[0].Values[0] = "99"
-	if ds.Records[0].Values[0] != "25" || cp.Records[1].Values[0] != ds.Records[1].Values[0] {
-		t.Error("CloneRelational shares values with the original or between records")
-	}
-}
-
 func TestValidateCatchesCorruption(t *testing.T) {
 	ds := sample()
 	if err := ds.Validate(); err != nil {

@@ -23,6 +23,18 @@ func NewInterner() *Interner {
 	return &Interner{ids: make(map[string]uint32)}
 }
 
+// NewRankedInterner returns an interner over sorted, a list of distinct
+// values in ascending order, each value's ID its position: rank-built,
+// with no map growth or permutation. The interner keeps sorted as its
+// storage.
+func NewRankedInterner(sorted []string) *Interner {
+	ids := make(map[string]uint32, len(sorted))
+	for i, v := range sorted {
+		ids[v] = uint32(i)
+	}
+	return &Interner{ids: ids, vals: sorted}
+}
+
 // Intern returns the ID of v, assigning the next dense ID when v is new.
 func (in *Interner) Intern(v string) uint32 {
 	if id, ok := in.ids[v]; ok {
@@ -136,6 +148,34 @@ func Intern(d *Dataset) *Indexed {
 	return ix
 }
 
+// Describes reports whether ix can be the interning of d: the same
+// schema, record count and transaction presence. Callers that accept a
+// caller-supplied interning check it first, so a stale or foreign one is
+// never read as d's.
+func (ix *Indexed) Describes(d *Dataset) bool {
+	if ix.N != len(d.Records) || ix.TransName != d.TransName || (ix.ItemDict != nil) != d.HasTransaction() ||
+		len(ix.Attrs) != len(d.Attrs) || len(ix.Dicts) != len(d.Attrs) {
+		return false
+	}
+	for a := range d.Attrs {
+		if ix.Attrs[a] != d.Attrs[a] {
+			return false
+		}
+	}
+	return true
+}
+
+// WithItems returns ix with its baskets replaced by items over dict,
+// sharing every relational column: how a transaction run's published
+// baskets join the input's relational columns. items follows the Items
+// invariants — record-aligned, ascending, nil for an empty basket — and
+// dict is rank-built.
+func (ix *Indexed) WithItems(items [][]uint32, dict *Interner) *Indexed {
+	out := *ix
+	out.Items, out.ItemDict = items, dict
+	return &out
+}
+
 // Columns returns the given relational columns of ix and their
 // dictionaries, as InternColumns does for a Dataset.
 func (ix *Indexed) Columns(attrs []int) ([][]uint32, []*Interner) {
@@ -148,9 +188,9 @@ func (ix *Indexed) Columns(attrs []int) ([][]uint32, []*Interner) {
 
 // InternColumns rank-interns the given relational columns of d (all when
 // cols is nil) and returns them column-major along with the per-column
-// interners. This is the shared entry point for signature-keyed hot paths
-// (privacy.Partition, engine.Evaluate on string output) that only need a
-// few columns.
+// interners: Intern's relational half, and the interning of the few QI
+// columns a check on a string dataset reads (privacy.Partition,
+// metrics.GCP).
 func InternColumns(d *Dataset, cols []int) ([][]uint32, []*Interner) {
 	if cols == nil {
 		cols = make([]int, len(d.Attrs))
@@ -251,4 +291,33 @@ func (ix *Indexed) Materialize() *Dataset {
 		}
 	}
 	return d
+}
+
+// ScanRecords calls fn with each record in order, decoded from the
+// interned columns, until fn returns false. The Values/Items slices are
+// scratch buffers reused across iterations (the strings themselves are
+// the interners' shared storage), so a full scan allocates O(columns),
+// not O(records); callers must copy anything they keep past the
+// callback. A record with an empty basket has nil Items.
+func (ix *Indexed) ScanRecords(fn func(i int, rec Record) bool) {
+	vals := make([]string, len(ix.Attrs))
+	var items []string
+	for r := 0; r < ix.N; r++ {
+		for a := range ix.Attrs {
+			vals[a] = ix.Dicts[a].Value(ix.Cols[a][r])
+		}
+		items = items[:0]
+		if ix.ItemDict != nil {
+			for _, id := range ix.Items[r] {
+				items = append(items, ix.ItemDict.Value(id))
+			}
+		}
+		rec := Record{Values: vals}
+		if len(items) > 0 {
+			rec.Items = items
+		}
+		if !fn(r, rec) {
+			return
+		}
+	}
 }

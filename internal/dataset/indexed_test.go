@@ -135,3 +135,56 @@ func TestInternColumnsSubset(t *testing.T) {
 		}
 	}
 }
+
+// TestIndexedWithItems pins the join a transaction run publishes
+// through: the baskets are replaced, every relational column is shared,
+// and the source interning is left as it was.
+func TestIndexedWithItems(t *testing.T) {
+	ds := sample()
+	ix := Intern(ds)
+	dict := NewInterner()
+	dict.Intern("G")
+	items := make([][]uint32, ix.N)
+	items[0] = []uint32{0}
+	out := ix.WithItems(items, dict)
+	if &out.Cols[0][0] != &ix.Cols[0][0] || out.Dicts[0] != ix.Dicts[0] || out.N != ix.N || out.TransName != ix.TransName {
+		t.Fatal("WithItems does not share the relational columns")
+	}
+	for r, rec := range out.Materialize().Records {
+		var want []string
+		if r == 0 {
+			want = []string{"G"}
+		}
+		if !reflect.DeepEqual(rec.Values, ds.Records[r].Values) || !reflect.DeepEqual(rec.Items, want) {
+			t.Fatalf("record %d = %+v, want values %v and items %v", r, rec, ds.Records[r].Values, want)
+		}
+	}
+	if !reflect.DeepEqual(ix.Materialize(), ds) {
+		t.Fatal("WithItems changed its source")
+	}
+}
+
+// TestIndexedDescribes checks the staleness test a supplied interning
+// must pass: it describes the dataset it was interned from and no
+// dataset of another shape.
+func TestIndexedDescribes(t *testing.T) {
+	ds := sample()
+	ix := Intern(ds)
+	if !ix.Describes(ds) {
+		t.Fatal("an interning does not describe its own dataset")
+	}
+	shorter := ds.Clone()
+	shorter.Records = shorter.Records[1:]
+	renamed := ds.Clone()
+	renamed.Attrs[0].Name = "other"
+	relational := ds.Clone()
+	relational.TransName = ""
+	for r := range relational.Records {
+		relational.Records[r].Items = nil
+	}
+	for name, other := range map[string]*Dataset{"fewer records": shorter, "renamed attribute": renamed, "no transaction": relational} {
+		if ix.Describes(other) {
+			t.Errorf("%s: a foreign interning passes", name)
+		}
+	}
+}

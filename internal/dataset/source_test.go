@@ -21,9 +21,9 @@ func sourceFixture(t *testing.T) *Dataset {
 	return ds
 }
 
-// collect deep-copies every record a source yields (the contract allows
-// slice reuse between callbacks).
-func collect(src RecordSource) []Record {
+// collect deep-copies every record a scan yields (the scan may reuse its
+// slices between callbacks).
+func collect(src *Indexed) []Record {
 	var out []Record
 	src.ScanRecords(func(i int, rec Record) bool {
 		out = append(out, rec.Clone())
@@ -32,43 +32,38 @@ func collect(src RecordSource) []Record {
 	return out
 }
 
-// TestRecordSourceIndexedMatchesDataset pins the streaming contract: the
-// Indexed source yields exactly the records of the dataset it was interned
-// from, in order, with an identical schema — and stays replayable.
+// TestRecordSourceIndexedMatchesDataset pins the streaming contract:
+// scanning an interning yields exactly the records of the dataset it was
+// interned from, in order, with an identical schema — and stays
+// replayable.
 func TestRecordSourceIndexedMatchesDataset(t *testing.T) {
 	ds := sourceFixture(t)
 	ix := Intern(ds)
-	for _, src := range []RecordSource{ds, ix} {
-		attrs, trans := src.SourceSchema()
-		if !reflect.DeepEqual(attrs, ds.Attrs) || trans != ds.TransName {
-			t.Fatalf("schema mismatch: %v/%q", attrs, trans)
-		}
-		if src.NumRecords() != len(ds.Records) {
-			t.Fatalf("NumRecords = %d, want %d", src.NumRecords(), len(ds.Records))
-		}
-		// Two scans must agree (replayability).
-		first, second := collect(src), collect(src)
-		if !reflect.DeepEqual(first, ds.Records) {
-			t.Fatalf("scan diverges from records:\ngot  %v\nwant %v", first, ds.Records)
-		}
-		if !reflect.DeepEqual(first, second) {
-			t.Fatalf("second scan diverges: %v vs %v", first, second)
-		}
+	if !reflect.DeepEqual(ix.Attrs, ds.Attrs) || ix.TransName != ds.TransName {
+		t.Fatalf("schema mismatch: %v/%q", ix.Attrs, ix.TransName)
+	}
+	if ix.N != len(ds.Records) {
+		t.Fatalf("N = %d, want %d", ix.N, len(ds.Records))
+	}
+	// Two scans must agree (replayability).
+	first, second := collect(ix), collect(ix)
+	if !reflect.DeepEqual(first, ds.Records) {
+		t.Fatalf("scan diverges from records:\ngot  %v\nwant %v", first, ds.Records)
+	}
+	if !reflect.DeepEqual(first, second) {
+		t.Fatalf("second scan diverges: %v vs %v", first, second)
 	}
 }
 
 // TestRecordSourceEarlyStop checks that returning false stops the scan.
 func TestRecordSourceEarlyStop(t *testing.T) {
-	ds := sourceFixture(t)
-	for _, src := range []RecordSource{ds, Intern(ds)} {
-		n := 0
-		src.ScanRecords(func(i int, rec Record) bool {
-			n++
-			return false
-		})
-		if n != 1 {
-			t.Fatalf("scan visited %d records after stop, want 1", n)
-		}
+	n := 0
+	Intern(sourceFixture(t)).ScanRecords(func(i int, rec Record) bool {
+		n++
+		return false
+	})
+	if n != 1 {
+		t.Fatalf("scan visited %d records after stop, want 1", n)
 	}
 }
 

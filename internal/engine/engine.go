@@ -127,14 +127,15 @@ type Indicators struct {
 // Result is one completed anonymization with its evaluation.
 type Result struct {
 	Config Config
-	// Records is a replayable, incrementally consumable iterator over the
-	// anonymized records — what streaming consumers (secreta-serve's
-	// chunked result delivery, `secreta evaluate -stream`) read instead of
-	// one fully materialized payload. It is set whenever the run produced
-	// an anonymized dataset and may be scanned any number of times: a
-	// *dataset.Indexed for relational runs and cached results, a
-	// *dataset.Dataset for transaction and RT runs.
-	Records    dataset.RecordSource
+	// Records is what the run published, in interned form: every
+	// relational value and item an ID over a rank-built dictionary, the
+	// columns it did not change shared with the input's interning. Every
+	// run publishes this one form — relational, transaction and RT runs,
+	// and results served from the cache — and streaming consumers
+	// (secreta-serve's chunked result delivery, `secreta evaluate
+	// -stream`) frame record lines from it without materializing. Set
+	// whenever the run succeeded; treat it as immutable.
+	Records    *dataset.Indexed
 	Runtime    time.Duration
 	Phases     []timing.Phase
 	Indicators Indicators
@@ -142,16 +143,14 @@ type Result struct {
 }
 
 // Anonymized returns the anonymized records as strings, for the callers
-// that need them (file output, frequency tables, ARE): interned records
-// are materialized anew on every call. Nil when the run failed.
-func (r *Result) Anonymized() *dataset.Dataset { return materialize(r.Records) }
-
-func materialize(src dataset.RecordSource) *dataset.Dataset {
-	if ix, ok := src.(*dataset.Indexed); ok {
-		return ix.Materialize()
+// that need them (file output, frequency tables, the persisted cache
+// entry): they are materialized anew on every call. Nil when the run
+// failed.
+func (r *Result) Anonymized() *dataset.Dataset {
+	if r.Records == nil {
+		return nil
 	}
-	ds, _ := src.(*dataset.Dataset)
-	return ds
+	return r.Records.Materialize()
 }
 
 // Run executes a single configuration synchronously and evaluates it —
@@ -204,7 +203,7 @@ func runInput(ctx context.Context, in *Input, cfg Config) *Result {
 	return res
 }
 
-func dispatch(ctx context.Context, in *Input, cfg Config) (dataset.RecordSource, []timing.Phase, error) {
+func dispatch(ctx context.Context, in *Input, cfg Config) (*dataset.Indexed, []timing.Phase, error) {
 	ds := in.Dataset()
 	switch cfg.Mode {
 	case Relational:
@@ -233,7 +232,7 @@ func dispatch(ctx context.Context, in *Input, cfg Config) (dataset.RecordSource,
 		if err != nil {
 			return nil, nil, err
 		}
-		return r.Anonymized, r.Phases, nil
+		return in.Indexed().WithItems(r.Items, r.ItemDict), r.Phases, nil
 	case RT:
 		r, err := rt.Anonymize(ds, rt.Options{
 			Ctx: ctx,
@@ -269,8 +268,10 @@ func transactionByName(name string) (func(*dataset.Dataset, transaction.Options)
 // al.). They run in Transactional mode like the core five.
 var ExtensionAlgos = []string{"rho"}
 
-// Evaluate computes the full indicator set for anonymized records.
-func Evaluate(orig *dataset.Dataset, anon dataset.RecordSource, cfg Config) (Indicators, error) {
+// Evaluate computes the full indicator set for a run's published
+// records, reading their ID columns and baskets: no indicator
+// re-interns them.
+func Evaluate(orig *dataset.Dataset, anon *dataset.Indexed, cfg Config) (Indicators, error) {
 	var ind Indicators
 	qis, err := orig.QIIndices(cfg.QIs)
 	if err != nil {
@@ -280,50 +281,42 @@ func Evaluate(orig *dataset.Dataset, anon dataset.RecordSource, cfg Config) (Ind
 	transSide := (cfg.Mode == Transactional || cfg.Mode == RT) && orig.HasTransaction()
 
 	// The relational indicators and the RT check all consume one partition
-	// of the QI columns: a relational run's, or an interning of RT's.
+	// of the published QI columns.
 	var classes []privacy.Class
 	if relSide {
-		var cols [][]uint32
-		var dicts []*dataset.Interner
-		switch a := anon.(type) {
-		case *dataset.Indexed:
-			cols, dicts = a.Columns(qis)
-		case *dataset.Dataset:
-			cols, dicts = dataset.InternColumns(a, qis)
-		}
+		cols, dicts := anon.Columns(qis)
 		// An empty dataset prices no value, so it needs no hierarchies.
-		n := anon.NumRecords()
 		hh, err := cfg.Hierarchies.ForQIs(orig, qis)
-		if err != nil && n > 0 {
+		if err != nil && anon.N > 0 {
 			return ind, err
 		}
-		ind.GCP = metrics.GCPColumns(n, cols, dicts, hh)
-		classes = privacy.PartitionColumns(n, cols, dicts)
-		ind.Discernibility = metrics.DiscernibilityClasses(n, classes)
+		ind.GCP = metrics.GCPColumns(anon.N, cols, dicts, hh)
+		classes = privacy.PartitionColumns(anon.N, cols, dicts)
+		ind.Discernibility = metrics.DiscernibilityClasses(anon.N, classes)
 		ind.CAVG = metrics.CAVGClasses(classes, cfg.K)
-		ind.SuppressionRatio = metrics.SuppressionRatioClasses(n, classes)
+		ind.SuppressionRatio = metrics.SuppressionRatioClasses(anon.N, classes)
 		ind.MinClassSize = privacy.MinClassLen(classes)
 		ind.Classes = len(classes)
 		ind.KAnonymous = privacy.ClassesKAnonymous(classes, cfg.K)
 	}
 	if transSide {
-		anon := materialize(anon) // transaction and RT runs publish strings
 		if cfg.ItemHierarchy != nil {
 			if ind.TransactionGCP, err = metrics.TransactionGCP(orig, anon, cfg.ItemHierarchy); err != nil {
 				return ind, err
 			}
 		}
+		view := privacy.TxViewOf(anon)
 		switch cfg.Mode {
 		case RT:
-			rep := privacy.CheckRTClasses(anon, classes, cfg.K, cfg.M)
+			rep := privacy.CheckRTClasses(view, classes, cfg.K, cfg.M)
 			ind.KMAnonymous = rep.BadClasses == 0
 			ind.KAnonymous = rep.KAnonymous
 		default:
-			ind.KMAnonymous = privacy.IsKMAnonymous(privacy.Transactions(anon, nil), cfg.K, cfg.M)
+			ind.KMAnonymous = privacy.NewKMCounter(view).Anonymous(cfg.K, cfg.M, view.Txs)
 		}
 	}
 	if cfg.Workload != nil && cfg.Workload.Len() > 0 {
-		are, err := query.ARE(cfg.Workload, orig, materialize(anon), cfg.Hierarchies, cfg.ItemHierarchy)
+		are, err := query.ARE(cfg.Workload, orig, anon.Materialize(), cfg.Hierarchies, cfg.ItemHierarchy)
 		if err != nil {
 			return ind, err
 		}

@@ -42,7 +42,7 @@ func TestEvaluateTransactionalOnlyIndicators(t *testing.T) {
 
 func TestEvaluateUnknownQIFails(t *testing.T) {
 	ds, hs, _, _ := fixture(t)
-	if _, err := Evaluate(ds, ds, Config{Mode: Relational, QIs: []string{"nope"}, Hierarchies: hs, K: 2}); err == nil {
+	if _, err := Evaluate(ds, dataset.Intern(ds), Config{Mode: Relational, QIs: []string{"nope"}, Hierarchies: hs, K: 2}); err == nil {
 		t.Error("unknown QI accepted")
 	}
 }
@@ -60,7 +60,7 @@ func TestEvaluateWorkloadErrorPropagates(t *testing.T) {
 
 func TestEvaluateEmptyDatasetIsBenign(t *testing.T) {
 	empty := dataset.New([]dataset.Attribute{{Name: "A"}}, "")
-	ind, err := Evaluate(empty, empty, Config{Mode: Relational, K: 2})
+	ind, err := Evaluate(empty, dataset.Intern(empty), Config{Mode: Relational, K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

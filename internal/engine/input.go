@@ -16,10 +16,12 @@ import (
 // keeps one per resident registry dataset, so every job over that dataset,
 // and every result those jobs retain, shares one interning.
 //
-// The interning is built lazily on first use, so transaction-only runs
-// never pay for it, and behind a sync.Once, so concurrent runs racing
-// into their first relational or RT dispatch share one build. Algorithms
-// read it and never write to it.
+// Every run publishes onto it: relational runs replace its QI columns,
+// transaction runs its baskets, RT runs both, and the columns a run does
+// not change stay shared with it. It is built lazily on first use — an
+// Input whose runs all fail validation never interns — and behind a
+// sync.Once, so concurrent runs racing into their first dispatch share
+// one build. Algorithms read it and never write to it.
 type Input struct {
 	ds    *dataset.Dataset
 	once  sync.Once

@@ -47,7 +47,7 @@ func TestResultRecordsReplayable(t *testing.T) {
 	if !reflect.DeepEqual(first, second) {
 		t.Fatal("record iterator is not replayable")
 	}
-	if n := res.Records.NumRecords(); n != len(anon.Records) {
-		t.Fatalf("NumRecords = %d, want %d", n, len(anon.Records))
+	if n := res.Records.N; n != len(anon.Records) {
+		t.Fatalf("N = %d, want %d", n, len(anon.Records))
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"sort"
 	"sync"
 
-	"secreta/internal/dataset"
 	"secreta/internal/faultfs"
 	"secreta/internal/obs"
 	"secreta/internal/policy"
@@ -175,11 +174,6 @@ func (s *Scheduler) runOne(ctx context.Context, in *Input, cfg Config, dsKey str
 				defer func() { releaseOnce(nil) }()
 				r := runInput(ctx, in, cfg)
 				if r.Err == nil {
-					// The cache and the job keep the records interned;
-					// transaction and RT runs publish strings.
-					if d, ok := r.Records.(*dataset.Dataset); ok {
-						r.Records = dataset.Intern(d)
-					}
 					entry := s.cache.put(key, r)
 					// Wake the waiters before the (fsync'd) disk spill:
 					// N-1 duplicates must not stall behind persistence.
@@ -496,8 +490,8 @@ func (c *Cache) spill(key string, r *Result) {
 // dominate; config, indicators and phase timings are a small constant.
 func resultCost(r *Result) int64 {
 	var n int64 = 512
-	if src, ok := r.Records.(interface{ ApproxBytes() int64 }); ok {
-		n += src.ApproxBytes()
+	if r.Records != nil {
+		n += r.Records.ApproxBytes()
 	}
 	return n
 }

@@ -11,11 +11,10 @@ import (
 
 // BenchmarkRecordsNDJSON streams a published relational result — Cluster
 // at k=6 over the 2,000 generated census records the anon-miss end-to-end
-// workload uses — as NDJSON, once from the interned columns the algorithm
-// publishes and once from the same records materialized as strings. The
-// escaped row interns the same records with every value and item wrapped
-// in HTML, non-ASCII and control characters, so each dictionary entry
-// takes the escaper's slow path.
+// workload uses — as NDJSON from the interned columns the algorithm
+// publishes. The escaped row interns the same records with every value
+// and item wrapped in HTML, non-ASCII and control characters, so each
+// dictionary entry takes the escaper's slow path.
 func BenchmarkRecordsNDJSON(b *testing.B) {
 	ds := gen.Census(gen.Config{Records: 2000, Items: 24, Seed: 1})
 	hs, err := gen.Hierarchies(ds, 4)
@@ -28,10 +27,9 @@ func BenchmarkRecordsNDJSON(b *testing.B) {
 	}
 	for _, src := range []struct {
 		name string
-		src  dataset.RecordSource
+		src  *dataset.Indexed
 	}{
 		{"indexed", res.Anonymized},
-		{"materialized", res.Anonymized.Materialize()},
 		{"indexed-escaped", dataset.Intern(needsEscaping(res.Anonymized.Materialize()))},
 	} {
 		b.Run(src.name, func(b *testing.B) {

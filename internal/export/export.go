@@ -2,7 +2,7 @@
 // hierarchies, policies, workloads (all CSV/text, handled by their own
 // packages), experiment series (CSV), run results (JSON) and charts (SVG)
 // to disk, plus streaming record writers (NDJSON and CSV over a
-// dataset.RecordSource) that emit one record at a time, so exporting an
+// *dataset.Indexed) that emit one record at a time, so exporting an
 // N-record anonymized dataset costs O(chunk + dictionaries) memory, not
 // O(N).
 //

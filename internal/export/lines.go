@@ -14,60 +14,39 @@ import (
 // It is the single definition of the record line format — the NDJSON
 // writer, secreta-serve's streamed responses, its buffered documents and
 // the store's chunked result frames all encode through it. The bytes are
-// exactly what encoding/json gives the record's {values, items,omitempty}
-// struct: "values" is null for a nil slice, "items" is omitted for an empty
-// basket, and strings are escaped as json.Marshal escapes them.
+// exactly what encoding/json gives the materialized record's
+// {values, items,omitempty} struct: "values" is an array (empty, not
+// null, for a dataset without relational attributes), "items" is omitted
+// for an empty basket, and strings are escaped as json.Marshal escapes
+// them.
 //
-// A *dataset.Indexed source is framed from its dictionaries, each value
-// escaped once per call, so a line costs a few copies and no decoding;
-// other sources escape each record's strings as they go. emit must not keep
-// the line: its buffer is reused. emit's error stops the scan and is
-// returned.
-func RecordLines(src dataset.RecordSource, emit func(line []byte) error) error {
-	if ix, ok := src.(*dataset.Indexed); ok {
-		return indexedLines(ix, emit)
-	}
-	var line, arena []byte
-	var vals, items [][]byte
-	var err error
-	src.ScanRecords(func(_ int, rec dataset.Record) bool {
-		// Each literal is sliced off arena as it is written; when a later
-		// append moves arena, the earlier slices keep the old array.
-		arena, vals = appendLiterals(arena[:0], vals[:0], rec.Values)
-		arena, items = appendLiterals(arena, items[:0], rec.Items)
-		line = frameLine(line[:0], vals, rec.Values == nil, items)
-		err = emit(line)
-		return err == nil
-	})
-	return err
-}
-
-// indexedLines is RecordLines over interned columns: every dictionary
-// value is escaped once, and each line is appended from those literals by
-// ID.
-func indexedLines(ix *dataset.Indexed, emit func(line []byte) error) error {
-	dicts := make([][][]byte, len(ix.Dicts))
-	for a, d := range ix.Dicts {
+// Every dictionary value is escaped once per call, and each line is
+// appended from those literals by ID, so a line costs a few copies and no
+// decoding. emit must not keep the line: its buffer is reused. emit's
+// error stops the scan and is returned.
+func RecordLines(src *dataset.Indexed, emit func(line []byte) error) error {
+	dicts := make([][][]byte, len(src.Dicts))
+	for a, d := range src.Dicts {
 		dicts[a] = escapeDict(d)
 	}
 	var itemDict [][]byte
-	if ix.ItemDict != nil {
-		itemDict = escapeDict(ix.ItemDict)
+	if src.ItemDict != nil {
+		itemDict = escapeDict(src.ItemDict)
 	}
-	vals := make([][]byte, len(ix.Attrs))
+	vals := make([][]byte, len(src.Attrs))
 	var items [][]byte
 	var line []byte
-	for r := 0; r < ix.N; r++ {
+	for r := 0; r < src.N; r++ {
 		for a := range vals {
-			vals[a] = dicts[a][ix.Cols[a][r]]
+			vals[a] = dicts[a][src.Cols[a][r]]
 		}
 		items = items[:0]
-		if ix.ItemDict != nil {
-			for _, id := range ix.Items[r] {
+		if src.ItemDict != nil {
+			for _, id := range src.Items[r] {
 				items = append(items, itemDict[id])
 			}
 		}
-		line = frameLine(line[:0], vals, false, items)
+		line = frameLine(line[:0], vals, items)
 		if err := emit(line); err != nil {
 			return err
 		}
@@ -99,15 +78,10 @@ func appendLiterals(buf []byte, lits [][]byte, ss []string) ([]byte, [][]byte) {
 }
 
 // frameLine appends one record line built from its strings' JSON
-// literals: vals, or null when nullVals (a nil Values slice), then items
-// unless the basket is empty.
-func frameLine(dst []byte, vals [][]byte, nullVals bool, items [][]byte) []byte {
+// literals: vals, then items unless the basket is empty.
+func frameLine(dst []byte, vals, items [][]byte) []byte {
 	dst = append(dst, `{"values":`...)
-	if nullVals {
-		dst = append(dst, "null"...)
-	} else {
-		dst = appendArray(dst, vals)
-	}
+	dst = appendArray(dst, vals)
 	if len(items) > 0 {
 		dst = append(dst, `,"items":`...)
 		dst = appendArray(dst, items)

@@ -21,7 +21,7 @@ type recordJSON struct {
 }
 
 // oracleLines marshals every record src's ScanRecords yields.
-func oracleLines(t testing.TB, src dataset.RecordSource) [][]byte {
+func oracleLines(t testing.TB, src *dataset.Indexed) [][]byte {
 	t.Helper()
 	var lines [][]byte
 	src.ScanRecords(func(i int, rec dataset.Record) bool {
@@ -37,7 +37,7 @@ func oracleLines(t testing.TB, src dataset.RecordSource) [][]byte {
 
 // checkLines asserts that RecordLines over src emits exactly the oracle's
 // lines.
-func checkLines(t testing.TB, name string, src dataset.RecordSource) {
+func checkLines(t testing.TB, name string, src *dataset.Indexed) {
 	t.Helper()
 	want := oracleLines(t, src)
 	i := 0
@@ -87,12 +87,13 @@ func TestAppendJSONStringMatchesMarshal(t *testing.T) {
 	}
 }
 
-// TestRecordLinesShape pins the framing edge cases on both source shapes:
-// nil vs empty values, empty baskets, no transaction attribute, zero
-// records.
+// TestRecordLinesShape pins the framing edge cases: no relational
+// attributes, empty baskets, no transaction attribute, zero records.
+// Without relational attributes every record's values are an empty
+// array, whether its string form held a nil or an empty slice.
 func TestRecordLinesShape(t *testing.T) {
 	noAttrs := &dataset.Dataset{TransName: "T", Records: []dataset.Record{
-		{},                                      // nil values: null
+		{},                                      // nil values: []
 		{Values: []string{}},                    // empty values: []
 		{Values: []string{}, Items: []string{}}, // empty basket: omitted
 		{Items: []string{"<a>", "b"}},
@@ -105,34 +106,30 @@ func TestRecordLinesShape(t *testing.T) {
 	for name, ds := range map[string]*dataset.Dataset{
 		"no-attrs": noAttrs, "relational": relational, "empty": empty, "fixture": streamFixture(t),
 	} {
-		checkLines(t, name+"/dataset", ds)
-		checkLines(t, name+"/indexed", dataset.Intern(ds))
+		checkLines(t, name, dataset.Intern(ds))
 	}
 	var got []string
-	RecordLines(noAttrs, func(line []byte) error {
+	RecordLines(dataset.Intern(noAttrs), func(line []byte) error {
 		got = append(got, string(line))
 		return nil
 	})
-	want := []string{`{"values":null}`, `{"values":[]}`, `{"values":[]}`, `{"values":null,"items":["\u003ca\u003e","b"]}`}
+	want := []string{`{"values":[]}`, `{"values":[]}`, `{"values":[]}`, `{"values":[],"items":["\u003ca\u003e","b"]}`}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("lines = %q, want %q", got, want)
 	}
 }
 
 // TestRecordLinesStopsOnEmitError checks that emit's error ends the scan
-// and comes back unchanged, on both source shapes.
+// and comes back unchanged.
 func TestRecordLinesStopsOnEmitError(t *testing.T) {
-	ds := streamFixture(t)
 	stop := errors.New("stop")
-	for name, src := range map[string]dataset.RecordSource{"dataset": ds, "indexed": dataset.Intern(ds)} {
-		calls := 0
-		err := RecordLines(src, func([]byte) error {
-			calls++
-			return stop
-		})
-		if !errors.Is(err, stop) || calls != 1 {
-			t.Fatalf("%s: err %v after %d calls, want %v after 1", name, err, calls, stop)
-		}
+	calls := 0
+	err := RecordLines(dataset.Intern(streamFixture(t)), func([]byte) error {
+		calls++
+		return stop
+	})
+	if !errors.Is(err, stop) || calls != 1 {
+		t.Fatalf("err %v after %d calls, want %v after 1", err, calls, stop)
 	}
 }
 
@@ -155,15 +152,13 @@ func TestRecordLinesIndexedAllocs(t *testing.T) {
 
 // FuzzRecordLinesMatchJSON builds random records — strings with HTML
 // characters, control bytes, invalid UTF-8 and U+2028/2029, empty strings,
-// nil and empty values, empty baskets — and checks RecordLines over the
-// *Dataset and its dataset.Intern form against json.Marshal.
+// nil and empty values, empty baskets — and checks RecordLines over their
+// dataset.Intern form against json.Marshal.
 func FuzzRecordLinesMatchJSON(f *testing.F) {
 	f.Add([]byte("\x02\x01\x03<a>\x02&b\x01\x00\x00\x05\x00"))
 	f.Add([]byte("\x00\x01\x00\x01\x02\x00\x00\x00"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ds := fuzzRecords(data)
-		checkLines(t, "dataset", ds)
-		checkLines(t, "indexed", dataset.Intern(ds))
+		checkLines(t, "indexed", dataset.Intern(fuzzRecords(data)))
 	})
 }
 

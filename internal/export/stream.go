@@ -12,11 +12,11 @@ import (
 )
 
 // Streaming record serialization: NDJSON and CSV writers that consume a
-// dataset.RecordSource one record at a time, so emitting an N-record
+// *dataset.Indexed one record at a time, so emitting an N-record
 // anonymized dataset costs O(chunk + dictionaries) memory regardless of N:
-// one line or row and the writer's buffer, plus — for an Indexed source —
-// the JSON-escaped dictionaries RecordLines holds for one stream, bounded
-// by the strings the Indexed already holds. secreta-serve's
+// one line or row and the writer's buffer, plus the JSON-escaped
+// dictionaries RecordLines holds for one stream, bounded by the strings
+// the Indexed already holds. secreta-serve's
 // chunked result delivery and `secreta evaluate -stream` are built on
 // these; the record line format is shared with the framed result blobs in
 // internal/store, so a stream served from RAM and one served from disk are
@@ -36,15 +36,14 @@ type StreamAttr struct {
 	Kind string `json:"kind"`
 }
 
-// HeaderFor builds the stream header of a record source.
-func HeaderFor(src dataset.RecordSource) StreamHeader {
-	attrs, trans := src.SourceSchema()
+// HeaderFor builds the stream header of src's records.
+func HeaderFor(src *dataset.Indexed) StreamHeader {
 	h := StreamHeader{
-		Attributes:  make([]StreamAttr, len(attrs)),
-		Transaction: trans,
-		Records:     src.NumRecords(),
+		Attributes:  make([]StreamAttr, len(src.Attrs)),
+		Transaction: src.TransName,
+		Records:     src.N,
 	}
-	for i, a := range attrs {
+	for i, a := range src.Attrs {
 		h.Attributes[i] = StreamAttr{Name: a.Name, Kind: a.Kind.String()}
 	}
 	return h
@@ -53,8 +52,8 @@ func HeaderFor(src dataset.RecordSource) StreamHeader {
 // RecordsNDJSON writes src as NDJSON: one schema header line (StreamHeader)
 // followed by one compact record line (RecordLines) per record. Records are
 // encoded and written incrementally — beyond the writer's buffer, memory is
-// one line plus, for an Indexed source, its escaped dictionaries.
-func RecordsNDJSON(w io.Writer, src dataset.RecordSource) error {
+// one line plus src's escaped dictionaries.
+func RecordsNDJSON(w io.Writer, src *dataset.Indexed) error {
 	bw := bufio.NewWriterSize(w, 64<<10)
 	hdr, err := json.Marshal(HeaderFor(src))
 	if err != nil {
@@ -74,9 +73,9 @@ func RecordsNDJSON(w io.Writer, src dataset.RecordSource) error {
 
 // RecordsCSV writes src in the dataset package's CSV dialect (kind-
 // annotated header, transaction items joined by opts.ItemSep), one record
-// at a time. The output of a *Dataset source is byte-identical to
-// Dataset.WriteCSV.
-func RecordsCSV(w io.Writer, src dataset.RecordSource, opts dataset.Options) error {
+// at a time. The output is byte-identical to Dataset.WriteCSV of
+// src.Materialize().
+func RecordsCSV(w io.Writer, src *dataset.Indexed, opts dataset.Options) error {
 	itemSep := opts.ItemSep
 	if itemSep == "" {
 		itemSep = " "
@@ -85,7 +84,7 @@ func RecordsCSV(w io.Writer, src dataset.RecordSource, opts dataset.Options) err
 	if opts.Comma != 0 {
 		cw.Comma = opts.Comma
 	}
-	attrs, trans := src.SourceSchema()
+	attrs, trans := src.Attrs, src.TransName
 	header := make([]string, 0, len(attrs)+1)
 	for _, a := range attrs {
 		header = append(header, a.Name+":"+a.Kind.String())

@@ -3,12 +3,15 @@ package export
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
 
 	"secreta/internal/dataset"
+	"secreta/internal/engine"
+	"secreta/internal/gen"
 )
 
 func streamFixture(t *testing.T) *dataset.Dataset {
@@ -32,23 +35,17 @@ func streamFixture(t *testing.T) *dataset.Dataset {
 
 // TestRecordsNDJSONMatchesBufferedJSON pins the byte-identity contract:
 // every streamed record line is exactly the compact form of the same
-// record in Dataset.WriteJSON's buffered output, and the Indexed source
-// produces the same stream as the Dataset source.
+// record in Dataset.WriteJSON's buffered output of the dataset the
+// records were interned from.
 func TestRecordsNDJSONMatchesBufferedJSON(t *testing.T) {
 	ds := streamFixture(t)
 
-	var fromDS, fromIX bytes.Buffer
-	if err := RecordsNDJSON(&fromDS, ds); err != nil {
+	var stream bytes.Buffer
+	if err := RecordsNDJSON(&stream, dataset.Intern(ds)); err != nil {
 		t.Fatal(err)
-	}
-	if err := RecordsNDJSON(&fromIX, dataset.Intern(ds)); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(fromDS.Bytes(), fromIX.Bytes()) {
-		t.Fatalf("Indexed stream diverges from Dataset stream:\n%s\nvs\n%s", &fromIX, &fromDS)
 	}
 
-	lines := strings.Split(strings.TrimRight(fromDS.String(), "\n"), "\n")
+	lines := strings.Split(strings.TrimRight(stream.String(), "\n"), "\n")
 	if len(lines) != 1+len(ds.Records) {
 		t.Fatalf("stream has %d lines, want %d", len(lines), 1+len(ds.Records))
 	}
@@ -84,7 +81,7 @@ func TestRecordsNDJSONMatchesBufferedJSON(t *testing.T) {
 
 	// Round-trip: rebuilding a dataset from the stream restores equality.
 	rebuilt := dataset.New(ds.Attrs, ds.TransName)
-	sc := bufio.NewScanner(bytes.NewReader(fromDS.Bytes()))
+	sc := bufio.NewScanner(bytes.NewReader(stream.Bytes()))
 	sc.Scan() // header
 	for sc.Scan() {
 		var rec struct {
@@ -104,20 +101,55 @@ func TestRecordsNDJSONMatchesBufferedJSON(t *testing.T) {
 }
 
 // TestRecordsCSVMatchesWriteCSV pins the streaming CSV writer against the
-// buffered Dataset.WriteCSV byte-for-byte, from both source shapes.
+// buffered Dataset.WriteCSV of the dataset the records were interned
+// from, byte for byte.
 func TestRecordsCSVMatchesWriteCSV(t *testing.T) {
 	ds := streamFixture(t)
-	var want bytes.Buffer
+	var want, got bytes.Buffer
 	if err := ds.WriteCSV(&want, dataset.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	for name, src := range map[string]dataset.RecordSource{"dataset": ds, "indexed": dataset.Intern(ds)} {
-		var got bytes.Buffer
-		if err := RecordsCSV(&got, src, dataset.Options{}); err != nil {
+	if err := RecordsCSV(&got, dataset.Intern(ds), dataset.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("CSV stream diverges:\n%s\nvs\n%s", &got, &want)
+	}
+}
+
+// TestRecordsNDJSONIndependentOfCache streams a transaction run over a
+// dataset with no relational attributes, once as run without a result
+// cache (`secreta evaluate -stream ndjson`) and once through a cached
+// scheduler (as secreta-serve runs it): both publish the same interned
+// records, so the streams are byte-identical and every record's values
+// are an empty array.
+func TestRecordsNDJSONIndependentOfCache(t *testing.T) {
+	ds := dataset.New(nil, "Diag")
+	for _, items := range [][]string{{"a", "b"}, {"a", "b"}, {"a", "c"}, {"b", "c"}} {
+		if err := ds.AddRecord(dataset.Record{Values: []string{}, Items: items}); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Fatalf("%s CSV stream diverges:\n%s\nvs\n%s", name, &got, &want)
+	}
+	ih, err := gen.ItemHierarchy(ds, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := engine.Config{Mode: engine.Transactional, Algorithm: "apriori", K: 2, M: 1, ItemHierarchy: ih}
+	var streams [2]bytes.Buffer
+	for i, cache := range []*engine.Cache{nil, engine.NewCacheSized(8, 0)} {
+		results, err := engine.NewScheduler(1, cache).RunAll(context.Background(), engine.NewInput(ds), []engine.Config{cfg})
+		if err != nil || results[0].Err != nil {
+			t.Fatal(err, results[0].Err)
 		}
+		if err := RecordsNDJSON(&streams[i], results[0].Records); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(streams[0].Bytes(), streams[1].Bytes()) {
+		t.Fatalf("uncached stream\n%s\ndiffers from cached stream\n%s", &streams[0], &streams[1])
+	}
+	lines := strings.Split(strings.TrimRight(streams[0].String(), "\n"), "\n")
+	if want := `{"values":[],"items":["a","b"]}`; len(lines) != 1+ds.Len() || lines[1] != want {
+		t.Fatalf("stream lines %q, want %d with the first record %s", lines, 1+ds.Len(), want)
 	}
 }

@@ -1,11 +1,9 @@
 // Package generalize implements recoding operators on string datasets:
-// full-domain recoding by lattice level vectors, item-set recoding through
-// hierarchy cuts and mappings, and record suppression.
+// full-domain recoding by lattice level vectors and record suppression.
 package generalize
 
 import (
 	"fmt"
-	"sort"
 
 	"secreta/internal/dataset"
 	"secreta/internal/hierarchy"
@@ -73,77 +71,4 @@ func SuppressRecord(ds *dataset.Dataset, qis []int, r int) {
 		ds.Records[r].Values[q] = Suppressed
 	}
 	ds.Records[r].Items = nil
-}
-
-// MapItems recodes an item multiset through a cut over the item hierarchy,
-// returning the sorted, deduplicated generalized item set.
-func MapItems(items []string, cut *hierarchy.Cut) ([]string, error) {
-	if len(items) == 0 {
-		return nil, nil
-	}
-	seen := make(map[string]struct{}, len(items))
-	out := make([]string, 0, len(items))
-	for _, it := range items {
-		g, err := cut.Map(it)
-		if err != nil {
-			return nil, err
-		}
-		if _, dup := seen[g]; dup {
-			continue
-		}
-		seen[g] = struct{}{}
-		out = append(out, g)
-	}
-	sort.Strings(out)
-	return out, nil
-}
-
-// ApplyItemCut recodes the transaction part of every record through the
-// cut, returning a new dataset.
-func ApplyItemCut(ds *dataset.Dataset, cut *hierarchy.Cut) (*dataset.Dataset, error) {
-	out := ds.Clone()
-	for r := range out.Records {
-		items, err := MapItems(out.Records[r].Items, cut)
-		if err != nil {
-			return nil, err
-		}
-		out.Records[r].Items = items
-	}
-	return out, nil
-}
-
-// ApplyItemMapping recodes items via an explicit mapping table (COAT/PCTA
-// style generalization, where generalized items are arbitrary item groups
-// rather than hierarchy nodes). Items absent from the mapping pass through;
-// items mapped to the empty string are suppressed (dropped).
-func ApplyItemMapping(ds *dataset.Dataset, mapping map[string]string) *dataset.Dataset {
-	out := ds.Clone()
-	for r := range out.Records {
-		items := out.Records[r].Items
-		if len(items) == 0 {
-			continue
-		}
-		seen := make(map[string]struct{}, len(items))
-		mapped := make([]string, 0, len(items))
-		for _, it := range items {
-			g, ok := mapping[it]
-			if !ok {
-				g = it
-			}
-			if g == "" {
-				continue // suppressed
-			}
-			if _, dup := seen[g]; dup {
-				continue
-			}
-			seen[g] = struct{}{}
-			mapped = append(mapped, g)
-		}
-		sort.Strings(mapped)
-		if len(mapped) == 0 {
-			mapped = nil
-		}
-		out.Records[r].Items = mapped
-	}
-	return out
 }

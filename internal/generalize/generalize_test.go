@@ -1,7 +1,6 @@
 package generalize
 
 import (
-	"reflect"
 	"testing"
 
 	"secreta/internal/dataset"
@@ -100,74 +99,5 @@ func TestSuppression(t *testing.T) {
 	}
 	if ds.Records[1].Items != nil {
 		t.Error("items survived suppression")
-	}
-}
-
-func TestMapItems(t *testing.T) {
-	hs := testHierarchies(t)
-	items, err := hierarchy.NewBuilder("Items").
-		Add("All", "ab").Add("All", "c").
-		Add("ab", "a").Add("ab", "b").
-		Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = hs
-	cut := hierarchy.NewCut(items)
-	if err := cut.Specialize("All"); err != nil {
-		t.Fatal(err)
-	}
-	got, err := MapItems([]string{"a", "b", "c"}, cut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, []string{"ab", "c"}) {
-		t.Errorf("MapItems = %v", got)
-	}
-	empty, err := MapItems(nil, cut)
-	if err != nil || empty != nil {
-		t.Errorf("MapItems(nil) = %v, %v", empty, err)
-	}
-}
-
-func TestApplyItemCut(t *testing.T) {
-	ds := testData(t)
-	items, err := hierarchy.NewBuilder("Items").
-		Add("All", "ab").Add("All", "c").
-		Add("ab", "a").Add("ab", "b").
-		Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cut := hierarchy.NewCut(items)
-	if err := cut.Specialize("All"); err != nil {
-		t.Fatal(err)
-	}
-	out, err := ApplyItemCut(ds, cut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(out.Records[0].Items, []string{"ab"}) {
-		t.Errorf("record 0 items = %v", out.Records[0].Items)
-	}
-	if !reflect.DeepEqual(out.Records[3].Items, []string{"ab", "c"}) {
-		t.Errorf("record 3 items = %v", out.Records[3].Items)
-	}
-	if !reflect.DeepEqual(ds.Records[0].Items, []string{"a", "b"}) {
-		t.Error("ApplyItemCut mutated input")
-	}
-}
-
-func TestApplyItemMapping(t *testing.T) {
-	ds := testData(t)
-	out := ApplyItemMapping(ds, map[string]string{"a": "(a,b)", "b": "(a,b)", "c": ""})
-	if !reflect.DeepEqual(out.Records[0].Items, []string{"(a,b)"}) {
-		t.Errorf("record 0 = %v", out.Records[0].Items)
-	}
-	if out.Records[2].Items != nil {
-		t.Errorf("suppressed item survived: %v", out.Records[2].Items)
-	}
-	if !reflect.DeepEqual(out.Records[3].Items, []string{"(a,b)"}) {
-		t.Errorf("record 3 = %v", out.Records[3].Items)
 	}
 }

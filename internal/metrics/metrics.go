@@ -75,14 +75,15 @@ func MeanNCP(n int, cols [][]uint32, ncp [][]float64, suppressed func(r int) boo
 // the generalized item covering it in the anonymized record, or 1 when the
 // item disappeared (suppression). orig and anon must be record-aligned.
 //
-// Items are resolved to hierarchy node IDs once per occurrence, and a
-// published item covers an original one when it is the item itself or an
-// ancestor — a preorder subtree-range test, exact on single-child chains
-// too. An item outside the hierarchy covers only an equal string, and
-// pricing one is an error.
-func TransactionGCP(orig, anon *dataset.Dataset, itemH *hierarchy.Hierarchy) (float64, error) {
-	if len(orig.Records) != len(anon.Records) {
-		return 0, fmt.Errorf("metrics: datasets not aligned (%d vs %d records)", len(orig.Records), len(anon.Records))
+// Each published dictionary value is resolved to a hierarchy node ID
+// once, and each original item once per occurrence; a published item
+// covers an original one when it is the item itself or an ancestor — a
+// preorder subtree-range test, exact on single-child chains too. An item
+// outside the hierarchy covers only an equal string, and pricing one is
+// an error.
+func TransactionGCP(orig *dataset.Dataset, anon *dataset.Indexed, itemH *hierarchy.Hierarchy) (float64, error) {
+	if len(orig.Records) != anon.N {
+		return 0, fmt.Errorf("metrics: datasets not aligned (%d vs %d records)", len(orig.Records), anon.N)
 	}
 	ix := itemH.Index()
 	id := func(v string) int32 {
@@ -91,33 +92,41 @@ func TransactionGCP(orig, anon *dataset.Dataset, itemH *hierarchy.Hierarchy) (fl
 		}
 		return -1
 	}
-	var published []int32
+	var vals []string
+	var nodes []int32
+	if anon.ItemDict != nil {
+		vals = anon.ItemDict.Values()
+		nodes = make([]int32, len(vals))
+		for j, v := range vals {
+			nodes[j] = id(v)
+		}
+	}
 	occurrences := 0
 	loss := 0.0
 	for r := range orig.Records {
-		anonItems := anon.Records[r].Items
-		published = published[:0]
-		for _, g := range anonItems {
-			published = append(published, id(g))
+		var published []uint32
+		if anon.Items != nil {
+			published = anon.Items[r]
 		}
 		for _, it := range orig.Records[r].Items {
 			occurrences++
 			v := id(it)
 			covered := -1
-			for j, g := range published {
+			for _, p := range published {
+				g := nodes[p]
 				if (v >= 0 && g >= 0 && g <= v && v < g+ix.SubtreeSize(g)) ||
-					(v < 0 && g < 0 && anonItems[j] == it) {
-					covered = j
+					(v < 0 && g < 0 && vals[p] == it) {
+					covered = int(p)
 					break
 				}
 			}
-			if covered < 0 || anonItems[covered] == "" {
+			if covered < 0 || vals[covered] == "" {
 				loss++ // suppressed
 				continue
 			}
-			g := published[covered]
+			g := nodes[covered]
 			if g < 0 { // Hierarchy.NCP words the unknown-value error
-				_, err := itemH.NCP(anonItems[covered])
+				_, err := itemH.NCP(vals[covered])
 				return 0, err
 			}
 			loss += ix.NCP(g)

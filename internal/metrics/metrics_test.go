@@ -102,7 +102,7 @@ func TestGCPEmpty(t *testing.T) {
 func TestTransactionGCP(t *testing.T) {
 	_, itemH := hset(t)
 	ds := data(t)
-	same, err := TransactionGCP(ds, ds, itemH)
+	same, err := TransactionGCP(ds, dataset.Intern(ds), itemH)
 	if err != nil || same != 0 {
 		t.Errorf("TransactionGCP(identity) = %v, %v", same, err)
 	}
@@ -110,11 +110,11 @@ func TestTransactionGCP(t *testing.T) {
 	if err := cut.Specialize("All"); err != nil {
 		t.Fatal(err)
 	}
-	anon, err := generalize.ApplyItemCut(ds, cut)
+	anon, err := applyItemCut(ds, cut)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := TransactionGCP(ds, anon, itemH)
+	g, err := TransactionGCP(ds, dataset.Intern(anon), itemH)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,14 +125,14 @@ func TestTransactionGCP(t *testing.T) {
 	// Suppression counts as total loss.
 	anon2 := ds.Clone()
 	anon2.Records[0].Items = nil
-	g, err = TransactionGCP(ds, anon2, itemH)
+	g, err = TransactionGCP(ds, dataset.Intern(anon2), itemH)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(g-0.4) > 1e-9 { // 2 of 5 occurrences lost
 		t.Errorf("TransactionGCP(suppressed) = %v, want 0.4", g)
 	}
-	if _, err := TransactionGCP(ds, dataset.New(nil, "T"), itemH); err == nil {
+	if _, err := TransactionGCP(ds, dataset.Intern(dataset.New(nil, "T")), itemH); err == nil {
 		t.Error("misaligned datasets accepted")
 	}
 }
@@ -147,7 +147,7 @@ func TestUL(t *testing.T) {
 	}
 	// Merge a,b into g(ab): support of g(ab) in anon counts.
 	mapping := map[string]string{"a": "(ab)", "b": "(ab)"}
-	anon = generalize.ApplyItemMapping(ds, mapping)
+	anon = applyItemMapping(ds, mapping)
 	ul, err = UL(ds, anon, mapping, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -158,7 +158,7 @@ func TestUL(t *testing.T) {
 	}
 	// Suppression: item d dropped, charged its original support.
 	mapping = map[string]string{"d": ""}
-	anon = generalize.ApplyItemMapping(ds, mapping)
+	anon = applyItemMapping(ds, mapping)
 	ul, err = UL(ds, anon, mapping, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +168,7 @@ func TestUL(t *testing.T) {
 	}
 	// Weights scale the loss.
 	mapping = map[string]string{"a": "(ab)", "b": "(ab)"}
-	anon = generalize.ApplyItemMapping(ds, mapping)
+	anon = applyItemMapping(ds, mapping)
 	ul2, err := UL(ds, anon, mapping, map[string]float64{"(ab)": 2})
 	if err != nil {
 		t.Fatal(err)
@@ -219,7 +219,7 @@ func TestItemFrequencyError(t *testing.T) {
 	if err := cut.Specialize("All"); err != nil {
 		t.Fatal(err)
 	}
-	anon, err := generalize.ApplyItemCut(ds, cut)
+	anon, err := applyItemCut(ds, cut)
 	if err != nil {
 		t.Fatal(err)
 	}

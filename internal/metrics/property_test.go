@@ -105,11 +105,11 @@ func TestTransactionGCPBoundsProperty(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		anon, err := generalize.ApplyItemCut(ds, cut)
+		anon, err := applyItemCut(ds, cut)
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, err := TransactionGCP(ds, anon, h)
+		g, err := TransactionGCP(ds, dataset.Intern(anon), h)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -108,7 +108,7 @@ func TestTransactionGCPMatchesStringOracle(t *testing.T) {
 				anon.Records[r].Items = basket(0.1)
 			}
 			want, wantErr := refTransactionGCP(orig, anon, h)
-			got, err := TransactionGCP(orig, anon, h)
+			got, err := TransactionGCP(orig, dataset.Intern(anon), h)
 			if fmt.Sprint(err) != fmt.Sprint(wantErr) || math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("hierarchy %d trial %d: TransactionGCP = %v, %v; string oracle %v, %v", hi, trial, got, err, want, wantErr)
 			}

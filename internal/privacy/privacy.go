@@ -448,31 +448,30 @@ func (r RTReport) Holds() bool { return r.KAnonymous && r.BadClasses == 0 }
 // globally and therefore within every class, so the per-class violations
 // and their order are identical to the per-class-interner ones.
 func CheckRT(ds *dataset.Dataset, qis []int, k, m int) RTReport {
-	return CheckRTClasses(ds, Partition(ds, qis), k, m)
-}
-
-// CheckRTClasses is CheckRT over a precomputed partition of ds (as
-// returned by Partition(ds, qis)) — for callers that already hold the
-// classes, like the engine evaluator, which derives every relational
-// indicator and this check from a single partition.
-func CheckRTClasses(ds *dataset.Dataset, classes []Class, k, m int) RTReport {
-	rep := RTReport{KAnonymous: true, MinClass: 0}
-	if len(classes) == 0 {
-		rep.MinClass = 0
-		return rep
-	}
-	var vals []string
-	var txs [][]uint32
+	view := &TxView{}
 	if ds.HasTransaction() {
 		items := make([][]string, len(ds.Records))
 		for r := range ds.Records {
 			items[r] = ds.Records[r].Items
 		}
-		vals, txs = internTransactions(items)
+		view = InternTxView(items)
+	}
+	return CheckRTClasses(view, Partition(ds, qis), k, m)
+}
+
+// CheckRTClasses is CheckRT over a precomputed partition of the records
+// and their baskets, rank-interned in v (empty for a dataset without a
+// transaction attribute) — for callers that already hold both, like the
+// engine evaluator, which derives every relational indicator and this
+// check from a single partition of a run's published columns.
+func CheckRTClasses(v *TxView, classes []Class, k, m int) RTReport {
+	rep := RTReport{KAnonymous: true, MinClass: 0}
+	if len(classes) == 0 {
+		return rep
 	}
 	var classTx [][]uint32
-	counter := KMCounter{numItems: len(vals)}
-	rep.MinClass = len(ds.Records)
+	counter := NewKMCounter(v)
+	rep.MinClass = len(classes[0].Records)
 	for _, c := range classes {
 		if len(c.Records) < rep.MinClass {
 			rep.MinClass = len(c.Records)
@@ -480,22 +479,23 @@ func CheckRTClasses(ds *dataset.Dataset, classes []Class, k, m int) RTReport {
 		if len(c.Records) < k {
 			rep.KAnonymous = false
 		}
-		if ds.HasTransaction() {
-			classTx = classTx[:0]
-			for _, r := range c.Records {
-				if len(txs[r]) > 0 {
-					classTx = append(classTx, txs[r])
-				}
+		if v.Txs == nil {
+			continue
+		}
+		classTx = classTx[:0]
+		for _, r := range c.Records {
+			if len(v.Txs[r]) > 0 {
+				classTx = append(classTx, v.Txs[r])
 			}
-			if ids, support := counter.first(classTx, k, m); ids != nil {
-				rep.BadClasses++
-				if rep.FirstKMFail == nil {
-					items := make([]string, len(ids))
-					for i, id := range ids {
-						items[i] = vals[id]
-					}
-					rep.FirstKMFail = &Violation{Itemset: items, Support: int(support)}
+		}
+		if ids, support := counter.first(classTx, k, m); ids != nil {
+			rep.BadClasses++
+			if rep.FirstKMFail == nil {
+				items := make([]string, len(ids))
+				for i, id := range ids {
+					items[i] = v.Vals[id]
 				}
+				rep.FirstKMFail = &Violation{Itemset: items, Support: int(support)}
 			}
 		}
 	}

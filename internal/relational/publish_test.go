@@ -123,8 +123,8 @@ func checkPublished(t *testing.T, name string, ds *dataset.Dataset, opts Options
 		}
 		anon := res.Anonymized
 		want := refOutput(t, a.name, ds, opts, res)
-		if anon.NumRecords() != want.Len() {
-			t.Fatalf("%s %s: %d records, reference %d", a.name, name, anon.NumRecords(), want.Len())
+		if anon.N != want.Len() {
+			t.Fatalf("%s %s: %d records, reference %d", a.name, name, anon.N, want.Len())
 		}
 		anon.ScanRecords(func(r int, rec dataset.Record) bool {
 			if got, w := fmt.Sprintf("%q %q", rec.Values, rec.Items), fmt.Sprintf("%q %q", want.Records[r].Values, want.Records[r].Items); got != w {

@@ -116,7 +116,7 @@ func (o *Options) validate(ds *dataset.Dataset) (*qiView, error) {
 	}
 	ix := o.Interned
 	// A stale or foreign interning must not be read as ds's.
-	if ix == nil || ix.N != len(ds.Records) || len(ix.Dicts) != len(ds.Attrs) {
+	if ix == nil || !ix.Describes(ds) {
 		ix = dataset.Intern(ds)
 	}
 	cols, dicts := ix.Columns(qis)

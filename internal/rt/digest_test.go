@@ -19,7 +19,7 @@ const rtDigest = "e42461e4957a90b1cdc268594c4b6903ad7bc3e5b9aa5f1e630e5eca731e26
 
 // publishedRecords returns the records a run publishes, as strings.
 func publishedRecords(res *Result) *dataset.Dataset {
-	return res.Anonymized
+	return res.Anonymized.Materialize()
 }
 
 // writeRTOutput feeds one run's observable result into h.

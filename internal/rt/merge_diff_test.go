@@ -16,7 +16,7 @@ import (
 func encodeResult(t testing.TB, res *Result) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := res.Anonymized.WriteJSON(&buf); err != nil {
+	if err := res.Anonymized.Materialize().WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	fmt.Fprintf(&buf, "\nmerges=%d clusters=%d repairs=%d suppressed=%d",

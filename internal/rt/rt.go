@@ -133,8 +133,11 @@ type Options struct {
 
 // Result is the outcome of an RT anonymization.
 type Result struct {
-	// Anonymized satisfies (k,k^m)-anonymity.
-	Anonymized *dataset.Dataset
+	// Anonymized satisfies (k,k^m)-anonymity: the relational phase's
+	// output (non-QI columns shared with the input's interning) with
+	// every QI column holding its records' final cluster signature and
+	// every basket its cluster's published one.
+	Anonymized *dataset.Indexed
 	// Phases: "relational", "merge", "transaction" timings (plot (b) of
 	// the Evaluation mode).
 	Phases []timing.Phase
@@ -162,7 +165,11 @@ type cluster struct {
 	// relNCP caches the NCP of each relNodes entry, so scoring a pair
 	// evaluates only the LCA's NCP per QI. nil exactly when relNodes is.
 	relNCP []float64
-	items  [][]string
+	// repaired is the cluster's transaction repair, its baskets aligned
+	// with records; nil publishes the records' input baskets. suppressed
+	// marks a cluster whose repair was infeasible: it publishes none.
+	repaired   *transaction.Result
+	suppressed bool
 	// km is the itemset support table of the cluster's original
 	// transactions, the state every k^m check of the merge traversal
 	// reads. Dropped once the transaction phase has read which clusters
@@ -240,7 +247,7 @@ func Anonymize(ds *dataset.Dataset, opts Options) (*Result, error) {
 	// cluster can grow to the whole dataset.
 	view := txView(ds, opts)
 	tables := privacy.NewKMTableArena(view, opts.K, opts.M)
-	clusters := clustersFromClasses(ds, relRes.Anonymized, qis, hh, view, tables)
+	clusters := clustersFromClasses(relRes.Anonymized, qis, hh, view, tables)
 	merges := 0
 	var cands []cand // pickPartner's scoring buffer, reused across steps
 	for {
@@ -320,27 +327,16 @@ func Anonymize(ds *dataset.Dataset, opts Options) (*Result, error) {
 				return nil, cerr
 			}
 			// Infeasible inside this cluster: suppress its items.
-			for i := range c.items {
-				c.items[i] = nil
-			}
+			c.suppressed = true
 			suppressed++
 			continue
 		}
-		c.items = repaired
+		c.repaired = repaired
 		transRepairs++
 	}
 	sw.Mark("transaction")
 
-	// Every record belongs to one cluster, which publishes all its items.
-	anon := ds.CloneRelational()
-	for _, c := range clusters {
-		for j, r := range c.records {
-			for i, q := range qis {
-				anon.Records[r].Values[q] = c.relVals[i]
-			}
-			anon.Records[r].Items = c.items[j]
-		}
-	}
+	anon := publish(ds, relRes.Anonymized, qis, clusters, view)
 	sw.Mark("recode")
 	return &Result{
 		Anonymized:         anon,
@@ -386,11 +382,11 @@ func TransactionByName(name string) (func(*dataset.Dataset, transaction.Options)
 	return nil, fmt.Errorf("rt: unknown transaction algorithm %q (want one of %v)", name, TransactionAlgos)
 }
 
-// interned returns the caller-supplied batch interning when it matches
-// the dataset, nil otherwise (defensive: a stale or foreign interning
-// must not silently recode the wrong records).
+// interned returns the caller-supplied batch interning when it
+// describes the dataset, nil otherwise (defensive: a stale or foreign
+// interning must not silently recode the wrong records).
 func interned(ds *dataset.Dataset, opts Options) *dataset.Indexed {
-	if opts.Interned != nil && opts.Interned.N == len(ds.Records) {
+	if opts.Interned != nil && opts.Interned.Describes(ds) {
 		return opts.Interned
 	}
 	return nil
@@ -399,7 +395,7 @@ func interned(ds *dataset.Dataset, opts Options) *dataset.Indexed {
 // txView resolves the run's shared transaction view: the batch interning
 // when the caller supplied one, a one-time interning of ds otherwise.
 func txView(ds *dataset.Dataset, opts Options) *privacy.TxView {
-	if ix := interned(ds, opts); ix != nil && ix.ItemDict != nil {
+	if ix := interned(ds, opts); ix != nil {
 		return privacy.TxViewOf(ix)
 	}
 	items := make([][]string, len(ds.Records))
@@ -414,7 +410,7 @@ func txView(ds *dataset.Dataset, opts Options) *privacy.TxView {
 // support table from its records' baskets in view. Signature nodes are
 // resolved once per dictionary value; a class holding a value its
 // hierarchy lacks keeps none.
-func clustersFromClasses(orig *dataset.Dataset, anon *dataset.Indexed, qis []int, hh []*hierarchy.Hierarchy, view *privacy.TxView, tables *privacy.KMTableArena) []*cluster {
+func clustersFromClasses(anon *dataset.Indexed, qis []int, hh []*hierarchy.Hierarchy, view *privacy.TxView, tables *privacy.KMTableArena) []*cluster {
 	cols, dicts := anon.Columns(qis)
 	nodes := make([][]*hierarchy.Node, len(dicts))
 	for i, d := range dicts {
@@ -434,7 +430,6 @@ func clustersFromClasses(orig *dataset.Dataset, anon *dataset.Indexed, qis []int
 		if !slices.Contains(sig, nil) {
 			c.setNodes(sig, hh)
 		}
-		c.items = itemsOf(orig, c.records)
 		txs = txs[:0]
 		for _, r := range c.records {
 			txs = append(txs, view.Txs[r])
@@ -442,14 +437,6 @@ func clustersFromClasses(orig *dataset.Dataset, anon *dataset.Indexed, qis []int
 		}
 		c.km = tables.Build(txs)
 		out[i] = c
-	}
-	return out
-}
-
-func itemsOf(ds *dataset.Dataset, records []int) [][]string {
-	out := make([][]string, len(records))
-	for i, r := range records {
-		out[i] = append([]string(nil), ds.Records[r].Items...)
 	}
 	return out
 }
@@ -612,7 +599,6 @@ func mergeClusters(clusters []*cluster, i, j int, hh []*hierarchy.Hierarchy, tab
 	a.relVals = newVals
 	a.setNodes(newNodes, hh)
 	a.records = append(a.records, b.records...)
-	a.items = append(a.items, b.items...)
 	tables.Fold(&a.km, &b.km)
 	a.nItems += b.nItems
 	a.clean = false
@@ -621,15 +607,15 @@ func mergeClusters(clusters []*cluster, i, j int, hh []*hierarchy.Hierarchy, tab
 }
 
 // repairCluster runs the transaction algorithm on the cluster's records
-// alone and returns the anonymized item lists (aligned with c.records).
-// The transaction algorithms read and publish items only, so the
+// alone and returns its published baskets (aligned with c.records). The
+// transaction algorithms read and publish items only, so the
 // sub-dataset holds the cluster's baskets and no relational values. It
-// shares the baskets, which the algorithms only read; they are the
-// input's, already sorted and deduplicated.
-func repairCluster(ds *dataset.Dataset, c *cluster, transRun func(*dataset.Dataset, transaction.Options) (*transaction.Result, error), opts Options) ([][]string, error) {
+// shares the input's baskets, which the algorithms only read; they are
+// already sorted and deduplicated.
+func repairCluster(ds *dataset.Dataset, c *cluster, transRun func(*dataset.Dataset, transaction.Options) (*transaction.Result, error), opts Options) (*transaction.Result, error) {
 	sub := &dataset.Dataset{TransName: ds.TransName, Records: make([]dataset.Record, len(c.records))}
-	for idx := range c.records {
-		sub.Records[idx].Items = c.items[idx]
+	for idx, r := range c.records {
+		sub.Records[idx].Items = ds.Records[r].Items
 	}
 	res, err := transRun(sub, transaction.Options{
 		Ctx: opts.Ctx,
@@ -642,14 +628,107 @@ func repairCluster(ds *dataset.Dataset, c *cluster, transRun func(*dataset.Datas
 	}
 	// Mapping-based algorithms protect their policy but do not guarantee
 	// k^m; verify and reject so the caller can fall back.
-	if !privacy.IsKMAnonymous(privacy.Transactions(res.Anonymized, nil), opts.K, opts.M) {
+	view := &privacy.TxView{Vals: res.ItemDict.Values(), Txs: res.Items}
+	if !privacy.NewKMCounter(view).Anonymous(opts.K, opts.M, view.Txs) {
 		return nil, fmt.Errorf("rt: cluster repair by %s left k^m violations", opts.TransAlgo)
 	}
-	out := make([][]string, len(c.records))
-	for i := range c.records {
-		out[i] = res.Anonymized.Records[i].Items
+	return res, nil
+}
+
+// publish builds the run's output from base, the relational phase's
+// output. Each QI column holds its records' cluster signature, each
+// distinct value interned once per cluster; a record the relational
+// phase suppressed belongs to no cluster and keeps its input value. Each
+// basket is its cluster's: the input's (from view), the repair's, or
+// none for a suppressed cluster or a record outside every cluster. The
+// item dictionary holds exactly the published values, each read once
+// per source dictionary (view, or a repair's); both sources are
+// rank-built, so translating an ascending basket keeps it ascending.
+func publish(ds *dataset.Dataset, base *dataset.Indexed, qis []int, clusters []*cluster, view *privacy.TxView) *dataset.Indexed {
+	out := *base
+	out.Cols, out.Dicts = slices.Clone(base.Cols), slices.Clone(base.Dicts)
+	clustered := make([]bool, base.N)
+	for _, c := range clusters {
+		for _, r := range c.records {
+			clustered[r] = true
+		}
 	}
-	return out, nil
+	for i, q := range qis {
+		dict, col := dataset.NewInterner(), make([]uint32, base.N)
+		for _, c := range clusters {
+			id := dict.Intern(c.relVals[i])
+			for _, r := range c.records {
+				col[r] = id
+			}
+		}
+		for r, in := range clustered {
+			if !in {
+				col[r] = dict.Intern(ds.Records[r].Values[q])
+			}
+		}
+		ranked, perm := dict.Rank()
+		for r, id := range col {
+			col[r] = perm[id]
+		}
+		out.Cols[q], out.Dicts[q] = col, ranked
+	}
+
+	// Intern every published value first-seen, remembering each source
+	// ID's first-seen ID; rank, then translate the baskets.
+	items := dataset.NewInterner()
+	fromView := make([]uint32, len(view.Vals))
+	seen := make([]bool, len(view.Vals))
+	fromRepair := make([][]uint32, len(clusters))
+	total := 0
+	for ci, c := range clusters {
+		switch {
+		case c.suppressed:
+		case c.repaired != nil:
+			vals := c.repaired.ItemDict.Values()
+			fromRepair[ci] = make([]uint32, len(vals))
+			for j, v := range vals {
+				fromRepair[ci][j] = items.Intern(v)
+			}
+			for _, basket := range c.repaired.Items {
+				total += len(basket)
+			}
+		default:
+			for _, r := range c.records {
+				total += len(view.Txs[r])
+				for _, id := range view.Txs[r] {
+					if !seen[id] {
+						seen[id] = true
+						fromView[id] = items.Intern(view.Vals[id])
+					}
+				}
+			}
+		}
+	}
+	ranked, perm := items.Rank()
+	baskets := make([][]uint32, base.N)
+	flat := make([]uint32, 0, total)
+	put := func(r int, basket, to []uint32) {
+		if len(basket) == 0 {
+			return
+		}
+		start := len(flat)
+		for _, id := range basket {
+			flat = append(flat, perm[to[id]])
+		}
+		baskets[r] = flat[start:len(flat):len(flat)]
+	}
+	for ci, c := range clusters {
+		for j, r := range c.records {
+			switch {
+			case c.suppressed:
+			case c.repaired != nil:
+				put(r, c.repaired.Items[j], fromRepair[ci])
+			default:
+				put(r, view.Txs[r], fromView)
+			}
+		}
+	}
+	return out.WithItems(baskets, ranked)
 }
 
 // clusterPolicy narrows the configured policy to the cluster's item domain,

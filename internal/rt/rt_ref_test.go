@@ -17,10 +17,12 @@ import (
 // FuzzMergeMatchesReference compare Anonymize against it.
 
 // refCluster is the reference's cluster state: the shared fields plus the
-// transactions as dense IDs, which every reference check counts on.
+// transactions as dense IDs, which every reference check counts on, and
+// as the strings the reference publishes.
 type refCluster struct {
 	cluster
 	itemIDs [][]uint32
+	items   [][]string
 }
 
 // refAnonymize is Anonymize with the reference merge traversal.
@@ -132,7 +134,12 @@ func refAnonymize(ds *dataset.Dataset, opts Options) (*Result, error) {
 			suppressed++
 			continue
 		}
-		c.items = repaired
+		for j, basket := range repaired.Items {
+			c.items[j] = nil
+			for _, id := range basket {
+				c.items[j] = append(c.items[j], repaired.ItemDict.Value(id))
+			}
+		}
 		c.itemIDs = nil
 		transRepairs++
 	}
@@ -149,7 +156,7 @@ func refAnonymize(ds *dataset.Dataset, opts Options) (*Result, error) {
 	}
 	sw.Mark("recode")
 	return &Result{
-		Anonymized:         anon,
+		Anonymized:         dataset.Intern(anon),
 		Phases:             sw.Phases(),
 		Merges:             merges,
 		Clusters:           len(clusters),
@@ -164,7 +171,10 @@ func refClustersFromClasses(orig, anon *dataset.Dataset, qis []int, hh []*hierar
 	for i, cl := range classes {
 		c := &refCluster{cluster: cluster{records: append([]int(nil), cl.Records...), relVals: cl.Signature}}
 		refResolveNodes(&c.cluster, hh)
-		c.items = itemsOf(orig, c.records)
+		c.items = make([][]string, len(c.records))
+		for j, r := range c.records {
+			c.items[j] = append([]string(nil), orig.Records[r].Items...)
+		}
 		c.itemIDs = make([][]uint32, len(c.records))
 		for j, r := range c.records {
 			c.itemIDs[j] = view.Txs[r]

@@ -47,7 +47,7 @@ func TestAnonymizeEnforcesRTPrivacy(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", flavor, err)
 		}
-		rep := privacy.CheckRT(res.Anonymized, qis, opts.K, opts.M)
+		rep := privacy.CheckRT(res.Anonymized.Materialize(), qis, opts.K, opts.M)
 		if !rep.Holds() {
 			t.Errorf("%s: (k,k^m)-anonymity violated: %+v", flavor, rep)
 		}
@@ -76,7 +76,7 @@ func TestAllTwentyCombinations(t *testing.T) {
 				t.Errorf("%s+%s: %v", rel, tra, err)
 				continue
 			}
-			rep := privacy.CheckRT(res.Anonymized, qis, opts.K, opts.M)
+			rep := privacy.CheckRT(res.Anonymized.Materialize(), qis, opts.K, opts.M)
 			if !rep.Holds() {
 				t.Errorf("%s+%s: privacy violated: %+v", rel, tra, rep)
 			}
@@ -121,7 +121,7 @@ func TestLargeDeltaMergesMore(t *testing.T) {
 	_ = ih2
 }
 
-func metricsPair(t testing.TB, orig, a, b *dataset.Dataset, ih *hierarchy.Hierarchy) (float64, float64) {
+func metricsPair(t testing.TB, orig *dataset.Dataset, a, b *dataset.Indexed, ih *hierarchy.Hierarchy) (float64, float64) {
 	t.Helper()
 	ga, err := metrics.TransactionGCP(orig, a, ih)
 	if err != nil {
@@ -143,16 +143,16 @@ func TestRecordAlignmentAndCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Anonymized.Len() != ds.Len() {
+	if res.Anonymized.Materialize().Len() != ds.Len() {
 		t.Fatalf("record count changed")
 	}
 	qis, _ := ds.QIIndices(nil)
 	for r := range ds.Records {
 		for _, q := range qis {
 			h := hs[ds.Attrs[q].Name]
-			if !h.Covers(res.Anonymized.Records[r].Values[q], ds.Records[r].Values[q]) {
+			if !h.Covers(res.Anonymized.Materialize().Records[r].Values[q], ds.Records[r].Values[q]) {
 				t.Fatalf("record %d: %q does not cover %q", r,
-					res.Anonymized.Records[r].Values[q], ds.Records[r].Values[q])
+					res.Anonymized.Materialize().Records[r].Values[q], ds.Records[r].Values[q])
 			}
 		}
 	}
@@ -247,7 +247,7 @@ func TestCOATCombination(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := privacy.CheckRT(res.Anonymized, qis, opts.K, opts.M)
+	rep := privacy.CheckRT(res.Anonymized.Materialize(), qis, opts.K, opts.M)
 	if !rep.Holds() {
 		t.Errorf("coat combination violated privacy: %+v", rep)
 	}
@@ -273,7 +273,7 @@ func TestUngatedMergesCascadeFurther(t *testing.T) {
 	// Both must still satisfy the privacy model.
 	qis, _ := ds.QIIndices(nil)
 	for name, res := range map[string]*Result{"gated": resGated, "ungated": resUngated} {
-		if rep := privacy.CheckRT(res.Anonymized, qis, gated.K, gated.M); !rep.Holds() {
+		if rep := privacy.CheckRT(res.Anonymized.Materialize(), qis, gated.K, gated.M); !rep.Holds() {
 			t.Errorf("%s: privacy violated: %+v", name, rep)
 		}
 	}

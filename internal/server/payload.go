@@ -51,12 +51,11 @@ type resultRecords interface {
 	stream(emit func(line []byte) error) error
 }
 
-// memRecords streams from an in-memory record source — for retained
-// terminal jobs this is the interned columnar form of the anonymized
-// dataset, framed line by line from its escaped dictionaries (never
-// materialized whole).
+// memRecords streams a retained terminal job's records from their
+// interned columnar form, framed line by line from its escaped
+// dictionaries (never materialized whole).
 type memRecords struct {
-	src dataset.RecordSource
+	src *dataset.Indexed
 }
 
 func (m memRecords) stream(emit func(line []byte) error) error {

@@ -94,8 +94,7 @@ func TestRefJobsShareDerivedInputs(t *testing.T) {
 	shared := slot.in.Indexed().ItemDict
 	for _, j := range jobs {
 		_, res, _ := j.snapshot()
-		ix, ok := res.recs.(memRecords).src.(*dataset.Indexed)
-		if !ok || ix.ItemDict != shared {
+		if res.recs.(memRecords).src.ItemDict != shared {
 			t.Fatalf("job %s's result does not share the slot's interning", j.id)
 		}
 	}

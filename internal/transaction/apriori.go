@@ -3,7 +3,6 @@ package transaction
 import (
 	"context"
 	"fmt"
-	"slices"
 
 	"secreta/internal/dataset"
 	"secreta/internal/hierarchy"
@@ -24,7 +23,7 @@ import (
 // to IDs once, transactions are sorted ID lists mapped through the cut,
 // per-size support counts are kept incrementally, a repair re-counts only
 // the transactions that contain the generalized subtree (found through a
-// postings index), and the output is written from the mapped ID lists.
+// postings index), and the output is published from the mapped ID lists.
 func Apriori(ds *dataset.Dataset, opts Options) (*Result, error) {
 	sw := timing.Start()
 	items, err := opts.resolveItems(ds)
@@ -38,10 +37,9 @@ func Apriori(ds *dataset.Dataset, opts Options) (*Result, error) {
 		return nil, err
 	}
 	sw.Mark("generalize")
-	anon := ds.CloneRelational()
-	st.publish(anon, nil)
+	out, dict := publishLabels(st.txs, st.ix.Len(), st.ix.Value)
 	sw.Mark("recode")
-	return &Result{Anonymized: anon, Phases: sw.Phases(), Cut: cut, Generalizations: gens}, nil
+	return &Result{Items: out, ItemDict: dict, Phases: sw.Phases(), Cut: cut, Generalizations: gens}, nil
 }
 
 // pairTableCap bounds the flat size-2 support table, in int32 slots
@@ -100,7 +98,7 @@ func repairCut(ctx context.Context, items [][]int32, idx []int, cut *hierarchy.C
 			bestID := int32(-1)
 			bestCost := 0.0
 			base := st.cut.NCPNumerator()
-			for _, id := range viol.ids {
+			for _, id := range viol {
 				p := st.ix.Parent(id)
 				if p < 0 {
 					continue
@@ -121,7 +119,11 @@ func repairCut(ctx context.Context, items [][]int32, idx []int, cut *hierarchy.C
 				}
 			}
 			if bestID < 0 {
-				return st, gens, fmt.Errorf("apriori: cannot repair violation %v (k=%d, m=%d): all items fully generalized", viol.names, k, m)
+				names := make([]string, len(viol))
+				for i, id := range viol {
+					names[i] = st.ix.Value(id)
+				}
+				return st, gens, fmt.Errorf("apriori: cannot repair violation %v (k=%d, m=%d): all items fully generalized", names, k, m)
 			}
 			if err := st.repair(ctx, bestID); err != nil {
 				return st, gens, err
@@ -372,22 +374,15 @@ func (st *aprioriState) count(tx []int32, d int32) {
 	}
 }
 
-// violation is one under-supported itemset: ids sorted by item name (the
-// order the repair loop tries candidates in), names in the same order.
-type violation struct {
-	ids     []int32
-	names   []string
-	support int32
-}
-
 // minViolation returns the violating itemset that is smallest in
 // item-name order — exactly the first violation the seed's sorted scan
-// repaired — or nil when the level is clean. The scan itself is
-// allocation-free: candidate IDs go through reusable buffers, compared by
-// the index's value order, and the violation struct (with its names) is
-// built once for the winner. A pair-table scan walks the live slots,
-// dropping those whose count has fallen to zero.
-func (st *aprioriState) minViolation(k int) *violation {
+// repaired — as IDs sorted by item name (the order the repair loop tries
+// candidates in), or nil when the level is clean. The scan allocates
+// nothing: candidate IDs go through reusable buffers, compared by the
+// index's value order, and the result is one of them, valid until the
+// next call. A pair-table scan walks the live slots, dropping those whose
+// count has fallen to zero.
+func (st *aprioriState) minViolation(k int) []int32 {
 	if cap(st.candIDs) < st.size {
 		st.candIDs = make([]int32, st.size)
 		st.bestIDs = make([]int32, st.size)
@@ -395,11 +390,10 @@ func (st *aprioriState) minViolation(k int) *violation {
 	cand := st.candIDs[:st.size]
 	best := st.bestIDs[:st.size]
 	haveBest := false
-	var bestSupport int32
 	// consider sorts cand by item name (hierarchy values are distinct, so
 	// the order matches the seed's sort.Sort) and keeps it iff it is
 	// strictly name-less than the running best — the seed's tie-break.
-	consider := func(support int32) {
+	consider := func() {
 		for i := 1; i < len(cand); i++ {
 			for j := i; j > 0 && st.ix.Order(cand[j]) < st.ix.Order(cand[j-1]); j-- {
 				cand[j], cand[j-1] = cand[j-1], cand[j]
@@ -407,7 +401,6 @@ func (st *aprioriState) minViolation(k int) *violation {
 		}
 		if !haveBest || lessIDNames(st.ix, cand, best) {
 			copy(best, cand)
-			bestSupport = support
 			haveBest = true
 		}
 	}
@@ -416,7 +409,7 @@ func (st *aprioriState) minViolation(k int) *violation {
 		for id, s := range st.single {
 			if s > 0 && s < int32(k) {
 				cand[0] = int32(id)
-				consider(s)
+				consider()
 			}
 		}
 	case st.pairTab != nil:
@@ -430,7 +423,7 @@ func (st *aprioriState) minViolation(k int) *violation {
 			live = append(live, slot)
 			if s < int32(k) {
 				cand[0], cand[1] = slot/n, slot%n
-				consider(s)
+				consider()
 			}
 		}
 		st.live = live
@@ -438,7 +431,7 @@ func (st *aprioriState) minViolation(k int) *violation {
 		for key, s := range st.pairs {
 			if s < int32(k) {
 				cand[0], cand[1] = int32(uint32(key>>32)), int32(uint32(key))
-				consider(s)
+				consider()
 			}
 		}
 	default:
@@ -447,19 +440,14 @@ func (st *aprioriState) minViolation(k int) *violation {
 				for i := range cand {
 					cand[i] = int32(uint32(key[4*i])<<24 | uint32(key[4*i+1])<<16 | uint32(key[4*i+2])<<8 | uint32(key[4*i+3]))
 				}
-				consider(*p)
+				consider()
 			}
 		}
 	}
 	if !haveBest {
 		return nil
 	}
-	ids := append([]int32(nil), best...)
-	names := make([]string, len(ids))
-	for i, id := range ids {
-		names[i] = st.ix.Value(id)
-	}
-	return &violation{ids: ids, names: names, support: bestSupport}
+	return best
 }
 
 // lessIDNames compares equal-length, name-sorted ID tuples by their item
@@ -575,36 +563,6 @@ func (st *aprioriState) collapse(t int, p, end int32) {
 	st.txs[t] = tx
 	if st.size > 2 {
 		st.count(tx, 1)
-	}
-}
-
-// publish writes the state's mapped transactions, as item names in
-// ascending order, into the records at indices idx (all when nil) of out.
-// The lists share one backing array, each capped at its own length.
-func (st *aprioriState) publish(out *dataset.Dataset, idx []int) {
-	total := 0
-	for _, tx := range st.txs {
-		total += len(tx)
-	}
-	flat := make([]string, total)
-	var order []int32
-	for t, tx := range st.txs {
-		r := t
-		if idx != nil {
-			r = idx[t]
-		}
-		if len(tx) == 0 {
-			out.Records[r].Items = nil
-			continue
-		}
-		order = append(order[:0], tx...)
-		slices.SortFunc(order, func(a, b int32) int { return int(st.ix.Order(a) - st.ix.Order(b)) })
-		items := flat[:len(tx):len(tx)]
-		flat = flat[len(tx):]
-		for i, id := range order {
-			items[i] = st.ix.Value(id)
-		}
-		out.Records[r].Items = items
 	}
 }
 

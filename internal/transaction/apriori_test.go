@@ -47,15 +47,12 @@ func published(t *testing.T, ds *dataset.Dataset, idx []int, h *hierarchy.Hierar
 	if err != nil {
 		return cut, gens, nil, err
 	}
-	out := ds.CloneRelational()
-	st.publish(out, idx)
-	items := make([][]string, len(st.txs))
-	for i := range items {
-		r := i
-		if idx != nil {
-			r = idx[i]
+	baskets, dict := publishLabels(st.txs, st.ix.Len(), st.ix.Value)
+	items := make([][]string, len(baskets))
+	for i, basket := range baskets {
+		for _, id := range basket {
+			items[i] = append(items[i], dict.Value(id))
 		}
-		items[i] = out.Records[r].Items
 	}
 	return cut, gens, items, nil
 }

@@ -27,7 +27,7 @@ func BenchmarkApriori(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if res.Anonymized == nil {
+		if res.Items == nil {
 			b.Fatal("no output")
 		}
 	}

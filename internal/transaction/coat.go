@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"secreta/internal/dataset"
-	"secreta/internal/generalize"
 	"secreta/internal/policy"
 	"secreta/internal/timing"
 )
@@ -100,13 +99,13 @@ func COAT(ds *dataset.Dataset, opts Options) (*Result, error) {
 	}
 	sw.Mark("protect")
 
-	mapping := groups.mapping()
-	anon := generalize.ApplyItemMapping(ds, mapping)
+	items, dict := groups.publish(recRanks)
 	sw.Mark("recode")
 	return &Result{
-		Anonymized:      anon,
+		Items:           items,
+		ItemDict:        dict,
 		Phases:          sw.Phases(),
-		Mapping:         mapping,
+		Mapping:         groups.mapping(),
 		Suppressed:      groups.suppressed(),
 		Generalizations: gens,
 	}, nil

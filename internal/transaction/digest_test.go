@@ -22,7 +22,7 @@ const transactionDigest = "0ec6bb904ce5281d7c47c4fe269e66f5f63cc9e2b623b5912a6cf
 
 // publishedRecords returns the records a run publishes, as strings.
 func publishedRecords(ds *dataset.Dataset, res *Result) *dataset.Dataset {
-	return res.Anonymized
+	return dataset.Intern(ds).WithItems(res.Items, res.ItemDict).Materialize()
 }
 
 // writeTxOutput feeds one run's observable result into h.

@@ -48,7 +48,7 @@ func LRA(ds *dataset.Dataset, opts Options) (*Result, error) {
 	sort.SliceStable(idx, func(a, b int) bool { return keys[idx[a]] < keys[idx[b]] })
 	sw.Mark("partition")
 
-	anon := ds.CloneRelational()
+	published := make([][]int32, n) // each record's basket, as its part's node IDs
 	gens := 0
 	for p := 0; p < parts; p++ {
 		if err := opts.interrupted(); err != nil {
@@ -66,10 +66,14 @@ func LRA(ds *dataset.Dataset, opts Options) (*Result, error) {
 			return nil, err
 		}
 		gens += g
-		st.publish(anon, partIdx)
+		for t, r := range partIdx {
+			published[r] = st.txs[t]
+		}
 	}
 	sw.Mark("anonymize parts")
-	return &Result{Anonymized: anon, Phases: sw.Phases(), Generalizations: gens}, nil
+	ix := opts.ItemHierarchy.Index()
+	out, dict := publishLabels(published, ix.Len(), ix.Value)
+	return &Result{Items: out, ItemDict: dict, Phases: sw.Phases(), Generalizations: gens}, nil
 }
 
 func max(a, b int) int {

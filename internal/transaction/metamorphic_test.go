@@ -10,6 +10,7 @@ import (
 
 	"secreta/internal/dataset"
 	"secreta/internal/hierarchy"
+	"secreta/internal/policy"
 )
 
 // permuted returns ds's records in the order perm lists them.
@@ -74,13 +75,72 @@ func FuzzHierarchyRecordOrder(f *testing.F) {
 				t.Fatalf("%s: %d generalizations on the input, %d on its permutation", run.name, want.Generalizations, got.Generalizations)
 			}
 			if run.name == "LRA" {
-				if w, g := basketPairs(ds, want.Anonymized), basketPairs(shuffled, got.Anonymized); !reflect.DeepEqual(w, g) {
+				if w, g := basketPairs(ds, publishedRecords(ds, want)), basketPairs(shuffled, publishedRecords(shuffled, got)); !reflect.DeepEqual(w, g) {
 					t.Fatalf("LRA: input and published baskets %v, on the permutation %v", w, g)
 				}
 				continue
 			}
+			wantRecs, gotRecs := publishedRecords(ds, want).Records, publishedRecords(shuffled, got).Records
 			for j, r := range perm {
-				if w, g := want.Anonymized.Records[r], got.Anonymized.Records[j]; !reflect.DeepEqual(w, g) {
+				if w, g := wantRecs[r], gotRecs[j]; !reflect.DeepEqual(w, g) {
+					t.Fatalf("%s: record %d published %q, as record %d of the permutation %q", run.name, r, w, j, g)
+				}
+			}
+		}
+	})
+}
+
+// FuzzMappingRecordOrder checks the record-order relation of the
+// mapping-based algorithms. COAT and PCTA choose their merges and
+// suppressions from published supports, policy order and item names, and
+// rho-uncertainty its suppressions from rule confidences, supports and
+// item names, never from record positions; so permuting the input records
+// must only permute the published records, with the same Mapping,
+// Suppressed list and generalization count. The policies are derived once
+// from the input (PrivacyFrequent and UtilityTop list their constraints
+// in item order, so they do not depend on record order either).
+func FuzzMappingRecordOrder(f *testing.F) {
+	f.Add([]byte{3, 1, 0, 30, 10, 1, 2, 3, 4, 5, 6, 7, 8, 9})
+	f.Add([]byte{1, 1, 1, 47, 5, 0, 0, 3, 3, 1, 4})
+	f.Add([]byte{4, 2, 2, 47, 13, 200, 17, 5, 90, 33, 4, 250})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ds, _, k, m := fuzzBaskets(data)
+		if ds == nil {
+			return
+		}
+		hash := fnv.New64a()
+		hash.Write(data)
+		perm := rand.New(rand.NewSource(int64(hash.Sum64()))).Perm(ds.Len())
+		shuffled := permuted(ds, perm)
+		pol := &policy.Policy{Privacy: policy.PrivacyFrequent(ds, 1, m), Utility: policy.UtilityTop(ds)}
+		domain := ds.ItemDomain()
+		sensitive := []string{domain[int(data[0])%len(domain)]}
+		rho := 0.1 + 0.8*float64(data[1])/255
+		for _, run := range []struct {
+			name string
+			algo func(*dataset.Dataset, Options) (*Result, error)
+			opts Options
+		}{
+			{"COAT", COAT, Options{K: k, Policy: pol}},
+			{"PCTA", PCTA, Options{K: k, Policy: pol}},
+			{"PCTA/no-utility", PCTA, Options{K: k, Policy: &policy.Policy{Privacy: pol.Privacy}}},
+			{"rho", RhoUncertainty, Options{M: m, Rho: rho, Sensitive: sensitive}},
+		} {
+			want, errWant := run.algo(ds, run.opts)
+			got, errGot := run.algo(shuffled, run.opts)
+			if (errWant == nil) != (errGot == nil) {
+				t.Fatalf("%s: error %v on the input, %v on its permutation", run.name, errWant, errGot)
+			}
+			if errWant != nil {
+				continue
+			}
+			if !reflect.DeepEqual(want.Mapping, got.Mapping) || !reflect.DeepEqual(want.Suppressed, got.Suppressed) || want.Generalizations != got.Generalizations {
+				t.Fatalf("%s: mapping %v, suppressed %v, %d generalizations on the input; %v, %v, %d on its permutation",
+					run.name, want.Mapping, want.Suppressed, want.Generalizations, got.Mapping, got.Suppressed, got.Generalizations)
+			}
+			wantRecs, gotRecs := publishedRecords(ds, want).Records, publishedRecords(shuffled, got).Records
+			for j, r := range perm {
+				if w, g := wantRecs[r], gotRecs[j]; !reflect.DeepEqual(w, g) {
 					t.Fatalf("%s: record %d published %q, as record %d of the permutation %q", run.name, r, w, j, g)
 				}
 			}
@@ -118,18 +178,18 @@ func TestLRARecordOrderCounterexample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	published := func(res *Result, id string) string {
-		for _, rec := range res.Anonymized.Records {
+	published := func(in *dataset.Dataset, res *Result, id string) string {
+		for _, rec := range publishedRecords(in, res).Records {
 			if rec.Values[0] == id {
 				return strings.Join(rec.Items, ",")
 			}
 		}
 		return ""
 	}
-	if a, b := published(want, "1"), published(got, "1"); a != "X" || b != "All" {
+	if a, b := published(ds, want, "1"), published(permuted(ds, perm), got, "1"); a != "X" || b != "All" {
 		t.Fatalf("record 1 published %q on the input and %q on the permutation, want X and All", a, b)
 	}
-	if w, g := basketPairs(ds, want.Anonymized), basketPairs(permuted(ds, perm), got.Anonymized); !reflect.DeepEqual(w, g) {
+	if w, g := basketPairs(ds, publishedRecords(ds, want)), basketPairs(permuted(ds, perm), publishedRecords(permuted(ds, perm), got)); !reflect.DeepEqual(w, g) {
 		t.Fatalf("basket pairs differ: %v and %v", w, g)
 	}
 }

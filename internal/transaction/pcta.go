@@ -2,7 +2,6 @@ package transaction
 
 import (
 	"secreta/internal/dataset"
-	"secreta/internal/generalize"
 	"secreta/internal/timing"
 )
 
@@ -110,13 +109,13 @@ func PCTA(ds *dataset.Dataset, opts Options) (*Result, error) {
 	}
 	sw.Mark("cluster")
 
-	mapping := groups.mapping()
-	anon := generalize.ApplyItemMapping(ds, mapping)
+	items, dict := groups.publish(recRanks)
 	sw.Mark("recode")
 	return &Result{
-		Anonymized:      anon,
+		Items:           items,
+		ItemDict:        dict,
 		Phases:          sw.Phases(),
-		Mapping:         mapping,
+		Mapping:         groups.mapping(),
 		Suppressed:      groups.suppressed(),
 		Generalizations: gens,
 	}, nil

@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"secreta/internal/dataset"
-	"secreta/internal/generalize"
 	"secreta/internal/privacy"
 	"secreta/internal/timing"
 )
@@ -81,21 +80,19 @@ func RhoUncertainty(ds *dataset.Dataset, opts Options) (*Result, error) {
 	sw.Mark("suppress")
 
 	mapping := make(map[string]string)
+	groups := newGroupTable(ds.ItemDomain())
 	for it := range suppressed {
 		mapping[it] = ""
+		groups.suppress(it)
 	}
-	anon := generalize.ApplyItemMapping(ds, mapping)
+	items, dict := groups.publish(recordRanks(ds, groups))
 	sw.Mark("recode")
-	supList := make([]string, 0, len(suppressed))
-	for it := range suppressed {
-		supList = append(supList, it)
-	}
-	sort.Strings(supList)
 	return &Result{
-		Anonymized: anon,
+		Items:      items,
+		ItemDict:   dict,
 		Phases:     sw.Phases(),
 		Mapping:    mapping,
-		Suppressed: supList,
+		Suppressed: groups.suppressed(),
 	}, nil
 }
 

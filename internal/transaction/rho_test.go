@@ -30,7 +30,7 @@ func TestRhoUncertaintyEnforcesBound(t *testing.T) {
 		if err != nil {
 			t.Fatalf("rho=%v: %v", rho, err)
 		}
-		if !IsRhoUncertain(res.Anonymized, sens, rho, 2) {
+		if !IsRhoUncertain(publishedRecords(ds, res), sens, rho, 2) {
 			t.Errorf("rho=%v: output violates rho-uncertainty", rho)
 		}
 	}
@@ -90,7 +90,7 @@ func TestRhoUncertaintyEmptyAntecedent(t *testing.T) {
 	if len(res.Suppressed) != 1 || res.Suppressed[0] != "sens" {
 		t.Errorf("suppressed = %v, want [sens]", res.Suppressed)
 	}
-	if !IsRhoUncertain(res.Anonymized, []string{"sens"}, 0.5, 1) {
+	if !IsRhoUncertain(publishedRecords(ds, res), []string{"sens"}, 0.5, 1) {
 		t.Error("bound still violated")
 	}
 }
@@ -143,7 +143,7 @@ func TestRhoUncertaintyProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if !IsRhoUncertain(res.Anonymized, sens, rho, m) {
+		if !IsRhoUncertain(publishedRecords(ds, res), sens, rho, m) {
 			t.Fatalf("trial %d: bound violated (rho=%v m=%d)", trial, rho, m)
 		}
 		// Truthfulness: every published item existed in the original
@@ -153,7 +153,7 @@ func TestRhoUncertaintyProperty(t *testing.T) {
 			for _, it := range ds.Records[r].Items {
 				orig[it] = true
 			}
-			for _, it := range res.Anonymized.Records[r].Items {
+			for _, it := range publishedRecords(ds, res).Records[r].Items {
 				if !orig[it] {
 					t.Fatalf("trial %d: invented item %q", trial, it)
 				}
@@ -169,7 +169,7 @@ func TestRhoViaEngineDataShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Anonymized.Len() != ds.Len() {
+	if publishedRecords(ds, res).Len() != ds.Len() {
 		t.Error("record count changed")
 	}
 	if len(res.Phases) < 3 {
@@ -201,7 +201,7 @@ func TestRhoUncertaintyNULInItemName(t *testing.T) {
 	if len(res.Suppressed) != 1 || res.Suppressed[0] != "a\x00b" {
 		t.Errorf("suppressed = %q, want [\"a\\x00b\"]", res.Suppressed)
 	}
-	if !IsRhoUncertain(res.Anonymized, []string{"s"}, 0.5, 1) {
+	if !IsRhoUncertain(publishedRecords(ds, res), []string{"s"}, 0.5, 1) {
 		t.Error("bound still violated")
 	}
 }

@@ -50,9 +50,14 @@ type Options struct {
 
 // Result is the outcome of a transaction algorithm run.
 type Result struct {
-	// Anonymized holds the recoded dataset, record-aligned with the
-	// input; relational attributes are untouched.
-	Anonymized *dataset.Dataset
+	// Items holds the published baskets, record-aligned with the input:
+	// ascending IDs over ItemDict, nil for an empty basket. ItemDict
+	// holds exactly the published values, rank-built, so the pair
+	// follows dataset.Indexed's item invariants; the relational values
+	// are untouched, and (*dataset.Indexed).WithItems joins the baskets
+	// onto the input's interning.
+	Items    [][]uint32
+	ItemDict *dataset.Interner
 	// Phases is the timing breakdown.
 	Phases []timing.Phase
 	// Cut is the final hierarchy cut (hierarchy-based algorithms).
@@ -256,6 +261,69 @@ func (g *groupTable) suppressed() []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// publishLabels publishes record-aligned baskets of source IDs below n
+// (hierarchy node IDs, or domain ranks) under label, "" marking an ID
+// that publishes nothing. Each distinct source ID is labelled and
+// looked up in the dictionary once, never once per occurrence; the
+// dictionary holds exactly the published labels, ranked, so equal labels
+// share an ID. Baskets are remapped, sorted and deduplicated on IDs and
+// share one backing array; an empty one is nil.
+func publishLabels(txs [][]int32, n int, label func(int32) string) ([][]uint32, *dataset.Interner) {
+	id := make([]int32, n) // source ID -> 1 + dictionary ID; -1 once seen
+	vals := make([]string, 0, n)
+	total := 0
+	for _, tx := range txs {
+		total += len(tx)
+		for _, s := range tx {
+			if id[s] == 0 {
+				id[s] = -1
+				if l := label(s); l != "" {
+					vals = append(vals, l)
+				}
+			}
+		}
+	}
+	sort.Strings(vals)
+	dict := dataset.NewRankedInterner(slices.Compact(vals))
+	for s, v := range id {
+		if v != 0 {
+			if d, ok := dict.ID(label(int32(s))); ok {
+				id[s] = int32(d) + 1
+			}
+		}
+	}
+	flat := make([]uint32, 0, total)
+	out := make([][]uint32, len(txs))
+	for r, tx := range txs {
+		start := len(flat)
+		for _, s := range tx {
+			if v := id[s]; v > 0 {
+				flat = append(flat, uint32(v-1))
+			}
+		}
+		if basket := flat[start:]; len(basket) > 0 {
+			slices.Sort(basket)
+			basket = slices.Compact(basket)
+			flat = flat[:start+len(basket)]
+			out[r] = basket[:len(basket):len(basket)]
+		}
+	}
+	return out, dict
+}
+
+// publish publishes the baskets recRanks holds (domain ranks, see
+// recordRanks) under the current grouping: each live group publishes its
+// label, built once, and a suppressed one nothing.
+func (g *groupTable) publish(recRanks [][]int32) ([][]uint32, *dataset.Interner) {
+	labels := make([]string, len(g.items))
+	for gi, members := range g.items {
+		if len(members) > 0 && !g.dead[gi] {
+			labels[gi] = labelFor(members)
+		}
+	}
+	return publishLabels(recRanks, len(g.rank), func(rank int32) string { return labels[g.itemGroup[rank]] })
 }
 
 // recordRanks resolves every record's items to domain ranks once; the

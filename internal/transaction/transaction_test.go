@@ -28,7 +28,7 @@ func TestAprioriEnforcesKM(t *testing.T) {
 			if err != nil {
 				t.Fatalf("k=%d m=%d: %v", k, m, err)
 			}
-			trs := privacy.Transactions(res.Anonymized, nil)
+			trs := privacy.Transactions(publishedRecords(ds, res), nil)
 			if !privacy.IsKMAnonymous(trs, k, m) {
 				t.Errorf("k=%d m=%d: output violates k^m-anonymity", k, m)
 			}
@@ -59,7 +59,7 @@ func TestAprioriGeneralizesOnlyWhenNeeded(t *testing.T) {
 	if res.Generalizations != 0 {
 		t.Errorf("generalizations = %d, want 0", res.Generalizations)
 	}
-	if got := res.Anonymized.Records[0].Items; len(got) != 2 || got[0] != "a" {
+	if got := publishedRecords(ds, res).Records[0].Items; len(got) != 2 || got[0] != "a" {
 		t.Errorf("items changed: %v", got)
 	}
 }
@@ -89,7 +89,7 @@ func TestLRAEnforcesKMGlobally(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parts=%d: %v", parts, err)
 		}
-		trs := privacy.Transactions(res.Anonymized, nil)
+		trs := privacy.Transactions(publishedRecords(ds, res), nil)
 		if !privacy.IsKMAnonymous(trs, 4, 2) {
 			t.Errorf("parts=%d: output violates k^m-anonymity", parts)
 		}
@@ -102,7 +102,7 @@ func TestVPAEnforcesKM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trs := privacy.Transactions(res.Anonymized, nil)
+	trs := privacy.Transactions(publishedRecords(ds, res), nil)
 	if !privacy.IsKMAnonymous(trs, 4, 2) {
 		t.Error("VPA output violates k^m-anonymity")
 	}
@@ -111,7 +111,7 @@ func TestVPAEnforcesKM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !privacy.IsKMAnonymous(privacy.Transactions(res.Anonymized, nil), 4, 2) {
+	if !privacy.IsKMAnonymous(privacy.Transactions(publishedRecords(ds, res), nil), 4, 2) {
 		t.Error("VPA (2 parts) output violates k^m-anonymity")
 	}
 }
@@ -127,7 +127,7 @@ func TestHierarchyAlgosPreserveRelationalPart(t *testing.T) {
 		}
 		for r := range ds.Records {
 			for i := range ds.Records[r].Values {
-				if res.Anonymized.Records[r].Values[i] != ds.Records[r].Values[i] {
+				if publishedRecords(ds, res).Records[r].Values[i] != ds.Records[r].Values[i] {
 					t.Fatalf("%s: relational values changed", name)
 				}
 			}
@@ -345,8 +345,8 @@ func TestUtilityOrderingCOATvsApriori(t *testing.T) {
 		}
 		return len(seen)
 	}
-	if distinct(co.Anonymized) < distinct(ap.Anonymized) {
+	if distinct(publishedRecords(ds, co)) < distinct(publishedRecords(ds, ap)) {
 		t.Logf("note: COAT published %d labels, Apriori %d (allowed, but unusual)",
-			distinct(co.Anonymized), distinct(ap.Anonymized))
+			distinct(publishedRecords(ds, co)), distinct(publishedRecords(ds, ap)))
 	}
 }

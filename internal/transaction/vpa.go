@@ -78,8 +78,7 @@ func VPA(ds *dataset.Dataset, opts Options) (*Result, error) {
 	gens += g
 	sw.Mark("verify")
 
-	anon := ds.CloneRelational()
-	st.publish(anon, nil)
+	out, dict := publishLabels(st.txs, ix.Len(), ix.Value)
 	sw.Mark("recode")
-	return &Result{Anonymized: anon, Phases: sw.Phases(), Cut: cut, Generalizations: gens}, nil
+	return &Result{Items: out, ItemDict: dict, Phases: sw.Phases(), Cut: cut, Generalizations: gens}, nil
 }
