@@ -83,6 +83,11 @@ func BenchmarkAblationMergeGate(b *testing.B) {
 		ungated bool
 	}{{"gated", false}, {"ungated", true}} {
 		b.Run(tc.name, func(b *testing.B) {
+			qis := mustQIs(b, env.DS)
+			hh, err := env.Hierarchies.ForQIs(env.DS, qis)
+			if err != nil {
+				b.Fatal(err)
+			}
 			var gcp float64
 			for i := 0; i < b.N; i++ {
 				res, err := rt.Anonymize(env.DS, rt.Options{
@@ -94,11 +99,8 @@ func BenchmarkAblationMergeGate(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				g, err := metrics.GCP(res.Anonymized.Materialize(), env.Hierarchies, mustQIs(b, env.DS))
-				if err != nil {
-					b.Fatal(err)
-				}
-				gcp = g
+				cols, dicts := res.Anonymized.Columns(qis)
+				gcp = metrics.GCPColumns(res.Anonymized.N, cols, dicts, hh)
 			}
 			b.ReportMetric(gcp, "GCP")
 		})

@@ -1,6 +1,9 @@
 package dataset
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Interner maps strings to dense uint32 IDs and back. The zero-alloc hot
 // paths of the anonymization algorithms (partition signatures, k^m support
@@ -153,16 +156,8 @@ func Intern(d *Dataset) *Indexed {
 // caller-supplied interning check it first, so a stale or foreign one is
 // never read as d's.
 func (ix *Indexed) Describes(d *Dataset) bool {
-	if ix.N != len(d.Records) || ix.TransName != d.TransName || (ix.ItemDict != nil) != d.HasTransaction() ||
-		len(ix.Attrs) != len(d.Attrs) || len(ix.Dicts) != len(d.Attrs) {
-		return false
-	}
-	for a := range d.Attrs {
-		if ix.Attrs[a] != d.Attrs[a] {
-			return false
-		}
-	}
-	return true
+	return ix.N == len(d.Records) && ix.TransName == d.TransName && (ix.ItemDict != nil) == d.HasTransaction() &&
+		len(ix.Dicts) == len(d.Attrs) && slices.Equal(ix.Attrs, d.Attrs)
 }
 
 // WithItems returns ix with its baskets replaced by items over dict,

@@ -55,26 +55,21 @@ func RecordLines(src *dataset.Indexed, emit func(line []byte) error) error {
 }
 
 // escapeDict returns the JSON literal of every value of d, indexed by ID
-// and carved from one buffer.
+// and carved from one buffer. When an escaped value outgrows the
+// estimate and the buffer moves, the earlier literals keep the old array.
 func escapeDict(d *dataset.Interner) [][]byte {
 	vals := d.Values()
 	size := 0
 	for _, v := range vals {
 		size += len(v) + 2
 	}
-	_, lits := appendLiterals(make([]byte, 0, size), make([][]byte, 0, len(vals)), vals)
-	return lits
-}
-
-// appendLiterals appends the JSON literal of each of ss to buf and a slice
-// of buf holding it to lits.
-func appendLiterals(buf []byte, lits [][]byte, ss []string) ([]byte, [][]byte) {
-	for _, s := range ss {
+	buf, lits := make([]byte, 0, size), make([][]byte, 0, len(vals))
+	for _, v := range vals {
 		start := len(buf)
-		buf = appendJSONString(buf, s)
+		buf = appendJSONString(buf, v)
 		lits = append(lits, buf[start:])
 	}
-	return buf, lits
+	return lits
 }
 
 // frameLine appends one record line built from its strings' JSON

@@ -673,59 +673,46 @@ func publish(ds *dataset.Dataset, base *dataset.Indexed, qis []int, clusters []*
 		out.Cols[q], out.Dicts[q] = col, ranked
 	}
 
-	// Intern every published value first-seen, remembering each source
-	// ID's first-seen ID; rank, then translate the baskets.
+	// Each basket is translated into first-seen IDs of one interner, a
+	// source value interned on its first use, and ranked afterwards.
+	// Baskets are carved from shared chunks of at least 4096 IDs.
 	items := dataset.NewInterner()
-	fromView := make([]uint32, len(view.Vals))
-	seen := make([]bool, len(view.Vals))
-	fromRepair := make([][]uint32, len(clusters))
-	total := 0
-	for ci, c := range clusters {
-		switch {
-		case c.suppressed:
-		case c.repaired != nil:
-			vals := c.repaired.ItemDict.Values()
-			fromRepair[ci] = make([]uint32, len(vals))
-			for j, v := range vals {
-				fromRepair[ci][j] = items.Intern(v)
+	fromView := make([]uint32, len(view.Vals)) // 1 + first-seen ID
+	baskets := make([][]uint32, base.N)
+	var flat []uint32
+	for _, c := range clusters {
+		if c.suppressed {
+			continue
+		}
+		vals, to := view.Vals, fromView
+		if c.repaired != nil {
+			vals, to = c.repaired.ItemDict.Values(), make([]uint32, c.repaired.ItemDict.Len())
+		}
+		for j, r := range c.records {
+			basket := view.Txs[r]
+			if c.repaired != nil {
+				basket = c.repaired.Items[j]
 			}
-			for _, basket := range c.repaired.Items {
-				total += len(basket)
+			if len(basket) == 0 {
+				continue
 			}
-		default:
-			for _, r := range c.records {
-				total += len(view.Txs[r])
-				for _, id := range view.Txs[r] {
-					if !seen[id] {
-						seen[id] = true
-						fromView[id] = items.Intern(view.Vals[id])
-					}
+			if cap(flat)-len(flat) < len(basket) {
+				flat = make([]uint32, 0, max(4096, len(basket)))
+			}
+			start := len(flat)
+			for _, id := range basket {
+				if to[id] == 0 {
+					to[id] = items.Intern(vals[id]) + 1
 				}
+				flat = append(flat, to[id]-1)
 			}
+			baskets[r] = flat[start:len(flat):len(flat)]
 		}
 	}
 	ranked, perm := items.Rank()
-	baskets := make([][]uint32, base.N)
-	flat := make([]uint32, 0, total)
-	put := func(r int, basket, to []uint32) {
-		if len(basket) == 0 {
-			return
-		}
-		start := len(flat)
-		for _, id := range basket {
-			flat = append(flat, perm[to[id]])
-		}
-		baskets[r] = flat[start:len(flat):len(flat)]
-	}
-	for ci, c := range clusters {
-		for j, r := range c.records {
-			switch {
-			case c.suppressed:
-			case c.repaired != nil:
-				put(r, c.repaired.Items[j], fromRepair[ci])
-			default:
-				put(r, view.Txs[r], fromView)
-			}
+	for _, basket := range baskets {
+		for i, id := range basket {
+			basket[i] = perm[id]
 		}
 	}
 	return out.WithItems(baskets, ranked)

@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -276,5 +277,34 @@ func TestUngatedMergesCascadeFurther(t *testing.T) {
 		if rep := privacy.CheckRT(res.Anonymized.Materialize(), qis, gated.K, gated.M); !rep.Holds() {
 			t.Errorf("%s: privacy violated: %+v", name, rep)
 		}
+	}
+}
+
+// TestForeignInterningIgnored hands Anonymize the interning of another
+// dataset with as many records but another schema and one shared basket,
+// which reads as k^m-anonymous everywhere: a run must not read it as its
+// own, so it publishes exactly what it publishes with no interning
+// supplied.
+func TestForeignInterningIgnored(t *testing.T) {
+	ds, hs, ih := rtData(t, 200, 17)
+	other := ds.Clone()
+	if err := other.DeleteAttribute(other.Attrs[0].Name); err != nil {
+		t.Fatal(err)
+	}
+	for r := range other.Records {
+		other.Records[r].Items = []string{"x"}
+	}
+	opts := baseOpts(hs, ih)
+	want, err := Anonymize(ds, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Interned = dataset.Intern(other)
+	got, err := Anonymize(ds, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w, g := encodeResult(t, want), encodeResult(t, got); !bytes.Equal(w, g) {
+		t.Fatalf("a foreign interning changed the output:\n got: %s\nwant: %s", tail(g), tail(w))
 	}
 }

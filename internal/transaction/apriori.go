@@ -249,17 +249,6 @@ func newAprioriState(items [][]int32, idx []int, cut *hierarchy.Cut, allowed []b
 	return st
 }
 
-// dedupIDs removes adjacent duplicates from an ascending slice in place.
-func dedupIDs(ids []int32) []int32 {
-	out := ids[:1]
-	for _, id := range ids[1:] {
-		if id != out[len(out)-1] {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
 // subtreeAllowed reports whether every leaf under id is in the allowed
 // part — an O(1) prefix-sum check over the subtree's leaf-ordinal range.
 func (st *aprioriState) subtreeAllowed(id int32) bool {

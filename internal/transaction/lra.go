@@ -70,9 +70,9 @@ func LRA(ds *dataset.Dataset, opts Options) (*Result, error) {
 			published[r] = st.txs[t]
 		}
 	}
-	sw.Mark("anonymize parts")
 	ix := opts.ItemHierarchy.Index()
 	out, dict := publishLabels(published, ix.Len(), ix.Value)
+	sw.Mark("anonymize parts")
 	return &Result{Items: out, ItemDict: dict, Phases: sw.Phases(), Generalizations: gens}, nil
 }
 

@@ -116,7 +116,7 @@ func itemIDs(ds *dataset.Dataset, ix *hierarchy.Index) ([][]int32, error) {
 		}
 		if ids := flat[start:]; len(ids) > 0 {
 			slices.Sort(ids)
-			ids = dedupIDs(ids)
+			ids = slices.Compact(ids)
 			flat = flat[:start+len(ids)]
 			out[r] = ids[:len(ids):len(ids)]
 		}
@@ -364,8 +364,8 @@ func publishedGroups(recRanks [][]int32, g *groupTable) [][]int32 {
 		if len(set) == 0 {
 			continue
 		}
-		sort.Slice(set, func(a, b int) bool { return set[a] < set[b] })
-		out[r] = dedupIDs(set)
+		slices.Sort(set)
+		out[r] = slices.Compact(set)
 	}
 	return out
 }
@@ -404,8 +404,8 @@ func constraintSupport(published [][]int32, g *groupTable, c policy.PrivacyConst
 		}
 		gids = append(gids, gi)
 	}
-	sort.Slice(gids, func(a, b int) bool { return gids[a] < gids[b] })
-	gids = dedupIDs(gids)
+	slices.Sort(gids)
+	gids = slices.Compact(gids)
 	sup := 0
 	for _, set := range published {
 		if containsAll(set, gids) {

@@ -1,6 +1,7 @@
 package transaction
 
 import (
+	"reflect"
 	"testing"
 
 	"secreta/internal/dataset"
@@ -349,4 +350,63 @@ func TestUtilityOrderingCOATvsApriori(t *testing.T) {
 		t.Logf("note: COAT published %d labels, Apriori %d (allowed, but unusual)",
 			distinct(publishedRecords(ds, co)), distinct(publishedRecords(ds, ap)))
 	}
+}
+
+// TestPublishLabels pins the one publishing step of every transaction
+// algorithm: baskets of node IDs through a cut, and baskets of domain
+// ranks through a group table that merges and suppresses, come out as
+// ascending IDs over a dictionary of exactly the published labels in
+// value order, deduplicated, with an emptied basket nil.
+func TestPublishLabels(t *testing.T) {
+	ds := dataset.New([]dataset.Attribute{{Name: "A"}}, "T")
+	for _, items := range [][]string{{"a", "b"}, {"b"}, {"c"}, {"a", "b", "c"}, nil} {
+		if err := ds.AddRecord(dataset.Record{Values: []string{"x"}, Items: items}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(t *testing.T, items [][]uint32, dict *dataset.Interner, wantDict []string, want [][]string) {
+		t.Helper()
+		if !reflect.DeepEqual(dict.Values(), wantDict) {
+			t.Fatalf("dictionary %q, want %q", dict.Values(), wantDict)
+		}
+		for r, basket := range items {
+			var got []string
+			for i, id := range basket {
+				if i > 0 && basket[i-1] >= id {
+					t.Fatalf("record %d: basket %v is not ascending", r, basket)
+				}
+				got = append(got, dict.Value(id))
+			}
+			if !reflect.DeepEqual(got, want[r]) || (want[r] == nil) != (basket == nil) {
+				t.Fatalf("record %d published %q (%v), want %q", r, got, basket, want[r])
+			}
+		}
+	}
+	t.Run("cut", func(t *testing.T) {
+		h, err := hierarchy.NewBuilder("T").
+			Add("All", "ab").Add("All", "c").
+			Add("ab", "a").Add("ab", "b").
+			Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cut := hierarchy.NewCut(h)
+		if err := cut.Specialize("All"); err != nil {
+			t.Fatal(err)
+		}
+		ids, err := itemIDs(ds, h.Index())
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := newAprioriState(ids, nil, cut, nil, pairTableCap)
+		items, dict := publishLabels(st.txs, st.ix.Len(), st.ix.Value)
+		check(t, items, dict, []string{"ab", "c"}, [][]string{{"ab"}, {"ab"}, {"c"}, {"ab", "c"}, nil})
+	})
+	t.Run("mapping", func(t *testing.T) {
+		g := newGroupTable(ds.ItemDomain())
+		g.merge("a", "b")
+		g.suppress("c")
+		items, dict := g.publish(recordRanks(ds, g))
+		check(t, items, dict, []string{"(a,b)"}, [][]string{{"(a,b)"}, {"(a,b)"}, nil, {"(a,b)"}, nil})
+	})
 }
